@@ -33,7 +33,6 @@ from .series import PowerSeries
 
 MULTIPLICATION = "multiplication"
 COMPOSITION = "composition"
-CUSTOM = "custom"
 
 _DENSE_CUTOFF = 384  # above this dimension, multiplication norms go matrix-free
 _COMPOSITION_PROFILE_CAP = 2048  # dense-only composition compressions
@@ -358,7 +357,6 @@ def blaschke_isometry_check(
     probes,
     n: int,
     tol: float = 1e-8,
-    check_id: str = "blaschke_isometry",
 ) -> rp.VerificationReport:
     """Alternating three-step identity for multiplication by a finite
     Blaschke product:
@@ -382,11 +380,28 @@ def blaschke_isometry_check(
         computed.append((f"probe_{idx}_defect", value))
     computed.append(("max_defect", worst))
     return rp.make_report(
-        check_id,
         computed=computed,
         reference=[("defect", 0.0, rp.PAPER)],
         tolerance=tol,
-        status=rp.PASS if ok else rp.FAIL,
+        ok=ok,
+        check_id="blaschke_isometry",
+    )
+
+
+def _power_residual_report(check_id: str, residuals: dict, tol: float, scale: float):
+    """One row per power n plus the largest |residual|, which must stay below tol * scale."""
+    computed = []
+    worst = 0.0
+    for n, residual in residuals.items():
+        worst = max(worst, abs(residual))
+        computed.append((f"power_{n}_residual", residual))
+    computed.append(("max_residual", worst))
+    return rp.make_report(
+        computed=computed,
+        reference=[("residual", 0.0, rp.PAPER)],
+        tolerance=tol,
+        ok=worst < tol * scale,
+        check_id=check_id,
     )
 
 
@@ -397,7 +412,6 @@ def growth_formula_check(
     n_max: int,
     tol: float = 1e-8,
     order: int = 512,
-    check_id: str = "growth_formula",
 ) -> rp.VerificationReport:
     """Polynomial-growth formulas for powers of a Blaschke multiplier.
 
@@ -422,8 +436,7 @@ def growth_formula_check(
         norms_sq.append(sp.space_norm_sq(space, current))
     psi0 = psi(0.0)
     f0_sq = abs(f.coeffs[0]) ** 2
-    computed = []
-    worst = 0.0
+    residuals = {}
     for n in range(2, n_max + 1):
         if space.kind == sp.S12:
             b1 = norms_sq[1] - norms_sq[0]
@@ -438,18 +451,8 @@ def growth_formula_check(
                 + n * (n - 2) * abs(psi0) ** 2 * f0_sq
                 + abs(psi0**n) ** 2 * f0_sq
             )
-        residual = norms_sq[n] - predicted
-        worst = max(worst, abs(residual))
-        computed.append((f"power_{n}_residual", residual))
-    computed.append(("max_residual", worst))
-    ok = worst < tol * (1.0 + norms_sq[0])
-    return rp.make_report(
-        check_id,
-        computed=computed,
-        reference=[("residual", 0.0, rp.PAPER)],
-        tolerance=tol,
-        status=rp.PASS if ok else rp.FAIL,
-    )
+        residuals[n] = norms_sq[n] - predicted
+    return _power_residual_report("growth_formula", residuals, tol, 1.0 + norms_sq[0])
 
 
 def dirichlet_linearity_check(
@@ -458,7 +461,6 @@ def dirichlet_linearity_check(
     n_max: int,
     tol: float = 1e-8,
     order: int = 512,
-    check_id: str = "dirichlet_linearity",
 ) -> rp.VerificationReport:
     """Affine growth of the Dirichlet energy under Blaschke powers:
 
@@ -474,21 +476,9 @@ def dirichlet_linearity_check(
         current = ps.cauchy_product(current, psi_series, order)
         energies.append(sp.dirichlet_energy(current))
     slope = energies[1] - energies[0]
-    computed = []
-    worst = 0.0
-    for n in range(n_max + 1):
-        residual = energies[n] - (base + n * slope)
-        worst = max(worst, abs(residual))
-        computed.append((f"power_{n}_residual", residual))
-    computed.append(("max_residual", worst))
-    ok = worst < tol * (1.0 + base + abs(slope) * n_max)
-    return rp.make_report(
-        check_id,
-        computed=computed,
-        reference=[("residual", 0.0, rp.PAPER)],
-        tolerance=tol,
-        status=rp.PASS if ok else rp.FAIL,
-    )
+    residuals = {n: energies[n] - (base + n * slope) for n in range(n_max + 1)}
+    scale = 1.0 + base + abs(slope) * n_max
+    return _power_residual_report("dirichlet_linearity", residuals, tol, scale)
 
 
 def composition_norm_bound_check(
@@ -496,7 +486,6 @@ def composition_norm_bound_check(
     phi: PowerSeries,
     n: int = 256,
     tol: float = 1e-8,
-    check_id: str = "composition_norm_bound",
 ) -> rp.VerificationReport:
     """Compression norm of C_phi against the multiplier-contraction bound
 
@@ -529,9 +518,10 @@ def composition_norm_bound_check(
         reference.append(("lower_bound", lower, rp.PAPER))
         ok = ok and comp_est**2 >= lower - tol
     return rp.make_report(
-        check_id,
         computed=computed,
         reference=reference,
         tolerance=tol,
-        status=rp.CONSISTENT if ok else rp.FAIL,
+        ok=ok,
+        one_sided=True,
+        check_id="composition_norm_bound",
     )

@@ -43,7 +43,7 @@ class PickProblem:
             raise ValueError("nodes and targets must have equal length")
         if len(set(nodes)) != len(nodes):
             raise ValueError("interpolation nodes must be pairwise distinct")
-        if any(abs(x) >= 1.0 for x in nodes):
+        if any(not abs(x) < 1.0 for x in nodes):
             raise DomainError("interpolation nodes must lie in the open disk")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "targets", targets)
@@ -64,7 +64,7 @@ class PsdVerdict:
     matrix_scale: float
 
 
-def kaluza_check(space: sp.SpaceWeights, n_max: int, check_id: str | None = None) -> rp.VerificationReport:
+def kaluza_check(space: sp.SpaceWeights, n_max: int) -> rp.VerificationReport:
     """Log-convexity a_n^2 <= a_{n-1} a_{n+1} for 1 <= n <= n_max.
 
     Requires a_0 = 1 (hypothesis of the sufficiency criterion).  Records
@@ -79,11 +79,11 @@ def kaluza_check(space: sp.SpaceWeights, n_max: int, check_id: str | None = None
     first_failure = int(bad[0] + 1) if bad.size else -1
     margin = float(np.min(rhs - lhs))
     return rp.make_report(
-        check_id or f"kaluza_{space.label}",
         computed=[("first_failure_index", first_failure), ("min_margin", margin)],
         reference=[("first_failure_index", -1, rp.PAPER)],
         tolerance=0.0,
-        status=rp.PASS if first_failure < 0 else rp.FAIL,
+        ok=first_failure < 0,
+        check_id=f"kaluza_{space.label}",
     )
 
 
@@ -97,7 +97,6 @@ def reciprocal_sign_check(
     space: sp.SpaceWeights,
     n_max: int,
     sign_tol: float = DEFAULT_SIGN_TOL,
-    check_id: str | None = None,
 ) -> rp.VerificationReport:
     """Complete-Pick characterization: c_n <= 0 for every n >= 1.
 
@@ -112,11 +111,11 @@ def reciprocal_sign_check(
     if bad.size:
         computed.append(("violation_value", float(c[first_failure])))
     return rp.make_report(
-        check_id or f"reciprocal_sign_{space.label}",
         computed=computed,
         reference=[("first_violation_index", -1, rp.PAPER)],
         tolerance=sign_tol,
-        status=rp.PASS if first_failure < 0 else rp.FAIL,
+        ok=first_failure < 0,
+        check_id=f"reciprocal_sign_{space.label}",
     )
 
 
@@ -184,14 +183,7 @@ def scalar_pick_counterexample() -> rp.VerificationReport:
     condition_value = 0.9 * (1.0 + np.sum(q / n**2))
     attainable_sq = float(np.sum(q / (n + 1) ** 2))
     hardy_sum = float(np.sum(q))
-    ok = (
-        condition_value > 1.0
-        and attainable_sq < 0.1
-        and abs(condition_value - 1.1409) < 5e-4
-        and abs(attainable_sq - 0.0706) < 5e-4
-    )
     return rp.make_report(
-        "scalar_pick_gap",
         computed=[
             ("pick_condition_value", condition_value),
             ("attainable_target_sq", attainable_sq),
@@ -203,7 +195,13 @@ def scalar_pick_counterexample() -> rp.VerificationReport:
             ("hardy_attainable_sq", 1.0 / 3.0, rp.DERIVED),
         ],
         tolerance=5e-4,
-        status=rp.PASS if ok else rp.FAIL,
+        ok=(
+            condition_value > 1.0
+            and attainable_sq < 0.1
+            and abs(condition_value - 1.1409) < 5e-4
+            and abs(attainable_sq - 0.0706) < 5e-4
+        ),
+        check_id="scalar_pick_gap",
     )
 
 
@@ -231,7 +229,7 @@ def corona_kernel_check(
     over the whole bidisk (which no finite computation certifies).
     """
     grid = default_corona_grid() if grid is None else tuple(complex(g) for g in grid)
-    if any(abs(g) >= 1.0 for g in grid):
+    if any(not abs(g) < 1.0 for g in grid):
         raise DomainError("corona grid points must lie in the open disk")
     values = np.array([[ps.evaluate(f, g) for g in grid] for f in symbols])
     m = len(grid)

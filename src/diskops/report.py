@@ -66,19 +66,27 @@ class VerificationReport:
     def ok(self) -> bool:
         return self.status in (PASS, CONSISTENT)
 
+    def value(self, label: str) -> complex:
+        """The computed value with this label; KeyError when there is none."""
+        for v in self.computed:
+            if v.label == label:
+                return v.value
+        raise KeyError(label)
 
-def make_report(check_id, computed, reference, tolerance, status):
-    """Uniform constructor taking (label, value) / (label, value, tag) tuples."""
+
+def make_report(computed, reference, tolerance, ok, *, one_sided=False, check_id=""):
+    """Report from (label, value) / (label, value, tag) tuples: ``pass`` iff
+    ``ok`` (``consistent`` when ``one_sided``), else ``fail``."""
     return VerificationReport(
         check_id=check_id,
-        status=status,
+        status=(CONSISTENT if one_sided else PASS) if ok else FAIL,
         computed=tuple(LabeledValue(l, complex(v)) for l, v in computed),
         reference=tuple(ReferenceValue(l, complex(v), p) for l, v, p in reference),
         tolerance=float(tolerance),
     )
 
 
-def compare_report(check_id, triples, tolerance, relative=False):
+def compare_report(triples, tolerance, relative=False):
     """Pass/fail report from (label, computed, reference, provenance) rows.
 
     Passes iff every |computed - reference| is within the tolerance
@@ -92,7 +100,16 @@ def compare_report(check_id, triples, tolerance, relative=False):
         ok = ok and abs(got - want) <= bound
         computed.append((label, got))
         reference.append((label, want, prov))
-    return make_report(check_id, computed, reference, tolerance, PASS if ok else FAIL)
+    return make_report(computed, reference, tolerance, ok)
+
+
+def vanishing_report(label, value, tolerance, provenance, reference_label=None):
+    """An error that should vanish, passing iff value < tolerance; its
+    reference is 0.0 under ``reference_label`` (default ``label``)."""
+    return make_report(
+        [(label, value)], [(reference_label or label, 0.0, provenance)], tolerance,
+        value < tolerance,
+    )
 
 
 def format_quantity(value) -> str:

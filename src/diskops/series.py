@@ -53,10 +53,6 @@ class PowerSeries:
         nz = np.nonzero(self.coeffs)[0]
         return int(nz[-1]) if nz.size else -1
 
-    def coefficient(self, n: int) -> complex:
-        """Degree-n coefficient; zero above the stored order."""
-        return complex(self.coeffs[n]) if 0 <= n <= self.order else 0j
-
     def __call__(self, z: complex) -> complex:
         return evaluate(self, z)
 
@@ -129,16 +125,6 @@ def cauchy_product(a: PowerSeries, b: PowerSeries, order: int) -> PowerSeries:
     m = min(order + 1, len(full))
     c[:m] = full[:m]
     return PowerSeries(c)
-
-
-def power(f: PowerSeries, k: int, order: int) -> PowerSeries:
-    """k-th power by repeated truncated multiplication."""
-    if k < 0:
-        raise ValueError("exponent must be >= 0")
-    out = one(order)
-    for _ in range(k):
-        out = cauchy_product(out, f, order)
-    return out
 
 
 def derivative(f: PowerSeries) -> PowerSeries:

@@ -200,7 +200,7 @@ def test_criterion_07_adjoint_moment_oracles():
         scale = np.maximum(np.abs(oracle.coeffs), 1e-3)
         worst_exp = max(worst_exp, float(np.max(np.abs(closed.coeffs - oracle.coeffs) / scale)))
     gap_report = bl.adjoint_distinctness_check(0.5, tol=0.1)
-    gap = next(v.value for v in gap_report.computed if v.label == "gap").real
+    gap = gap_report.value("gap").real
     ok = (
         worst_prime < 1e-9
         and worst_even < 1e-10
@@ -251,9 +251,7 @@ def test_criterion_09_composition_suite():
         r = op.composition_norm_bound_check(S12, f, n=256, tol=1e-8)
         upper_ok = upper_ok and r.status == rp.CONSISTENT
     d2 = op.composition_norm_bound_check(sp.dirichlet(), ps.from_coefficients([0.5]), n=256)
-    est_sq = next(
-        v.value for v in d2.computed if v.label == "composition_norm_sq_estimate"
-    ).real
+    est_sq = d2.value("composition_norm_sq_estimate").real
     lower = math.log(1.0 / 0.75) / 0.25
     bracket_ok = d2.status == rp.CONSISTENT and lower - 1e-8 <= est_sq <= 3.0
     hs_ok = True

@@ -186,7 +186,7 @@ class TestAdjointDistinctness:
     def test_half_gap_exceeds_tenth(self):
         report = bl.adjoint_distinctness_check(0.5, tol=0.1)
         assert report.status == rp.PASS
-        gap = next(v.value for v in report.computed if v.label == "gap")
+        gap = report.value("gap")
         assert gap.real > 0.1
 
     def test_small_alpha_nonzero(self):
@@ -197,7 +197,7 @@ class TestAdjointDistinctness:
         gaps = []
         for alpha in (0.2, 0.1, 0.05, 0.025):
             report = bl.adjoint_distinctness_check(alpha, tol=0.0)
-            gaps.append(next(v.value for v in report.computed if v.label == "gap").real)
+            gaps.append(report.value("gap").real)
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
     def test_rejects_zero(self):

@@ -3,8 +3,15 @@ import math
 
 import pytest
 
+from diskops import blaschke as bl
 from diskops import checks, cli
+from diskops import pick as pk
 from diskops import report as rp
+from diskops import series as ps
+from diskops import spaces as sp
+from diskops.errors import DomainError
+
+NAN = float("nan")
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +74,45 @@ class TestRunSuite:
         others = [r for r in reports if r.check_id != "always_explodes"]
         assert others and all(r.status != rp.ERROR for r in others)
         assert not rp.reports_ok(reports)
+
+    def test_runner_names_every_report(self, pick_reports):
+        ids = sorted(fn.check_id for fn in checks.suite_checks("pick"))
+        assert sorted(r.check_id for r in pick_reports) == ids
+        assert "kaluza_h2" in ids
+        # called directly, the library check keeps its own default id
+        assert pk.kaluza_check(sp.hardy(), 1000).check_id == "kaluza_H2"
+
+    def test_side_condition_fails_inner_report(self, monkeypatch):
+        # Hardy weights pass log-convexity with margin exactly 0, which the
+        # S12 check rejects: it asks for a strict margin
+        real = pk.kaluza_check
+        monkeypatch.setattr(pk, "kaluza_check", lambda space, n_max: real(sp.hardy(), n_max))
+        (fn,) = [fn for fn in checks.suite_checks("pick") if fn.check_id == "kaluza_s12"]
+        report = fn(checks.Config())
+        assert report.value("first_failure_index") == -1
+        assert report.status == rp.FAIL
+
+
+class TestReportHelpers:
+    def test_value_lookup(self):
+        report = rp.make_report([("a", 1.5), ("b", 2j)], [], 0.0, True)
+        assert report.value("a") == 1.5 and report.value("b") == 2j
+        with pytest.raises(KeyError):
+            report.value("missing")
+
+    @pytest.mark.parametrize(
+        "ok,one_sided,status",
+        [(True, False, rp.PASS), (True, True, rp.CONSISTENT), (False, False, rp.FAIL),
+         (False, True, rp.FAIL)],
+    )
+    def test_status_from_verdict(self, ok, one_sided, status):
+        assert rp.make_report([], [], 0.0, ok, one_sided=one_sided).status == status
+
+    def test_vanishing_report_is_strict(self):
+        assert rp.vanishing_report("err", 0.5e-9, 1e-9, rp.DERIVED).status == rp.PASS
+        at_limit = rp.vanishing_report("err", 1e-9, 1e-9, rp.PAPER, "defect")
+        assert at_limit.status == rp.FAIL
+        assert [(v.label, v.value) for v in at_limit.reference] == [("defect", 0.0)]
 
 
 class TestEmit:
@@ -178,3 +224,29 @@ class TestCommandLine:
             assert [(v.label, v.value) for v in x.computed] == [
                 (v.label, v.value) for v in y.computed
             ]
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: cli.main(["kernel", "S12", "nan", "0.5"]), DomainError),
+        (lambda: sp.kernel_eval_auto(sp.hardy(), NAN, 0.5), DomainError),
+        (lambda: bl.MobiusMap(NAN), DomainError),
+        (lambda: bl.BlaschkeProduct(1.0, (NAN,)), DomainError),
+        (lambda: bl.BlaschkeProduct(NAN), DomainError),
+        (lambda: pk.PickProblem(sp.s12(), (NAN,), (0.0,)), DomainError),
+        (lambda: bl.poisson_kernel(NAN, 1.0), DomainError),
+        (lambda: bl.poisson_product_moment(NAN, 0), DomainError),
+        (lambda: bl.phi_prime_moment(NAN, 0), DomainError),
+        (lambda: bl.adjoint_symbol_expansion(bl.VARIANT_Z_PHI, NAN, 4), DomainError),
+        (lambda: bl.adjoint_distinctness_check(NAN), DomainError),
+        (lambda: pk.corona_kernel_check(sp.s12(), [ps.one()], 1.0, grid=[NAN]), DomainError),
+        (lambda: sp.dalpha(NAN), ValueError),
+    ],
+    ids=["cli_kernel", "kernel", "mobius", "blaschke_zero", "blaschke_unimodular", "pick_node",
+         "poisson_kernel", "poisson_product_moment", "phi_prime_moment", "adjoint_expansion",
+         "adjoint_distinctness", "corona_grid", "dalpha_alpha"],
+)
+def test_nan_rejected_at_domain_gates(call, error):
+    with pytest.raises(error):
+        call()

@@ -336,7 +336,7 @@ class TestCompositionBounds:
     def test_zero_symbol(self):
         report = op.composition_norm_bound_check(S12, ps.from_coefficients([0.0]), n=64)
         assert report.status == rp.CONSISTENT
-        est_sq = next(v.value for v in report.computed if v.label == "composition_norm_sq_estimate")
+        est_sq = report.value("composition_norm_sq_estimate")
         assert abs(est_sq - 1.0) < 1e-12
 
     def test_d2_constant_half(self):
@@ -344,7 +344,7 @@ class TestCompositionBounds:
             sp.dirichlet(), ps.from_coefficients([0.5]), n=256
         )
         assert report.status == rp.CONSISTENT
-        est_sq = next(v.value for v in report.computed if v.label == "composition_norm_sq_estimate")
+        est_sq = report.value("composition_norm_sq_estimate")
         lower = math.log(1.0 / 0.75) / 0.25
         assert abs(est_sq.real - lower) < 1e-10
         assert est_sq.real <= 3.0

@@ -14,20 +14,20 @@ class TestKaluza:
     def test_s12_passes_strictly(self):
         report = pk.kaluza_check(sp.s12(), 10_000)
         assert report.status == rp.PASS
-        margin = next(v.value for v in report.computed if v.label == "min_margin")
+        margin = report.value("min_margin")
         assert margin.real > 0.0
 
     def test_hardy_passes_with_equality(self):
         report = pk.kaluza_check(sp.hardy(), 500)
         assert report.status == rp.PASS
-        margin = next(v.value for v in report.computed if v.label == "min_margin")
+        margin = report.value("min_margin")
         assert margin.real == 0.0
 
     def test_s2_fails_at_one(self):
         # a_1^2 = 1 while a_0 a_2 = 1/4
         report = pk.kaluza_check(sp.s2(), 50)
         assert report.status == rp.FAIL
-        first = next(v.value for v in report.computed if v.label == "first_failure_index")
+        first = report.value("first_failure_index")
         assert first.real == 1
 
     def test_km_passes(self):
@@ -47,7 +47,7 @@ class TestReciprocalSign:
         assert abs(c[2] - 0.75) < 1e-12
         report = pk.reciprocal_sign_check(sp.s2(), 8)
         assert report.status == rp.FAIL
-        first = next(v.value for v in report.computed if v.label == "first_violation_index")
+        first = report.value("first_violation_index")
         assert first.real == 2
 
     def test_s22_violation(self):
@@ -56,7 +56,7 @@ class TestReciprocalSign:
         assert abs(c[2] - 0.05) < 1e-12
         report = pk.reciprocal_sign_check(sp.s22(), 8)
         assert report.status == rp.FAIL
-        first = next(v.value for v in report.computed if v.label == "first_violation_index")
+        first = report.value("first_violation_index")
         assert first.real == 2
 
     def test_hardy_exact_zeros_within_tolerance(self):
