@@ -20,6 +20,7 @@ from .operators import (
     blaschke_isometry_check,
     composition_matrix,
     composition_monomial_norm,
+    composition_norm,
     composition_norm_bound_check,
     convergence_profile,
     dirichlet_linearity_check,
@@ -28,7 +29,7 @@ from .operators import (
     isometry_defect,
     multiplication_matrix,
     multiplication_norm,
-    operator_norm,
+    norm_estimate,
     shift_isometry_order,
 )
 from .pick import (

@@ -261,7 +261,7 @@ def _mult_monomial_norms(cfg):
     s12 = sp.s12()
     rows = []
     for k in range(11):
-        est = op.operator_norm(op.multiplication_matrix(s12, ps.monomial(k), 64))
+        est = op.multiplication_norm(s12, ps.monomial(k), 64)
         want = math.sqrt((k + 1) * (k + 2) / 2.0)
         rows.append((f"norm_k{k}", est, want, rp.PAPER))
     return rp.compare_report(rows, tolerance=1e-10)
@@ -287,7 +287,7 @@ def _mult_norm_sandwich(cfg):
     upper_slack = np.inf
     for _ in range(200):
         f = _random_polynomial(rng)
-        est = op.operator_norm(op.multiplication_matrix(s12, f, 256))
+        est = op.multiplication_norm(s12, f, 256)
         norm = sp.space_norm(s12, f)
         lower_slack = min(lower_slack, est - max(sp.sup_norm(f), norm))
         upper_slack = min(upper_slack, 2.0 * SQRT2 * norm - est)
@@ -886,7 +886,7 @@ def _comp_monomial_norms(cfg):
         rows.append((f"norm_k{k}", value))
         ok = ok and abs(value - k) < 1e-8
     # the finite compression must agree with the banded column structure
-    est = op.operator_norm(op.composition_matrix(s12, ps.monomial(3), 128))
+    est = op.composition_norm(s12, ps.monomial(3), 128)
     expected = max(
         math.sqrt(s12.weight(3 * j) / s12.weight(j)) for j in range(0, 128 // 3 + 1)
     )

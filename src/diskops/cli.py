@@ -12,8 +12,8 @@ Subcommands::
 Global flags: --truncation, --tol, --quad-nodes, --seed, --output.
 Each flag also reads an environment override DISKOPS_TRUNCATION,
 DISKOPS_TOL, DISKOPS_QUAD_NODES, DISKOPS_SEED, DISKOPS_OUTPUT (flags win).
-Numbers print with 15 significant digits.  ``verify`` exits nonzero iff
-any report has status fail or error.
+Numbers print with 15 significant digits.  ``verify`` exits 1 iff a report
+has status fail or error; bad input prints ``diskops: <message>`` and exits 2.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from . import pick as pk
 from . import report as rp
 from . import series as ps
 from . import spaces as sp
+from .errors import DiskOpsError
 
 ENV_PREFIX = "DISKOPS_"
 
@@ -146,7 +147,7 @@ def _cmd_opnorm(args, cfg: checks.Config) -> int:
     if args.kind == "mult":
         value = op.multiplication_norm(space, f, cfg.truncation)
     else:
-        value = op.operator_norm(op.composition_matrix(space, f, cfg.truncation))
+        value = op.composition_norm(space, f, cfg.truncation)
     print(rp.format_quantity(value))
     return 0
 
@@ -193,8 +194,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _config(args)
-    return _COMMANDS[args.command](args, cfg)
+    try:
+        return _COMMANDS[args.command](args, _config(args))
+    except (DiskOpsError, ValueError, OSError) as exc:  # ValueError covers bad JSON
+        print("diskops: " + " ".join(str(exc).split()), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -206,5 +206,9 @@ def to_pairs(f: PowerSeries) -> list[list[float]]:
 
 
 def from_pairs(pairs: Sequence[Sequence[float]]) -> PowerSeries:
-    coeffs = [complex(p[0], p[1]) for p in pairs]
-    return from_coefficients(coeffs)
+    """Inverse of to_pairs; ValueError unless pairs is a list of [re, im] number pairs."""
+    for p in pairs if isinstance(pairs, (list, tuple)) else [pairs]:
+        if not (isinstance(p, (list, tuple)) and len(p) == 2
+                and all(isinstance(x, (int, float)) for x in p)):
+            raise ValueError(f"series entry {p!r} is not a pair of two numbers")
+    return from_coefficients(complex(re, im) for re, im in pairs)

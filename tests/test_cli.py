@@ -213,6 +213,29 @@ class TestCommandLine:
         cli.main(["--output", "json", "verify", "kernels"])
         assert capsys.readouterr().out.lstrip().startswith("[")
 
+    @pytest.mark.parametrize(
+        "argv,payload,message",
+        [
+            (["opnorm", "S12", "mult", "{path}"], "[[1, 0], [2]]", "not a pair of two numbers"),
+            (["norm", "S12", "{path}"], '{"a": 1}', "not a pair of two numbers"),
+            (["opnorm", "Q2", "mult", "{path}"], "[[1, 0]]", "unknown space"),
+            (["norm", "S12", "{path}"], "[[1, 0],", "Expecting value"),
+            (["norm", "S12", "{path}.missing"], "[[1, 0]]", "No such file"),
+            (["kernel", "S12", "2", "0.5"], "", "kernel argument"),
+            (["--truncation", "8", "verify", "pick"], "", "truncation must be"),
+        ],
+        ids=["bad_pair", "not_a_list", "unknown_space", "bad_json", "missing_file",
+             "outside_disk", "bad_config"],
+    )
+    def test_input_errors_exit_2_with_one_line(self, tmp_path, capsys, argv, payload, message):
+        path = tmp_path / "input.json"
+        path.write_text(payload)
+        assert cli.main([a.format(path=path) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("diskops: ") and message in line
+
     def test_verify_determinism_bitwise(self, capsys):
         cli.main(["verify", "composition", "--output", "json"])
         first = capsys.readouterr().out
@@ -229,7 +252,7 @@ class TestCommandLine:
 @pytest.mark.parametrize(
     "call,error",
     [
-        (lambda: cli.main(["kernel", "S12", "nan", "0.5"]), DomainError),
+        (lambda: cli.main(["kernel", "S12", "nan", "0.5"]), 2),
         (lambda: sp.kernel_eval_auto(sp.hardy(), NAN, 0.5), DomainError),
         (lambda: bl.MobiusMap(NAN), DomainError),
         (lambda: bl.BlaschkeProduct(1.0, (NAN,)), DomainError),
@@ -247,6 +270,10 @@ class TestCommandLine:
          "poisson_kernel", "poisson_product_moment", "phi_prime_moment", "adjoint_expansion",
          "adjoint_distinctness", "corona_grid", "dalpha_alpha"],
 )
-def test_nan_rejected_at_domain_gates(call, error):
+def test_nan_rejected_at_domain_gates(call, error, capsys):
+    if isinstance(error, int):  # the command line reports an exit code
+        assert call() == error
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        return
     with pytest.raises(error):
         call()

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from diskops import blaschke as bl
+from diskops import checks
 from diskops import operators as op
 from diskops import report as rp
 from diskops import series as ps
@@ -46,13 +48,22 @@ class TestMultiplicationMatrix:
         assert np.all(i >= j) and np.all(i - j <= 5)
 
     def test_adjoint_consistency(self):
+        # the products the norm estimator runs on: A x and A^H y agree with
+        # the dense compression, and <A x, y> = <x, A^H y>
         rng = np.random.default_rng(1)
-        t = op.multiplication_matrix(S12, random_poly(rng), 40)
-        x = rng.normal(size=41) + 1j * rng.normal(size=41)
-        y = rng.normal(size=41) + 1j * rng.normal(size=41)
-        lhs = np.vdot(y, t.entries @ x)
-        rhs = np.vdot(t.adjoint_entries() @ y, x)
-        assert abs(lhs - rhs) < 1e-12 * (1 + abs(lhs))
+        f = random_poly(rng)
+        phi = ps.scale(random_poly(rng, max_degree=6), 0.1)
+        cases = [
+            (op.multiplication_matrix(S12, f, 40), op._multiplication_products(S12, f, 40)),
+            (op.composition_matrix(S12, phi, 40), op._composition_products(S12, phi, 40)),
+        ]
+        for t, (matvec, rmatvec) in cases:
+            x = rng.normal(size=41) + 1j * rng.normal(size=41)
+            y = rng.normal(size=41) + 1j * rng.normal(size=41)
+            lhs = np.vdot(y, matvec(x))
+            assert abs(lhs - np.vdot(y, t.entries @ x)) < 1e-12 * (1 + abs(lhs))
+            assert abs(lhs - np.vdot(t.entries.conj().T @ y, x)) < 1e-12 * (1 + abs(lhs))
+            assert abs(lhs - np.vdot(rmatvec(y), x)) < 1e-12 * (1 + abs(lhs))
 
     def test_csv_export(self):
         t = op.multiplication_matrix(S12, ps.monomial(1), 2)
@@ -65,11 +76,11 @@ class TestMultiplicationMatrix:
 
 class TestOperatorNorm:
     def test_identity(self):
-        assert op.operator_norm(op.multiplication_matrix(S12, ps.one(), 8)) == 1.0
+        assert op.multiplication_norm(S12, ps.one(), 8) == 1.0
 
     def test_monomial_multiplier_norms(self):
         for k in range(11):
-            est = op.operator_norm(op.multiplication_matrix(S12, ps.monomial(k), 64))
+            est = op.multiplication_norm(S12, ps.monomial(k), 64)
             want = math.sqrt((k + 1) * (k + 2) / 2.0)
             assert abs(est - want) < 1e-10
 
@@ -80,7 +91,7 @@ class TestOperatorNorm:
     def test_matfree_matches_dense(self):
         rng = np.random.default_rng(2)
         f = random_poly(rng)
-        dense = op.operator_norm(op.multiplication_matrix(S12, f, 500))
+        dense = np.linalg.svd(op.multiplication_matrix(S12, f, 500).entries, compute_uv=False)[0]
         matfree = op.multiplication_norm(S12, f, 500)
         assert abs(dense - matfree) < 1e-9 * dense
 
@@ -106,7 +117,7 @@ class TestOperatorNorm:
         rng = np.random.default_rng(3)
         for _ in range(40):
             f = random_poly(rng)
-            est = op.operator_norm(op.multiplication_matrix(S12, f, 256))
+            est = op.multiplication_norm(S12, f, 256)
             norm = sp.space_norm(S12, f)
             assert max(sp.sup_norm(f), norm) <= est <= 2 * math.sqrt(2) * norm + 1e-12
 
@@ -116,6 +127,64 @@ class TestOperatorNorm:
             f = random_poly(rng, min_degree=1)
             est = op.multiplication_norm(S12, f, 512)
             assert est > sp.sup_norm(f)
+
+
+def dense_norm(t):
+    return np.linalg.svd(t.entries, compute_uv=False)[0]
+
+
+class TestNormEstimate:
+    @pytest.mark.parametrize("n", [16, 64, 256, 384, 500])
+    def test_multiplication_matches_dense_svd(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            f = random_poly(rng, min_degree=1)
+            dense = dense_norm(op.multiplication_matrix(S12, f, n))
+            assert abs(op.multiplication_norm(S12, f, n) - dense) <= 1e-13 * dense
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_composition_matches_dense_svd(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            phi = random_poly(rng, max_degree=6, min_degree=1)
+            phi = ps.scale(phi, 0.3 / sp.space_norm(S12, phi))
+            dense = dense_norm(op.composition_matrix(S12, phi, n))
+            assert abs(op.composition_norm(S12, phi, n) - dense) <= 1e-13 * dense
+
+    def test_constant_symbols_are_exact(self):
+        # the identity is TestOperatorNorm.test_identity
+        assert op.multiplication_norm(S12, ps.zero(4), 8) == 0.0
+        assert op.multiplication_norm(S12, ps.from_coefficients([0.6 - 0.8j]), 8) == 1.0
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_smallest_sizes(self, n):
+        f = ps.from_coefficients([0.5, 1.0 - 0.25j, 0.75j])
+        dense = dense_norm(op.multiplication_matrix(S12, f, n))
+        assert abs(op.multiplication_norm(S12, f, n) - dense) <= 1e-13 * dense
+        phi = ps.from_coefficients([0.25, 0.5j])
+        dense = dense_norm(op.composition_matrix(S12, phi, n))
+        assert abs(op.composition_norm(S12, phi, n) - dense) <= 1e-13 * dense
+
+    def test_repeated_calls_are_bitwise_equal(self):
+        f = ps.from_coefficients([0.3, -0.7j, 0.2 + 0.1j, 0.05])
+        phi = ps.scale(f, 0.5)
+        assert op.multiplication_norm(S12, f, 200) == op.multiplication_norm(S12, f, 200)
+        assert op.composition_norm(S12, phi, 200) == op.composition_norm(S12, phi, 200)
+
+    def test_no_convergence_is_an_error(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(op, "svds", stalled)
+        with pytest.raises(ConvergenceError):
+            op.multiplication_norm(S12, ps.from_coefficients([1, 1]), 64)
+        (fn,) = [
+            fn for fn in checks.suite_checks("constants") if fn.check_id == "mult_monomial_norms"
+        ]
+        monkeypatch.setattr(checks, "_REGISTRY", {**checks._REGISTRY, "constants": [fn]})
+        (report,) = checks.run_suite("constants", checks.Config())
+        assert report.status == rp.ERROR
+        assert report.computed[0].label.startswith("ConvergenceError")
 
 
 class TestCompositionMatrix:
@@ -133,7 +202,7 @@ class TestCompositionMatrix:
         for j in range(11):
             expected = math.sqrt(w[3 * j] / w[j])
             assert abs(t.entries[3 * j, j] - expected) < 1e-14
-        est = op.operator_norm(t)
+        est = op.composition_norm(S12, ps.monomial(3), 30)
         best = max(math.sqrt(w[3 * j] / w[j]) for j in range(11))
         assert abs(est - best) < 1e-12
 
