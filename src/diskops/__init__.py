@@ -52,6 +52,7 @@ from .series import (
     evaluate,
     from_coefficients,
     monomial,
+    power_table,
     reciprocal,
 )
 from .spaces import (

@@ -115,9 +115,9 @@ class BlaschkeProduct:
 
     @staticmethod
     def from_dict(d: dict) -> "BlaschkeProduct":
-        a = complex(d["a"][0], d["a"][1])
-        zeros = tuple(complex(z[0], z[1]) for z in d["zeros"])
-        return BlaschkeProduct(a, zeros)
+        (a,) = ps.complex_pairs([ps.json_field(d, "a")], "Blaschke 'a'")
+        zeros = ps.complex_pairs(ps.json_field(d, "zeros"), "Blaschke 'zeros'")
+        return BlaschkeProduct(a, tuple(zeros))
 
 
 def z_times_phi(alpha: complex) -> BlaschkeProduct:

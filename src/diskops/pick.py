@@ -51,9 +51,9 @@ class PickProblem:
     @staticmethod
     def from_dict(d: dict) -> "PickProblem":
         return PickProblem(
-            space=sp.parse_space(d["space"]),
-            nodes=tuple(complex(p[0], p[1]) for p in d["nodes"]),
-            targets=tuple(complex(p[0], p[1]) for p in d["targets"]),
+            space=sp.parse_space(str(ps.json_field(d, "space"))),
+            nodes=tuple(ps.complex_pairs(ps.json_field(d, "nodes"), "Pick 'nodes'")),
+            targets=tuple(ps.complex_pairs(ps.json_field(d, "targets"), "Pick 'targets'")),
         )
 
 

@@ -28,6 +28,10 @@ from .errors import DomainError
 
 DEFAULT_ORDER = 256
 
+# Shorter symbols (monomials, low degrees) use the exact direct convolution;
+# at this length it costs what an FFT product does, at order 256 and 1024.
+_FFT_MIN_TAPS = 128
+
 
 @dataclass(frozen=True, eq=False)
 class PowerSeries:
@@ -135,28 +139,48 @@ def derivative(f: PowerSeries) -> PowerSeries:
     return PowerSeries(n * f.coeffs[1:])
 
 
+def _multiplier(phi: PowerSeries, order: int):
+    """x -> first order+1 coefficients of x * b, len(x) = order+1, for b = phi cut after
+    its degree.  An FFT shorter than order + len(b) would wrap the top term onto index 0."""
+    b = phi.coeffs[: min(max(phi.degree(), 0), order) + 1]
+    if len(b) < _FFT_MIN_TAPS:
+        return lambda x: np.convolve(x, b)[: order + 1]
+    size = 1 << (order + len(b) - 1).bit_length()
+    fb = np.fft.fft(b, size)
+    return lambda x: np.fft.ifft(np.fft.fft(x, size) * fb)[: order + 1]
+
+
+def power_table(phi: PowerSeries, count: int, order: int) -> np.ndarray:
+    """(count+1) x (order+1) array whose row k holds phi^k truncated at ``order``."""
+    if order < 0 or count < 0:
+        raise ValueError("order and count must be >= 0")
+    times_phi = _multiplier(phi, order)
+    table = np.zeros((count + 1, order + 1), dtype=np.complex128)
+    table[0, 0] = 1.0
+    for k in range(1, count + 1):
+        table[k] = times_phi(table[k - 1])
+    return table
+
+
 def compose(f: PowerSeries, phi: PowerSeries, order: int) -> PowerSeries:
     """Truncated Taylor expansion of f(phi(z)).
 
-    Horner accumulation over the coefficients of f with every intermediate
-    product truncated at ``order``.  Requires |phi(0)| < 1 strictly: for a
-    symbol that is not a disk self-map near the origin the composed series
-    need not converge, so such symbols are rejected rather than handled by
-    limits.
+    Horner accumulation over the coefficients of f, every product by phi
+    truncated at ``order`` (see ``_multiplier``).  Requires |phi(0)| < 1
+    strictly: for a symbol that is not a disk self-map near the origin the
+    composed series need not converge, so such symbols are rejected rather
+    than handled by limits.
     """
     if abs(phi.coeffs[0]) >= 1.0:
         raise DomainError("composition symbol has |constant term| >= 1")
     if order < 0:
         raise ValueError("order must be >= 0")
-    acc = zero(order)
-    for k in range(f.order, -1, -1):
-        acc = cauchy_product(acc, phi, order)
-        if f.coeffs[k] != 0:
-            c = acc.coeffs.copy()
-            c.setflags(write=True)
-            c[0] += f.coeffs[k]
-            acc = PowerSeries(c)
-    return acc
+    times_phi = _multiplier(phi, order)
+    acc = np.zeros(order + 1, dtype=np.complex128)
+    for c in f.coeffs[::-1]:
+        acc = times_phi(acc)
+        acc[0] += c
+    return PowerSeries(acc)
 
 
 def reciprocal(f: PowerSeries, order: int) -> PowerSeries:
@@ -205,10 +229,22 @@ def to_pairs(f: PowerSeries) -> list[list[float]]:
     return [[float(c.real), float(c.imag)] for c in f.coeffs]
 
 
-def from_pairs(pairs: Sequence[Sequence[float]]) -> PowerSeries:
-    """Inverse of to_pairs; ValueError unless pairs is a list of [re, im] number pairs."""
+def complex_pairs(pairs, what: str = "series") -> list[complex]:
+    """[re, im] pairs as complex numbers; ValueError naming the first entry that is not one."""
     for p in pairs if isinstance(pairs, (list, tuple)) else [pairs]:
         if not (isinstance(p, (list, tuple)) and len(p) == 2
                 and all(isinstance(x, (int, float)) for x in p)):
-            raise ValueError(f"series entry {p!r} is not a pair of two numbers")
-    return from_coefficients(complex(re, im) for re, im in pairs)
+            raise ValueError(f"{what} entry {p!r} is not a pair of two numbers")
+    return [complex(re, im) for re, im in pairs]
+
+
+def from_pairs(pairs: Sequence[Sequence[float]]) -> PowerSeries:
+    """Inverse of to_pairs; ValueError unless pairs is a list of [re, im] number pairs."""
+    return from_coefficients(complex_pairs(pairs))
+
+
+def json_field(d, key: str):
+    """d[key] of a decoded JSON object; ValueError naming the key when it is missing."""
+    if not isinstance(d, dict) or key not in d:
+        raise ValueError(f"expected a JSON object with the key {key!r}")
+    return d[key]

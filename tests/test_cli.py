@@ -223,9 +223,15 @@ class TestCommandLine:
             (["norm", "S12", "{path}.missing"], "[[1, 0]]", "No such file"),
             (["kernel", "S12", "2", "0.5"], "", "kernel argument"),
             (["--truncation", "8", "verify", "pick"], "", "truncation must be"),
+            (["isometry", "S12", "{path}", "3"], '{"a": [1, 0]}', "key 'zeros'"),
+            (["isometry", "S12", "{path}", "3"], '{"a": [1], "zeros": []}',
+             "'a' entry [1] is not a pair of two numbers"),
+            (["pick", "{path}"], '{"space": "S12", "nodes": [[0.1]], "targets": [[1, 0]]}',
+             "'nodes' entry [0.1] is not a pair of two numbers"),
         ],
         ids=["bad_pair", "not_a_list", "unknown_space", "bad_json", "missing_file",
-             "outside_disk", "bad_config"],
+             "outside_disk", "bad_config", "blaschke_missing_key", "blaschke_short_pair",
+             "pick_short_node"],
     )
     def test_input_errors_exit_2_with_one_line(self, tmp_path, capsys, argv, payload, message):
         path = tmp_path / "input.json"

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diskops import series as ps
+from diskops.blaschke import MobiusMap
 from diskops.errors import DomainError
 
 
@@ -102,6 +106,71 @@ class TestCompose:
     def test_rejects_symbol_leaving_disk(self):
         with pytest.raises(DomainError):
             ps.compose(ps.one(), ps.from_coefficients([1.0, 0.5]), 4)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5 + 0.2j, 0.7, -0.6j, 0.9])
+    def test_mobius_involution_at_order_1024(self, alpha):
+        phi = MobiusMap(alpha).series(1024)
+        composed = ps.compose(phi, phi, 1024)
+        assert np.max(np.abs(composed.coeffs - ps.monomial(1, 1024).coeffs)) < 1e-12
+
+
+SWITCH = ps._FFT_MIN_TAPS
+
+
+def _random_series(rng, n):
+    return ps.PowerSeries(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+class TestProductSwitch:
+    # order + 1 taps at a power-of-two order makes order + len(b) - 1 a power
+    # of two, where an FFT one entry too short wraps the top term onto index 0;
+    # order 256 with 256 taps makes order + len(b) itself a power of two
+    @pytest.mark.parametrize("order", [63, 64, 255, 256, 1024])
+    @pytest.mark.parametrize(
+        "taps_at",
+        [lambda n: SWITCH - 1, lambda n: SWITCH, lambda n: n, lambda n: n + 1, lambda n: n + 2],
+        ids=["switch-1", "switch", "order", "order+1", "order+2"],
+    )
+    def test_multiplier_matches_direct_convolution(self, order, taps_at):
+        taps = taps_at(order)
+        rng = np.random.default_rng(order * 10 + taps)
+        x = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
+        phi = _random_series(rng, taps)
+        expected = np.convolve(x, phi.coeffs)[: order + 1]
+        got = ps._multiplier(phi, order)(x)
+        assert got.shape == (order + 1,)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("taps", [9, 200])
+    def test_power_table_rows_are_repeated_products(self, taps):
+        rng = np.random.default_rng(taps)
+        phi = ps.scale(_random_series(rng, taps), 0.5 / taps)
+        table = ps.power_table(phi, 40, 256)
+        assert table.shape == (41, 257)
+        current = ps.one(256)
+        for k in range(41):
+            if taps < SWITCH:  # direct path: the same convolutions, bit for bit
+                assert np.array_equal(table[k], current.coeffs)
+            else:
+                assert np.max(np.abs(table[k] - current.coeffs)) < 1e-14
+            current = ps.cauchy_product(current, phi, 256)
+
+    def test_fft_path_imports_no_scipy_fft(self):
+        code = (
+            "import sys\n"
+            "from diskops import blaschke, operators, series, spaces\n"
+            "phi = blaschke.MobiusMap(0.5 + 0.2j).series(1024)\n"
+            "series.compose(phi, phi, 1024)\n"
+            "operators.composition_norm(spaces.s12(), series.scale(phi, 0.5), 1024)\n"
+            "print(sorted(m for m in ('scipy.fft', 'scipy.signal') if m in sys.modules))\n"
+        )
+        src = os.path.dirname(os.path.dirname(ps.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestReciprocal:
