@@ -12,7 +12,6 @@ from .errors import (
     PreconditionError,
     ShapeError,
     TruncationError,
-    UnsupportedSpaceError,
 )
 from .operators import (
     OperatorMatrix,
@@ -22,7 +21,6 @@ from .operators import (
     composition_monomial_norm,
     composition_norm,
     composition_norm_bound_check,
-    convergence_profile,
     dirichlet_linearity_check,
     growth_formula_check,
     hilbert_schmidt_norm_sq,
@@ -58,9 +56,7 @@ from .series import (
 from .spaces import (
     SpaceWeights,
     dirichlet_energy,
-    kernel_eval_auto,
-    kernel_eval_closed,
-    kernel_eval_series,
+    kernel,
     norm_decomposition_s12,
     norm_relation_check,
     parse_space,

@@ -156,7 +156,7 @@ def _cmd_kernel(args, cfg: checks.Config) -> int:
     space = sp.parse_space(args.space)
     w = complex(args.w)
     z = complex(args.z)
-    print(rp.format_quantity(sp.kernel_eval_auto(space, w, z)))
+    print(rp.format_quantity(sp.kernel(space, w, z)))
     return 0
 
 

@@ -11,10 +11,6 @@ class DomainError(DiskOpsError):
     constant term in a reciprocal, ...)."""
 
 
-class UnsupportedSpaceError(DiskOpsError):
-    """The requested space has no closed form / algorithm for this operation."""
-
-
 class ConvergenceError(DiskOpsError):
     """An iterative estimate failed to stabilize within the configured cap."""
 

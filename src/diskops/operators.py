@@ -15,7 +15,6 @@ nondecreasing in the truncation size.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -33,8 +32,6 @@ from .series import PowerSeries
 
 MULTIPLICATION = "multiplication"
 COMPOSITION = "composition"
-
-_COMPOSITION_PROFILE_CAP = 2048  # memory cap: the stored power table is 2049^2 complex, 67 MB
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,12 +54,6 @@ class OperatorMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def to_csv(self, stream) -> None:
-        """Row-major dump with "re,im" cells (cells are quoted by csv)."""
-        writer = csv.writer(stream)
-        for row in self.entries:
-            writer.writerow([f"{v.real:.17g},{v.imag:.17g}" for v in row])
 
 
 def multiplication_matrix(space: sp.SpaceWeights, f: PowerSeries, n: int) -> OperatorMatrix:
@@ -154,38 +145,6 @@ def multiplication_norm(space: sp.SpaceWeights, f: PowerSeries, n: int) -> float
 def composition_norm(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> float:
     """Compression norm of C_phi at size n+1 from the power table of phi."""
     return norm_estimate(*_composition_products(space, phi, n), n + 1)
-
-
-def convergence_profile(
-    space: sp.SpaceWeights,
-    kind: str,
-    symbol: PowerSeries,
-    tol: float = 1e-8,
-    start: int = 64,
-    cap: int = 8192,
-) -> tuple[float, int]:
-    """Double the compression size until the norm estimate stabilizes.
-
-    Returns (estimate, n_used).  The estimate is a certified lower bound
-    of the true operator norm, nondecreasing in n.  Raises
-    ConvergenceError when the cap is hit; compressions whose norms
-    converge like 1/n (most non-diagonal symbols) will do that at tight
-    tolerances, by design.
-    """
-    if kind == COMPOSITION:
-        cap = min(cap, _COMPOSITION_PROFILE_CAP)
-    norm = {MULTIPLICATION: multiplication_norm, COMPOSITION: composition_norm}.get(kind)
-    if norm is None:
-        raise ValueError(f"no convergence profile for kind {kind!r}")
-    prev = None
-    n = start
-    while n <= cap:
-        est = norm(space, symbol, n)
-        if prev is not None and abs(est - prev) <= tol * max(est, 1e-300):
-            return est, n
-        prev = est
-        n *= 2
-    raise ConvergenceError(f"norm estimate not stable within cap {cap}")
 
 
 def composition_monomial_norm(space: sp.SpaceWeights, k: int, index_cap: int = 10**10) -> float:

@@ -119,26 +119,16 @@ def reciprocal_sign_check(
     )
 
 
-def pick_matrix(problem: PickProblem, mode: str = "auto") -> np.ndarray:
-    """Hermitian matrix [(1 - conj(w_i) w_j) K_{node_i}(node_j)].
+def pick_matrix(problem: PickProblem) -> np.ndarray:
+    """Hermitian matrix [(1 - conj(w_i) w_j) K_{node_i}(node_j)] from one kernel call.
 
-    ``mode`` picks the kernel evaluation: "closed", "series" (adaptive
-    order), or "auto" (closed when the space has one).  The assembled
-    matrix is symmetrized by averaging with its conjugate transpose.
+    The assembled matrix is symmetrized by averaging with its conjugate
+    transpose.
     """
-    n = len(problem.nodes)
-    out = np.zeros((n, n), dtype=np.complex128)
-    for i, (node_i, w_i) in enumerate(zip(problem.nodes, problem.targets)):
-        for j, (node_j, w_j) in enumerate(zip(problem.nodes, problem.targets)):
-            if mode == "closed":
-                k = sp.kernel_eval_closed(problem.space, node_i, node_j)
-            elif mode == "series":
-                k = sp.kernel_eval_auto(problem.space, node_i, node_j, force_series=True)
-            elif mode == "auto":
-                k = sp.kernel_eval_auto(problem.space, node_i, node_j)
-            else:
-                raise ValueError(f"unknown kernel mode {mode!r}")
-            out[i, j] = (1.0 - np.conj(w_i) * w_j) * k
+    nodes = np.array(problem.nodes, dtype=np.complex128)
+    targets = np.array(problem.targets, dtype=np.complex128)
+    kernel = sp.kernel(problem.space, nodes[:, None], nodes)
+    out = (1.0 - np.conj(targets)[:, None] * targets) * kernel
     return 0.5 * (out + out.conj().T)
 
 
@@ -228,14 +218,9 @@ def corona_kernel_check(
     A necessary sampled test on the given grid, not a proof of positivity
     over the whole bidisk (which no finite computation certifies).
     """
-    grid = default_corona_grid() if grid is None else tuple(complex(g) for g in grid)
-    if any(not abs(g) < 1.0 for g in grid):
+    points = np.array(default_corona_grid() if grid is None else grid, dtype=np.complex128)
+    if not np.all(np.abs(points) < 1.0):
         raise DomainError("corona grid points must lie in the open disk")
-    values = np.array([[ps.evaluate(f, g) for g in grid] for f in symbols])
-    m = len(grid)
-    out = np.zeros((m, m), dtype=np.complex128)
-    for i, w in enumerate(grid):
-        for j, z in enumerate(grid):
-            k = sp.kernel_eval_auto(space, w, z)
-            out[i, j] = (np.vdot(values[:, i], values[:, j]) - delta**2) * k
+    values = np.array([ps.evaluate_many(f, points) for f in symbols])
+    out = (values.conj().T @ values - delta**2) * sp.kernel(space, points[:, None], points)
     return psd_check(0.5 * (out + out.conj().T), psd_tol=psd_tol)

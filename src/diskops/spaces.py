@@ -15,8 +15,9 @@ Km     (n+1)(n+2)...(n+m+1)/(m+1)!
 ====== =============================================
 
 The reproducing kernel of every such space is K_w(z) = sum a_n (conj(w) z)^n
-with a_n = 1/weight(n).  Closed forms exist for H2, A2, D2 and S12; the
-S12 one is
+with a_n = 1/weight(n).  ``kernel(space, w, z, terms=None)`` is the one
+evaluator; it broadcasts over arrays of points.  Closed forms exist for H2,
+A2, D2 and S12; the S12 one is
 
     K_w(z) = (2/t^2) [t + (t-1) ln(1/(1-t))],   t = conj(w) z,
 
@@ -25,6 +26,9 @@ the S12 and D2 closed forms lose roughly six digits to cancellation in
 the small denominator, so evaluation switches to a 16-term direct sum
 there.  The principal branch of the logarithm is used throughout; it is
 continuous on the whole domain because |t| < 1 implies Re(1-t) > 0.
+The other kinds sum the series by Horner's rule, with a term count fixed
+up front by a tail bound at the largest |t|; ``terms=N`` asks for the
+partial sum through degree N instead.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import report as rp
-from .errors import DomainError, UnsupportedSpaceError
+from . import series as ps
+from .errors import DomainError, TruncationError
 from .series import PowerSeries
 
 H2 = "H2"
@@ -51,6 +56,10 @@ _CLOSED_FORM_KINDS = (H2, A2, D2, S12)
 # below this |conj(w) z| the log-based closed forms switch to a short sum
 _SMALL_T = 1e-3
 _SMALL_T_TERMS = 16
+# the series path sums whole 64-term chunks until the tail bound drops below 1e-12
+_SERIES_CHUNK = 64
+_SERIES_TAIL = 1e-12
+_SERIES_MAX_TERMS = 200_000
 
 
 @dataclass(frozen=True)
@@ -248,87 +257,68 @@ def norm_relation_check(f: PowerSeries, tol: float = 1e-10) -> rp.VerificationRe
 # ---------------------------------------------------------------------------
 
 
-def _kernel_argument(w: complex, z: complex) -> complex:
-    t = np.conj(w) * z
-    if not abs(t) < 1.0:
-        raise DomainError("kernel argument |conj(w) z| >= 1")
-    return complex(t)
+def _series_terms(r: float) -> int:
+    """The fewest terms, in steps of 64, whose tail bound at |t| <= r is at most 1e-12.
+
+    Every kind here has a_n <= n+1, so the tail past m terms is at most
+    r^m ((m+1)(1-r) + r)/(1-r)^2, which decreases in m.
+    """
+
+    def enough(chunks):
+        m = _SERIES_CHUNK * chunks
+        return r**m * ((m + 1) * (1.0 - r) + r) <= _SERIES_TAIL * (1.0 - r) ** 2
+
+    lo, hi = 0, 1
+    while not enough(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if enough(mid) else (mid, hi)
+    return _SERIES_CHUNK * hi
 
 
-def kernel_eval_series(space: SpaceWeights, w: complex, z: complex, order: int) -> complex:
-    """Partial sum of sum a_n (conj(w) z)^n up to the given order."""
-    t = _kernel_argument(w, z)
-    a = space.kernel_coeffs(order)
-    powers = np.empty(order + 1, dtype=np.complex128)
-    powers[0] = 1.0
-    if order:
-        np.cumprod(np.full(order, t, dtype=np.complex128), out=powers[1:])
-    return complex(a @ powers)
-
-
-def _short_sum(space: SpaceWeights, t: complex) -> complex:
-    a = space.kernel_coeffs(_SMALL_T_TERMS - 1)
-    acc = 0j
-    for coeff in a[::-1]:
-        acc = acc * t + coeff
-    return complex(acc)
-
-
-def kernel_eval_closed(space: SpaceWeights, w: complex, z: complex) -> complex:
-    """Closed-form kernel value for the kinds that have one (H2, A2, D2, S12)."""
-    if not space.has_closed_form_kernel():
-        raise UnsupportedSpaceError(f"no closed-form kernel for {space.label}")
-    t = _kernel_argument(w, z)
+def _closed_form(space: SpaceWeights, t: np.ndarray) -> np.ndarray:
     if space.kind == H2:
         return 1.0 / (1.0 - t)
     if space.kind == A2:
         return 1.0 / (1.0 - t) ** 2
-    if abs(t) < _SMALL_T:
-        return _short_sum(space, t)
-    log_term = -np.log1p(-t)  # principal ln(1/(1-t))
+    small = np.abs(t) < _SMALL_T
+    ts = np.where(small, 0.5, t)  # keeps the log form off its removable singularity
+    log_term = -np.log1p(-ts)  # principal ln(1/(1-t))
     if space.kind == D2:
-        return complex(log_term / t)
-    return complex(2.0 / t**2 * (t + (t - 1.0) * log_term))
+        closed = log_term / ts
+    else:
+        closed = 2.0 / ts**2 * (ts + (ts - 1.0) * log_term)
+    short = ps.evaluate_many(kernel_coefficient_series(space, _SMALL_T_TERMS - 1), t)
+    return np.where(small, short, closed)
 
 
-def kernel_eval_auto(
-    space: SpaceWeights,
-    w: complex,
-    z: complex,
-    rel_tol: float = 1e-12,
-    force_series: bool = False,
-) -> complex:
-    """Closed form when available, else an adaptively truncated series sum.
+def kernel(space: SpaceWeights, w, z, terms: int | None = None):
+    """K_w(z) = sum a_n (conj(w) z)^n, broadcast over the arrays w and z.
 
-    The series path appends terms until the tail bound (every kind here
-    has a_n <= n+1, so the tail past m is dominated by
-    r^m ((m+1)(1-r) + r)/(1-r)^2) drops below rel_tol times the
-    accumulated value.
+    ``terms=None`` takes the closed form where the space has one and
+    otherwise a partial sum long enough for the tail bound at the largest
+    |conj(w) z| (TruncationError past 200,000 terms); ``terms=N`` is the
+    partial sum through degree N.  Returns a complex for scalar input.
     """
-    if space.has_closed_form_kernel() and not force_series:
-        return kernel_eval_closed(space, w, z)
-    t = _kernel_argument(w, z)
-    r = abs(t)
-    if r == 0.0:
-        return complex(space.kernel_coeffs(0)[0])
-    acc = 0j
-    n0 = 0
-    chunk = 64
-    tn = 1.0 + 0j
-    while n0 < 200_000:
-        a = space.kernel_coeffs(n0 + chunk - 1)[n0:]
-        powers = np.empty(chunk, dtype=np.complex128)
-        powers[0] = tn
-        if chunk > 1:
-            np.cumprod(np.full(chunk - 1, t, dtype=np.complex128), out=powers[1:])
-            powers[1:] *= tn
-        acc += complex(a @ powers)
-        tn *= t**chunk
-        n0 += chunk
-        tail = r**n0 * ((n0 + 1) * (1.0 - r) + r) / (1.0 - r) ** 2
-        if tail <= rel_tol * max(abs(acc), 1.0):
-            return complex(acc)
-    raise DomainError("kernel series did not reach the requested tolerance")
+    wb, zb = np.broadcast_arrays(np.asarray(w, np.complex128), np.asarray(z, np.complex128))
+    t = np.conj(wb).ravel() * zb.ravel()  # contiguous, so a scalar call runs the array arithmetic
+    if not np.all(np.abs(t) < 1.0):
+        raise DomainError("kernel argument |conj(w) z| >= 1")
+    if terms is None and space.has_closed_form_kernel():
+        out = _closed_form(space, t)
+    else:
+        if terms is None:
+            r = float(np.abs(t).max(initial=0.0))
+            count = _series_terms(r)
+            if count > _SERIES_MAX_TERMS:
+                raise TruncationError(
+                    f"kernel series at |conj(w) z| = {r:.6g} needs {count} terms, "
+                    f"more than {_SERIES_MAX_TERMS}"
+                )
+            terms = count - 1
+        out = ps.evaluate_many(kernel_coefficient_series(space, terms), t)
+    return complex(out[0]) if wb.ndim == 0 else out.reshape(wb.shape)
 
 
 def kernel_coefficient_series(space: SpaceWeights, order: int) -> PowerSeries:

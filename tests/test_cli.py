@@ -222,6 +222,7 @@ class TestCommandLine:
             (["norm", "S12", "{path}"], "[[1, 0],", "Expecting value"),
             (["norm", "S12", "{path}.missing"], "[[1, 0]]", "No such file"),
             (["kernel", "S12", "2", "0.5"], "", "kernel argument"),
+            (["kernel", "S2", "0.9999", "0.9999"], "", "needs 2"),
             (["--truncation", "8", "verify", "pick"], "", "truncation must be"),
             (["isometry", "S12", "{path}", "3"], '{"a": [1, 0]}', "key 'zeros'"),
             (["isometry", "S12", "{path}", "3"], '{"a": [1], "zeros": []}',
@@ -230,7 +231,7 @@ class TestCommandLine:
              "'nodes' entry [0.1] is not a pair of two numbers"),
         ],
         ids=["bad_pair", "not_a_list", "unknown_space", "bad_json", "missing_file",
-             "outside_disk", "bad_config", "blaschke_missing_key", "blaschke_short_pair",
+             "outside_disk", "series_too_long", "bad_config", "blaschke_missing_key", "blaschke_short_pair",
              "pick_short_node"],
     )
     def test_input_errors_exit_2_with_one_line(self, tmp_path, capsys, argv, payload, message):
@@ -259,7 +260,9 @@ class TestCommandLine:
     "call,error",
     [
         (lambda: cli.main(["kernel", "S12", "nan", "0.5"]), 2),
-        (lambda: sp.kernel_eval_auto(sp.hardy(), NAN, 0.5), DomainError),
+        (lambda: sp.kernel(sp.hardy(), NAN, 0.5), DomainError),
+        (lambda: sp.kernel(sp.s2(), [0.5, NAN], 0.5), DomainError),
+        (lambda: sp.kernel(sp.s12(), [[0.5], [0.9]], [0.3, 1.2]), DomainError),
         (lambda: bl.MobiusMap(NAN), DomainError),
         (lambda: bl.BlaschkeProduct(1.0, (NAN,)), DomainError),
         (lambda: bl.BlaschkeProduct(NAN), DomainError),
@@ -272,7 +275,7 @@ class TestCommandLine:
         (lambda: pk.corona_kernel_check(sp.s12(), [ps.one()], 1.0, grid=[NAN]), DomainError),
         (lambda: sp.dalpha(NAN), ValueError),
     ],
-    ids=["cli_kernel", "kernel", "mobius", "blaschke_zero", "blaschke_unimodular", "pick_node",
+    ids=["cli_kernel", "kernel", "kernel_array_nan", "kernel_array_outside", "mobius", "blaschke_zero", "blaschke_unimodular", "pick_node",
          "poisson_kernel", "poisson_product_moment", "phi_prime_moment", "adjoint_expansion",
          "adjoint_distinctness", "corona_grid", "dalpha_alpha"],
 )

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -65,14 +64,6 @@ class TestMultiplicationMatrix:
             assert abs(lhs - np.vdot(t.entries.conj().T @ y, x)) < 1e-12 * (1 + abs(lhs))
             assert abs(lhs - np.vdot(rmatvec(y), x)) < 1e-12 * (1 + abs(lhs))
 
-    def test_csv_export(self):
-        t = op.multiplication_matrix(S12, ps.monomial(1), 2)
-        buf = io.StringIO()
-        t.to_csv(buf)
-        rows = buf.getvalue().strip().splitlines()
-        assert len(rows) == 3
-        assert rows[1].split('","')[0].lstrip('"') == f"{math.sqrt(3):.17g},0"
-
 
 class TestOperatorNorm:
     def test_identity(self):
@@ -99,19 +90,6 @@ class TestOperatorNorm:
         f = ps.from_coefficients([1, 1])
         values = [op.multiplication_norm(S12, f, n) for n in (32, 64, 128, 256)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-
-    def test_convergence_profile_stabilizes_for_monomial(self):
-        est, n_used = op.convergence_profile(S12, op.MULTIPLICATION, ps.monomial(2), tol=1e-8)
-        assert abs(est - math.sqrt(6.0)) < 1e-9
-        assert n_used == 128
-
-    def test_convergence_profile_cap(self):
-        # compression norms of f -> f(z^2) climb like 1/n toward the limit,
-        # so a tight tolerance must hit the cap
-        with pytest.raises(ConvergenceError):
-            op.convergence_profile(
-                S12, op.COMPOSITION, ps.monomial(2), tol=1e-8, cap=256
-            )
 
     def test_norm_sandwich(self):
         rng = np.random.default_rng(3)

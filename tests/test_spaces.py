@@ -1,4 +1,7 @@
+import cmath
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 from diskops import report as rp
 from diskops import series as ps
 from diskops import spaces as sp
-from diskops.errors import DomainError, UnsupportedSpaceError
+from diskops.errors import DomainError, TruncationError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -107,19 +110,19 @@ class TestNorms:
 class TestKernels:
     def test_series_at_zero(self):
         for space in (sp.s12(), sp.s2(), sp.km(2)):
-            assert sp.kernel_eval_series(space, 0.0, 0.5, 50) == 1.0
+            assert sp.kernel(space, 0.0, 0.5, terms=50) == 1.0
 
     def test_s12_at_zero_argument(self):
-        assert sp.kernel_eval_closed(sp.s12(), 0.0, 0.9) == 1.0
+        assert sp.kernel(sp.s12(), 0.0, 0.9) == 1.0
 
     def test_h2_geometric(self):
         t = 0.37
-        series = sp.kernel_eval_series(sp.hardy(), t, 1.0, 400)
+        series = sp.kernel(sp.hardy(), t, 1.0, terms=400)
         assert abs(series - 1.0 / (1.0 - t)) < 1e-12
 
     def test_d2_closed_form_value(self):
         # sum t^n/(n+1) at t = 0.5 is 2 ln 2
-        closed = sp.kernel_eval_closed(sp.dirichlet(), 0.5, 1.0)
+        closed = sp.kernel(sp.dirichlet(), 0.5, 1.0)
         assert abs(closed - 2.0 * math.log(2.0)) < 1e-14
         series = sum(0.5**n / (n + 1) for n in range(200))
         assert abs(closed - series) < 1e-14
@@ -129,7 +132,7 @@ class TestKernels:
         w, z = 0.9, 0.9
         t = w * z
         oracle = sum(2.0 / ((n + 1) * (n + 2)) * t**n for n in range(10_000))
-        closed = sp.kernel_eval_closed(sp.s12(), w, z)
+        closed = sp.kernel(sp.s12(), w, z)
         assert abs(closed - oracle) / abs(oracle) < 1e-9
 
     def test_closed_vs_series_grid(self):
@@ -138,8 +141,8 @@ class TestKernels:
             for _ in range(40):
                 w = rng.uniform(0, 0.9) * np.exp(1j * rng.uniform(0, 2 * np.pi))
                 z = rng.uniform(0, 0.9) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-                closed = sp.kernel_eval_closed(space, w, z)
-                series = sp.kernel_eval_series(space, w, z, 10_000)
+                closed = sp.kernel(space, w, z)
+                series = sp.kernel(space, w, z, terms=10_000)
                 assert abs(closed - series) / abs(closed) < 1e-9
 
     def test_hermitian_symmetry(self):
@@ -148,8 +151,8 @@ class TestKernels:
             for _ in range(25):
                 w = rng.uniform(0, 0.9) * np.exp(1j * rng.uniform(0, 2 * np.pi))
                 z = rng.uniform(0, 0.9) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-                kwz = sp.kernel_eval_auto(space, w, z)
-                kzw = sp.kernel_eval_auto(space, z, w)
+                kwz = sp.kernel(space, w, z)
+                kzw = sp.kernel(space, z, w)
                 assert abs(kwz - np.conj(kzw)) < 1e-12 * (1 + abs(kwz))
 
     def test_reproducing_property(self):
@@ -164,21 +167,63 @@ class TestKernels:
                 ip = sp.inner_product(space, f, ps.PowerSeries(kernel_coeffs))
                 assert abs(ip - f(w)) < 1e-10 * (1 + abs(f(w)))
 
-    def test_unsupported_closed_forms(self):
-        for space in (sp.s2(), sp.s22(), sp.km(2), sp.dalpha(1.5)):
-            with pytest.raises(UnsupportedSpaceError):
-                sp.kernel_eval_closed(space, 0.5, 0.5)
-
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            sp.kernel_eval_closed(sp.s12(), 1.0, 1.0)
+            sp.kernel(sp.s12(), 1.0, 1.0)
         with pytest.raises(DomainError):
-            sp.kernel_eval_series(sp.s12(), 1.2, 1.0, 10)
+            sp.kernel(sp.s12(), 1.2, 1.0, terms=10)
 
     def test_auto_matches_series_for_s2(self):
-        value = sp.kernel_eval_auto(sp.s2(), 0.5, 0.5)
+        value = sp.kernel(sp.s2(), 0.5, 0.5)
         direct = 1.0 + sum(0.25**n / n**2 for n in range(1, 300))
         assert abs(value - direct) < 1e-12
+
+    def test_series_fails_fast_near_the_boundary(self):
+        start = time.perf_counter()
+        with pytest.raises(TruncationError, match=r"needs \d+ terms") as info:
+            sp.kernel(sp.s2(), 0.9999, 0.9999)
+        assert time.perf_counter() - start < 1.0
+        # the count named is the first multiple of 64 whose tail bound reaches 1e-12
+        count = int(re.search(r"needs (\d+) terms", str(info.value)).group(1))
+        r = 0.9999**2
+
+        def tail(m):
+            return r**m * ((m + 1) * (1 - r) + r) / (1 - r) ** 2
+
+        assert count % 64 == 0 and count > 200_000
+        assert tail(count) <= 1e-12 < tail(count - 64)
+
+
+KERNEL_SPACES = (sp.hardy(), sp.bergman(), sp.dirichlet(), sp.s12(), sp.s2(), sp.s22(), sp.km(2),
+                 sp.dalpha(1.5))
+DISK_POINTS = st.builds(cmath.rect, st.floats(0.0, 0.95), st.floats(0.0, 2 * math.pi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KERNEL_SPACES), st.lists(DISK_POINTS, min_size=1, max_size=8),
+       st.lists(DISK_POINTS, min_size=1, max_size=8), st.sampled_from([None, 40]),
+       st.floats(2e-4, 5e-3), st.floats(0.0, 2 * math.pi))
+def test_kernel_array_calls(space, ws, zs, terms, small_r, small_phase):
+    ws, zs = np.array(ws), np.array(zs)
+    matrix = sp.kernel(space, ws[:, None], zs, terms=terms)
+    scalars = np.array([[sp.kernel(space, w, z, terms=terms) for z in zs] for w in ws])
+    if terms is None and not space.has_closed_form_kernel():
+        # the array call sums the terms its largest |conj(w) z| needs, so at least as many
+        assert np.all(np.abs(matrix - scalars) <= 2e-12 * (1 + np.abs(scalars)))
+    else:
+        # bitwise at these sizes; past 16,384 entries numpy computes temporaries
+        # in place, where complex products round without FMA
+        assert np.array_equal(matrix.view(float), scalars.view(float))
+    transposed = sp.kernel(space, zs[:, None], ws, terms=terms)
+    assert np.all(np.abs(matrix - np.conj(transposed.T)) < 1e-12 * (1 + np.abs(matrix)))
+    if space.has_closed_form_kernel():
+        t = np.append(ws[:, None] * zs, cmath.rect(small_r, small_phase))
+        closed = sp.kernel(space, 1.0, t)
+        series = sp.kernel(space, 1.0, t, terms=10_000)
+        error = np.abs(closed - series) / np.abs(series)
+        # below the 1e-3 switch the short sum is exact to rounding; above it
+        # the log form keeps its documented cancellation loss
+        assert np.all(error < np.where(np.abs(t) < 1e-3, 1e-13, 1e-9))
 
 
 class TestSupNorm:
