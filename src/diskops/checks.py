@@ -44,6 +44,8 @@ class Config:
     def __post_init__(self):
         if self.truncation < 16:
             raise ValueError("truncation must be >= 16")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
         if self.quad_nodes < 256 or self.quad_nodes & (self.quad_nodes - 1):
             raise ValueError("quad_nodes must be a power of two >= 256")
         if self.output not in ("text", "json", "csv"):

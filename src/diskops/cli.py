@@ -14,11 +14,14 @@ Each flag also reads an environment override DISKOPS_TRUNCATION,
 DISKOPS_TOL, DISKOPS_QUAD_NODES, DISKOPS_SEED, DISKOPS_OUTPUT (flags win).
 Numbers print with 15 significant digits.  ``verify`` exits 1 iff a report
 has status fail or error; bad input prints ``diskops: <message>`` and exits 2.
+``main`` runs OpenBLAS with one thread unless OPENBLAS_NUM_THREADS or
+OMP_NUM_THREADS is set, so values do not depend on the core count.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -33,6 +36,12 @@ from . import spaces as sp
 from .errors import DiskOpsError
 
 ENV_PREFIX = "DISKOPS_"
+# numpy.libs, scipy.libs, then a system OpenBLAS
+_OPENBLAS_SET_THREADS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads",
+)
 
 
 def _env_default(name: str, cast, fallback):
@@ -40,6 +49,34 @@ def _env_default(name: str, cast, fallback):
     if raw is None:
         return fallback
     return cast(raw)
+
+
+def _pin_blas_threads() -> None:
+    """Pin every loaded OpenBLAS to one thread unless the user chose a count.
+
+    numpy and scipy load their OpenBLAS on import, before ``main`` runs, so the
+    environment variable would come too late.  Without a map, library or symbol
+    this does nothing.
+    """
+    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
+        return
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as maps:
+            fields = [line.rstrip("\n").split(maxsplit=5) for line in maps]
+    except OSError:
+        return
+    paths = {f[5] for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5])}
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SET_THREADS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,6 +231,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _pin_blas_threads()
     try:
         return _COMMANDS[args.command](args, _config(args))
     except (DiskOpsError, ValueError, OSError) as exc:  # ValueError covers bad JSON

@@ -151,7 +151,12 @@ def _multiplier(phi: PowerSeries, order: int):
 
 
 def power_table(phi: PowerSeries, count: int, order: int) -> np.ndarray:
-    """(count+1) x (order+1) array whose row k holds phi^k truncated at ``order``."""
+    """(count+1) x (order+1) array whose row k holds phi^k truncated at ``order``.
+
+    The loop stops at the first row that underflows to exactly zero: a product
+    by phi maps zero to zero on the direct and on the FFT path, so every later
+    row is zero too, and the table equals the full loop's.
+    """
     if order < 0 or count < 0:
         raise ValueError("order and count must be >= 0")
     times_phi = _multiplier(phi, order)
@@ -159,6 +164,8 @@ def power_table(phi: PowerSeries, count: int, order: int) -> np.ndarray:
     table[0, 0] = 1.0
     for k in range(1, count + 1):
         table[k] = times_phi(table[k - 1])
+        if not table[k].any():
+            break
     return table
 
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -214,27 +217,35 @@ class TestCommandLine:
         assert capsys.readouterr().out.lstrip().startswith("[")
 
     @pytest.mark.parametrize(
-        "argv,payload,message",
+        "argv,payload,message,env",
         [
-            (["opnorm", "S12", "mult", "{path}"], "[[1, 0], [2]]", "not a pair of two numbers"),
-            (["norm", "S12", "{path}"], '{"a": 1}', "not a pair of two numbers"),
-            (["opnorm", "Q2", "mult", "{path}"], "[[1, 0]]", "unknown space"),
-            (["norm", "S12", "{path}"], "[[1, 0],", "Expecting value"),
-            (["norm", "S12", "{path}.missing"], "[[1, 0]]", "No such file"),
-            (["kernel", "S12", "2", "0.5"], "", "kernel argument"),
-            (["kernel", "S2", "0.9999", "0.9999"], "", "needs 2"),
-            (["--truncation", "8", "verify", "pick"], "", "truncation must be"),
-            (["isometry", "S12", "{path}", "3"], '{"a": [1, 0]}', "key 'zeros'"),
+            (["opnorm", "S12", "mult", "{path}"], "[[1, 0], [2]]", "not a pair of two numbers", {}),
+            (["norm", "S12", "{path}"], '{"a": 1}', "not a pair of two numbers", {}),
+            (["opnorm", "Q2", "mult", "{path}"], "[[1, 0]]", "unknown space", {}),
+            (["norm", "S12", "{path}"], "[[1, 0],", "Expecting value", {}),
+            (["norm", "S12", "{path}.missing"], "[[1, 0]]", "No such file", {}),
+            (["kernel", "S12", "2", "0.5"], "", "kernel argument", {}),
+            (["kernel", "S2", "0.9999", "0.9999"], "", "needs 2", {}),
+            (["--truncation", "8", "verify", "pick"], "", "truncation must be", {}),
+            (["isometry", "S12", "{path}", "3"], '{"a": [1, 0]}', "key 'zeros'", {}),
             (["isometry", "S12", "{path}", "3"], '{"a": [1], "zeros": []}',
-             "'a' entry [1] is not a pair of two numbers"),
+             "'a' entry [1] is not a pair of two numbers", {}),
             (["pick", "{path}"], '{"space": "S12", "nodes": [[0.1]], "targets": [[1, 0]]}',
-             "'nodes' entry [0.1] is not a pair of two numbers"),
+             "'nodes' entry [0.1] is not a pair of two numbers", {}),
+            (["verify", "composition", "--tol", "nan"], "", "tol must be finite and > 0", {}),
+            (["verify", "composition", "--tol", "-1"], "", "tol must be finite and > 0", {}),
+            (["verify", "composition", "--tol", "inf"], "", "tol must be finite and > 0", {}),
+            (["verify", "composition"], "", "tol must be finite and > 0", {"DISKOPS_TOL": "nan"}),
         ],
         ids=["bad_pair", "not_a_list", "unknown_space", "bad_json", "missing_file",
              "outside_disk", "series_too_long", "bad_config", "blaschke_missing_key", "blaschke_short_pair",
-             "pick_short_node"],
+             "pick_short_node", "tol_nan", "tol_negative", "tol_inf", "tol_env_nan"],
     )
-    def test_input_errors_exit_2_with_one_line(self, tmp_path, capsys, argv, payload, message):
+    def test_input_errors_exit_2_with_one_line(
+        self, tmp_path, capsys, monkeypatch, argv, payload, message, env
+    ):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
         path = tmp_path / "input.json"
         path.write_text(payload)
         assert cli.main([a.format(path=path) for a in argv]) == 2
@@ -286,3 +297,72 @@ def test_nan_rejected_at_domain_gates(call, error, capsys):
         return
     with pytest.raises(error):
         call()
+
+
+def _run_python(args, **env):
+    """stdout of a fresh interpreter that imports diskops from this tree.
+
+    OPENBLAS_NUM_THREADS and OMP_NUM_THREADS are unset unless given in env.
+    """
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    environ = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    environ.update(env)
+    return subprocess.run(
+        [sys.executable, *args], env=environ, capture_output=True, text=True, timeout=120,
+    ).stdout
+
+
+def test_values_do_not_depend_on_blas_threads():
+    # OpenBLAS defaults to one thread per core, and on a multi-core machine
+    # threaded BLAS sums in another order than one thread does
+    argv = ["-m", "diskops.cli", "verify", "constants", "--output", "json"]
+    runs = []
+    for env in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        reports = json.loads(_run_python(argv, **env))
+        for report in reports:
+            del report["elapsed_ms"]
+        runs.append(json.dumps(reports))
+    assert runs[0] == runs[1]
+
+
+# the thread count of every loaded OpenBLAS: before importing diskops, after
+# importing diskops.cli, and after one cli.main call
+_THREAD_COUNTS = """
+import ctypes, json, os
+import numpy, scipy.sparse.linalg
+
+def counts():
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        fields = [line.rstrip("\\n").split(maxsplit=5) for line in maps]
+    out = []
+    for path in sorted({f[5] for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5])}):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads"):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                out.append(getter())
+                break
+    return out
+
+before = counts()
+from diskops import cli
+imported = counts()
+cli.main(["kernel", "S12", "0.1", "0.2"])
+print(json.dumps([before, imported, counts()]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+@pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}],
+                         ids=["unset", "openblas_set", "omp_set"])
+def test_cli_pins_blas_threads_unless_the_user_chose(env):
+    out = _run_python(["-c", _THREAD_COUNTS], **env)
+    before, imported, after = json.loads(out.splitlines()[-1])
+    if not before:
+        pytest.skip("no OpenBLAS with a thread-count symbol is loaded")
+    assert imported == before  # importing changes nothing
+    assert after == (before if env else [1] * len(before))

@@ -129,6 +129,19 @@ class TestNormEstimate:
             dense = dense_norm(op.composition_matrix(S12, phi, n))
             assert abs(op.composition_norm(S12, phi, n) - dense) <= 1e-13 * dense
 
+    def test_composition_underflow_cut_is_exact(self):
+        # powers of 0.1 + 0.05z are exactly zero from row 391 on, so the products use 391 rows
+        phi, n = ps.from_coefficients([0.1, 0.05]), 512
+        t = op.composition_matrix(S12, phi, n)
+        a = t.entries
+        assert not a[:, -1].any()
+        dense = dense_norm(t)
+        assert abs(op.composition_norm(S12, phi, n) - dense) <= 1e-13 * dense
+        matvec, rmatvec = op._composition_products(S12, phi, n)
+        eye = np.eye(n + 1)
+        assert np.array_equal(np.column_stack([matvec(e) for e in eye]), a)
+        assert np.array_equal(np.column_stack([rmatvec(e) for e in eye]), a.conj().T)
+
     def test_constant_symbols_are_exact(self):
         # the identity is TestOperatorNorm.test_identity
         assert op.multiplication_norm(S12, ps.zero(4), 8) == 0.0

@@ -155,6 +155,19 @@ class TestProductSwitch:
                 assert np.max(np.abs(table[k] - current.coeffs)) < 1e-14
             current = ps.cauchy_product(current, phi, 256)
 
+    @pytest.mark.parametrize("taps", [2, 200])
+    def test_power_table_underflow_cut_is_exact(self, taps):
+        # sum |phi_j| = 0.15: the powers underflow to exactly zero long before row 1024
+        c = _random_series(np.random.default_rng(taps), taps).coeffs
+        phi = ps.PowerSeries(0.15 * c / np.abs(c).sum())
+        table = ps.power_table(phi, 1024, 1024)
+        times_phi = ps._multiplier(phi, 1024)
+        row = ps.one(1024).coeffs
+        for k in range(1025):
+            assert np.array_equal(table[k], row), k
+            row = times_phi(row)
+        assert not table[-1].any() and table[1].any()
+
     def test_fft_path_imports_no_scipy_fft(self):
         code = (
             "import sys\n"
