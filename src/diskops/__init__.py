@@ -14,7 +14,6 @@ from .errors import (
     TruncationError,
 )
 from .operators import (
-    OperatorMatrix,
     ShiftClassification,
     blaschke_isometry_check,
     composition_matrix,
@@ -25,7 +24,6 @@ from .operators import (
     growth_formula_check,
     hilbert_schmidt_norm_sq,
     isometry_defect,
-    multiplication_matrix,
     multiplication_norm,
     norm_estimate,
     shift_isometry_order,
@@ -50,7 +48,7 @@ from .series import (
     evaluate,
     from_coefficients,
     monomial,
-    power_table,
+    orbit,
     reciprocal,
 )
 from .spaces import (
@@ -58,6 +56,7 @@ from .spaces import (
     dirichlet_energy,
     kernel,
     norm_decomposition_s12,
+    norms_sq,
     norm_relation_check,
     parse_space,
     space_norm,

@@ -30,58 +30,20 @@ from .blaschke import BlaschkeProduct
 from .errors import ConvergenceError, DomainError, PreconditionError, TruncationError
 from .series import PowerSeries
 
-MULTIPLICATION = "multiplication"
-COMPOSITION = "composition"
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    """Dense compression of an operator in the orthonormal monomial basis."""
-
-    entries: np.ndarray
-    space: sp.SpaceWeights
-    kind: str
-    symbol: PowerSeries | None = None
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.complex128)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError("operator compression must be a square matrix")
-        e = e.copy()
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-def multiplication_matrix(space: sp.SpaceWeights, f: PowerSeries, n: int) -> OperatorMatrix:
-    """Compression of multiplication by f on the first n+1 basis vectors."""
-    sqw = np.sqrt(space.weights(n))
-    entries = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    for k in range(min(f.order, n) + 1):
-        if f.coeffs[k] == 0:
-            continue
-        i = np.arange(k, n + 1)
-        # real ratio first: complex-by-real division costs an extra ulp
-        entries[i, i - k] = f.coeffs[k] * (sqw[i] / sqw[i - k])
-    return OperatorMatrix(entries, space, MULTIPLICATION, f)
-
 
 def _composition_columns(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> np.ndarray:
     """The transposed compression of f -> f(phi): row j is phi^j * sqrt(weight / weight(j))."""
     if abs(phi.coeffs[0]) >= 1.0:
         raise DomainError("composition symbol has |constant term| >= 1")
     sqw = np.sqrt(space.weights(n))
-    table = ps.power_table(phi, n, n)
+    table = ps.orbit(ps.one(), phi, n, n)
     table *= sqw / sqw[:, None]
     return table
 
 
-def composition_matrix(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> OperatorMatrix:
-    """Compression of f -> f(phi); column j holds the expansion of phi^j, from one power table."""
-    return OperatorMatrix(_composition_columns(space, phi, n).T, space, COMPOSITION, phi)
+def composition_matrix(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> np.ndarray:
+    """Dense compression of f -> f(phi); column j holds the expansion of phi^j."""
+    return _composition_columns(space, phi, n).T
 
 
 # ---------------------------------------------------------------------------
@@ -188,30 +150,26 @@ def hilbert_schmidt_norm_sq(space: sp.SpaceWeights, phi: PowerSeries, n: int) ->
 # ---------------------------------------------------------------------------
 
 
-def isometry_defect(t: OperatorMatrix, m: int, probe: PowerSeries) -> float:
-    """The alternating defect sum_{k=0..m} (-1)^{m-k} C(m,k) ||T^k h||^2.
-
-    Norms are exact ambient-space norms of the explicitly multiplied
-    series, not compression algebra; the probe-degree precondition keeps
-    every product inside the budget, making the computation exact up to
-    rounding.
-    """
+def _alternating_defect(
+    space: sp.SpaceWeights, f: PowerSeries, phi: PowerSeries, m: int, order: int
+) -> float:
+    """sum_{k=0..m} (-1)^{m-k} C(m,k) ||phi^k f||^2, the m-th difference of the orbit norms."""
     if m < 1:
         raise ValueError("isometry order must be >= 1")
-    if t.kind != MULTIPLICATION or t.symbol is None:
-        raise ValueError("defect computation is defined for multiplication compressions")
-    sym_deg = max(t.symbol.degree(), 0)
-    if probe.degree() > t.dim - 1 - m * sym_deg:
-        raise TruncationError("probe degree exceeds the truncation budget for this m")
-    full_order = probe.order + m * sym_deg
-    acc = 0.0
-    current = ps.truncate(probe, full_order)
-    for k in range(m + 1):
-        sign = -1.0 if (m - k) % 2 else 1.0
-        acc += sign * math.comb(m, k) * sp.space_norm_sq(t.space, current)
-        if k < m:
-            current = ps.cauchy_product(current, t.symbol, full_order)
-    return float(acc)
+    norms_sq = sp.norms_sq(space.weights(order), ps.orbit(f, phi, m, order))
+    return float(np.diff(norms_sq, m)[0])
+
+
+def isometry_defect(
+    space: sp.SpaceWeights, symbol: PowerSeries, m: int, probe: PowerSeries
+) -> float:
+    """The alternating defect sum_{k=0..m} (-1)^{m-k} C(m,k) ||symbol^k probe||^2.
+
+    The orbit is kept at order probe.order + m deg(symbol), where no product
+    is cut, so the norms are exact ambient-space norms up to rounding.
+    """
+    order = probe.order + m * max(symbol.degree(), 0)
+    return _alternating_defect(space, probe, symbol, m, order)
 
 
 @dataclass(frozen=True)
@@ -316,20 +274,9 @@ def blaschke_power_defect(
     probe: PowerSeries,
     order: int,
 ) -> float:
-    """Alternating sum sum_{k<=m} (-1)^{m-k} C(m,k) ||psi^k f||^2 with the
-    powers computed from the truncated product series."""
-    psi_series = psi.series(order)
-    norms_sq = [sp.space_norm_sq(space, probe)]
-    current = ps.truncate(probe, order)
-    for _ in range(m):
-        current = ps.cauchy_product(current, psi_series, order)
-        norms_sq.append(sp.space_norm_sq(space, current))
-    return float(
-        sum(
-            (-1.0 if (m - k) % 2 else 1.0) * math.comb(m, k) * norms_sq[k]
-            for k in range(m + 1)
-        )
-    )
+    """Alternating sum sum_{k<=m} (-1)^{m-k} C(m,k) ||psi^k f||^2 over the orbit
+    of the probe under the product series of psi, every row truncated at ``order``."""
+    return _alternating_defect(space, probe, psi.series(order), m, order)
 
 
 def blaschke_isometry_check(
@@ -409,12 +356,7 @@ def growth_formula_check(
         raise ValueError("growth formulas are stated on the S2 and S12 scales")
     f_norm = sp.space_norm(space, f)
     _blaschke_truncation_guard(space, psi, order, n_max, f_norm, tol)
-    psi_series = psi.series(order)
-    norms_sq = [sp.space_norm_sq(space, ps.truncate(f, order))]
-    current = ps.truncate(f, order)
-    for _ in range(n_max):
-        current = ps.cauchy_product(current, psi_series, order)
-        norms_sq.append(sp.space_norm_sq(space, current))
+    norms_sq = sp.norms_sq(space.weights(order), ps.orbit(f, psi.series(order), n_max, order))
     psi0 = psi(0.0)
     f0_sq = abs(f.coeffs[0]) ** 2
     residuals = {}
@@ -448,15 +390,10 @@ def dirichlet_linearity_check(
         D(psi^n f) = D(f) + n [D(psi f) - D(f)].
     """
     d2 = sp.dirichlet()
-    base = sp.dirichlet_energy(ps.truncate(f, order))
     _blaschke_truncation_guard(d2, psi, order, n_max, sp.space_norm(d2, f), tol)
-    psi_series = psi.series(order)
-    energies = [base]
-    current = ps.truncate(f, order)
-    for _ in range(n_max):
-        current = ps.cauchy_product(current, psi_series, order)
-        energies.append(sp.dirichlet_energy(current))
-    slope = energies[1] - energies[0]
+    orbit = ps.orbit(f, psi.series(order), n_max, order)
+    energies = sp.norms_sq(np.arange(order + 1.0), orbit)
+    base, slope = energies[0], energies[1] - energies[0]
     residuals = {n: energies[n] - (base + n * slope) for n in range(n_max + 1)}
     scale = 1.0 + base + abs(slope) * n_max
     return _power_residual_report("dirichlet_linearity", residuals, tol, scale)

@@ -150,22 +150,29 @@ def _multiplier(phi: PowerSeries, order: int):
     return lambda x: np.fft.ifft(np.fft.fft(x, size) * fb)[: order + 1]
 
 
-def power_table(phi: PowerSeries, count: int, order: int) -> np.ndarray:
-    """(count+1) x (order+1) array whose row k holds phi^k truncated at ``order``.
+def orbit(f: PowerSeries, phi: PowerSeries, count: int, order: int) -> np.ndarray:
+    """(count+1) x (order+1) array whose row k holds f * phi^k truncated at ``order``.
 
-    The loop stops at the first row that underflows to exactly zero: a product
-    by phi maps zero to zero on the direct and on the FFT path, so every later
-    row is zero too, and the table equals the full loop's.
+    Each row is the previous one times phi through ``_multiplier``.  The loop
+    stops at the first row that underflows to exactly zero: a product by phi
+    maps zero to zero on the direct and on the FFT path, so every later row is
+    zero too.  A row that is not finite stays so under a product by phi, so the
+    last row shows whether some row overflowed (phi is then no self-map of the
+    disk); that raises DomainError naming the first such row.
     """
     if order < 0 or count < 0:
         raise ValueError("order and count must be >= 0")
     times_phi = _multiplier(phi, order)
     table = np.zeros((count + 1, order + 1), dtype=np.complex128)
-    table[0, 0] = 1.0
-    for k in range(1, count + 1):
-        table[k] = times_phi(table[k - 1])
-        if not table[k].any():
-            break
+    table[0] = truncate(f, order).coeffs
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, once
+        for k in range(1, count + 1):
+            table[k] = times_phi(table[k - 1])
+            if not table[k].any():
+                break
+    if not np.isfinite(table[-1]).all():
+        k = int(np.argmin(np.isfinite(table).all(axis=1)))
+        raise DomainError(f"f * phi^{k} overflows at order {order}: phi is no self-map")
     return table
 
 

@@ -179,10 +179,18 @@ def parse_space(name: str) -> SpaceWeights:
 # ---------------------------------------------------------------------------
 
 
+def norms_sq(weights: np.ndarray, rows) -> np.ndarray:
+    """sum_n weights[n] |rows[..., n]|^2 for every row of coefficients.
+
+    With ``space.weights(order)`` these are squared space norms; with weights
+    n, Dirichlet energies.
+    """
+    return np.abs(rows) ** 2 @ weights
+
+
 def space_norm_sq(space: SpaceWeights, f: PowerSeries) -> float:
     """sum weight(n) |f_n|^2 over the stored coefficients."""
-    w = space.weights(f.order)
-    return float(w @ np.abs(f.coeffs) ** 2)
+    return float(norms_sq(space.weights(f.order), f.coeffs))
 
 
 def space_norm(space: SpaceWeights, f: PowerSeries) -> float:
@@ -213,8 +221,7 @@ def norm_decomposition_s12(f: PowerSeries) -> tuple[float, float, float]:
 
 def dirichlet_energy(f: PowerSeries) -> float:
     """D(f) = ||f'||_{A2}^2 = sum_{n>=1} n |f_n|^2."""
-    n = np.arange(f.order + 1)
-    return float((n * np.abs(f.coeffs) ** 2).sum())
+    return float(norms_sq(np.arange(f.order + 1.0), f.coeffs))
 
 
 def norm_relation_check(f: PowerSeries, tol: float = 1e-10) -> rp.VerificationReport:

@@ -15,6 +15,7 @@ from diskops import spaces as sp
 from diskops.errors import DomainError
 
 NAN = float("nan")
+_Z_JSON = '{"a": [-1, 0], "zeros": [[0, 0]]}'  # the symbol z as a Blaschke product
 
 
 @pytest.fixture(scope="module")
@@ -236,20 +237,26 @@ class TestCommandLine:
             (["verify", "composition", "--tol", "-1"], "", "tol must be finite and > 0", {}),
             (["verify", "composition", "--tol", "inf"], "", "tol must be finite and > 0", {}),
             (["verify", "composition"], "", "tol must be finite and > 0", {"DISKOPS_TOL": "nan"}),
+            (["isometry", "S12", "{path}", "0"], _Z_JSON, "isometry order must be >= 1", {}),
+            (["isometry", "S12", "{path}", "-1"], _Z_JSON, "isometry order must be >= 1", {}),
+            (["--truncation", "1024", "opnorm", "S12", "comp", "{path}"], "[[0.5, 0], [2, 0]]",
+             "overflows at order 1024", {}),
         ],
         ids=["bad_pair", "not_a_list", "unknown_space", "bad_json", "missing_file",
              "outside_disk", "series_too_long", "bad_config", "blaschke_missing_key", "blaschke_short_pair",
-             "pick_short_node", "tol_nan", "tol_negative", "tol_inf", "tol_env_nan"],
+             "pick_short_node", "tol_nan", "tol_negative", "tol_inf", "tol_env_nan",
+             "m_zero", "m_negative", "comp_not_self_map"],
     )
+    @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
     def test_input_errors_exit_2_with_one_line(
-        self, tmp_path, capsys, monkeypatch, argv, payload, message, env
+        self, tmp_path, capfd, monkeypatch, argv, payload, message, env
     ):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         path = tmp_path / "input.json"
         path.write_text(payload)
         assert cli.main([a.format(path=path) for a in argv]) == 2
-        captured = capsys.readouterr()
+        captured = capfd.readouterr()  # file-descriptor level: LAPACK prints there
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("diskops: ") and message in line

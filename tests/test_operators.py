@@ -28,22 +28,43 @@ def random_poly(rng, max_degree=12, min_degree=0):
 shift_z = bl.BlaschkeProduct(-1.0, (0j,))  # the symbol z as a Blaschke product
 
 
+def multiplication_matrix(space, f, n):
+    """Dense compression of M_f on the first n+1 basis vectors, entry by entry: the
+    reference that the banded products and the norm estimator are checked against."""
+    sqw = np.sqrt(space.weights(n))
+    entries = np.zeros((n + 1, n + 1), dtype=np.complex128)
+    for k in range(min(f.order, n) + 1):
+        i = np.arange(k, n + 1)
+        # real ratio first: complex-by-real division costs an extra ulp
+        entries[i, i - k] = f.coeffs[k] * (sqw[i] / sqw[i - k])
+    return entries
+
+
+def multiplication_columns(space, f, n):
+    """The compression of M_f as the banded product applied to the identity columns."""
+    matvec, _ = op._multiplication_products(space, f, n)
+    return np.column_stack([matvec(e) for e in np.eye(n + 1)])
+
+
 class TestMultiplicationMatrix:
     def test_identity_symbol(self):
-        t = op.multiplication_matrix(S12, ps.one(), 16)
-        assert np.array_equal(t.entries, np.eye(17))
+        # M_1 is the identity; x -> sqw * (x / sqw) rounds twice, so each 1 is within an ulp
+        a = multiplication_columns(S12, ps.one(), 16)
+        assert np.array_equal(a, np.diag(np.diag(a)))
+        assert np.max(np.abs(np.diag(a) - 1.0)) <= np.finfo(float).eps
 
     def test_shift_weights(self):
         # subdiagonal entries sqrt((n+3)/(n+1)) in the orthonormal basis
-        t = op.multiplication_matrix(S12, ps.monomial(1), 12)
+        a = multiplication_columns(S12, ps.monomial(1), 12)
         n = np.arange(12.0)
-        assert np.allclose(np.diag(t.entries, -1), np.sqrt((n + 3) / (n + 1)), rtol=1e-15)
+        assert np.allclose(np.diag(a, -1), np.sqrt((n + 3) / (n + 1)), rtol=1e-15)
 
     def test_band_profile(self):
         rng = np.random.default_rng(0)
         f = random_poly(rng, max_degree=5, min_degree=5)
-        t = op.multiplication_matrix(S12, f, 20)
-        i, j = np.nonzero(t.entries)
+        a = multiplication_columns(S12, f, 20)
+        assert np.allclose(a, multiplication_matrix(S12, f, 20), rtol=1e-15, atol=0)
+        i, j = np.nonzero(a)
         assert np.all(i >= j) and np.all(i - j <= 5)
 
     def test_adjoint_consistency(self):
@@ -53,15 +74,15 @@ class TestMultiplicationMatrix:
         f = random_poly(rng)
         phi = ps.scale(random_poly(rng, max_degree=6), 0.1)
         cases = [
-            (op.multiplication_matrix(S12, f, 40), op._multiplication_products(S12, f, 40)),
+            (multiplication_matrix(S12, f, 40), op._multiplication_products(S12, f, 40)),
             (op.composition_matrix(S12, phi, 40), op._composition_products(S12, phi, 40)),
         ]
         for t, (matvec, rmatvec) in cases:
             x = rng.normal(size=41) + 1j * rng.normal(size=41)
             y = rng.normal(size=41) + 1j * rng.normal(size=41)
             lhs = np.vdot(y, matvec(x))
-            assert abs(lhs - np.vdot(y, t.entries @ x)) < 1e-12 * (1 + abs(lhs))
-            assert abs(lhs - np.vdot(t.entries.conj().T @ y, x)) < 1e-12 * (1 + abs(lhs))
+            assert abs(lhs - np.vdot(y, t @ x)) < 1e-12 * (1 + abs(lhs))
+            assert abs(lhs - np.vdot(t.conj().T @ y, x)) < 1e-12 * (1 + abs(lhs))
             assert abs(lhs - np.vdot(rmatvec(y), x)) < 1e-12 * (1 + abs(lhs))
 
 
@@ -82,7 +103,7 @@ class TestOperatorNorm:
     def test_matfree_matches_dense(self):
         rng = np.random.default_rng(2)
         f = random_poly(rng)
-        dense = np.linalg.svd(op.multiplication_matrix(S12, f, 500).entries, compute_uv=False)[0]
+        dense = np.linalg.svd(multiplication_matrix(S12, f, 500), compute_uv=False)[0]
         matfree = op.multiplication_norm(S12, f, 500)
         assert abs(dense - matfree) < 1e-9 * dense
 
@@ -107,8 +128,8 @@ class TestOperatorNorm:
             assert est > sp.sup_norm(f)
 
 
-def dense_norm(t):
-    return np.linalg.svd(t.entries, compute_uv=False)[0]
+def dense_norm(a):
+    return np.linalg.svd(a, compute_uv=False)[0]
 
 
 class TestNormEstimate:
@@ -117,7 +138,7 @@ class TestNormEstimate:
         rng = np.random.default_rng(n)
         for _ in range(3):
             f = random_poly(rng, min_degree=1)
-            dense = dense_norm(op.multiplication_matrix(S12, f, n))
+            dense = dense_norm(multiplication_matrix(S12, f, n))
             assert abs(op.multiplication_norm(S12, f, n) - dense) <= 1e-13 * dense
 
     @pytest.mark.parametrize("n", [16, 64, 256])
@@ -132,10 +153,9 @@ class TestNormEstimate:
     def test_composition_underflow_cut_is_exact(self):
         # powers of 0.1 + 0.05z are exactly zero from row 391 on, so the products use 391 rows
         phi, n = ps.from_coefficients([0.1, 0.05]), 512
-        t = op.composition_matrix(S12, phi, n)
-        a = t.entries
+        a = op.composition_matrix(S12, phi, n)
         assert not a[:, -1].any()
-        dense = dense_norm(t)
+        dense = dense_norm(a)
         assert abs(op.composition_norm(S12, phi, n) - dense) <= 1e-13 * dense
         matvec, rmatvec = op._composition_products(S12, phi, n)
         eye = np.eye(n + 1)
@@ -150,7 +170,7 @@ class TestNormEstimate:
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_smallest_sizes(self, n):
         f = ps.from_coefficients([0.5, 1.0 - 0.25j, 0.75j])
-        dense = dense_norm(op.multiplication_matrix(S12, f, n))
+        dense = dense_norm(multiplication_matrix(S12, f, n))
         assert abs(op.multiplication_norm(S12, f, n) - dense) <= 1e-13 * dense
         phi = ps.from_coefficients([0.25, 0.5j])
         dense = dense_norm(op.composition_matrix(S12, phi, n))
@@ -180,19 +200,19 @@ class TestNormEstimate:
 
 class TestCompositionMatrix:
     def test_identity_symbol(self):
-        t = op.composition_matrix(S12, ps.monomial(1), 24)
-        assert np.allclose(t.entries, np.eye(25), atol=1e-15)
+        a = op.composition_matrix(S12, ps.monomial(1), 24)
+        assert np.allclose(a, np.eye(25), atol=1e-15)
 
     def test_half_z_is_diagonal(self):
-        t = op.composition_matrix(S12, ps.from_coefficients([0, 0.5]), 16)
-        assert np.allclose(t.entries, np.diag(0.5 ** np.arange(17.0)), atol=1e-15)
+        a = op.composition_matrix(S12, ps.from_coefficients([0, 0.5]), 16)
+        assert np.allclose(a, np.diag(0.5 ** np.arange(17.0)), atol=1e-15)
 
     def test_monomial_block_structure(self):
-        t = op.composition_matrix(S12, ps.monomial(3), 30)
+        a = op.composition_matrix(S12, ps.monomial(3), 30)
         w = S12.weights(30)
         for j in range(11):
             expected = math.sqrt(w[3 * j] / w[j])
-            assert abs(t.entries[3 * j, j] - expected) < 1e-14
+            assert abs(a[3 * j, j] - expected) < 1e-14
         est = op.composition_norm(S12, ps.monomial(3), 30)
         best = max(math.sqrt(w[3 * j] / w[j]) for j in range(11))
         assert abs(est - best) < 1e-12
@@ -230,38 +250,54 @@ class TestHilbertSchmidt:
 
 
 class TestIsometryDefect:
+    z = ps.monomial(1)
+
     def test_s12_shift_is_3_isometry(self):
         rng = np.random.default_rng(6)
-        t = op.multiplication_matrix(S12, ps.monomial(1), 64)
         for _ in range(40):
-            assert abs(op.isometry_defect(t, 3, random_poly(rng))) < 1e-12
+            assert abs(op.isometry_defect(S12, self.z, 3, random_poly(rng))) < 1e-12
 
     def test_s12_shift_beta2_at_one(self):
-        t = op.multiplication_matrix(S12, ps.monomial(1), 16)
         # ||z^2||^2 - 2 ||z||^2 + 1 = 6 - 6 + 1
-        assert op.isometry_defect(t, 2, ps.one()) == 1.0
+        assert op.isometry_defect(S12, self.z, 2, ps.one()) == 1.0
 
     def test_hardy_shift_isometric(self):
         rng = np.random.default_rng(7)
-        t = op.multiplication_matrix(sp.hardy(), ps.monomial(1), 32)
         for _ in range(10):
-            assert abs(op.isometry_defect(t, 1, random_poly(rng))) < 1e-13
+            assert abs(op.isometry_defect(sp.hardy(), self.z, 1, random_poly(rng))) < 1e-13
 
     def test_km_shifts(self):
         rng = np.random.default_rng(8)
         for m in (1, 2, 3):
             space = sp.km(m)
-            t = op.multiplication_matrix(space, ps.monomial(1), 64)
             for _ in range(5):
                 probe = random_poly(rng, max_degree=8)
                 probe = ps.scale(probe, 1.0 / sp.space_norm(space, probe))
-                assert abs(op.isometry_defect(t, m + 2, probe)) < 1e-12
-            assert op.isometry_defect(t, m + 1, ps.one()) == 1.0
+                assert abs(op.isometry_defect(space, self.z, m + 2, probe)) < 1e-12
+            assert op.isometry_defect(space, self.z, m + 1, ps.one()) == 1.0
 
-    def test_probe_budget(self):
-        t = op.multiplication_matrix(S12, ps.monomial(1), 8)
-        with pytest.raises(TruncationError):
-            op.isometry_defect(t, 3, ps.monomial(7))
+    @pytest.mark.parametrize("symbol", [[1, 1], [1, -0.5, 0.25j]], ids=["1+z", "degree2"])
+    def test_symbol_beyond_z_matches_binomial_sum(self, symbol):
+        # m = 3 on S12: every power kept whole, summed term by term
+        symbol = ps.from_coefficients(symbol)
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            probe = random_poly(rng, max_degree=6)
+            order = probe.order + 3 * symbol.degree()
+            current, oracle = ps.truncate(probe, order), 0.0
+            for k in range(4):
+                oracle += (-1) ** (3 - k) * math.comb(3, k) * sp.space_norm_sq(S12, current)
+                current = ps.cauchy_product(current, symbol, order)
+            value = op.isometry_defect(S12, symbol, 3, probe)
+            assert abs(value - oracle) <= 1e-12 * (1 + abs(oracle))
+            assert abs(oracle) > 1.0  # M_(1+z) is no 3-isometry, so the check is not 0 = 0
+
+    def test_rejects_order_below_one(self):
+        for m in (0, -1):
+            with pytest.raises(ValueError, match="isometry order"):
+                op.isometry_defect(S12, self.z, m, ps.one())
+            with pytest.raises(ValueError, match="isometry order"):
+                op.blaschke_power_defect(S12, shift_z, m, ps.one(), 32)
 
 
 class TestShiftClassification:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -141,32 +142,63 @@ class TestProductSwitch:
         assert got.shape == (order + 1,)
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
-    @pytest.mark.parametrize("taps", [9, 200])
-    def test_power_table_rows_are_repeated_products(self, taps):
+    @staticmethod
+    def _check_repeated_products(f, taps):
         rng = np.random.default_rng(taps)
         phi = ps.scale(_random_series(rng, taps), 0.5 / taps)
-        table = ps.power_table(phi, 40, 256)
+        table = ps.orbit(f, phi, 40, 256)
         assert table.shape == (41, 257)
-        current = ps.one(256)
+        current = ps.truncate(f, 256)
+        # the FFT error is relative to the row of |f| |phi|^k, which bounds every term summed
+        magnitude, abs_phi = np.abs(current.coeffs), np.abs(phi.coeffs)
         for k in range(41):
             if taps < SWITCH:  # direct path: the same convolutions, bit for bit
                 assert np.array_equal(table[k], current.coeffs)
             else:
-                assert np.max(np.abs(table[k] - current.coeffs)) < 1e-14
+                assert np.max(np.abs(table[k] - current.coeffs)) <= 1e-14 * magnitude.max()
             current = ps.cauchy_product(current, phi, 256)
+            magnitude = np.convolve(magnitude, abs_phi)[:257]
 
-    @pytest.mark.parametrize("taps", [2, 200])
-    def test_power_table_underflow_cut_is_exact(self, taps):
-        # sum |phi_j| = 0.15: the powers underflow to exactly zero long before row 1024
+    @staticmethod
+    def _check_underflow_cut(f, taps):
+        # sum |phi_j| = 0.15: the rows underflow to exactly zero long before row 1024
         c = _random_series(np.random.default_rng(taps), taps).coeffs
         phi = ps.PowerSeries(0.15 * c / np.abs(c).sum())
-        table = ps.power_table(phi, 1024, 1024)
+        table = ps.orbit(f, phi, 1024, 1024)
         times_phi = ps._multiplier(phi, 1024)
-        row = ps.one(1024).coeffs
+        row = ps.truncate(f, 1024).coeffs
         for k in range(1025):
             assert np.array_equal(table[k], row), k
             row = times_phi(row)
         assert not table[-1].any() and table[1].any()
+
+    @pytest.mark.parametrize("taps", [9, 200])
+    def test_power_table_rows_are_repeated_products(self, taps):
+        # the power table of phi is its orbit of 1
+        self._check_repeated_products(ps.one(), taps)
+
+    @pytest.mark.parametrize("taps", [9, 200])
+    def test_orbit_rows_are_repeated_products(self, taps):
+        self._check_repeated_products(_random_series(np.random.default_rng(1), 12), taps)
+
+    @pytest.mark.parametrize("taps", [2, 200])
+    def test_power_table_underflow_cut_is_exact(self, taps):
+        self._check_underflow_cut(ps.one(), taps)
+
+    @pytest.mark.parametrize("taps", [9, 200])
+    def test_orbit_underflow_cut_is_exact(self, taps):
+        self._check_underflow_cut(_random_series(np.random.default_rng(2), 12), taps)
+
+    @pytest.mark.parametrize("taps", [2, 200])
+    def test_orbit_overflow_is_one_domain_error(self, taps):
+        # 0.5 + 2z + ...: no self-map, its powers pass 1e308 before row 1024
+        c = np.zeros(taps, dtype=np.complex128)
+        c[:2] = 0.5, 2.0
+        c[-1] += 1e-3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflows"):
+                ps.orbit(ps.one(), ps.PowerSeries(c), 1024, 1024)
 
     def test_fft_path_imports_no_scipy_fft(self):
         code = (
