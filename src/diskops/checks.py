@@ -25,6 +25,7 @@ from . import pick as pk
 from . import report as rp
 from . import series as ps
 from . import spaces as sp
+from .errors import TruncationError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -569,13 +570,20 @@ def _dirichlet_linearity(cfg):
 
 @_check("blaschke", "mobius_involution")
 def _mobius_involution(cfg):
+    alphas, tol = (0.3, 0.5 + 0.2j, 0.7, -0.6j), 1e-8
+    # phi_a = a - (1-|a|^2) sum conj(a)^(j-1) z^j and every power of phi_a is bounded
+    # by 1 on the disk, so its coefficients are too (Cauchy): cutting the outer series
+    # after z^T moves each kept coefficient of phi_a(phi_a) by at most (1+|a|) |a|^T
+    needed = max(math.ceil(math.log(tol / (1 + abs(a))) / math.log(abs(a))) for a in alphas)
+    if cfg.truncation < needed:
+        raise TruncationError(f"phi_a(phi_a) = z to {tol:g} needs truncation >= {needed}")
     worst = 0.0
     target = ps.monomial(1, order=cfg.truncation)
-    for alpha in (0.3, 0.5 + 0.2j, 0.7, -0.6j):
+    for alpha in alphas:
         phi = bl.MobiusMap(alpha).series(cfg.truncation)
         composed = ps.compose(phi, phi, cfg.truncation)
         worst = max(worst, float(np.max(np.abs(composed.coeffs - target.coeffs))))
-    return rp.vanishing_report("max_coefficient_error", worst, 1e-8, rp.TRIVIAL)
+    return rp.vanishing_report("max_coefficient_error", worst, tol, rp.TRIVIAL)
 
 
 @_check("blaschke", "blaschke_boundary_modulus")

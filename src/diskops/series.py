@@ -19,6 +19,7 @@ modulus <= 0.9.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -177,23 +178,36 @@ def orbit(f: PowerSeries, phi: PowerSeries, count: int, order: int) -> np.ndarra
 
 
 def compose(f: PowerSeries, phi: PowerSeries, order: int) -> PowerSeries:
-    """Truncated Taylor expansion of f(phi(z)).
+    """Truncated Taylor expansion of f(phi(z)), every product truncated at ``order``.
 
-    Horner accumulation over the coefficients of f, every product by phi
-    truncated at ``order`` (see ``_multiplier``).  Requires |phi(0)| < 1
-    strictly: for a symbol that is not a disk self-map near the origin the
-    composed series need not converge, so such symbols are rejected rather
-    than handled by limits.
+    Baby-step/giant-step (Paterson & Stockmeyer 1973; Brent & Kung 1978, Alg. 2.1):
+    for the m coefficients of f and b = ceil(sqrt(m)), ``orbit`` gives phi^0..phi^b,
+    one matrix product gives the block sums sum_i f_{qb+i} phi^i, and Horner in
+    phi^b runs over the ceil(m/b) blocks: about 2 sqrt(m) products where Horner in
+    phi takes m.  Rounding stays a few ulps of sum_k |f_k| times the largest
+    coefficient of the powers of phi.
+
+    Requires |phi(0)| < 1 strictly: for a symbol that is not a disk self-map near
+    the origin the composed series need not converge, so such symbols are rejected
+    rather than handled by limits; one whose powers overflow raises DomainError.
     """
     if abs(phi.coeffs[0]) >= 1.0:
         raise DomainError("composition symbol has |constant term| >= 1")
     if order < 0:
         raise ValueError("order must be >= 0")
-    times_phi = _multiplier(phi, order)
-    acc = np.zeros(order + 1, dtype=np.complex128)
-    for c in f.coeffs[::-1]:
-        acc = times_phi(acc)
-        acc[0] += c
+    m = len(f.coeffs)
+    b = math.isqrt(m - 1) + 1  # ceil(sqrt(m)), exactly
+    baby = orbit(one(), phi, b, order)
+    padded = np.zeros(-(-m // b) * b, dtype=np.complex128)
+    padded[:m] = f.coeffs
+    times_giant = _multiplier(PowerSeries(baby[b]), order)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, once
+        blocks = padded.reshape(-1, b) @ baby[:b]
+        acc = blocks[-1]
+        for block in blocks[-2::-1]:
+            acc = times_giant(acc) + block
+    if not np.isfinite(acc).all():
+        raise DomainError(f"f(phi) overflows at order {order}: phi is no self-map")
     return PowerSeries(acc)
 
 

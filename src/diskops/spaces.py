@@ -308,7 +308,10 @@ def kernel(space: SpaceWeights, w, z, terms: int | None = None):
     |conj(w) z| (TruncationError past 200,000 terms); ``terms=N`` is the
     partial sum through degree N.  Returns a complex for scalar input.
     """
-    wb, zb = np.broadcast_arrays(np.asarray(w, np.complex128), np.asarray(z, np.complex128))
+    w, z = np.asarray(w, np.complex128), np.asarray(z, np.complex128)
+    if not (np.isfinite(w).all() and np.isfinite(z).all()):
+        raise DomainError("kernel points must be finite")
+    wb, zb = np.broadcast_arrays(w, z)
     t = np.conj(wb).ravel() * zb.ravel()  # contiguous, so a scalar call runs the array arithmetic
     if not np.all(np.abs(t) < 1.0):
         raise DomainError("kernel argument |conj(w) z| >= 1")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diskops import blaschke as bl
+from diskops import checks
 from diskops import report as rp
 from diskops import series as ps
 from diskops.errors import DomainError
@@ -40,6 +41,17 @@ class TestMobiusMap:
         closed = bl.MobiusMap(alpha).derivative_series(10)
         walked = ps.derivative(bl.MobiusMap(alpha).series(11))
         assert np.max(np.abs(closed.coeffs[:10] - walked.coeffs[:10])) < 1e-14
+
+    # the error is 7.5e-6 at truncation 32 (a fail before the order was derived)
+    # and 2.5e-9 at 54, under the bound 1.7 * 0.7^54 = 7.3e-9
+    @pytest.mark.parametrize("truncation,status", [(32, rp.ERROR), (54, rp.PASS)])
+    def test_involution_check_needs_truncation_54(self, monkeypatch, truncation, status):
+        (fn,) = [fn for fn in checks.suite_checks("blaschke") if fn.check_id == "mobius_involution"]
+        monkeypatch.setattr(checks, "_REGISTRY", {**checks._REGISTRY, "blaschke": [fn]})
+        (report,) = checks.run_suite("blaschke", checks.Config(truncation=truncation))
+        assert report.status == status
+        if status == rp.ERROR:
+            assert report.computed[0].label.endswith("needs truncation >= 54")
 
 
 class TestBlaschkeProduct:

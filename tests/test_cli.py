@@ -227,6 +227,8 @@ class TestCommandLine:
             (["norm", "S12", "{path}.missing"], "[[1, 0]]", "No such file", {}),
             (["kernel", "S12", "2", "0.5"], "", "kernel argument", {}),
             (["kernel", "S2", "0.9999", "0.9999"], "", "needs 2", {}),
+            (["kernel", "S12", "1e400", "0"], "", "kernel points must be finite", {}),
+            (["kernel", "S12", "0.5", "inf"], "", "kernel points must be finite", {}),
             (["--truncation", "8", "verify", "pick"], "", "truncation must be", {}),
             (["isometry", "S12", "{path}", "3"], '{"a": [1, 0]}', "key 'zeros'", {}),
             (["isometry", "S12", "{path}", "3"], '{"a": [1], "zeros": []}',
@@ -243,7 +245,8 @@ class TestCommandLine:
              "overflows at order 1024", {}),
         ],
         ids=["bad_pair", "not_a_list", "unknown_space", "bad_json", "missing_file",
-             "outside_disk", "series_too_long", "bad_config", "blaschke_missing_key", "blaschke_short_pair",
+             "outside_disk", "series_too_long", "kernel_w_inf", "kernel_z_inf", "bad_config",
+             "blaschke_missing_key", "blaschke_short_pair",
              "pick_short_node", "tol_nan", "tol_negative", "tol_inf", "tol_env_nan",
              "m_zero", "m_negative", "comp_not_self_map"],
     )

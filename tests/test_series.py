@@ -114,6 +114,63 @@ class TestCompose:
         composed = ps.compose(phi, phi, 1024)
         assert np.max(np.abs(composed.coeffs - ps.monomial(1, 1024).coeffs)) < 1e-12
 
+    @staticmethod
+    def _horner(f, phi, order):
+        """Reference: f_0 + phi (f_1 + phi (f_2 + ...)), one truncated product per coefficient."""
+        times_phi = ps._multiplier(phi, order)
+        acc = np.zeros(order + 1, dtype=np.complex128)
+        for c in f.coeffs[::-1]:
+            acc = times_phi(acc)
+            acc[0] += c
+        return acc
+
+    @staticmethod
+    def _inputs(m, taps):
+        # sum |phi_j| = 0.9, so every coefficient of every power of phi is at most 1;
+        # the weight 0.8 on z keeps the powers up to degree ~100 visible above rounding
+        rng = np.random.default_rng(m * 1000 + taps)
+        c = _random_series(rng, taps).coeffs
+        c = 0.1 * c / np.abs(c).sum()
+        c[1] += 0.8 * c[1] / abs(c[1])
+        return _random_series(rng, m), ps.PowerSeries(c)
+
+    # m = 25 fills all 5 blocks of b = 5; m = 26 (b = 6) and 1025 (b = 33) leave two
+    # coefficients in the last block; m = 1 and 2 are a single block
+    @pytest.mark.parametrize("order", [16, 255, 1024])
+    @pytest.mark.parametrize("taps", [5, 200])
+    @pytest.mark.parametrize("m", [1, 2, 25, 26, 1025])
+    def test_matches_horner_reference(self, m, taps, order):
+        f, phi = self._inputs(m, taps)
+        got = ps.compose(f, phi, order).coeffs
+        assert got.shape == (order + 1,)
+        bound = 1e-13 * (1.0 + np.abs(f.coeffs).sum())
+        assert np.max(np.abs(got - self._horner(f, phi, order))) <= bound
+
+    @pytest.mark.parametrize("taps", [5, 200])
+    def test_product_count_is_two_sqrt_m(self, monkeypatch, taps):
+        calls = 0
+        multiplier = ps._multiplier
+
+        def counting(phi, order):
+            product = multiplier(phi, order)
+
+            def counted(x):
+                nonlocal calls
+                calls += 1
+                return product(x)
+
+            return counted
+
+        monkeypatch.setattr(ps, "_multiplier", counting)
+        ps.compose(*self._inputs(1025, taps), 1024)
+        assert 0 < calls <= 2 * 33  # b = ceil(sqrt(1025)) = 33; Horner makes 1025
+
+    @pytest.mark.filterwarnings("error")
+    def test_symbol_without_self_map_is_one_domain_error(self):
+        f = ps.PowerSeries(np.ones(1025, dtype=np.complex128))
+        with pytest.raises(DomainError, match="no self-map"):
+            ps.compose(f, ps.from_coefficients([0.5, 2.0]), 1024)
+
 
 SWITCH = ps._FFT_MIN_TAPS
 
