@@ -54,8 +54,8 @@ def _env_default(name: str, cast, fallback):
 def _pin_blas_threads() -> None:
     """Pin every loaded OpenBLAS to one thread unless the user chose a count.
 
-    numpy and scipy load their OpenBLAS on import, before ``main`` runs, so the
-    environment variable would come too late.  Without a map, library or symbol
+    numpy loads its OpenBLAS on import, before ``main`` runs, as does scipy when
+    the caller imported it, so the environment variable would come too late.  Without a map, library or symbol
     this does nothing.
     """
     if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
-from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
 from . import report as rp
 from . import series as ps
@@ -51,22 +50,80 @@ def composition_matrix(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> np.n
 # ---------------------------------------------------------------------------
 
 
+# Golub-Kahan steps before norm_estimate gives up; C_{z^2} at size 1025 stops after 390.
+_MAX_STEPS = 500
+# Steps between two convergence tests while k is small; each test is one SVD of
+# the k x k bidiagonal, about the cost of one step, so later tests come every k/8.
+_TEST_EVERY = 4
+
+
+def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> None:
+    """Subtract from w, in place, its projection on the orthonormal rows of basis."""
+    w -= np.conj(basis @ np.conj(w)) @ basis
+
+
 def norm_estimate(matvec, rmatvec, n: int) -> float:
     """sigma_max of the n x n operator with products x -> A x and y -> A^H y.
 
-    ARPACK Lanczos on A^H A from the fixed start ones / sqrt(n), so calls repeat
-    bitwise, gives ||A v|| for a unit Ritz vector v: a lower bound of sigma_max.
-    n <= 2 takes a dense SVD; ARPACK failures raise ConvergenceError.
+    Golub-Kahan-Lanczos bidiagonalization (Golub & Kahan, SIAM J. Numer. Anal.
+    B 2, 1965) from the fixed start v_1 = ones / sqrt(n), so calls repeat
+    bitwise, with both bases fully reorthogonalized.  After k steps
+    A V_k = U_k B_k and A^H U_k = V_k B_k^H + beta_k v_{k+1} e_k^T for the upper
+    bidiagonal B_k, so the top singular triple (sigma, x, y) of B_k has residual
+    beta_k |x_k|, and the iteration stops once that is at most eps sigma.  A
+    beta_k or alpha_{k+1} of at most n eps times the largest alpha or beta so
+    far is a breakdown: span V_k is then invariant under A^H A, or A V_{k+1}
+    lies in span U_k, and the Ritz pair comes from B_k, or from the k x (k+1)
+    block [B_k, beta_k e_k], exactly.  The result is
+    ||A v|| for the unit Ritz vector v = V y: a lower bound of sigma_max.
+    n <= 2 takes a dense SVD; no convergence within min(n, _MAX_STEPS) steps
+    raises ConvergenceError.
     """
     if n <= 2:
         a = np.array([matvec(e) for e in np.eye(n)]).reshape(n, n).T
         return float(np.linalg.svd(a, compute_uv=False).max(initial=0.0))
-    op = LinearOperator((n, n), matvec=matvec, rmatvec=rmatvec, dtype=np.complex128)
-    try:
-        s = svds(op, k=1, which="LM", v0=np.ones(n) / math.sqrt(n), return_singular_vectors=False)
-    except ArpackError as exc:  # ArpackNoConvergence included
-        raise ConvergenceError(f"top singular value did not converge at size {n}: {exc}") from exc
-    return float(s[0])
+    eps = np.finfo(np.float64).eps
+    cap = min(n, _MAX_STEPS)
+    vs = np.zeros((cap + 1, n), dtype=np.complex128)  # rows v_1 .. v_{k+1}
+    us = np.zeros((cap, n), dtype=np.complex128)  # rows u_1 .. u_k
+    b = np.zeros((cap, cap + 1))  # B_k, with beta_k at (k, k+1)
+    vs[0] = 1.0 / math.sqrt(n)
+    u = np.asarray(matvec(vs[0]), dtype=np.complex128).ravel()
+    scale, k, next_test, ritz = 0.0, 0, _TEST_EVERY, None
+    while True:
+        _orthogonalize(u, us[:k])
+        alpha = float(np.linalg.norm(u))
+        scale = max(scale, alpha)
+        if alpha <= n * eps * scale:
+            block = b[:k, : k + 1]
+            break
+        b[k, k] = alpha
+        us[k] = u / alpha
+        w = np.asarray(rmatvec(us[k]), dtype=np.complex128).ravel() - alpha * vs[k]
+        _orthogonalize(w, vs[: k + 1])
+        beta = float(np.linalg.norm(w))
+        scale = max(scale, beta)
+        k += 1
+        block = b[:k, :k]
+        if k == n or beta <= n * eps * scale:
+            break
+        b[k - 1, k] = beta
+        vs[k] = w / beta
+        if k >= next_test or k == cap:
+            next_test = k + max(_TEST_EVERY, k // 8)
+            x, s, yh = np.linalg.svd(block)
+            if beta * abs(x[-1, 0]) <= eps * s[0]:
+                ritz = yh[0]
+                break
+            if k == cap:
+                raise ConvergenceError(f"top singular value did not converge at size {n}")
+        u = np.asarray(matvec(vs[k]), dtype=np.complex128).ravel() - beta * us[k - 1]
+    if block.size == 0:  # A v_1 = 0 exactly
+        return 0.0
+    if ritz is None:
+        ritz = np.linalg.svd(block)[2][0]
+    v = np.conj(ritz) @ vs[: block.shape[1]]
+    return float(np.linalg.norm(matvec(v / np.linalg.norm(v))))
 
 
 def _multiplication_products(space: sp.SpaceWeights, f: PowerSeries, n: int):

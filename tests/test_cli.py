@@ -79,6 +79,22 @@ class TestRunSuite:
         assert others and all(r.status != rp.ERROR for r in others)
         assert not rp.reports_ok(reports)
 
+    @pytest.mark.parametrize(
+        "check_id,needs",
+        # seed 0: the crude tail bound of its ten products reaches 1e-8 at order 118;
+        # the z/2 sum falls short of 4/3 by (4/3) 4^-(T+1)
+        [("blaschke_boundary_modulus", 118), ("comp_hs_reference_values", 20)],
+    )
+    def test_starved_checks_report_error(self, monkeypatch, check_id, needs):
+        (fn,) = [fn for fn in checks.suite_checks("all") if fn.check_id == check_id]
+        monkeypatch.setattr(checks, "_REGISTRY", {"only": [fn]})
+        (report,) = checks.run_suite("only", checks.Config(truncation=16))
+        assert report.status == rp.ERROR
+        assert report.computed[0].label.startswith("TruncationError")
+        assert report.computed[0].label.endswith(f"needs truncation >= {needs}")
+        (report,) = checks.run_suite("only", checks.Config(truncation=needs))
+        assert report.status == rp.PASS
+
     def test_runner_names_every_report(self, pick_reports):
         ids = sorted(fn.check_id for fn in checks.suite_checks("pick"))
         assert sorted(r.check_id for r in pick_reports) == ids
@@ -335,6 +351,16 @@ def test_values_do_not_depend_on_blas_threads():
             del report["elapsed_ms"]
         runs.append(json.dumps(reports))
     assert runs[0] == runs[1]
+
+
+def test_verify_imports_no_scipy():
+    code = (
+        "import sys\n"
+        "from diskops import cli\n"
+        "cli.main(['verify', 'constants'])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    assert _run_python(["-c", code]).splitlines()[-1] == "[]"
 
 
 # the thread count of every loaded OpenBLAS: before importing diskops, after

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from diskops import blaschke as bl
 from diskops import checks
@@ -132,6 +131,21 @@ def dense_norm(a):
     return np.linalg.svd(a, compute_uv=False)[0]
 
 
+def counted(matvec, rmatvec):
+    """The two products, and a function that returns how often they ran."""
+    calls = []
+
+    def counted_matvec(x):
+        calls.append(1)
+        return matvec(x)
+
+    def counted_rmatvec(y):
+        calls.append(1)
+        return rmatvec(y)
+
+    return (counted_matvec, counted_rmatvec), lambda: len(calls)
+
+
 class TestNormEstimate:
     @pytest.mark.parametrize("n", [16, 64, 256, 384, 500])
     def test_multiplication_matches_dense_svd(self, n):
@@ -139,7 +153,9 @@ class TestNormEstimate:
         for _ in range(3):
             f = random_poly(rng, min_degree=1)
             dense = dense_norm(multiplication_matrix(S12, f, n))
-            assert abs(op.multiplication_norm(S12, f, n) - dense) <= 1e-13 * dense
+            est = op.multiplication_norm(S12, f, n)
+            assert abs(est - dense) <= 1e-13 * dense
+            assert est <= dense * (1 + 1e-15)  # ||A v|| for a unit v
 
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_composition_matches_dense_svd(self, n):
@@ -148,7 +164,9 @@ class TestNormEstimate:
             phi = random_poly(rng, max_degree=6, min_degree=1)
             phi = ps.scale(phi, 0.3 / sp.space_norm(S12, phi))
             dense = dense_norm(op.composition_matrix(S12, phi, n))
-            assert abs(op.composition_norm(S12, phi, n) - dense) <= 1e-13 * dense
+            est = op.composition_norm(S12, phi, n)
+            assert abs(est - dense) <= 1e-13 * dense
+            assert est <= dense * (1 + 1e-15)
 
     def test_composition_underflow_cut_is_exact(self):
         # powers of 0.1 + 0.05z are exactly zero from row 391 on, so the products use 391 rows
@@ -183,11 +201,9 @@ class TestNormEstimate:
         assert op.composition_norm(S12, phi, 200) == op.composition_norm(S12, phi, 200)
 
     def test_no_convergence_is_an_error(self, monkeypatch):
-        def stalled(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
-
-        monkeypatch.setattr(op, "svds", stalled)
-        with pytest.raises(ConvergenceError):
+        # two Golub-Kahan steps cannot resolve the clustered top of these weighted shifts
+        monkeypatch.setattr(op, "_MAX_STEPS", 2)
+        with pytest.raises(ConvergenceError, match="did not converge at size 65"):
             op.multiplication_norm(S12, ps.from_coefficients([1, 1]), 64)
         (fn,) = [
             fn for fn in checks.suite_checks("constants") if fn.check_id == "mult_monomial_norms"
@@ -196,6 +212,39 @@ class TestNormEstimate:
         (report,) = checks.run_suite("constants", checks.Config())
         assert report.status == rp.ERROR
         assert report.computed[0].label.startswith("ConvergenceError")
+
+    def test_zero_operator(self):
+        def zeros(x):
+            return np.zeros(64, dtype=np.complex128)
+
+        assert op.norm_estimate(zeros, zeros, 64) == 0.0
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("c", [0.5, 0.3 - 0.6j])
+    def test_constant_composition_symbol(self, n, c):
+        # f -> f(c) has rank one: alpha_2 breaks down after one step
+        phi = ps.from_coefficients([c])
+        dense = dense_norm(op.composition_matrix(S12, phi, n))
+        assert abs(op.composition_norm(S12, phi, n) - dense) <= 1e-13 * dense
+
+    def test_cube_composition_closes_at_its_rank(self):
+        # C_{z^3} sends e_j to a multiple of e_{3j}, so its compression at size 129 has
+        # rank 43 with distinct singular values: alpha_44 breaks down after 43 steps, and
+        # 43 products with A^H and 44 + 1 with A are all it may spend
+        phi, n = ps.monomial(3), 128
+        dense = dense_norm(op.composition_matrix(S12, phi, n))
+        products, count = counted(*op._composition_products(S12, phi, n))
+        assert abs(op.norm_estimate(*products, n + 1) - dense) <= 1e-13 * dense
+        assert count() == 2 * 43 + 2
+
+    def test_stop_reads_the_left_singular_vector(self):
+        # C_{z/2} is diagonal with singular values 2^-j.  The residual of the top Ritz
+        # triple is beta_k |x_k| for the left vector x of B_k; the right vector's last
+        # entry is sigma x_k / alpha_k, 127 times larger at k = 8, and would stop later
+        phi, n = ps.from_coefficients([0, 0.5]), 64
+        products, count = counted(*op._composition_products(S12, phi, n))
+        assert op.norm_estimate(*products, n + 1) == 1.0
+        assert count() == 2 * 8 + 1
 
 
 class TestCompositionMatrix:
