@@ -19,11 +19,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import series as ps
 from . import spaces
 from . import report as rp
-from .errors import DomainError
+from .errors import DomainError, TruncationError
 from .series import PowerSeries
 
 DEFAULT_QUAD_NODES = 4096
@@ -36,8 +37,7 @@ class MobiusMap:
     alpha: complex
 
     def __post_init__(self):
-        if not abs(self.alpha) < 1.0:
-            raise DomainError("Mobius parameter must lie in the open disk")
+        ps.require_open_disk(self.alpha, "Mobius parameter")
         object.__setattr__(self, "alpha", complex(self.alpha))
 
     def __call__(self, z):
@@ -70,8 +70,7 @@ class BlaschkeProduct:
         if not abs(abs(a) - 1.0) <= 1e-12:
             raise DomainError("leading constant must be unimodular")
         zs = tuple(complex(z) for z in self.zeros)
-        if any(not abs(z) < 1.0 for z in zs):
-            raise DomainError("Blaschke zeros must lie in the open disk")
+        ps.require_open_disk(zs, "Blaschke zeros")
         object.__setattr__(self, "unimodular", a)
         object.__setattr__(self, "zeros", zs)
 
@@ -92,20 +91,40 @@ class BlaschkeProduct:
             out = ps.cauchy_product(out, MobiusMap(alpha).series(order), order)
         return ps.scale(out, self.unimodular)
 
-    def tail_bound(self, order: int) -> float:
-        """Crude bound on sum_{n>order} |psi_n| from the factor expansions.
-
-        Each factor has |coefficient_n| <= r^(n-1) (r = max zero modulus),
-        so the product of d factors is dominated by n^(d-1) r^(n-d).
-        """
-        if not self.zeros:
-            return 0.0
-        r = max(abs(z) for z in self.zeros)
-        if r == 0.0:
-            return 0.0 if order >= self.degree else 1.0
+    def _majorant(self, first: int, count: int = 1):
+        """n = first+1 .. first+count+1998 and n^(d-1) r^(n-d) >= |psi_n| there: each
+        factor has |coefficient_n| <= r^(n-1), r = max zero modulus (for r = 0, psi is a
+        unimodular times z^d).  Order first+k has the 1999-term window from n = first+k+1."""
+        n = np.arange(first + 1, first + count + 1999)
         d = self.degree
-        n = np.arange(order + 1, order + 2000)
-        return float(np.sum(n ** (d - 1) * r ** (n - d)))
+        r = max((abs(z) for z in self.zeros), default=0.0)
+        if r == 0.0:
+            return n, (n == d) * 1.0
+        return n, n ** (d - 1) * np.exp((n - d) * np.log(r))  # r^(n-d), with no slow subnormal pow
+
+    def _tail_bounds(self, first: int, count: int) -> np.ndarray:
+        """tail_bound(order) for order = first .. first+count-1, one window sum each."""
+        return sliding_window_view(self._majorant(first, count)[1], 1999).sum(axis=1)
+
+    def tail_bound(self, order: int) -> float:
+        """Crude bound on sum_{n>order} |psi_n|: the majorant summed over the window."""
+        return float(self._tail_bounds(order, 1)[0])
+
+    def tail_norm(self, space: spaces.SpaceWeights, order: int) -> float:
+        """Bound on the space norm of the discarded tail, from the same window."""
+        n, bound = self._majorant(order)
+        return float(np.sqrt(np.sum(space.weight(n.astype(np.float64)) * bound**2)))
+
+    def order_for(self, tol: float) -> int:
+        """The smallest order with tail_bound(order) <= tol, from the window sums of
+        blocks of orders that double in length; TruncationError past order 2^18."""
+        first, count = 0, 64
+        while first < 1 << 18:
+            within = np.flatnonzero(self._tail_bounds(first, count) <= tol)
+            if within.size:
+                return first + int(within[0])
+            first, count = first + count, 2 * count
+        raise TruncationError(f"no order below {first} holds the Blaschke tail within {tol:g}")
 
     def to_dict(self) -> dict:
         return {
@@ -151,8 +170,7 @@ def circle_mean(values: np.ndarray) -> complex:
 def poisson_kernel(alpha: complex, zeta) -> float | np.ndarray:
     """P_alpha(zeta) = (1 - |alpha|^2) / |zeta - alpha|^2 on |zeta| = 1."""
     alpha = complex(alpha)
-    if not abs(alpha) < 1.0:
-        raise DomainError("Poisson parameter must lie in the open disk")
+    ps.require_open_disk(alpha, "Poisson parameter")
     zeta_arr = np.asarray(zeta, dtype=np.complex128)
     if np.any(np.abs(np.abs(zeta_arr) - 1.0) > 1e-9):
         raise DomainError("Poisson kernel evaluated off the unit circle")
@@ -180,8 +198,6 @@ def poisson_product_moment(alpha: complex, k: int, nodes: int = DEFAULT_QUAD_NOD
         b(k) = (1/2 pi) integral P_alpha(zeta) P_{-alpha}(zeta) conj(zeta)^k |dzeta|.
     """
     _check_node_count(nodes)
-    if not abs(alpha) < 1.0:
-        raise DomainError("parameter must lie in the open disk")
     zeta = circle_nodes(nodes)
     integrand = poisson_kernel(alpha, zeta) * poisson_kernel(-alpha, zeta) * np.conj(zeta) ** k
     return circle_mean(integrand)
@@ -207,8 +223,7 @@ def phi_prime_moment(alpha: complex, k: int) -> complex:
         ((1 + |a|^2)/(1 - |a|^2)) conj(a)^k + k conj(a)^k.
     """
     alpha = complex(alpha)
-    if not abs(alpha) < 1.0:
-        raise DomainError("parameter must lie in the open disk")
+    ps.require_open_disk(alpha, "parameter")
     ak = np.conj(alpha) ** k
     return complex((1.0 + abs(alpha) ** 2) / (1.0 - abs(alpha) ** 2) * ak + k * ak)
 
@@ -254,8 +269,7 @@ def adjoint_symbol_expansion(variant: str, alpha: complex, k_max: int) -> PowerS
     matching the constant term and the brute-force oracle.
     """
     alpha = complex(alpha)
-    if not abs(alpha) < 1.0:
-        raise DomainError("parameter must lie in the open disk")
+    ps.require_open_disk(alpha, "parameter")
     rho = abs(alpha) ** 2
     plus = (1.0 + rho) / (1.0 - rho)
     minus = (1.0 - rho) / (1.0 + rho)
@@ -299,8 +313,6 @@ def adjoint_distinctness_check(alpha: complex, tol: float = 1e-6) -> rp.Verifica
     alpha = complex(alpha)
     if alpha == 0:
         raise DomainError("distinctness gap is defined for alpha != 0")
-    if not abs(alpha) < 1.0:
-        raise DomainError("parameter must lie in the open disk")
     # enough terms that the |alpha|^{2k} tail is below 1e-16
     k_max = 64
     r = abs(alpha) ** 2

@@ -591,23 +591,16 @@ def _blaschke_boundary(cfg):
     rng = _rng(cfg, "blaschke_boundary_modulus")
     products = [_random_blaschke(rng) for _ in range(10)]
     tol = 1e-8
-    # a verdict needs every product series to fit the truncation within tol; the
-    # needed order is searched for only here, as each bound costs a 2000-term sum
-    if max(psi.tail_bound(cfg.truncation) for psi in products) > tol:
-        needed = cfg.truncation + 1
-        while any(psi.tail_bound(needed) > tol for psi in products):
-            needed += 1
+    # every product series is cut at the one order whose tail bounds are all within tol
+    needed = max(psi.order_for(tol) for psi in products)
+    if needed > cfg.truncation:
         raise TruncationError(f"|psi| = 1 on the circle to {tol:g} needs truncation >= {needed}")
     zeta = bl.circle_nodes(256)
     worst_exact = 0.0
     worst_series = 0.0
     for psi in products:
         worst_exact = max(worst_exact, float(np.max(np.abs(np.abs(psi(zeta)) - 1.0))))
-        r = max((abs(z) for z in psi.zeros), default=0.0)
-        order = cfg.truncation
-        if 0 < r < 1:
-            order = min(max(16, int(math.log(1e-14) / math.log(r)) + 1), cfg.truncation)
-        values = ps.evaluate_many(psi.series(order), zeta)
+        values = ps.evaluate_many(psi.series(needed), zeta)
         worst_series = max(worst_series, float(np.max(np.abs(np.abs(values) - 1.0))))
     return rp.make_report(
         computed=[("max_exact_deviation", worst_exact), ("max_series_deviation", worst_series)],

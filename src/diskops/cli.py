@@ -14,6 +14,8 @@ Each flag also reads an environment override DISKOPS_TRUNCATION,
 DISKOPS_TOL, DISKOPS_QUAD_NODES, DISKOPS_SEED, DISKOPS_OUTPUT (flags win).
 Numbers print with 15 significant digits.  ``verify`` exits 1 iff a report
 has status fail or error; bad input prints ``diskops: <message>`` and exits 2.
+``isometry`` is guarded by --tol: a truncation too short to hold the defects
+within it is a starved run, which also prints one ``diskops:`` line and exits 2.
 ``main`` runs OpenBLAS with one thread unless OPENBLAS_NUM_THREADS or
 OMP_NUM_THREADS is set, so values do not depend on the core count.
 """
@@ -55,8 +57,8 @@ def _pin_blas_threads() -> None:
     """Pin every loaded OpenBLAS to one thread unless the user chose a count.
 
     numpy loads its OpenBLAS on import, before ``main`` runs, as does scipy when
-    the caller imported it, so the environment variable would come too late.  Without a map, library or symbol
-    this does nothing.
+    the caller imported it, so the environment variable would come too late.
+    Without a map, library or symbol this does nothing.
     """
     if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
         return
@@ -203,7 +205,7 @@ def _cmd_isometry(args, cfg: checks.Config) -> int:
     probes = [ps.one(), ps.monomial(1), ps.from_coefficients([1, 1])]
     worst = 0.0
     for probe in probes:
-        value = op.blaschke_power_defect(space, psi, args.m, probe, cfg.truncation)
+        value = op.blaschke_power_defect(space, psi, args.m, probe, cfg.truncation, cfg.tol)
         worst = max(worst, abs(value))
         print(f"probe degree {probe.degree()}: defect {rp.format_quantity(value)}")
     print(f"max |defect| {rp.format_quantity(worst)}")

@@ -127,16 +127,16 @@ def norm_estimate(matvec, rmatvec, n: int) -> float:
 
 
 def _multiplication_products(space: sp.SpaceWeights, f: PowerSeries, n: int):
+    """A x = sqrt(w) (f * x / sqrt(w)); A^H y is conj(f) * u read backwards, u = sqrt(w) y."""
     sqw = np.sqrt(space.weights(n))
-    fc, d = f.coeffs, f.order
+    times_f = ps._multiplier(f, n)
+    times_conj_f = ps._multiplier(PowerSeries(np.conj(f.coeffs)), n)
 
     def matvec(x):
-        x = np.asarray(x).ravel()
-        return sqw * np.convolve(fc, x / sqw)[: n + 1]
+        return sqw * times_f(np.asarray(x).ravel() / sqw)
 
     def rmatvec(y):
-        u = sqw * np.asarray(y).ravel()
-        return np.convolve(u, np.conj(fc[::-1]))[d : d + n + 1] / sqw
+        return times_conj_f((sqw * np.asarray(y).ravel())[::-1])[::-1] / sqw
 
     return matvec, rmatvec
 
@@ -207,16 +207,6 @@ def hilbert_schmidt_norm_sq(space: sp.SpaceWeights, phi: PowerSeries, n: int) ->
 # ---------------------------------------------------------------------------
 
 
-def _alternating_defect(
-    space: sp.SpaceWeights, f: PowerSeries, phi: PowerSeries, m: int, order: int
-) -> float:
-    """sum_{k=0..m} (-1)^{m-k} C(m,k) ||phi^k f||^2, the m-th difference of the orbit norms."""
-    if m < 1:
-        raise ValueError("isometry order must be >= 1")
-    norms_sq = sp.norms_sq(space.weights(order), ps.orbit(f, phi, m, order))
-    return float(np.diff(norms_sq, m)[0])
-
-
 def isometry_defect(
     space: sp.SpaceWeights, symbol: PowerSeries, m: int, probe: PowerSeries
 ) -> float:
@@ -225,8 +215,11 @@ def isometry_defect(
     The orbit is kept at order probe.order + m deg(symbol), where no product
     is cut, so the norms are exact ambient-space norms up to rounding.
     """
+    if m < 1:
+        raise ValueError("isometry order must be >= 1")
     order = probe.order + m * max(symbol.degree(), 0)
-    return _alternating_defect(space, probe, symbol, m, order)
+    norms_sq = sp.norms_sq(space.weights(order), ps.orbit(probe, symbol, m, order))
+    return float(np.diff(norms_sq, m)[0])
 
 
 @dataclass(frozen=True)
@@ -291,37 +284,24 @@ def shift_isometry_order(
 # ---------------------------------------------------------------------------
 
 
-def _blaschke_truncation_guard(
-    space: sp.SpaceWeights,
-    psi: BlaschkeProduct,
-    order: int,
-    max_power: int,
-    probe_norm: float,
-    tol: float,
-):
-    """Reject orders whose discarded tails could move a residual past tol.
-
-    The coefficient tail of the product series is geometric in the largest
-    zero modulus; discarded mass is propagated through the powers with the
-    multiplier-algebra bound ||fg|| <= 2 sqrt(2) ||f|| ||g||.
-    """
-    coeff_tail = psi.tail_bound(order)
-    if coeff_tail == 0.0:
-        return
-    # space norms weight coefficient n by sqrt(weight(n)) ~ polynomially
-    n = np.arange(order + 1, order + 2000)
-    w = space.weight(n.astype(np.float64))
-    r = max(abs(z) for z in psi.zeros) if psi.zeros else 0.0
-    d = max(psi.degree, 1)
-    tail_norm = float(np.sqrt(np.sum(w * (n ** (d - 1) * r ** (n - d)) ** 2)))
+def _blaschke_orbit_norms(
+    space: sp.SpaceWeights, psi: BlaschkeProduct, f: PowerSeries, count: int, order: int,
+    tol: float, weights: np.ndarray | None = None,
+) -> np.ndarray:
+    """sum_n weights[n] |(f psi^k)_n|^2 for k = 0..count (weights default to space.weights),
+    psi's product series built once and every row cut at ``order``.  TruncationError first
+    if the discarded tails could move a value past tol: psi's tail majorant is carried
+    through the powers by the multiplier-algebra bound ||fg|| <= 2 sqrt(2) ||f|| ||g||."""
+    series = psi.series(order)
+    tail_norm = psi.tail_norm(space, order)  # 0 when psi is c z^d and order >= d
+    probe_norm = sp.space_norm(space, f)
     algebra = 2.0 * math.sqrt(2.0)
-    psi_norm = sp.space_norm(space, psi.series(order))
-    growth = max(1.0, psi_norm + tail_norm) ** max_power * algebra**max_power
-    budget = 4.0 * max_power * growth * max(1.0, probe_norm) ** 2 * tail_norm
+    growth = max(1.0, sp.space_norm(space, series) + tail_norm) ** count * algebra**count
+    budget = 4.0 * count * growth * max(1.0, probe_norm) ** 2 * tail_norm
     if budget > 0.5 * tol * (1.0 + probe_norm**2):
-        raise TruncationError(
-            f"truncation order {order} cannot hold psi^{max_power} within tolerance"
-        )
+        raise TruncationError(f"truncation order {order} cannot hold psi^{count} within tolerance")
+    weights = space.weights(order) if weights is None else weights
+    return sp.norms_sq(weights, ps.orbit(f, series, count, order))
 
 
 def blaschke_power_defect(
@@ -330,10 +310,14 @@ def blaschke_power_defect(
     m: int,
     probe: PowerSeries,
     order: int,
+    tol: float = 1e-8,
 ) -> float:
     """Alternating sum sum_{k<=m} (-1)^{m-k} C(m,k) ||psi^k f||^2 over the orbit
-    of the probe under the product series of psi, every row truncated at ``order``."""
-    return _alternating_defect(space, probe, psi.series(order), m, order)
+    of the probe under the product series of psi, every row truncated at ``order``;
+    TruncationError if that order cannot hold the value within tol."""
+    if m < 1:
+        raise ValueError("isometry order must be >= 1")
+    return float(np.diff(_blaschke_orbit_norms(space, psi, probe, m, order, tol), m)[0])
 
 
 def blaschke_isometry_check(
@@ -356,11 +340,9 @@ def blaschke_isometry_check(
     ok = True
     worst = 0.0
     for idx, f in enumerate(probes):
-        f_norm = sp.space_norm(space, f)
-        _blaschke_truncation_guard(space, psi, n, 3, f_norm, tol)
-        value = blaschke_power_defect(space, psi, 3, f, n)
-        bound = tol * (1.0 + f_norm**2)
-        ok = ok and abs(value) < bound
+        norms_sq = _blaschke_orbit_norms(space, psi, f, 3, n, tol)
+        value = float(np.diff(norms_sq, 3)[0])
+        ok = ok and abs(value) < tol * (1.0 + norms_sq[0])
         worst = max(worst, abs(value))
         computed.append((f"probe_{idx}_defect", value))
     computed.append(("max_defect", worst))
@@ -411,9 +393,7 @@ def growth_formula_check(
     """
     if space.kind not in (sp.S2, sp.S12):
         raise ValueError("growth formulas are stated on the S2 and S12 scales")
-    f_norm = sp.space_norm(space, f)
-    _blaschke_truncation_guard(space, psi, order, n_max, f_norm, tol)
-    norms_sq = sp.norms_sq(space.weights(order), ps.orbit(f, psi.series(order), n_max, order))
+    norms_sq = _blaschke_orbit_norms(space, psi, f, n_max, order, tol)
     psi0 = psi(0.0)
     f0_sq = abs(f.coeffs[0]) ** 2
     residuals = {}
@@ -446,10 +426,9 @@ def dirichlet_linearity_check(
 
         D(psi^n f) = D(f) + n [D(psi f) - D(f)].
     """
-    d2 = sp.dirichlet()
-    _blaschke_truncation_guard(d2, psi, order, n_max, sp.space_norm(d2, f), tol)
-    orbit = ps.orbit(f, psi.series(order), n_max, order)
-    energies = sp.norms_sq(np.arange(order + 1.0), orbit)
+    energies = _blaschke_orbit_norms(
+        sp.dirichlet(), psi, f, n_max, order, tol, weights=np.arange(order + 1.0)
+    )
     base, slope = energies[0], energies[1] - energies[0]
     residuals = {n: energies[n] - (base + n * slope) for n in range(n_max + 1)}
     scale = 1.0 + base + abs(slope) * n_max

@@ -43,8 +43,7 @@ class PickProblem:
             raise ValueError("nodes and targets must have equal length")
         if len(set(nodes)) != len(nodes):
             raise ValueError("interpolation nodes must be pairwise distinct")
-        if any(not abs(x) < 1.0 for x in nodes):
-            raise DomainError("interpolation nodes must lie in the open disk")
+        ps.require_open_disk(nodes, "interpolation nodes")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "targets", targets)
 
@@ -219,8 +218,7 @@ def corona_kernel_check(
     over the whole bidisk (which no finite computation certifies).
     """
     points = np.array(default_corona_grid() if grid is None else grid, dtype=np.complex128)
-    if not np.all(np.abs(points) < 1.0):
-        raise DomainError("corona grid points must lie in the open disk")
+    ps.require_open_disk(points, "corona grid points")
     values = np.array([ps.evaluate_many(f, points) for f in symbols])
     out = (values.conj().T @ values - delta**2) * sp.kernel(space, points[:, None], points)
     return psd_check(0.5 * (out + out.conj().T), psd_tol=psd_tol)

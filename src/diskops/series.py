@@ -266,6 +266,12 @@ def complex_pairs(pairs, what: str = "series") -> list[complex]:
     return [complex(re, im) for re, im in pairs]
 
 
+def require_open_disk(x, what: str) -> None:
+    """DomainError "<what> must lie in the open disk" unless every |x| < 1 (nan and inf fail)."""
+    if not np.all(np.abs(np.asarray(x, dtype=np.complex128)) < 1.0):
+        raise DomainError(f"{what} must lie in the open disk")
+
+
 def from_pairs(pairs: Sequence[Sequence[float]]) -> PowerSeries:
     """Inverse of to_pairs; ValueError unless pairs is a list of [re, im] number pairs."""
     return from_coefficients(complex_pairs(pairs))

@@ -76,6 +76,18 @@ class TestBlaschkeProduct:
         tail_mass = float(np.sum(np.abs(wide.coeffs[65:])))
         assert tail_mass <= psi.tail_bound(64)
 
+    @pytest.mark.parametrize(
+        "psi",
+        [bl.z_times_phi(0.5), bl.phi_pair(0.7), bl.BlaschkeProduct(1.0, (0.3 + 0.4j,)),
+         bl.BlaschkeProduct(1.0, (0.0, 0.0, 0.0)), bl.BlaschkeProduct(1.0, ())],
+        ids=["z_phi05", "phi_pair07", "one_zero", "z_cubed", "constant"],
+    )
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-14])
+    def test_order_for_is_the_smallest_order_within_tol(self, psi, tol):
+        order = psi.order_for(tol)
+        assert psi.tail_bound(order) <= tol
+        assert order == 0 or psi.tail_bound(order - 1) > tol
+
     def test_rejects_zero_outside_disk(self):
         with pytest.raises(DomainError):
             bl.BlaschkeProduct(1.0, (1.2,))

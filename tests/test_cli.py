@@ -95,6 +95,21 @@ class TestRunSuite:
         (report,) = checks.run_suite("only", checks.Config(truncation=needs))
         assert report.status == rp.PASS
 
+    def test_boundary_modulus_evaluates_at_the_order_it_names(self, monkeypatch):
+        (fn,) = [fn for fn in checks.suite_checks("all")
+                 if fn.check_id == "blaschke_boundary_modulus"]
+        monkeypatch.setattr(checks, "_REGISTRY", {"only": [fn]})
+        (report,) = checks.run_suite("only", checks.Config(truncation=117))
+        assert report.status == rp.ERROR
+        assert report.computed[0].label.endswith("needs truncation >= 118")
+        orders = []
+        series = bl.BlaschkeProduct.series
+        monkeypatch.setattr(bl.BlaschkeProduct, "series",
+                            lambda psi, order: orders.append(order) or series(psi, order))
+        (report,) = checks.run_suite("only", checks.Config(truncation=118))
+        assert report.status == rp.PASS
+        assert orders == [118] * 10
+
     def test_runner_names_every_report(self, pick_reports):
         ids = sorted(fn.check_id for fn in checks.suite_checks("pick"))
         assert sorted(r.check_id for r in pick_reports) == ids
@@ -201,6 +216,15 @@ class TestCommandLine:
         out = capsys.readouterr().out
         assert "max |defect|" in out
 
+    def test_isometry_at_a_certified_truncation(self, tmp_path, capsys):
+        # zeros (0.9, -0.5) starve the default order 256 (see the exit-2 rows); 512 holds them
+        path = tmp_path / "blaschke.json"
+        path.write_text(json.dumps({"a": [1, 0], "zeros": [[0.9, 0], [-0.5, 0]]}))
+        assert cli.main(["--truncation", "512", "isometry", "S12", str(path), "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        defects = [float(line.split()[-1]) for line in lines]
+        assert len(defects) == 4 and max(abs(d) for d in defects) < 1e-12
+
     def test_pick(self, tmp_path, capsys):
         path = tmp_path / "problem.json"
         path.write_text(
@@ -259,12 +283,17 @@ class TestCommandLine:
             (["isometry", "S12", "{path}", "-1"], _Z_JSON, "isometry order must be >= 1", {}),
             (["--truncation", "1024", "opnorm", "S12", "comp", "{path}"], "[[0.5, 0], [2, 0]]",
              "overflows at order 1024", {}),
+            (["isometry", "S12", "{path}", "3"], '{"a": [1, 0], "zeros": [[0.9, 0], [-0.5, 0]]}',
+             "truncation order 256 cannot hold psi^3", {}),
+            (["isometry", "S12", "{path}", "3"], '{"a": [1, 0], "zeros": [[0.99, 0], [-0.5, 0]]}',
+             "truncation order 256 cannot hold psi^3", {}),
         ],
         ids=["bad_pair", "not_a_list", "unknown_space", "bad_json", "missing_file",
              "outside_disk", "series_too_long", "kernel_w_inf", "kernel_z_inf", "bad_config",
              "blaschke_missing_key", "blaschke_short_pair",
              "pick_short_node", "tol_nan", "tol_negative", "tol_inf", "tol_env_nan",
-             "m_zero", "m_negative", "comp_not_self_map"],
+             "m_zero", "m_negative", "comp_not_self_map", "isometry_starved_09",
+             "isometry_starved_099"],
     )
     @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
     def test_input_errors_exit_2_with_one_line(

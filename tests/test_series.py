@@ -1,4 +1,6 @@
+import cmath
 import json
+import math
 import os
 import subprocess
 import sys
@@ -363,3 +365,25 @@ def test_derivative_product_rule(a, b):
     )
     scale = 1.0 + float(np.abs(right.coeffs).max())
     assert np.max(np.abs(ps.truncate(left, right.order).coeffs - right.coeffs)) < 1e-12 * scale
+
+
+_PARTS = st.one_of(st.floats(-1.2, 1.2), st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(complex, _PARTS, _PARTS), min_size=1, max_size=4))
+def test_open_disk_gate_accepts_exactly_finite_points_inside(points):
+    def inside(x):
+        return cmath.isfinite(x) and abs(x) < 1.0
+
+    for x in points:
+        if inside(x):
+            ps.require_open_disk(x, "point")
+        else:
+            with pytest.raises(DomainError, match="^point must lie in the open disk$"):
+                ps.require_open_disk(x, "point")
+    if all(inside(x) for x in points):
+        ps.require_open_disk(np.array(points), "points")
+    else:
+        with pytest.raises(DomainError, match="^points must lie in the open disk$"):
+            ps.require_open_disk(np.array(points), "points")
