@@ -19,12 +19,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import series as ps
 from . import spaces
 from . import report as rp
-from .errors import DomainError, TruncationError
+from .errors import DomainError
 from .series import PowerSeries
 
 DEFAULT_QUAD_NODES = 4096
@@ -47,8 +46,7 @@ class MobiusMap:
         a = self.alpha
         c = np.zeros(order + 1, dtype=np.complex128)
         c[0] = a
-        if order >= 1:
-            c[1:] = -(1.0 - abs(a) ** 2) * np.conj(a) ** np.arange(order)
+        c[1:] = -(1.0 - abs(a) ** 2) * np.conj(a) ** np.arange(order)
         return PowerSeries(c)
 
     def derivative_series(self, order: int) -> PowerSeries:
@@ -91,46 +89,38 @@ class BlaschkeProduct:
             out = ps.cauchy_product(out, MobiusMap(alpha).series(order), order)
         return ps.scale(out, self.unimodular)
 
-    def _majorant(self, first: int, count: int = 1):
-        """n = first+1 .. first+count+1998 and n^(d-1) r^(n-d) >= |psi_n| there: each
-        factor has |coefficient_n| <= r^(n-1), r = max zero modulus (for r = 0, psi is a
-        unimodular times z^d).  Order first+k has the 1999-term window from n = first+k+1."""
-        n = np.arange(first + 1, first + count + 1999)
-        d = self.degree
-        r = max((abs(z) for z in self.zeros), default=0.0)
+    def _tail_majorant(self, space: spaces.SpaceWeights | None = None) -> ps.Majorant | None:
+        """Each factor has |coefficient_n| <= r^(n-1), r the largest zero modulus, so the majorant
+        of |psi_n| is n^(d-1) r^(n-d); with weight(n) <= (n+1)^s, weight(n) |psi_n|^2 is at most
+        (n+1)^(2(d-1)+s) r^(2(n+1)) r^(-2(d+1)), the term n+1 of the space's majorant.  None for
+        r = 0, where psi is a unimodular times z^d."""
+        d, r = self.degree, max((abs(z) for z in self.zeros), default=0.0)
         if r == 0.0:
-            return n, (n == d) * 1.0
-        return n, n ** (d - 1) * np.exp((n - d) * np.log(r))  # r^(n-d), with no slow subnormal pow
-
-    def _tail_bounds(self, first: int, count: int) -> np.ndarray:
-        """tail_bound(order) for order = first .. first+count-1, one window sum each."""
-        return sliding_window_view(self._majorant(first, count)[1], 1999).sum(axis=1)
+            return None
+        if space is None:
+            return ps.Majorant(-d * np.log(r), d - 1, r)
+        return ps.Majorant(-2 * (d + 1) * np.log(r), 2 * (d - 1) + space.weight_exponent, r * r)
 
     def tail_bound(self, order: int) -> float:
-        """Crude bound on sum_{n>order} |psi_n|: the majorant summed over the window."""
-        return float(self._tail_bounds(order, 1)[0])
+        """Bound on sum_{n>order} |psi_n|."""
+        majorant = self._tail_majorant()
+        return float(order < self.degree) if majorant is None else majorant.tail(order)
 
     def tail_norm(self, space: spaces.SpaceWeights, order: int) -> float:
-        """Bound on the space norm of the discarded tail, from the same window."""
-        n, bound = self._majorant(order)
-        return float(np.sqrt(np.sum(space.weight(n.astype(np.float64)) * bound**2)))
+        """Bound on the space norm of the series past ``order``."""
+        majorant = self._tail_majorant(space)
+        if majorant is None:
+            return float(order < self.degree) * float(np.sqrt(space.weight(self.degree)))
+        return float(np.sqrt(majorant.tail(order + 1)))
 
-    def order_for(self, tol: float) -> int:
-        """The smallest order with tail_bound(order) <= tol, from the window sums of
-        blocks of orders that double in length; TruncationError past order 2^18."""
-        first, count = 0, 64
-        while first < 1 << 18:
-            within = np.flatnonzero(self._tail_bounds(first, count) <= tol)
-            if within.size:
-                return first + int(within[0])
-            first, count = first + count, 2 * count
-        raise TruncationError(f"no order below {first} holds the Blaschke tail within {tol:g}")
-
-    def to_dict(self) -> dict:
-        return {
-            "a": [self.unimodular.real, self.unimodular.imag],
-            "zeros": [[z.real, z.imag] for z in self.zeros],
-        }
+    def order_for(self, tol: float, space: spaces.SpaceWeights | None = None) -> int:
+        """The smallest order with tail_bound(order) <= tol, or tail_norm(space, order) <= tol
+        when a space is given; TruncationError past order 2^18."""
+        majorant = self._tail_majorant(space)
+        if majorant is None:
+            at_zero = self.tail_bound(0) if space is None else self.tail_norm(space, 0)
+            return 0 if at_zero <= tol else self.degree
+        return majorant.order_for(tol) if space is None else max(majorant.order_for(tol**2) - 1, 0)
 
     @staticmethod
     def from_dict(d: dict) -> "BlaschkeProduct":
@@ -311,13 +301,12 @@ def adjoint_distinctness_check(alpha: complex, tol: float = 1e-6) -> rp.Verifica
     degree-2 symbols; the check passes iff it exceeds tol.
     """
     alpha = complex(alpha)
+    ps.require_open_disk(alpha, "parameter")
     if alpha == 0:
         raise DomainError("distinctness gap is defined for alpha != 0")
-    # enough terms that the |alpha|^{2k} tail is below 1e-16
-    k_max = 64
-    r = abs(alpha) ** 2
-    while r**k_max > 1e-16 and k_max < 4096:
-        k_max *= 2
+    # term k of the expansion at alpha is at most (4 + (1+|a|^2)/(1-|a|^2)) |a|^(2k)
+    rho = abs(alpha) ** 2
+    k_max = ps.Majorant(np.log(4.0 + (1.0 + rho) / (1.0 - rho)), 0, rho).order_for(1e-16)
     expansion = adjoint_symbol_expansion(VARIANT_Z_PHI, alpha, k_max)
     at_zero = complex(expansion.coeffs[0])
     at_alpha = expansion(alpha)

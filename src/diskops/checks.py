@@ -571,12 +571,12 @@ def _dirichlet_linearity(cfg):
 @_check("blaschke", "mobius_involution")
 def _mobius_involution(cfg):
     alphas, tol = (0.3, 0.5 + 0.2j, 0.7, -0.6j), 1e-8
-    # phi_a = a - (1-|a|^2) sum conj(a)^(j-1) z^j and every power of phi_a is bounded
-    # by 1 on the disk, so its coefficients are too (Cauchy): cutting the outer series
-    # after z^T moves each kept coefficient of phi_a(phi_a) by at most (1+|a|) |a|^T
-    needed = max(math.ceil(math.log(tol / (1 + abs(a))) / math.log(abs(a))) for a in alphas)
+    # every power of phi_a is bounded by 1 on the disk, so its coefficients are too (Cauchy):
+    # cutting the outer series after z^T moves a kept coefficient of phi_a(phi_a) by at most
+    # the tail sum_{j>T} (1-|a|^2) |a|^(j-1) of phi_a's coefficients
+    needed = max(ps.Majorant(math.log(1 / a - a), 0, a).order_for(tol) for a in np.abs(alphas))
     if cfg.truncation < needed:
-        raise TruncationError(f"phi_a(phi_a) = z to {tol:g} needs truncation >= {needed}")
+        raise TruncationError(f"phi_a(phi_a) = z to {tol:g}", needed)
     worst = 0.0
     target = ps.monomial(1, order=cfg.truncation)
     for alpha in alphas:
@@ -594,7 +594,7 @@ def _blaschke_boundary(cfg):
     # every product series is cut at the one order whose tail bounds are all within tol
     needed = max(psi.order_for(tol) for psi in products)
     if needed > cfg.truncation:
-        raise TruncationError(f"|psi| = 1 on the circle to {tol:g} needs truncation >= {needed}")
+        raise TruncationError(f"|psi| = 1 on the circle to {tol:g}", needed)
     zeta = bl.circle_nodes(256)
     worst_exact = 0.0
     worst_series = 0.0
@@ -955,11 +955,11 @@ def _comp_hs_bound(cfg):
 
 @_check("composition", "comp_hs_reference_values")
 def _comp_hs_values(cfg):
-    # the partial sum of 4^-n up to the truncation falls short of 4/3 by (4/3) 4^-(T+1)
+    # the partial sum of 4^-n up to the truncation falls short of 4/3 by its tail
     tol = 1e-12
-    needed = math.ceil(math.log(4.0 / 3.0 / tol) / math.log(4.0)) - 1
+    needed = ps.Majorant(0.0, 0, 0.25).order_for(tol)
     if cfg.truncation < needed:
-        raise TruncationError(f"||C_(z/2)||_HS^2 = 4/3 to {tol:g} needs truncation >= {needed}")
+        raise TruncationError(f"||C_(z/2)||_HS^2 = 4/3 to {tol:g}", needed)
     s12 = sp.s12()
     half_z = op.hilbert_schmidt_norm_sq(s12, ps.from_coefficients([0, 0.5]), cfg.truncation)
     zero = op.hilbert_schmidt_norm_sq(s12, ps.from_coefficients([0.0]), cfg.truncation)

@@ -15,7 +15,7 @@ DISKOPS_TOL, DISKOPS_QUAD_NODES, DISKOPS_SEED, DISKOPS_OUTPUT (flags win).
 Numbers print with 15 significant digits.  ``verify`` exits 1 iff a report
 has status fail or error; bad input prints ``diskops: <message>`` and exits 2.
 ``isometry`` is guarded by --tol: a truncation too short to hold the defects
-within it is a starved run, which also prints one ``diskops:`` line and exits 2.
+within it prints one ``diskops:`` line naming the order that does, and exits 2.
 ``main`` runs OpenBLAS with one thread unless OPENBLAS_NUM_THREADS or
 OMP_NUM_THREADS is set, so values do not depend on the core count.
 """
@@ -35,7 +35,7 @@ from . import pick as pk
 from . import report as rp
 from . import series as ps
 from . import spaces as sp
-from .errors import DiskOpsError
+from .errors import DiskOpsError, TruncationError
 
 ENV_PREFIX = "DISKOPS_"
 # numpy.libs, scipy.libs, then a system OpenBLAS
@@ -44,13 +44,6 @@ _OPENBLAS_SET_THREADS = (
     "scipy_openblas_set_num_threads",
     "openblas_set_num_threads",
 )
-
-
-def _env_default(name: str, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    return cast(raw)
 
 
 def _pin_blas_threads() -> None:
@@ -148,18 +141,21 @@ def _load_json(path: str):
         return json.load(handle)
 
 
-def _pick(args, name: str, env_name: str, cast, fallback):
+def _pick(args, name: str, cast, fallback):
     # explicit flag wins even for falsy values; SUPPRESS leaves the attr unset
-    return getattr(args, name) if hasattr(args, name) else _env_default(env_name, cast, fallback)
+    if hasattr(args, name):
+        return getattr(args, name)
+    raw = os.environ.get(ENV_PREFIX + name.upper())
+    return fallback if raw is None else cast(raw)
 
 
 def _config(args) -> checks.Config:
     return checks.Config(
-        truncation=_pick(args, "truncation", "TRUNCATION", int, 256),
-        tol=_pick(args, "tol", "TOL", float, 1e-8),
-        quad_nodes=_pick(args, "quad_nodes", "QUAD_NODES", int, 4096),
-        seed=_pick(args, "seed", "SEED", int, 0),
-        output=_pick(args, "output", "OUTPUT", str, "text"),
+        truncation=_pick(args, "truncation", int, 256),
+        tol=_pick(args, "tol", float, 1e-8),
+        quad_nodes=_pick(args, "quad_nodes", int, 4096),
+        seed=_pick(args, "seed", int, 0),
+        output=_pick(args, "output", str, "text"),
     )
 
 
@@ -203,12 +199,17 @@ def _cmd_isometry(args, cfg: checks.Config) -> int:
     space = sp.parse_space(args.space)
     psi = bl.BlaschkeProduct.from_dict(_load_json(args.blaschke_json))
     probes = [ps.one(), ps.monomial(1), ps.from_coefficients([1, 1])]
-    worst = 0.0
+    values, starved = [], []
     for probe in probes:
-        value = op.blaschke_power_defect(space, psi, args.m, probe, cfg.truncation, cfg.tol)
-        worst = max(worst, abs(value))
+        try:
+            values.append(op.blaschke_power_defect(space, psi, args.m, probe, cfg.truncation, cfg.tol))
+        except TruncationError as exc:
+            starved.append(exc)
+    if starved:  # name the largest order any probe needs
+        raise max(starved, key=lambda exc: exc.needed or 0)
+    for probe, value in zip(probes, values):
         print(f"probe degree {probe.degree()}: defect {rp.format_quantity(value)}")
-    print(f"max |defect| {rp.format_quantity(worst)}")
+    print(f"max |defect| {rp.format_quantity(max(map(abs, values)))}")
     return 0
 
 

@@ -16,8 +16,12 @@ class ConvergenceError(DiskOpsError):
 
 
 class TruncationError(DiskOpsError):
-    """The truncation budget cannot hold the requested computation without
-    leaking coefficients past the working order."""
+    """The truncation budget cannot hold the requested computation without leaking
+    coefficients past the working order; ``needed``, when known, is the order that can."""
+
+    def __init__(self, message: str, needed: int | None = None):
+        super().__init__(message if needed is None else f"{message} needs truncation >= {needed}")
+        self.needed = needed
 
 
 class PreconditionError(DiskOpsError):

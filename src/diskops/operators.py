@@ -26,14 +26,13 @@ from . import report as rp
 from . import series as ps
 from . import spaces as sp
 from .blaschke import BlaschkeProduct
-from .errors import ConvergenceError, DomainError, PreconditionError, TruncationError
+from .errors import ConvergenceError, PreconditionError, TruncationError
 from .series import PowerSeries
 
 
 def _composition_columns(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> np.ndarray:
     """The transposed compression of f -> f(phi): row j is phi^j * sqrt(weight / weight(j))."""
-    if abs(phi.coeffs[0]) >= 1.0:
-        raise DomainError("composition symbol has |constant term| >= 1")
+    ps.require_open_disk(phi.coeffs[0], "composition symbol's constant term")
     sqw = np.sqrt(space.weights(n))
     table = ps.orbit(ps.one(), phi, n, n)
     table *= sqw / sqw[:, None]
@@ -289,17 +288,18 @@ def _blaschke_orbit_norms(
     tol: float, weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """sum_n weights[n] |(f psi^k)_n|^2 for k = 0..count (weights default to space.weights),
-    psi's product series built once and every row cut at ``order``.  TruncationError first
-    if the discarded tails could move a value past tol: psi's tail majorant is carried
-    through the powers by the multiplier-algebra bound ||fg|| <= 2 sqrt(2) ||f|| ||g||."""
+    psi's product series built once and every row cut at ``order``.  psi's tail majorant,
+    carried through the powers by the multiplier-algebra bound ||fg|| <= 2 sqrt(2) ||f|| ||g||,
+    fixes the order the discarded tails need to move no value past tol: TruncationError
+    naming it if ``order`` is below."""
     series = psi.series(order)
     tail_norm = psi.tail_norm(space, order)  # 0 when psi is c z^d and order >= d
     probe_norm = sp.space_norm(space, f)
-    algebra = 2.0 * math.sqrt(2.0)
-    growth = max(1.0, sp.space_norm(space, series) + tail_norm) ** count * algebra**count
-    budget = 4.0 * count * growth * max(1.0, probe_norm) ** 2 * tail_norm
-    if budget > 0.5 * tol * (1.0 + probe_norm**2):
-        raise TruncationError(f"truncation order {order} cannot hold psi^{count} within tolerance")
+    growth = (2.0 * math.sqrt(2.0) * max(1.0, sp.space_norm(space, series) + tail_norm)) ** count
+    scale = 4.0 * count * growth * max(1.0, probe_norm) ** 2  # 0 when no power is taken
+    needed = psi.order_for(0.5 * tol * (1.0 + probe_norm**2) / scale, space) if scale else 0
+    if needed > order:
+        raise TruncationError(f"psi^{count} within {tol:g}", needed)
     weights = space.weights(order) if weights is None else weights
     return sp.norms_sq(weights, ps.orbit(f, series, count, order))
 
@@ -451,7 +451,7 @@ def composition_norm_bound_check(
     true norm, so a non-violation is reported as "consistent" rather
     than "pass"; an upper-bound violation is a hard failure.
     """
-    if not space.has_bounded_kernel_coeffs():
+    if space.kind == sp.A2:  # a_n <= 1 on every other kind
         raise PreconditionError(f"{space.label} has kernel coefficients above 1")
     mult_est = multiplication_norm(space, phi, n)
     if mult_est > 1.0 + 1e-12:

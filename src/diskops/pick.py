@@ -44,6 +44,8 @@ class PickProblem:
         if len(set(nodes)) != len(nodes):
             raise ValueError("interpolation nodes must be pairwise distinct")
         ps.require_open_disk(nodes, "interpolation nodes")
+        if not np.isfinite(targets).all():
+            raise DomainError("interpolation targets must be finite")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "targets", targets)
 

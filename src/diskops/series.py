@@ -11,27 +11,28 @@ pure functions that return new series.  Truncation is silent and by
 contract: every operation that can grow the degree takes an explicit
 output order, and coefficients above it are discarded.
 
-The default working order used throughout the package is
-``DEFAULT_ORDER`` = 256, chosen so that kernel sums and banded operator
-compressions reach truncation errors below 1e-10 for arguments of
-modulus <= 0.9.
+The default working order is ``DEFAULT_ORDER`` = 256.  Every order the package
+fixes a priori comes from ``Majorant``, one closed-form tail certificate.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, TruncationError
 
 DEFAULT_ORDER = 256
 
 # Shorter symbols (monomials, low degrees) use the exact direct convolution;
 # at this length it costs what an FFT product does, at order 256 and 1024.
 _FFT_MIN_TAPS = 128
+# The largest order, and the longest explicit sum, that a Majorant certifies.
+_MAJORANT_CAP = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,6 +70,38 @@ class PowerSeries:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PowerSeries) and np.array_equal(self.coeffs, other.coeffs)
+
+
+@dataclass(frozen=True)
+class Majorant:
+    """term(n) = exp(log_c) n^p rho^n, n >= 1, p >= 0, 0 < rho < 1 (log_c: r^-d cannot overflow).
+    ``tail(order)`` bounds sum_{n>order} term(n): q(n) = term(n+1)/term(n) <= e^(p/n) rho, so
+    from n1 = max(order+1, ceil(2p/ln(1/rho))) on q is below sqrt(rho) and falls, and the terms
+    sum to at most term(n1)/(1 - q(n1)); those before n1 are summed (inf past 2^18 of them).
+    ``order_for(tol)`` bisects for the least order with tail <= tol; TruncationError past 2^18."""
+
+    log_c: float
+    p: float
+    rho: float
+
+    def tail(self, order: int) -> float:
+        log_rho = math.log(self.rho)
+        n1 = max(order + 1, math.ceil(2.0 * self.p / -log_rho))
+        if n1 - order > _MAJORANT_CAP:
+            return math.inf
+        n = np.arange(order + 1, n1 + 1, dtype=np.float64)
+        with np.errstate(over="ignore"):  # a term past the float range bounds by inf
+            terms = np.exp(self.log_c + self.p * np.log(n) + n * log_rho)
+        return float(terms[:-1].sum() + terms[-1] / (1.0 - (1.0 + 1.0 / n1) ** self.p * self.rho))
+
+    def order_for(self, tol: float) -> int:
+        if not self.tail(_MAJORANT_CAP) <= tol:
+            raise TruncationError(f"no order up to {_MAJORANT_CAP} holds the tail within {tol:g}")
+        lo, hi = -1, _MAJORANT_CAP  # tail(hi) <= tol < tail(lo), with tail(-1) = inf
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if self.tail(mid) <= tol else (mid, hi)
+        return hi
 
 
 def from_coefficients(coeffs: Iterable[complex]) -> PowerSeries:
@@ -191,8 +224,7 @@ def compose(f: PowerSeries, phi: PowerSeries, order: int) -> PowerSeries:
     the origin the composed series need not converge, so such symbols are rejected
     rather than handled by limits; one whose powers overflow raises DomainError.
     """
-    if abs(phi.coeffs[0]) >= 1.0:
-        raise DomainError("composition symbol has |constant term| >= 1")
+    require_open_disk(phi.coeffs[0], "composition symbol's constant term")
     if order < 0:
         raise ValueError("order must be >= 0")
     m = len(f.coeffs)
@@ -252,16 +284,12 @@ def evaluate_many(f: PowerSeries, z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def to_pairs(f: PowerSeries) -> list[list[float]]:
-    """JSON form: array of [re, im] pairs, index = degree."""
-    return [[float(c.real), float(c.imag)] for c in f.coeffs]
-
-
 def complex_pairs(pairs, what: str = "series") -> list[complex]:
-    """[re, im] pairs as complex numbers; ValueError naming the first entry that is not one."""
+    """[re, im] pairs of floats or in-range ints (no bools) as complex numbers; ValueError
+    naming the first entry that is not one."""
     for p in pairs if isinstance(pairs, (list, tuple)) else [pairs]:
-        if not (isinstance(p, (list, tuple)) and len(p) == 2
-                and all(isinstance(x, (int, float)) for x in p)):
+        if not (isinstance(p, (list, tuple)) and len(p) == 2 and all(
+                isinstance(x, float) or type(x) is int and abs(x) <= sys.float_info.max for x in p)):
             raise ValueError(f"{what} entry {p!r} is not a pair of two numbers")
     return [complex(re, im) for re, im in pairs]
 
@@ -273,7 +301,7 @@ def require_open_disk(x, what: str) -> None:
 
 
 def from_pairs(pairs: Sequence[Sequence[float]]) -> PowerSeries:
-    """Inverse of to_pairs; ValueError unless pairs is a list of [re, im] number pairs."""
+    """Series from its JSON form, [re, im] pairs by degree; ValueError unless it is one."""
     return from_coefficients(complex_pairs(pairs))
 
 

@@ -26,9 +26,9 @@ the S12 and D2 closed forms lose roughly six digits to cancellation in
 the small denominator, so evaluation switches to a 16-term direct sum
 there.  The principal branch of the logarithm is used throughout; it is
 continuous on the whole domain because |t| < 1 implies Re(1-t) > 0.
-The other kinds sum the series by Horner's rule, with a term count fixed
-up front by a tail bound at the largest |t|; ``terms=N`` asks for the
-partial sum through degree N instead.
+The other kinds sum the series by Horner's rule through the fewest terms
+whose tail, by a_n <= n+1 and the closed-form ``series.Majorant``, is at most
+1e-12 at the largest |t|; ``terms=N`` gives the partial sum through degree N.
 """
 
 from __future__ import annotations
@@ -56,9 +56,7 @@ _CLOSED_FORM_KINDS = (H2, A2, D2, S12)
 # below this |conj(w) z| the log-based closed forms switch to a short sum
 _SMALL_T = 1e-3
 _SMALL_T_TERMS = 16
-# the series path sums whole 64-term chunks until the tail bound drops below 1e-12
-_SERIES_CHUNK = 64
-_SERIES_TAIL = 1e-12
+_SERIES_TAIL = 1e-12  # the series path's tail bound
 _SERIES_MAX_TERMS = 200_000
 
 
@@ -110,6 +108,11 @@ class SpaceWeights:
             w /= math.factorial(self.m + 1)
         return w if w.ndim else float(w)
 
+    @property
+    def weight_exponent(self) -> float:
+        """An s with weight(n) <= (n+1)^s for every n >= 0 (for Km each (n+i)/i is <= n+1)."""
+        return {H2: 0.0, A2: 0.0, D2: 1.0, DALPHA: self.alpha, KM: self.m + 1.0}.get(self.kind, 2.0)
+
     def weights(self, n_max: int) -> np.ndarray:
         return self.weight(np.arange(n_max + 1))
 
@@ -119,10 +122,6 @@ class SpaceWeights:
 
     def has_closed_form_kernel(self) -> bool:
         return self.kind in _CLOSED_FORM_KINDS
-
-    def has_bounded_kernel_coeffs(self) -> bool:
-        """True when a_n <= 1 for all n (every kind here except A2)."""
-        return self.kind != A2
 
 
 def hardy() -> SpaceWeights:
@@ -264,26 +263,6 @@ def norm_relation_check(f: PowerSeries, tol: float = 1e-10) -> rp.VerificationRe
 # ---------------------------------------------------------------------------
 
 
-def _series_terms(r: float) -> int:
-    """The fewest terms, in steps of 64, whose tail bound at |t| <= r is at most 1e-12.
-
-    Every kind here has a_n <= n+1, so the tail past m terms is at most
-    r^m ((m+1)(1-r) + r)/(1-r)^2, which decreases in m.
-    """
-
-    def enough(chunks):
-        m = _SERIES_CHUNK * chunks
-        return r**m * ((m + 1) * (1.0 - r) + r) <= _SERIES_TAIL * (1.0 - r) ** 2
-
-    lo, hi = 0, 1
-    while not enough(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if enough(mid) else (mid, hi)
-    return _SERIES_CHUNK * hi
-
-
 def _closed_form(space: SpaceWeights, t: np.ndarray) -> np.ndarray:
     if space.kind == H2:
         return 1.0 / (1.0 - t)
@@ -313,20 +292,17 @@ def kernel(space: SpaceWeights, w, z, terms: int | None = None):
         raise DomainError("kernel points must be finite")
     wb, zb = np.broadcast_arrays(w, z)
     t = np.conj(wb).ravel() * zb.ravel()  # contiguous, so a scalar call runs the array arithmetic
-    if not np.all(np.abs(t) < 1.0):
-        raise DomainError("kernel argument |conj(w) z| >= 1")
+    ps.require_open_disk(t, "kernel argument conj(w) z")
     if terms is None and space.has_closed_form_kernel():
         out = _closed_form(space, t)
     else:
         if terms is None:
+            # a_n <= n+1, so the tail past degree N is at most sum_{n>N+1} n r^(n-1)
             r = float(np.abs(t).max(initial=0.0))
-            count = _series_terms(r)
-            if count > _SERIES_MAX_TERMS:
-                raise TruncationError(
-                    f"kernel series at |conj(w) z| = {r:.6g} needs {count} terms, "
-                    f"more than {_SERIES_MAX_TERMS}"
-                )
-            terms = count - 1
+            terms = ps.Majorant(-math.log(r), 1, r).order_for(_SERIES_TAIL) - 1 if r else 0
+            if terms >= _SERIES_MAX_TERMS:
+                raise TruncationError(f"kernel series at |conj(w) z| = {r:.6g} needs {terms + 1} "
+                                      f"terms, more than {_SERIES_MAX_TERMS}")
         out = ps.evaluate_many(kernel_coefficient_series(space, terms), t)
     return complex(out[0]) if wb.ndim == 0 else out.reshape(wb.shape)
 

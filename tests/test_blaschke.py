@@ -9,7 +9,8 @@ from diskops import blaschke as bl
 from diskops import checks
 from diskops import report as rp
 from diskops import series as ps
-from diskops.errors import DomainError
+from diskops import spaces as sp
+from diskops.errors import DomainError, TruncationError
 
 
 class TestMobiusMap:
@@ -88,6 +89,39 @@ class TestBlaschkeProduct:
         assert psi.tail_bound(order) <= tol
         assert order == 0 or psi.tail_bound(order - 1) > tol
 
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @pytest.mark.parametrize("r", [0.5, 0.9, 0.99, 0.999, 0.9999])
+    def test_tail_bound_covers_the_whole_tail(self, r, d):
+        # the majorant n^(d-1) r^(n-d) of |psi_n| summed term by term from n = 101 to 10^7;
+        # at d = 1 bound and sum are one geometric series, so 1e-12 leaves room for rounding
+        psi = bl.BlaschkeProduct(1.0, (r,) * d)
+        brute = 0.0
+        for start in range(101, 10**7 + 1, 10**6):
+            n = np.arange(start, min(start + 10**6, 10**7 + 1), dtype=np.float64)
+            brute += float(np.sum(np.exp((d - 1) * np.log(n) + (n - d) * math.log(r))))
+        bound = psi.tail_bound(100)
+        assert (1 - 1e-12) * brute <= bound <= 2 * brute
+
+    def test_order_for_refuses_a_tail_past_2_to_the_18(self):
+        # one zero at 0.9999 needs r^N / (1 - r) <= 1e-8, so N is about 276,300
+        psi = bl.BlaschkeProduct(1.0, (0.9999,))
+        with pytest.raises(TruncationError):
+            psi.order_for(1e-8)
+        assert psi.tail_bound(1 << 18) > 1e-8
+
+    @pytest.mark.parametrize("space", [sp.hardy(), sp.bergman(), sp.dirichlet(), sp.s2(), sp.s12(),
+                                       sp.s22(), sp.dalpha(1.5), sp.km(3)], ids=lambda s: s.label)
+    @pytest.mark.parametrize("psi", [bl.z_times_phi(0.5), bl.phi_pair(0.7),
+                                     bl.BlaschkeProduct(1.0, (0.3 + 0.4j, -0.6, 0.8j))],
+                             ids=["z_phi05", "phi_pair07", "three_zeros"])
+    def test_tail_norm_bounds_the_discarded_norm(self, psi, space):
+        wide = psi.series(2048)
+        for order in (16, 64, 256):
+            tail = ps.PowerSeries(np.where(np.arange(2049) > order, wide.coeffs, 0))
+            assert sp.space_norm(space, tail) <= psi.tail_norm(space, order)
+        needed = psi.order_for(1e-6, space)
+        assert psi.tail_norm(space, needed) <= 1e-6 < psi.tail_norm(space, needed - 1)
+
     def test_rejects_zero_outside_disk(self):
         with pytest.raises(DomainError):
             bl.BlaschkeProduct(1.0, (1.2,))
@@ -96,7 +130,8 @@ class TestBlaschkeProduct:
 
     def test_json_round_trip(self):
         psi = bl.z_times_phi(0.4 + 0.2j)
-        assert bl.BlaschkeProduct.from_dict(psi.to_dict()) == psi
+        parsed = bl.BlaschkeProduct.from_dict({"a": [-1.0, 0.0], "zeros": [[0, 0], [0.4, 0.2]]})
+        assert parsed == psi
 
     def test_involution_composition(self):
         for alpha in (0.3, 0.5 + 0.2j, 0.7):

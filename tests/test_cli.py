@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diskops import blaschke as bl
 from diskops import checks, cli
@@ -81,7 +83,7 @@ class TestRunSuite:
 
     @pytest.mark.parametrize(
         "check_id,needs",
-        # seed 0: the crude tail bound of its ten products reaches 1e-8 at order 118;
+        # seed 0: the tail majorant of its ten products reaches 1e-8 at order 118;
         # the z/2 sum falls short of 4/3 by (4/3) 4^-(T+1)
         [("blaschke_boundary_modulus", 118), ("comp_hs_reference_values", 20)],
     )
@@ -284,9 +286,9 @@ class TestCommandLine:
             (["--truncation", "1024", "opnorm", "S12", "comp", "{path}"], "[[0.5, 0], [2, 0]]",
              "overflows at order 1024", {}),
             (["isometry", "S12", "{path}", "3"], '{"a": [1, 0], "zeros": [[0.9, 0], [-0.5, 0]]}',
-             "truncation order 256 cannot hold psi^3", {}),
+             "psi^3 within 1e-08 needs truncation >= 388", {}),
             (["isometry", "S12", "{path}", "3"], '{"a": [1, 0], "zeros": [[0.99, 0], [-0.5, 0]]}',
-             "truncation order 256 cannot hold psi^3", {}),
+             "psi^3 within 1e-08 needs truncation >= 7687", {}),
         ],
         ids=["bad_pair", "not_a_list", "unknown_space", "bad_json", "missing_file",
              "outside_disk", "series_too_long", "kernel_w_inf", "kernel_z_inf", "bad_config",
@@ -352,6 +354,84 @@ def test_nan_rejected_at_domain_gates(call, error, capsys):
         return
     with pytest.raises(error):
         call()
+
+
+# ---------------------------------------------------------------------------
+# the JSON parsers: well-formed input round-trips, malformed input raises
+# ValueError or DomainError and nothing else
+# ---------------------------------------------------------------------------
+
+_NUMBER = st.floats(-4.0, 4.0)
+_PAIR = st.tuples(_NUMBER, _NUMBER).map(list)
+
+
+def _polar_pair(radii):
+    return st.builds(lambda r, t: [r * math.cos(t), r * math.sin(t)], radii, st.floats(0, 2 * math.pi))
+
+
+_IN_DISK = _polar_pair(st.floats(0.0, 0.95))
+_OUTSIDE_DISK = _polar_pair(st.floats(1.01, 4.0))
+_MALFORMED_PAIR = st.one_of(
+    _NUMBER.map(lambda x: [x]),  # a short pair
+    st.tuples(st.sampled_from([None, "0.5", True, [0.5], 10**400]), _NUMBER).map(list),  # no number
+    st.tuples(st.sampled_from([math.nan, math.inf, -math.inf]), _NUMBER).map(list),  # nan / inf
+)
+
+
+def _via_json(payload):
+    return json.loads(json.dumps(payload))
+
+
+def _rejects(parse, payload):
+    with pytest.raises((ValueError, DomainError)):
+        parse(_via_json(payload))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_PAIR, min_size=1, max_size=6), _MALFORMED_PAIR, st.integers(0, 5))
+def test_series_json_parser(pairs, bad, at):
+    assert [[c.real, c.imag] for c in ps.from_pairs(_via_json(pairs)).coeffs] == pairs
+    pairs[at % len(pairs)] = bad
+    _rejects(ps.from_pairs, pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0, 2 * math.pi), st.lists(_IN_DISK, max_size=4), _MALFORMED_PAIR, _OUTSIDE_DISK,
+       st.sampled_from(["no a", "no zeros", "bad a", "bad zero", "zero outside"]))
+def test_blaschke_json_parser(phase, zeros, bad, outside, fault):
+    d = {"a": [math.cos(phase), math.sin(phase)], "zeros": zeros}
+    psi = bl.BlaschkeProduct.from_dict(_via_json(d))
+    assert [psi.unimodular.real, psi.unimodular.imag] == d["a"]
+    assert [[z.real, z.imag] for z in psi.zeros] == zeros
+    if fault.startswith("no "):
+        del d[fault[3:]]
+    elif fault == "bad a":
+        d["a"] = bad
+    else:
+        d["zeros"] = zeros + [bad if fault == "bad zero" else outside]
+    _rejects(bl.BlaschkeProduct.from_dict, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["H2", "S2", "S12", "D2", "Dalpha:1.5", "Km:2"]),
+       st.lists(st.tuples(_IN_DISK, _PAIR), min_size=1, max_size=4, unique_by=lambda p: tuple(p[0])),
+       _MALFORMED_PAIR, _OUTSIDE_DISK,
+       st.sampled_from(["no space", "no nodes", "no targets", "bad node", "node outside",
+                        "bad target"]))
+def test_pick_json_parser(space, data, bad, outside, fault):
+    nodes, targets = [list(p) for p in zip(*data)]
+    d = {"space": space, "nodes": nodes, "targets": targets}
+    problem = pk.PickProblem.from_dict(_via_json(d))
+    assert problem.space.label == space
+    assert [[x.real, x.imag] for x in problem.nodes] == nodes
+    assert [[x.real, x.imag] for x in problem.targets] == targets
+    if fault.startswith("no "):
+        del d[fault[3:]]
+    elif fault == "bad target":
+        d["targets"][-1] = bad
+    else:
+        d["nodes"][-1] = bad if fault == "bad node" else outside
+    _rejects(pk.PickProblem.from_dict, d)
 
 
 def _run_python(args, **env):

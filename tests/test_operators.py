@@ -416,8 +416,10 @@ class TestBlaschkeIdentities:
         psi = bl.BlaschkeProduct(1.0, (0.95, -0.95, 0.95j))
         with pytest.raises(TruncationError):
             op.blaschke_isometry_check(S12, psi, [ps.one()], 48)
-        with pytest.raises(TruncationError, match="order 48"):
+        with pytest.raises(TruncationError, match="needs truncation >= 1587$") as info:
             op.blaschke_power_defect(S12, psi, 3, ps.one(), 48)
+        assert info.value.needed == 1587
+        op.blaschke_power_defect(S12, psi, 3, ps.one(), 1587)  # the order named holds it
 
 
 class TestGrowthFormulas:
