@@ -30,18 +30,38 @@ from .errors import ConvergenceError, PreconditionError, TruncationError
 from .series import PowerSeries
 
 
-def _composition_columns(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> np.ndarray:
-    """The transposed compression of f -> f(phi): row j is phi^j * sqrt(weight / weight(j))."""
+# The squared Frobenius mass the C_phi products may leave out: (eps ||A||_F)^2 at most
+_CUT_MASS = np.finfo(np.float64).eps ** 2
+
+
+def _composition_columns(space: sp.SpaceWeights, phi: PowerSeries, n: int, full: bool = False):
+    """Rows 0..k of the transposed compression of f -> f(phi) at size n+1 (row j is
+    phi^j * sqrt(weight / weight(j))), and a bound of the squared Frobenius mass of rows k+1..n.
+
+    k is fixed before any row is built.  For s = spaces.sup_bound(phi) < 1, ||phi^j||_H2 <= s^j
+    bounds the mass of row j by (max w / min w) s^(2j), w = weights(n): k is that Majorant's
+    order_for(eps^2) (rho = s^2, or the least normal float if smaller) and the bound its tail
+    at k; a zero symbol keeps row 0 alone.  When s >= 1, when that k is n or more, or for
+    ``full`` (the exact dense compression), k = n and the bound is 0.
+    """
     ps.require_open_disk(phi.coeffs[0], "composition symbol's constant term")
-    sqw = np.sqrt(space.weights(n))
-    table = ps.orbit(ps.one(), phi, n, n)
-    table *= sqw / sqw[:, None]
-    return table
+    w = space.weights(n)
+    k, mass = n, 0.0
+    s = 1.0 if full or n == 0 else sp.sup_bound(phi)
+    if s < 1:
+        rows = ps.Majorant(math.log(w.max() / w.min()), 0, max(s * s, np.finfo(np.float64).tiny))
+        if rows.tail(n - 1) <= _CUT_MASS:
+            k = rows.order_for(_CUT_MASS)
+            mass = rows.tail(k)
+    sqw = np.sqrt(w)
+    table = ps.orbit(ps.one(), phi, k, n)
+    table *= sqw / sqw[: k + 1, None]
+    return table, mass
 
 
 def composition_matrix(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> np.ndarray:
     """Dense compression of f -> f(phi); column j holds the expansion of phi^j."""
-    return _composition_columns(space, phi, n).T
+    return _composition_columns(space, phi, n, full=True)[0].T
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +163,14 @@ def _multiplication_products(space: sp.SpaceWeights, f: PowerSeries, n: int):
 def _composition_products(space: sp.SpaceWeights, phi: PowerSeries, n: int):
     """x -> A x and y -> A^H y for the compression A of C_phi at size n+1, each one BLAS gemv.
 
-    Only the rows of the transposed table up to its last nonzero one enter:
-    past it the powers of phi have underflowed to exactly zero, so matvec reads
-    x[:k] and rmatvec pads with zeros, and both equal the full products bit for bit.
+    Only rows 0..k of the transposed table are built (``_composition_columns``), so
+    matvec reads x[:k+1] and rmatvec pads with zeros: the products are those of A with
+    columns k+1..n set to zero, a column subset whose norm estimate stays a lower bound
+    of ||C_phi||, within eps ||A||_F of the full compression's.  For sup|phi| >= 1 no
+    column is cut.
     """
-    at = _composition_columns(space, phi, n)  # at[j, i] = entry(i, j)
-    k = int(np.flatnonzero(at.any(axis=1))[-1]) + 1  # row 0 holds phi^0 = 1
-    at = at[:k]
+    at, _ = _composition_columns(space, phi, n)  # at[j, i] = entry(i, j)
+    k = len(at)
 
     def matvec(x):
         return at.T @ np.asarray(x).ravel()[:k]
@@ -197,8 +218,11 @@ def composition_monomial_norm(space: sp.SpaceWeights, k: int, index_cap: int = 1
 
 def hilbert_schmidt_norm_sq(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> float:
     """Partial Hilbert-Schmidt sum sum_{j<=n} ||phi^j||^2 / weight(j), every power
-    truncated at order n: the squared Frobenius norm of the compression."""
-    return float(np.sum(np.abs(_composition_columns(space, phi, n)) ** 2))
+    truncated at order n: the squared Frobenius norm of the compression.  The rows that
+    ``_composition_columns`` builds are summed and the bound of the rest added, so up to
+    rounding the value lies in [full sum, full sum + eps^2]; for sup|phi| >= 1 all are summed."""
+    table, mass = _composition_columns(space, phi, n)
+    return float(np.sum(np.abs(table) ** 2)) + mass
 
 
 # ---------------------------------------------------------------------------

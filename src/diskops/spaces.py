@@ -10,7 +10,7 @@ D2     n+1
 S2     1 for n=0, n^2 for n>=1
 S12    (n+1)(n+2)/2
 S22    1+n^2
-Dalpha (1+n)^alpha for real alpha >= 0
+Dalpha (1+n)^alpha for finite alpha >= 0
 Km     (n+1)(n+2)...(n+m+1)/(m+1)!
 ====== =============================================
 
@@ -71,8 +71,8 @@ class SpaceWeights:
     def __post_init__(self):
         if self.kind not in (H2, A2, D2, S2, S12, S22, DALPHA, KM):
             raise ValueError(f"unknown space kind {self.kind!r}")
-        if self.kind == DALPHA and not self.alpha >= 0:
-            raise ValueError("Dalpha requires alpha >= 0")
+        if self.kind == DALPHA and not 0 <= self.alpha < math.inf:
+            raise ValueError("Dalpha requires a finite alpha >= 0")
         if self.kind == KM and self.m < 1:
             raise ValueError("Km requires a positive integer m")
 
@@ -85,26 +85,30 @@ class SpaceWeights:
         return self.kind
 
     def weight(self, n):
-        """||z^n||^2, vectorized over integer arrays."""
+        """||z^n||^2, vectorized over integer arrays; DomainError if one overflows."""
         n = np.asarray(n, dtype=np.float64)
-        if self.kind == H2:
-            w = np.ones_like(n)
-        elif self.kind == A2:
-            w = 1.0 / (n + 1)
-        elif self.kind == D2:
-            w = n + 1
-        elif self.kind == S2:
-            w = np.where(n == 0, 1.0, n * n)
-        elif self.kind == S12:
-            w = (n + 1) * (n + 2) / 2.0
-        elif self.kind == S22:
-            w = 1.0 + n * n
-        elif self.kind == DALPHA:
-            w = (1.0 + n) ** self.alpha
-        else:  # KM
-            w = np.ones_like(n)
-            for i in range(1, self.m + 2):
-                w = w * (n + i)
+        with np.errstate(over="ignore"):  # an overflow is raised below, once
+            if self.kind == H2:
+                w = np.ones_like(n)
+            elif self.kind == A2:
+                w = 1.0 / (n + 1)
+            elif self.kind == D2:
+                w = n + 1
+            elif self.kind == S2:
+                w = np.where(n == 0, 1.0, n * n)
+            elif self.kind == S12:
+                w = (n + 1) * (n + 2) / 2.0
+            elif self.kind == S22:
+                w = 1.0 + n * n
+            elif self.kind == DALPHA:
+                w = (1.0 + n) ** self.alpha
+            else:  # KM: (n+1)...(n+m+1), at least (m+1)!, so a finite product divides below
+                w = np.ones_like(n)
+                for i in range(1, self.m + 2):
+                    w = w * (n + i)
+        if not np.isfinite(w).all():
+            raise DomainError(f"{self.label} weights overflow the float range")
+        if self.kind == KM:
             w /= math.factorial(self.m + 1)
         return w if w.ndim else float(w)
 
@@ -333,3 +337,16 @@ def sup_norm(f: PowerSeries, samples: int = 4096) -> float:
         m *= 2
     values = np.fft.fft(f.coeffs, n=m)
     return float(np.abs(values).max())
+
+
+def sup_bound(f: PowerSeries, samples: int = 4096) -> float:
+    """Upper bound of sup |f| on the circle for the polynomial f of degree d: by Bernstein's
+    inequality |f'| <= d sup|f|, and every point lies within pi/M of one of M equispaced
+    samples, sup|f| <= max_j |f(zeta_j)| / (1 - pi d / M).  M doubles from ``samples`` while
+    M <= 4 d; the sampled maximum is raised by 4 ulps of sum |f_n| per FFT level for rounding."""
+    c = f.coeffs[: max(f.degree(), 0) + 1]
+    d, m = len(c) - 1, samples
+    while m <= 4 * d:
+        m *= 2
+    rounding = 4 * m.bit_length() * np.finfo(np.float64).eps * np.abs(c).sum()
+    return float((np.abs(np.fft.fft(c, n=m)).max() + rounding) / (1.0 - math.pi * d / m))

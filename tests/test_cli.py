@@ -289,13 +289,18 @@ class TestCommandLine:
              "psi^3 within 1e-08 needs truncation >= 388", {}),
             (["isometry", "S12", "{path}", "3"], '{"a": [1, 0], "zeros": [[0.99, 0], [-0.5, 0]]}',
              "psi^3 within 1e-08 needs truncation >= 7687", {}),
+            (["norm", "Dalpha:inf", "{path}"], "[[1, 0]]", "Dalpha requires a finite alpha >= 0", {}),
+            (["kernel", "Dalpha:inf", "0.5", "0.5"], "", "Dalpha requires a finite alpha >= 0", {}),
+            (["kernel", "Dalpha:1e308", "0.5", "0.5"], "",
+             "Dalpha:1e+308 weights overflow the float range", {}),
         ],
         ids=["bad_pair", "not_a_list", "unknown_space", "bad_json", "missing_file",
              "outside_disk", "series_too_long", "kernel_w_inf", "kernel_z_inf", "bad_config",
              "blaschke_missing_key", "blaschke_short_pair",
              "pick_short_node", "tol_nan", "tol_negative", "tol_inf", "tol_env_nan",
              "m_zero", "m_negative", "comp_not_self_map", "isometry_starved_09",
-             "isometry_starved_099"],
+             "isometry_starved_099", "norm_dalpha_inf", "kernel_dalpha_inf",
+             "kernel_dalpha_overflow"],
     )
     @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
     def test_input_errors_exit_2_with_one_line(

@@ -168,17 +168,23 @@ class TestNormEstimate:
             assert abs(est - dense) <= 1e-13 * dense
             assert est <= dense * (1 + 1e-15)
 
-    def test_composition_underflow_cut_is_exact(self):
-        # powers of 0.1 + 0.05z are exactly zero from row 391 on, so the products use 391 rows
+    def test_composition_certified_cut_is_exact(self):
+        # sup|0.1 + 0.05z| = 0.15 certifies that rows past k* hold at most eps^2 of the
+        # squared Frobenius mass: the products are A with columns k*+1..n set to zero
         phi, n = ps.from_coefficients([0.1, 0.05]), 512
         a = op.composition_matrix(S12, phi, n)
-        assert not a[:, -1].any()
+        k = len(op._composition_columns(S12, phi, n)[0]) - 1
+        assert 0 < k < n
         dense = dense_norm(a)
         assert abs(op.composition_norm(S12, phi, n) - dense) <= 1e-13 * dense
         matvec, rmatvec = op._composition_products(S12, phi, n)
         eye = np.eye(n + 1)
-        assert np.array_equal(np.column_stack([matvec(e) for e in eye]), a)
-        assert np.array_equal(np.column_stack([rmatvec(e) for e in eye]), a.conj().T)
+        columns = np.column_stack([matvec(e) for e in eye])
+        assert np.array_equal(columns[:, : k + 1], a[:, : k + 1])
+        assert not columns[:, k + 1 :].any()
+        rows = np.column_stack([rmatvec(e) for e in eye])
+        assert np.array_equal(rows[: k + 1], a.conj().T[: k + 1])
+        assert not rows[k + 1 :].any()
 
     def test_constant_symbols_are_exact(self):
         # the identity is TestOperatorNorm.test_identity
@@ -245,6 +251,50 @@ class TestNormEstimate:
         products, count = counted(*op._composition_products(S12, phi, n))
         assert op.norm_estimate(*products, n + 1) == 1.0
         assert count() == 2 * 8 + 1
+
+
+def symbol_of_sup(target, seed=7):
+    f = ps.PowerSeries(np.random.default_rng(seed).uniform(-1, 1, 7) + 0.5j)
+    return ps.scale(f, target / sp.sup_norm(f))
+
+
+CUT_SYMBOLS = [symbol_of_sup(0.3), symbol_of_sup(0.8), symbol_of_sup(0.95),
+               ps.from_coefficients([0.5]), ps.from_coefficients([0.3 - 0.9j]), ps.zero()]
+CUT_SPACES = [sp.hardy(), sp.bergman(), sp.dirichlet(), S12, sp.km(2), sp.dalpha(1.5)]
+
+
+class TestCompositionRowCut:
+    """Rows 0..k* of the C_phi table, fixed by sup_bound(phi) before any row is built."""
+
+    @pytest.mark.parametrize("space", CUT_SPACES, ids=lambda s: s.label)
+    def test_cut_is_a_certified_prefix_of_the_full_table(self, space):
+        n = 1024
+        for phi in CUT_SYMBOLS:
+            full, none = op._composition_columns(space, phi, n, full=True)
+            cut, mass = op._composition_columns(space, phi, n)
+            k = len(cut) - 1
+            assert none == 0.0 and len(full) == n + 1
+            assert np.array_equal(cut, full[: k + 1])  # bit for bit
+            assert float(np.sum(np.abs(full[k + 1 :]) ** 2)) <= mass <= np.finfo(float).eps ** 2
+            assert k < n or mass == 0.0
+            if phi.degree() < 0:
+                assert k == 0
+
+    def test_every_row_where_the_sup_bound_reaches_one(self):
+        n = 96
+        for phi in (ps.monomial(1), ps.monomial(3), ps.from_coefficients([0.5, 0.5])):
+            table, mass = op._composition_columns(S12, phi, n)
+            assert len(table) == n + 1 and mass == 0.0
+            assert np.array_equal(table, op.composition_matrix(S12, phi, n).T)
+
+    @pytest.mark.parametrize("space", CUT_SPACES, ids=lambda s: s.label)
+    def test_hilbert_schmidt_never_below_the_full_sum(self, space):
+        n = 512
+        for phi in CUT_SYMBOLS:
+            full = float(np.sum(np.abs(op.composition_matrix(space, phi, n)) ** 2))
+            value = op.hilbert_schmidt_norm_sq(space, phi, n)
+            assert value >= full - 4 * np.spacing(full)
+            assert value <= full + 4 * np.spacing(full)
 
 
 class TestCompositionMatrix:

@@ -47,6 +47,17 @@ class TestWeights:
             a = space.kernel_coeffs(200)
             assert np.max(np.abs(a * w - 1.0)) <= np.finfo(float).eps
 
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan, -1.0])
+    def test_dalpha_rejects_alpha_outside_finite_nonnegative(self, alpha):
+        with pytest.raises(ValueError, match="finite alpha >= 0"):
+            sp.dalpha(alpha)
+
+    @pytest.mark.parametrize("space", [sp.dalpha(1e308), sp.dalpha(110.0), sp.km(200)])
+    @pytest.mark.filterwarnings("error")  # the overflow raises once, with no numpy warning
+    def test_overflowing_weight_is_a_domain_error(self, space):
+        with pytest.raises(DomainError, match="weights overflow the float range"):
+            space.weights(1024)
+
     def test_parse_space(self):
         assert sp.parse_space("S12").kind == sp.S12
         assert sp.parse_space("Dalpha:2.0").alpha == 2.0
@@ -240,6 +251,22 @@ class TestSupNorm:
         ratio = sp.sup_norm(extremal) / sp.space_norm(sp.s12(), extremal)
         assert ratio > SQRT2 - 1e-3
         assert ratio <= SQRT2 + 1e-12
+
+    def test_upper_bound_between_samples(self):
+        # |1 + e^(-i pi/M) z| peaks at 2 midway between two of the M samples, where the
+        # samples read 2 cos(pi / 2M) at most; Bernstein's factor must cover that gap
+        m, d = 4096, 1
+        f = ps.from_coefficients([1, cmath.exp(-1j * math.pi / m)])
+        sampled, bound = sp.sup_norm(f, m), sp.sup_bound(f, m)
+        assert sampled < 2.0 <= bound
+        assert bound / sampled <= 1.0 / (1.0 - math.pi * d / m) + 1e-12
+
+    @pytest.mark.parametrize("coeffs", [[0.0], [0.3 - 0.4j], [0.25, 0.5j], [1, 2, 1], [0, 0, 0, 1]])
+    def test_upper_bound_brackets_a_sampled_peak(self, coeffs):
+        # constants and monomials are flat on the circle; 1 + 2z + z^2 peaks at the sample z = 1
+        f = ps.from_coefficients(coeffs)
+        peak = float(sum(abs(c) for c in coeffs))
+        assert peak <= sp.sup_bound(f) <= peak / (1.0 - math.pi * f.degree() / 4096) + 1e-12
 
 
 @settings(max_examples=80, deadline=None)
