@@ -41,18 +41,25 @@ def _composition_columns(space: sp.SpaceWeights, phi: PowerSeries, n: int, full:
     k is fixed before any row is built.  For s = spaces.sup_bound(phi) < 1, ||phi^j||_H2 <= s^j
     bounds the mass of row j by (max w / min w) s^(2j), w = weights(n): k is that Majorant's
     order_for(eps^2) (rho = s^2, or the least normal float if smaller) and the bound its tail
-    at k; a zero symbol keeps row 0 alone.  When s >= 1, when that k is n or more, or for
-    ``full`` (the exact dense compression), k = n and the bound is 0.
+    at k.  When s >= 1 or that k is n or more, k = n and the bound is 0.  Then, whatever s,
+    k is capped at n // v for phi of valuation v >= 1: phi^j starts at z^(v j), so the rows
+    past it are exactly zero (a zero symbol keeps row 0 alone).  ``full`` (the exact dense
+    compression) keeps all n+1 rows.
     """
     ps.require_open_disk(phi.coeffs[0], "composition symbol's constant term")
     w = space.weights(n)
     k, mass = n, 0.0
-    s = 1.0 if full or n == 0 else sp.sup_bound(phi)
-    if s < 1:
-        rows = ps.Majorant(math.log(w.max() / w.min()), 0, max(s * s, np.finfo(np.float64).tiny))
-        if rows.tail(n - 1) <= _CUT_MASS:
-            k = rows.order_for(_CUT_MASS)
-            mass = rows.tail(k)
+    if not full and n > 0:
+        s = sp.sup_bound(phi)
+        if s < 1:
+            rows = ps.Majorant(math.log(w.max() / w.min()), 0, max(s * s, np.finfo(np.float64).tiny))
+            if rows.tail(n - 1) <= _CUT_MASS:
+                k = rows.order_for(_CUT_MASS)
+                mass = rows.tail(k)
+        nonzero = np.flatnonzero(phi.coeffs[: n + 1])
+        v = int(nonzero[0]) if len(nonzero) else n + 1
+        if v > 0:
+            k = min(k, n // v)
     sqw = np.sqrt(w)
     table = ps.orbit(ps.one(), phi, k, n)
     table *= sqw / sqw[: k + 1, None]
@@ -166,8 +173,8 @@ def _composition_products(space: sp.SpaceWeights, phi: PowerSeries, n: int):
     Only rows 0..k of the transposed table are built (``_composition_columns``), so
     matvec reads x[:k+1] and rmatvec pads with zeros: the products are those of A with
     columns k+1..n set to zero, a column subset whose norm estimate stays a lower bound
-    of ||C_phi||, within eps ||A||_F of the full compression's.  For sup|phi| >= 1 no
-    column is cut.
+    of ||C_phi||, within eps ||A||_F of the full compression's.  For sup|phi| >= 1 only
+    the columns that are exactly zero (phi^j past order n, for phi(0) = 0) are cut.
     """
     at, _ = _composition_columns(space, phi, n)  # at[j, i] = entry(i, j)
     k = len(at)
@@ -220,7 +227,8 @@ def hilbert_schmidt_norm_sq(space: sp.SpaceWeights, phi: PowerSeries, n: int) ->
     """Partial Hilbert-Schmidt sum sum_{j<=n} ||phi^j||^2 / weight(j), every power
     truncated at order n: the squared Frobenius norm of the compression.  The rows that
     ``_composition_columns`` builds are summed and the bound of the rest added, so up to
-    rounding the value lies in [full sum, full sum + eps^2]; for sup|phi| >= 1 all are summed."""
+    rounding the value lies in [full sum, full sum + eps^2]; for sup|phi| >= 1 every row
+    that is not exactly zero is summed."""
     table, mass = _composition_columns(space, phi, n)
     return float(np.sum(np.abs(table) ** 2)) + mass
 

@@ -339,14 +339,14 @@ def sup_norm(f: PowerSeries, samples: int = 4096) -> float:
     return float(np.abs(values).max())
 
 
-def sup_bound(f: PowerSeries, samples: int = 4096) -> float:
+def sup_bound(f: PowerSeries) -> float:
     """Upper bound of sup |f| on the circle for the polynomial f of degree d: by Bernstein's
     inequality |f'| <= d sup|f|, and every point lies within pi/M of one of M equispaced
-    samples, sup|f| <= max_j |f(zeta_j)| / (1 - pi d / M).  M doubles from ``samples`` while
+    samples, sup|f| <= max_j |f(zeta_j)| / (1 - pi d / M).  M doubles from 4096 while
     M <= 4 d; the sampled maximum is raised by 4 ulps of sum |f_n| per FFT level for rounding."""
-    c = f.coeffs[: max(f.degree(), 0) + 1]
-    d, m = len(c) - 1, samples
+    c = ps.truncate(f, max(f.degree(), 0))
+    d, m = c.order, 4096
     while m <= 4 * d:
         m *= 2
-    rounding = 4 * m.bit_length() * np.finfo(np.float64).eps * np.abs(c).sum()
-    return float((np.abs(np.fft.fft(c, n=m)).max() + rounding) / (1.0 - math.pi * d / m))
+    rounding = 4 * m.bit_length() * np.finfo(np.float64).eps * np.abs(c.coeffs).sum()
+    return (sup_norm(c, m) + rounding) / (1.0 - math.pi * d / m)

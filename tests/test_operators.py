@@ -280,12 +280,17 @@ class TestCompositionRowCut:
             if phi.degree() < 0:
                 assert k == 0
 
-    def test_every_row_where_the_sup_bound_reaches_one(self):
+    def test_every_nonzero_row_where_the_sup_bound_reaches_one(self):
+        # phi^j starts at z^(v j), so only the rows j <= n // v can be nonzero
         n = 96
-        for phi in (ps.monomial(1), ps.monomial(3), ps.from_coefficients([0.5, 0.5])):
+        for phi, rows in ((ps.monomial(1), n + 1), (ps.monomial(3), n // 3 + 1),
+                          (ps.from_coefficients([0.5, 0.5]), n + 1),
+                          (ps.from_coefficients([0, 0, 0.5, 0.5]), n // 2 + 1)):
             table, mass = op._composition_columns(S12, phi, n)
-            assert len(table) == n + 1 and mass == 0.0
-            assert np.array_equal(table, op.composition_matrix(S12, phi, n).T)
+            full = op.composition_matrix(S12, phi, n).T
+            assert len(table) == rows and mass == 0.0
+            assert np.array_equal(table, full[:rows])
+            assert not full[rows:].any()
 
     @pytest.mark.parametrize("space", CUT_SPACES, ids=lambda s: s.label)
     def test_hilbert_schmidt_never_below_the_full_sum(self, space):

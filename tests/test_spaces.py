@@ -255,9 +255,9 @@ class TestSupNorm:
     def test_upper_bound_between_samples(self):
         # |1 + e^(-i pi/M) z| peaks at 2 midway between two of the M samples, where the
         # samples read 2 cos(pi / 2M) at most; Bernstein's factor must cover that gap
-        m, d = 4096, 1
+        m, d = 4096, 1  # the sample count sup_bound starts from
         f = ps.from_coefficients([1, cmath.exp(-1j * math.pi / m)])
-        sampled, bound = sp.sup_norm(f, m), sp.sup_bound(f, m)
+        sampled, bound = sp.sup_norm(f, m), sp.sup_bound(f)
         assert sampled < 2.0 <= bound
         assert bound / sampled <= 1.0 / (1.0 - math.pi * d / m) + 1e-12
 
