@@ -76,16 +76,29 @@ def composition_matrix(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> np.n
 # ---------------------------------------------------------------------------
 
 
-# Golub-Kahan steps before norm_estimate gives up; C_{z^2} at size 1025 stops after 390.
+# Golub-Kahan steps before norm_estimate gives up; C_{z^2} on S12 at size 1025 stops after 358.
 _MAX_STEPS = 500
-# Steps between two convergence tests while k is small; each test is one SVD of
-# the k x k bidiagonal, about the cost of one step, so later tests come every k/8.
+# Steps before the first convergence test, and from the first to the second; each test
+# is one SVD of the k x k bidiagonal, about the cost of one step.
 _TEST_EVERY = 4
+# Rows the two Krylov bases start with; they double when the steps need more.
+_BASIS_ROWS = 32
+
+
+def _norm(x: np.ndarray) -> float:
+    return math.sqrt(np.vdot(x, x).real)
 
 
 def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> None:
     """Subtract from w, in place, its projection on the orthonormal rows of basis."""
     w -= np.conj(basis @ np.conj(w)) @ basis
+
+
+def _bidiagonal(alphas: list, betas: list) -> np.ndarray:
+    """The len(alphas) x (len(betas) + 1) upper bidiagonal with these two diagonals."""
+    b = np.diag(betas, 1)[: len(alphas)]
+    np.fill_diagonal(b, alphas)
+    return b
 
 
 def norm_estimate(matvec, rmatvec, n: int) -> float:
@@ -102,67 +115,87 @@ def norm_estimate(matvec, rmatvec, n: int) -> float:
     lies in span U_k, and the Ritz pair comes from B_k, or from the k x (k+1)
     block [B_k, beta_k e_k], exactly.  The result is
     ||A v|| for the unit Ritz vector v = V y: a lower bound of sigma_max.
-    n <= 2 takes a dense SVD; no convergence within min(n, _MAX_STEPS) steps
-    raises ConvergenceError.
+
+    The products take and return 1-d complex arrays of length n, each call a new
+    array, which the iteration updates in place.  The bases start with _BASIS_ROWS
+    rows and double when the steps need more, so storage follows the steps taken.
+    Each test of the stop rule is one SVD of B_k.  The first comes after
+    _TEST_EVERY steps, the second max(_TEST_EVERY, k // 8) after it; each later one
+    where log(residual / (eps sigma)), fitted linearly in k through the last two
+    failed tests, reaches 0, at least 1 and at most 2 max(_TEST_EVERY, k // 8)
+    steps ahead.  n <= 2 takes a dense SVD; no convergence within
+    min(n, _MAX_STEPS) steps raises ConvergenceError.
     """
     if n <= 2:
         a = np.array([matvec(e) for e in np.eye(n)]).reshape(n, n).T
         return float(np.linalg.svd(a, compute_uv=False).max(initial=0.0))
     eps = np.finfo(np.float64).eps
     cap = min(n, _MAX_STEPS)
-    vs = np.zeros((cap + 1, n), dtype=np.complex128)  # rows v_1 .. v_{k+1}
-    us = np.zeros((cap, n), dtype=np.complex128)  # rows u_1 .. u_k
-    b = np.zeros((cap, cap + 1))  # B_k, with beta_k at (k, k+1)
+    rows = min(cap, _BASIS_ROWS)
+    vs = np.empty((rows + 1, n), dtype=np.complex128)  # rows v_1 .. v_{k+1}
+    us = np.empty((rows, n), dtype=np.complex128)  # rows u_1 .. u_k
+    alphas, betas = [], []  # the diagonal of B_k, and beta_1 .. beta_k above it
     vs[0] = 1.0 / math.sqrt(n)
-    u = np.asarray(matvec(vs[0]), dtype=np.complex128).ravel()
-    scale, k, next_test, ritz = 0.0, 0, _TEST_EVERY, None
+    u = matvec(vs[0])
+    scale, k, next_test, last_test, ritz = 0.0, 0, _TEST_EVERY, None, None
     while True:
         _orthogonalize(u, us[:k])
-        alpha = float(np.linalg.norm(u))
+        alpha = _norm(u)
         scale = max(scale, alpha)
         if alpha <= n * eps * scale:
-            block = b[:k, : k + 1]
             break
-        b[k, k] = alpha
-        us[k] = u / alpha
-        w = np.asarray(rmatvec(us[k]), dtype=np.complex128).ravel() - alpha * vs[k]
+        if k == rows:  # the rows past k are scratch, so np.resize may fill them with copies
+            rows = min(2 * rows, cap)
+            us, vs = np.resize(us, (rows, n)), np.resize(vs, (rows + 1, n))
+        alphas.append(alpha)
+        np.divide(u, alpha, out=us[k])
+        w = rmatvec(us[k])
+        w -= alpha * vs[k]
         _orthogonalize(w, vs[: k + 1])
-        beta = float(np.linalg.norm(w))
+        beta = _norm(w)
         scale = max(scale, beta)
         k += 1
-        block = b[:k, :k]
         if k == n or beta <= n * eps * scale:
             break
-        b[k - 1, k] = beta
-        vs[k] = w / beta
+        betas.append(beta)
+        np.divide(w, beta, out=vs[k])
         if k >= next_test or k == cap:
-            next_test = k + max(_TEST_EVERY, k // 8)
-            x, s, yh = np.linalg.svd(block)
-            if beta * abs(x[-1, 0]) <= eps * s[0]:
+            x, s, yh = np.linalg.svd(_bidiagonal(alphas, betas[:-1]))
+            residual = beta * abs(x[-1, 0])
+            if residual <= eps * s[0]:
                 ritz = yh[0]
                 break
             if k == cap:
                 raise ConvergenceError(f"top singular value did not converge at size {n}")
-        u = np.asarray(matvec(vs[k]), dtype=np.complex128).ravel() - beta * us[k - 1]
-    if block.size == 0:  # A v_1 = 0 exactly
-        return 0.0
+            gap, step = math.log(residual / (eps * s[0])), max(_TEST_EVERY, k // 8)
+            if last_test:  # where the log-linear fit through the last two tests reaches 0
+                k0, gap0 = last_test
+                fit = math.ceil(gap * (k - k0) / (gap0 - gap)) if gap < gap0 else math.inf
+                step = min(max(fit, 1), 2 * step)
+            next_test, last_test = k + step, (k, gap)
+        u = matvec(vs[k])
+        u -= beta * us[k - 1]
     if ritz is None:
+        block = _bidiagonal(alphas, betas)
+        if block.size == 0:  # A v_1 = 0 exactly
+            return 0.0
         ritz = np.linalg.svd(block)[2][0]
-    v = np.conj(ritz) @ vs[: block.shape[1]]
-    return float(np.linalg.norm(matvec(v / np.linalg.norm(v))))
+    v = np.conj(ritz) @ vs[: len(ritz)]
+    return _norm(matvec(v / _norm(v)))
 
 
 def _multiplication_products(space: sp.SpaceWeights, f: PowerSeries, n: int):
     """A x = sqrt(w) (f * x / sqrt(w)); A^H y is conj(f) * u read backwards, u = sqrt(w) y."""
     sqw = np.sqrt(space.weights(n))
+    inv_sqw = 1.0 / sqw
     times_f = ps._multiplier(f, n)
     times_conj_f = ps._multiplier(PowerSeries(np.conj(f.coeffs)), n)
 
     def matvec(x):
-        return sqw * times_f(np.asarray(x).ravel() / sqw)
+        return sqw * times_f(x * inv_sqw)
 
     def rmatvec(y):
-        return times_conj_f((sqw * np.asarray(y).ravel())[::-1])[::-1] / sqw
+        return times_conj_f((sqw * y)[::-1])[::-1] * inv_sqw
 
     return matvec, rmatvec
 
@@ -180,11 +213,11 @@ def _composition_products(space: sp.SpaceWeights, phi: PowerSeries, n: int):
     k = len(at)
 
     def matvec(x):
-        return at.T @ np.asarray(x).ravel()[:k]
+        return at.T @ x[:k]
 
     def rmatvec(y):
         out = np.zeros(n + 1, dtype=np.complex128)
-        out[:k] = np.conj(at @ np.conj(np.asarray(y).ravel()))
+        out[:k] = np.conj(at @ np.conj(y))
         return out
 
     return matvec, rmatvec

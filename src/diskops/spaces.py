@@ -75,6 +75,8 @@ class SpaceWeights:
             raise ValueError("Dalpha requires a finite alpha >= 0")
         if self.kind == KM and self.m < 1:
             raise ValueError("Km requires a positive integer m")
+        if self.kind == KM and self.m >= 170:  # weight(0) needs (m+1)!, above float max
+            raise DomainError(f"{self.label} weights overflow the float range")
 
     @property
     def label(self) -> str:

@@ -293,6 +293,8 @@ class TestCommandLine:
             (["kernel", "Dalpha:inf", "0.5", "0.5"], "", "Dalpha requires a finite alpha >= 0", {}),
             (["kernel", "Dalpha:1e308", "0.5", "0.5"], "",
              "Dalpha:1e+308 weights overflow the float range", {}),
+            (["kernel", "Km:1000000", "0.5", "0.5"], "",
+             "Km:1000000 weights overflow the float range", {}),
         ],
         ids=["bad_pair", "not_a_list", "unknown_space", "bad_json", "missing_file",
              "outside_disk", "series_too_long", "kernel_w_inf", "kernel_z_inf", "bad_config",
@@ -300,7 +302,7 @@ class TestCommandLine:
              "pick_short_node", "tol_nan", "tol_negative", "tol_inf", "tol_env_nan",
              "m_zero", "m_negative", "comp_not_self_map", "isometry_starved_09",
              "isometry_starved_099", "norm_dalpha_inf", "kernel_dalpha_inf",
-             "kernel_dalpha_overflow"],
+             "kernel_dalpha_overflow", "kernel_km_overflow"],
     )
     @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
     def test_input_errors_exit_2_with_one_line(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ def multiplication_columns(space, f, n):
 
 class TestMultiplicationMatrix:
     def test_identity_symbol(self):
-        # M_1 is the identity; x -> sqw * (x / sqw) rounds twice, so each 1 is within an ulp
+        # M_1 is the identity; x -> sqw * (x * (1 / sqw)) rounds each 1 to within an ulp
         a = multiplication_columns(S12, ps.one(), 16)
         assert np.array_equal(a, np.diag(np.diag(a)))
         assert np.max(np.abs(np.diag(a) - 1.0)) <= np.finfo(float).eps
@@ -251,6 +252,46 @@ class TestNormEstimate:
         products, count = counted(*op._composition_products(S12, phi, n))
         assert op.norm_estimate(*products, n + 1) == 1.0
         assert count() == 2 * 8 + 1
+
+    @pytest.mark.parametrize("n", [64, 300])
+    @pytest.mark.parametrize("gap", np.geomspace(1e-15, 1e-6, 10))
+    def test_clustered_top_of_a_diagonal(self, n, gap):
+        # singular values 2 and 2 - gap over a rest <= 1: the residual rule resolves the
+        # pair at every gap, where a rule with the Ritz gap in it stops 1e-10 low
+        rng = np.random.default_rng(n)
+        s = rng.uniform(0, 1, n)
+        s[rng.choice(n, 2, replace=False)] = 2.0, 2.0 - gap
+        d = s * np.exp(2j * np.pi * rng.uniform(size=n))
+        assert abs(op.norm_estimate(lambda x: d * x, lambda y: np.conj(d) * y, n) - 2) <= 1e-13 * 2
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("space", [sp.hardy(), sp.bergman(), sp.dirichlet(), S12],
+                             ids=lambda s: s.label)
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_symbols_in_powers_of_z_p(self, p, space, n):
+        # M_f and C_phi for f = g(z^p) split into p residue classes mod p; the start
+        # vector has to meet the one that holds the top singular vector
+        rng = np.random.default_rng(p)
+        g = ps.PowerSeries(rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5))
+        f = ps.compose(g, ps.monomial(p), 4 * p)
+        dense = dense_norm(multiplication_matrix(space, f, n))
+        assert abs(op.multiplication_norm(space, f, n) - dense) <= 1e-13 * dense
+        phi = ps.scale(f, 0.5 / sp.sup_norm(f))
+        dense = dense_norm(op.composition_matrix(space, phi, n))
+        assert abs(op.composition_norm(space, phi, n) - dense) <= 1e-13 * dense
+
+    def test_storage_follows_the_steps_taken(self):
+        # the Krylov bases grow with the steps, not with the size: the 27 steps at size
+        # 4097 need two bases of 64 rows, where (cap + 1) x n rows took 68 MB
+        f = ps.from_coefficients([0.3, -0.5j, 0, 0.2])
+        op.multiplication_norm(S12, f, 64)
+        tracemalloc.start()
+        try:
+            op.multiplication_norm(S12, f, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 def symbol_of_sup(target, seed=7):

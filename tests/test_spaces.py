@@ -52,11 +52,21 @@ class TestWeights:
         with pytest.raises(ValueError, match="finite alpha >= 0"):
             sp.dalpha(alpha)
 
-    @pytest.mark.parametrize("space", [sp.dalpha(1e308), sp.dalpha(110.0), sp.km(200)])
+    @pytest.mark.parametrize("space", [sp.dalpha(1e308), sp.dalpha(110.0), sp.km(169)])
     @pytest.mark.filterwarnings("error")  # the overflow raises once, with no numpy warning
     def test_overflowing_weight_is_a_domain_error(self, space):
         with pytest.raises(DomainError, match="weights overflow the float range"):
             space.weights(1024)
+
+    @pytest.mark.parametrize("m", [170, 200, 10**9])
+    def test_km_past_170_is_refused_at_construction(self, m):
+        # (m+1)! overflows for m >= 170, so every weight does: no loop over m+1 factors runs
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=f"Km:{m} weights overflow the float range"):
+            sp.km(m)
+        assert time.perf_counter() - start < 0.5
+        assert abs(sp.km(169).weights(0)[0] - 1.0) < 1e-13  # 170! is still finite
+        assert np.array_equal(sp.km(2).weights(3), [1, 4, 10, 20])
 
     def test_parse_space(self):
         assert sp.parse_space("S12").kind == sp.S12
