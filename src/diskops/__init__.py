@@ -14,7 +14,6 @@ from .errors import (
     TruncationError,
 )
 from .operators import (
-    ShiftClassification,
     blaschke_isometry_check,
     composition_matrix,
     composition_monomial_norm,
@@ -24,9 +23,9 @@ from .operators import (
     growth_formula_check,
     hilbert_schmidt_norm_sq,
     isometry_defect,
+    isometry_order,
     multiplication_norm,
     norm_estimate,
-    shift_isometry_order,
 )
 from .pick import (
     PickProblem,

@@ -45,6 +45,8 @@ class Config:
     def __post_init__(self):
         if self.truncation < 16:
             raise ValueError("truncation must be >= 16")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and > 0, got {self.tol}")
         if self.quad_nodes < 256 or self.quad_nodes & (self.quad_nodes - 1):
@@ -412,24 +414,24 @@ def _blaschke_s2_correction(cfg):
     return rp.compare_report([("three_step_residual", value, -1.0, rp.DERIVED)], tolerance=1e-8)
 
 
-def _fit_error(result: op.ShiftClassification, order: int, polynomial) -> float:
-    """Largest coefficient error of the fitted P; inf unless the order matches."""
-    if result.order != order or result.polynomial is None:
-        return np.inf
-    return float(np.max(np.abs(np.array(result.polynomial) - polynomial)))
+def _shift_order(space: sp.SpaceWeights, m_max: int, target: list):
+    """M_z's isometry order on the orbit norms of 1, ||z^n||^2 = weight(n) for n = 0..63 (-1
+    for none), the largest error of the Newton coefficients Delta^j w(0) of
+    P(n) = sum_j C(n,j) Delta^j w(0) against the target (inf unless the order is
+    len(target)), and the classifier's residual."""
+    w = space.weights(63)
+    order, residual = op.isometry_order(w, m_max)
+    error = np.inf
+    if order == len(target):
+        error = float(max(abs(np.diff(w, j)[0] - c) for j, c in enumerate(target)))
+    return -1 if order is None else order, error, residual
 
 
 @_check("isometries", "shift_order_s12")
 def _shift_order_s12(cfg):
-    n = np.arange(64.0)
-    result = op.shift_isometry_order((n + 3.0) / (n + 1.0), 6)
-    coeff_err = _fit_error(result, 3, [1.0, 1.5, 0.5])
+    order, coeff_err, residual = _shift_order(sp.s12(), 6, [1.0, 2.0, 1.0])
     return rp.make_report(
-        computed=[
-            ("order", -1 if result.order is None else result.order),
-            ("coefficient_error", coeff_err),
-            ("fit_residual", result.residual),
-        ],
+        computed=[("order", order), ("coefficient_error", coeff_err), ("fit_residual", residual)],
         reference=[("order", 3, rp.PAPER), ("coefficient_error", 0.0, rp.PAPER)],
         tolerance=1e-8,
         ok=coeff_err < 1e-8,
@@ -438,49 +440,36 @@ def _shift_order_s12(cfg):
 
 @_check("isometries", "shift_order_h2")
 def _shift_order_h2(cfg):
-    result = op.shift_isometry_order(np.ones(64), 6)
+    order, coeff_err, _ = _shift_order(sp.hardy(), 6, [1.0])
     return rp.make_report(
-        computed=[("order", -1 if result.order is None else result.order)],
+        computed=[("order", order)],
         reference=[("order", 1, rp.TRIVIAL)],
         tolerance=0.0,
-        ok=_fit_error(result, 1, [1.0]) < 1e-12,
+        ok=coeff_err < 1e-12,
     )
 
 
 @_check("isometries", "shift_order_s2_none")
 def _shift_order_s2(cfg):
-    wsq = np.ones(64)
-    n = np.arange(1.0, 64.0)
-    wsq[1:] = (n + 1.0) ** 2 / n**2
-    result = op.shift_isometry_order(wsq, 6)
+    order, _, residual = _shift_order(sp.s2(), 6, [])
     return rp.make_report(
-        computed=[
-            ("order", -1 if result.order is None else result.order),
-            ("best_residual", result.residual),
-        ],
+        computed=[("order", order), ("best_residual", residual)],
         reference=[("order", -1, rp.PAPER)],
         tolerance=0.0,
-        ok=result.order is None,
+        ok=order == -1,
     )
 
 
 @_check("isometries", "shift_order_km")
 def _shift_order_km(cfg):
-    from numpy.polynomial import polynomial as npoly
-
-    n = np.arange(64.0)
-    rows = []
-    ok = True
-    for m in (1, 2, 3):
-        result = op.shift_isometry_order((n + m + 2.0) / (n + 1.0), m + 3)
-        rows.append((f"order_m{m}", -1 if result.order is None else result.order))
-        target = npoly.polyfromroots([-i for i in range(1, m + 2)]).real
-        ok = ok and _fit_error(result, m + 2, target / target[0]) < 1e-8
+    # weight(n) = C(n+m+1, m+1) = sum_j C(n,j) C(m+1,j)
+    results = [_shift_order(sp.km(m), m + 3, [math.comb(m + 1, j) for j in range(m + 2)])
+               for m in (1, 2, 3)]
     return rp.make_report(
-        computed=rows,
+        computed=[(f"order_m{m}", r[0]) for m, r in zip((1, 2, 3), results)],
         reference=[(f"order_m{m}", m + 2, rp.PAPER) for m in (1, 2, 3)],
         tolerance=1e-8,
-        ok=ok,
+        ok=all(r[1] < 1e-8 for r in results),
     )
 
 

@@ -16,11 +16,8 @@ nondecreasing in the truncation size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
-from numpy.polynomial import polynomial as _poly
 
 from . import report as rp
 from . import series as ps
@@ -235,21 +232,21 @@ def composition_norm(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> float:
     return norm_estimate(*_composition_products(space, phi, n), n + 1)
 
 
-def composition_monomial_norm(space: sp.SpaceWeights, k: int, index_cap: int = 10**10) -> float:
+def composition_monomial_norm(space: sp.SpaceWeights, k: int) -> float:
     """Norm of f -> f(z^k) from its diagonal action on the monomial basis.
 
     The operator maps e_n to sqrt(weight(k n)/weight(n)) e_{k n}, with
     orthogonal images, so its norm is sup_n sqrt(weight(k n)/weight(n)).
-    The sup is evaluated over a geometric index grid up to index_cap;
-    for polynomial weight sequences the ratio is eventually monotone, so
-    the cap controls the (one-sided) accuracy and 1e10 leaves the S12
-    value within 1e-8 of the exact limit k.
+    The sup is evaluated over a geometric index grid up to 10^10; for
+    polynomial weight sequences the ratio is eventually monotone, so the
+    cap controls the (one-sided) accuracy, and 10^10 leaves the S12 value
+    within 1e-8 of the exact limit k.
     """
     if k < 1:
         raise ValueError("monomial exponent must be >= 1")
     idx = np.unique(
         np.concatenate(
-            [np.arange(64), np.geomspace(64, index_cap, 512).astype(np.int64)]
+            [np.arange(64), np.geomspace(64, 10**10, 512).astype(np.int64)]
         )
     )
     ratios = space.weight(k * idx.astype(np.float64)) / space.weight(idx.astype(np.float64))
@@ -286,61 +283,33 @@ def isometry_defect(
     return float(np.diff(norms_sq, m)[0])
 
 
-@dataclass(frozen=True)
-class ShiftClassification:
-    """Outcome of the weighted-shift isometry-order search."""
-
-    order: int | None
-    polynomial: tuple[float, ...] | None
-    residual: float
+# An m-th difference counts as 0 when it is at most this fraction of sum_k C(m,k) |x_{n+k}|:
+# far above its rounding floor, a few eps of that sum
+_VANISHING = 1e-12
 
 
-def shift_isometry_order(
-    weights_sq, m_max: int, fit_tol: float = 1e-8
-) -> ShiftClassification:
-    """Smallest m such that |w_n|^2 = P(n+1)/P(n) for a degree-(m-1)
-    polynomial P, positive on the sampled range.
+def isometry_order(norms, m_max: int) -> tuple[int | None, float]:
+    """Smallest m <= m_max whose m-th forward differences of the sequence all vanish.
 
-    The recurrence P(n+1) - |w_n|^2 P(n) = 0 is homogeneous in the
-    coefficients of P, so for each candidate degree the best P is the
-    smallest right singular vector of the recurrence matrix (assembled in
-    a Chebyshev basis over the sample range for conditioning).  Success
-    requires every scaled residual below fit_tol and P > 0 on the range;
-    the returned coefficients are monomial, normalized to P(0) = 1.
-    """
-    wsq = np.asarray(weights_sq, dtype=np.float64)
-    if wsq.ndim != 1 or len(wsq) < 2:
-        raise ValueError("need at least two squared weights")
-    if np.any(wsq <= 0):
-        raise ValueError("squared weights must be positive")
-    n_top = len(wsq)
-    ns = np.arange(n_top + 1, dtype=np.float64)
-    scaled = ns / n_top * 2.0 - 1.0
-    best_residual = np.inf
+    For x_k = ||T^k f||^2, T is an m-isometry on f iff k -> x_k is a polynomial of degree
+    below m, that is iff every Delta^m x_n is 0 (Agler & Stankus, Integral Equations
+    Operator Theory 21, 1995).  Delta^m x_n vanishes when it is exactly 0 or at most
+    _VANISHING sum_k C(m,k) |x_{n+k}|.  Returns m and the largest scaled |Delta^m x_n|, or
+    None and the least such residual over m = 1..m_max.  The sequence is scaled by a power
+    of two, exactly, so no difference overflows.  ValueError unless it has m_max + 1 finite
+    entries or more."""
+    x = np.asarray(norms, dtype=np.float64)
+    if m_max < 1 or x.ndim != 1 or len(x) <= m_max or not np.isfinite(x).all():
+        raise ValueError(f"isometry_order needs m_max >= 1 and m_max + 1 finite norms, got {m_max}")
+    diff = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+    scale, best = np.abs(diff), math.inf
     for m in range(1, m_max + 1):
-        deg = m - 1
-        vander = _cheb.chebvander(scaled, deg)
-        recurrence = vander[1:, :] - wsq[:, None] * vander[:-1, :]
-        if deg == 0:
-            coeff = np.array([1.0])
-        else:
-            _, _, vh = np.linalg.svd(recurrence, full_matrices=False)
-            coeff = vh[-1].real if np.linalg.norm(vh[-1].imag) == 0 else vh[-1]
-        values = (vander @ coeff).real
-        if values[0] < 0:
-            values = -values
-        if abs(values[0]) < 1e-12 * np.abs(values).max():
-            continue
-        scaled_resid = np.abs(values[1:] - wsq * values[:-1]) / (
-            1.0 + np.abs(values[1:]) + np.abs(wsq * values[:-1])
-        )
-        residual = float(scaled_resid.max())
-        best_residual = min(best_residual, residual)
-        if residual < fit_tol and np.all(values > 0):
-            normalized = values / values[0]
-            mono = _poly.polyfit(ns, normalized, deg)
-            return ShiftClassification(m, tuple(float(c) for c in mono), residual)
-    return ShiftClassification(None, None, best_residual)
+        diff, scale = np.diff(diff), scale[1:] + scale[:-1]
+        residual = float(np.max(np.abs(diff) / np.where(diff == 0, 1.0, scale)))
+        if residual <= _VANISHING:
+            return m, residual
+        best = min(best, residual)
+    return None, best
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +325,22 @@ def _blaschke_orbit_norms(
     psi's product series built once and every row cut at ``order``.  psi's tail majorant,
     carried through the powers by the multiplier-algebra bound ||fg|| <= 2 sqrt(2) ||f|| ||g||,
     fixes the order the discarded tails need to move no value past tol: TruncationError
-    naming it if ``order`` is below."""
+    naming it if ``order`` is below, or unnamed if the budget underflows.  For psi = c z^d
+    the rows are polynomials, exact from order count d + deg f on."""
     series = psi.series(order)
-    tail_norm = psi.tail_norm(space, order)  # 0 when psi is c z^d and order >= d
     probe_norm = sp.space_norm(space, f)
-    growth = (2.0 * math.sqrt(2.0) * max(1.0, sp.space_norm(space, series) + tail_norm)) ** count
-    scale = 4.0 * count * growth * max(1.0, probe_norm) ** 2  # 0 when no power is taken
-    needed = psi.order_for(0.5 * tol * (1.0 + probe_norm**2) / scale, space) if scale else 0
+    needed = 0  # when no power is taken
+    if not any(psi.zeros):  # psi = c z^d: row k has degree k d + deg f and no tail
+        needed = count * psi.degree + max(f.degree(), 0)
+    elif count:
+        psi_norm = sp.space_norm(space, series) + psi.tail_norm(space, order)
+        base = 2.0 * math.sqrt(2.0) * max(1.0, psi_norm)
+        growth = base**count if count * math.log(base) < 700.0 else math.inf  # e^700 < float max
+        scale = 4.0 * count * growth * max(1.0, probe_norm) ** 2
+        budget = 0.5 * tol * (1.0 + probe_norm**2) / scale
+        if budget < np.finfo(np.float64).tiny:
+            raise TruncationError(f"psi^{count} within {tol:g}: the tail budget underflows")
+        needed = psi.order_for(budget, space)
     if needed > order:
         raise TruncationError(f"psi^{count} within {tol:g}", needed)
     weights = space.weights(order) if weights is None else weights

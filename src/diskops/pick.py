@@ -94,18 +94,14 @@ def reciprocal_kernel_coefficients(space: sp.SpaceWeights, n_max: int) -> np.nda
     return ps.reciprocal(kernel, n_max).coeffs.real.copy()
 
 
-def reciprocal_sign_check(
-    space: sp.SpaceWeights,
-    n_max: int,
-    sign_tol: float = DEFAULT_SIGN_TOL,
-) -> rp.VerificationReport:
+def reciprocal_sign_check(space: sp.SpaceWeights, n_max: int) -> rp.VerificationReport:
     """Complete-Pick characterization: c_n <= 0 for every n >= 1.
 
-    The tolerance absorbs rounding of exact zeros.  Reports the first
+    DEFAULT_SIGN_TOL absorbs rounding of exact zeros.  Reports the first
     violating index and its value when the pattern breaks.
     """
     c = reciprocal_kernel_coefficients(space, n_max)
-    bad = np.nonzero(c[1:] > sign_tol)[0]
+    bad = np.nonzero(c[1:] > DEFAULT_SIGN_TOL)[0]
     first_failure = int(bad[0] + 1) if bad.size else -1
     worst = float(c[1:].max()) if n_max >= 1 else 0.0
     computed = [("first_violation_index", first_failure), ("max_coefficient", worst)]
@@ -114,7 +110,7 @@ def reciprocal_sign_check(
     return rp.make_report(
         computed=computed,
         reference=[("first_violation_index", -1, rp.PAPER)],
-        tolerance=sign_tol,
+        tolerance=DEFAULT_SIGN_TOL,
         ok=first_failure < 0,
         check_id=f"reciprocal_sign_{space.label}",
     )
@@ -133,11 +129,11 @@ def pick_matrix(problem: PickProblem) -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
-def psd_check(matrix: np.ndarray, psd_tol: float = DEFAULT_PSD_TOL) -> PsdVerdict:
+def psd_check(matrix: np.ndarray) -> PsdVerdict:
     """Smallest eigenvalue of a Hermitian matrix against a scaled floor.
 
-    The verdict is positive iff min eig >= -psd_tol * (largest diagonal
-    entry); kernel evaluations carry ~1e-12 relative error which the
+    The verdict is positive iff min eig >= -DEFAULT_PSD_TOL * (largest
+    diagonal entry); kernel evaluations carry ~1e-12 relative error which the
     eigensolve can amplify, hence the relative floor.
     """
     m = np.asarray(matrix, dtype=np.complex128)
@@ -150,7 +146,7 @@ def psd_check(matrix: np.ndarray, psd_tol: float = DEFAULT_PSD_TOL) -> PsdVerdic
     herm = 0.5 * (m + m.conj().T)
     min_eig = float(np.linalg.eigvalsh(herm)[0]) if m.size else 0.0
     return PsdVerdict(
-        is_psd=min_eig >= -psd_tol * max(scale, 0.0),
+        is_psd=min_eig >= -DEFAULT_PSD_TOL * max(scale, 0.0),
         min_eigenvalue=min_eig,
         matrix_scale=scale,
     )
@@ -207,13 +203,7 @@ def default_corona_grid(radii=(0.18, 0.36, 0.54, 0.72, 0.9), phases: int = 5) ->
     return tuple(pts)
 
 
-def corona_kernel_check(
-    space: sp.SpaceWeights,
-    symbols,
-    delta: float,
-    grid=None,
-    psd_tol: float = DEFAULT_PSD_TOL,
-) -> PsdVerdict:
+def corona_kernel_check(space: sp.SpaceWeights, symbols, delta: float, grid=None) -> PsdVerdict:
     """Sampled positivity of [sum_k conj(f_k(w)) f_k(z) - delta^2] K_w(z).
 
     A necessary sampled test on the given grid, not a proof of positivity
@@ -223,4 +213,4 @@ def corona_kernel_check(
     ps.require_open_disk(points, "corona grid points")
     values = np.array([ps.evaluate_many(f, points) for f in symbols])
     out = (values.conj().T @ values - delta**2) * sp.kernel(space, points[:, None], points)
-    return psd_check(0.5 * (out + out.conj().T), psd_tol=psd_tol)
+    return psd_check(0.5 * (out + out.conj().T))

@@ -124,20 +124,13 @@ def test_criterion_04_three_isometry():
 
 
 def test_criterion_05_shift_classification():
-    n = np.arange(64.0)
-    s12_result = op.shift_isometry_order((n + 3) / (n + 1), 6)
-    s12_ok = (
-        s12_result.order == 3
-        and np.max(np.abs(np.array(s12_result.polynomial) - [1.0, 1.5, 0.5])) < 1e-8
-    )
-    wsq = np.ones(64)
-    m = np.arange(1.0, 64.0)
-    wsq[1:] = (m + 1) ** 2 / m**2
-    s2_ok = op.shift_isometry_order(wsq, 6).order is None
-    km_ok = all(
-        op.shift_isometry_order((n + mm + 2) / (n + 1), mm + 3).order == mm + 2
-        for mm in (1, 2, 3)
-    )
+    # M_z is an m-isometry iff n -> ||z^n||^2 = weight(n) has vanishing m-th differences
+    w = S12.weights(63)
+    s12_order, _ = op.isometry_order(w, 6)
+    newton = [np.diff(w, j)[0] for j in range(3)]  # weight(n) = sum_j C(n,j) Delta^j w(0)
+    s12_ok = s12_order == 3 and np.max(np.abs(np.array(newton) - [1.0, 2.0, 1.0])) < 1e-8
+    s2_ok = op.isometry_order(sp.s2().weights(63), 6)[0] is None
+    km_ok = all(op.isometry_order(sp.km(mm).weights(63), mm + 3)[0] == mm + 2 for mm in (1, 2, 3))
     _verdict(
         "criterion-5 shift-classification",
         s12_ok and s2_ok and km_ok,

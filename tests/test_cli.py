@@ -295,6 +295,14 @@ class TestCommandLine:
              "Dalpha:1e+308 weights overflow the float range", {}),
             (["kernel", "Km:1000000", "0.5", "0.5"], "",
              "Km:1000000 weights overflow the float range", {}),
+            (["isometry", "S12", "{path}", "256"], _Z_JSON,
+             "psi^256 within 1e-08 needs truncation >= 257", {}),
+            (["isometry", "S12", "{path}", "400"], '{"a": [1, 0], "zeros": [[0.5, 0], [0, 0.3]]}',
+             "psi^400 within 1e-08: the tail budget underflows", {}),
+            (["isometry", "S12", "{path}", "1100"], _Z_JSON,
+             "psi^1100 within 1e-08 needs truncation >= 1101", {}),
+            (["verify", "constants", "--seed", "-10000000000"], "", "seed must be >= 0", {}),
+            (["verify", "constants"], "", "seed must be >= 0", {"DISKOPS_SEED": "-1"}),
         ],
         ids=["bad_pair", "not_a_list", "unknown_space", "bad_json", "missing_file",
              "outside_disk", "series_too_long", "kernel_w_inf", "kernel_z_inf", "bad_config",
@@ -302,7 +310,9 @@ class TestCommandLine:
              "pick_short_node", "tol_nan", "tol_negative", "tol_inf", "tol_env_nan",
              "m_zero", "m_negative", "comp_not_self_map", "isometry_starved_09",
              "isometry_starved_099", "norm_dalpha_inf", "kernel_dalpha_inf",
-             "kernel_dalpha_overflow", "kernel_km_overflow"],
+             "kernel_dalpha_overflow", "kernel_km_overflow", "isometry_z_starved",
+             "isometry_growth_underflow", "isometry_z_starved_1100", "seed_negative",
+             "seed_env_negative"],
     )
     @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
     def test_input_errors_exit_2_with_one_line(

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diskops import blaschke as bl
 from diskops import checks
@@ -445,41 +447,104 @@ class TestIsometryDefect:
                 op.blaschke_power_defect(S12, shift_z, m, ps.one(), 32)
 
 
+def newton_coefficients(norms, order):
+    """Delta^j x_0 for j < order: P(n) = sum_j C(n,j) Delta^j x_0 on the sampled range."""
+    return [np.diff(norms, j)[0] for j in range(order)]
+
+
 class TestShiftClassification:
+    """isometry_order on the M_z orbit norms of 1, ||z^n||^2 = weight(n)."""
+
     def test_s12_weights(self):
-        n = np.arange(64.0)
-        result = op.shift_isometry_order((n + 3) / (n + 1), 6)
-        assert result.order == 3
-        assert np.max(np.abs(np.array(result.polynomial) - [1.0, 1.5, 0.5])) < 1e-8
-        assert result.residual < 1e-10
+        w = S12.weights(63)
+        order, residual = op.isometry_order(w, 6)
+        assert order == 3
+        assert np.max(np.abs(np.array(newton_coefficients(w, 3)) - [1.0, 2.0, 1.0])) < 1e-8
+        assert residual < 1e-10
 
     def test_constant_weights(self):
-        result = op.shift_isometry_order(np.ones(48), 4)
-        assert result.order == 1
-        assert abs(result.polynomial[0] - 1.0) < 1e-12
+        w = sp.hardy().weights(47)
+        order, _ = op.isometry_order(w, 4)
+        assert order == 1
+        assert abs(newton_coefficients(w, 1)[0] - 1.0) < 1e-12
 
     def test_s2_weights_unclassifiable(self):
-        wsq = np.ones(64)
-        n = np.arange(1.0, 64.0)
-        wsq[1:] = (n + 1) ** 2 / n**2
-        result = op.shift_isometry_order(wsq, 6)
-        assert result.order is None
-        assert result.residual > 1e-8
+        order, residual = op.isometry_order(sp.s2().weights(63), 6)
+        assert order is None
+        assert residual > 1e-8
 
     def test_km_weights(self):
-        from numpy.polynomial import polynomial as npoly
-
-        n = np.arange(64.0)
         for m in (1, 2, 3):
-            result = op.shift_isometry_order((n + m + 2) / (n + 1), m + 3)
-            assert result.order == m + 2
-            target = npoly.polyfromroots([-i for i in range(1, m + 2)]).real
-            target /= target[0]
-            assert np.max(np.abs(np.array(result.polynomial) - target)) < 1e-8
+            w = sp.km(m).weights(63)
+            order, _ = op.isometry_order(w, m + 3)
+            assert order == m + 2
+            target = [math.comb(m + 1, j) for j in range(m + 2)]  # C(n+m+1, m+1) in Newton form
+            assert np.max(np.abs(np.array(newton_coefficients(w, m + 2)) - target)) < 1e-8
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            op.shift_isometry_order([1.0, -2.0], 3)
+    def test_cubic_perturbation_is_not_order_3(self):
+        # S12 weights + 1e-6 n^3: Delta^3 = 6e-6, about 1.6e-7 of its scale at n = 0
+        n = np.arange(64.0)
+        order, _ = op.isometry_order(S12.weights(63) + 1e-6 * n**3, 6)
+        assert order == 4
+
+    def test_exact_zero_difference_vanishes_at_zero_scale(self):
+        assert op.isometry_order(np.zeros(5), 3) == (1, 0.0)
+        # Delta x_0 = 0 over a zero window; the best residual is |Delta^3 x_0| / 5
+        assert op.isometry_order([0.0, 0.0, 1.0, 2.0], 3) == (None, 0.2)
+
+    def test_huge_norms_do_not_overflow(self):
+        assert op.isometry_order([1e308, -1e308, 1e308, -1e308], 3) == (None, 1.0)
+        assert op.isometry_order([1e308] * 4, 3) == (1, 0.0)
+
+    @pytest.mark.parametrize(
+        "norms,m_max",
+        [([1.0, -2.0], 3), ([1.0, np.nan, 2.0], 1), ([1.0, np.inf, 2.0], 1),
+         ([[1.0, 2.0], [3.0, 4.0]], 1), ([1.0, 2.0], 0)],
+        ids=["short", "nan", "inf", "two_dimensional", "m_max_zero"],
+    )
+    def test_rejects_nonfinite_or_short(self, norms, m_max):
+        with pytest.raises(ValueError, match="isometry_order needs"):
+            op.isometry_order(norms, m_max)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 100), min_size=1, max_size=6), st.integers(0, 20))
+    def test_newton_polynomial_has_order_degree_plus_one(self, coefficients, extra):
+        # P(n) = sum_j c_j C(n,j), c_j > 0, is a polynomial of degree d = len(c) - 1 whose
+        # Delta^j P(0) = c_j: exact integers here, so the order is d + 1 and c comes back
+        norms = [float(sum(c * math.comb(n, j) for j, c in enumerate(coefficients)))
+                 for n in range(7 + extra)]
+        order, _ = op.isometry_order(norms, 6)
+        assert order == len(coefficients)
+        assert newton_coefficients(norms, order) == coefficients
+
+
+class TestMultiplierIsometryGrid:
+    """M_psi for finite Blaschke products psi is an m-isometry with the m of its space:
+    H2 1, D2 2, S12 3, Km:2 4; on S2 and A2, and for the non-inner (1+z)/2 anywhere,
+    no m up to 6 qualifies.  Orbit norms ||psi^k f||^2, k = 0..8, at order 2048, where
+    the series of psi (zeros of modulus <= 0.5) lose nothing above rounding."""
+
+    probe = ps.from_coefficients([0.2, -0.7j, 0.4, 0.1])
+    symbols = [
+        bl.BlaschkeProduct(-1.0, (0j,)),
+        bl.z_times_phi(0.5),
+        bl.phi_pair(0.3 + 0.2j),
+        bl.BlaschkeProduct(1.0, (0.5, -0.3j, -0.2 + 0.4j)),
+    ]
+
+    def order(self, space, symbol):
+        norms = sp.norms_sq(space.weights(2048), ps.orbit(self.probe, symbol, 8, 2048))
+        return op.isometry_order(norms, 6)[0]
+
+    @pytest.mark.parametrize(
+        "space,expected",
+        [(sp.hardy(), 1), (sp.dirichlet(), 2), (S12, 3), (sp.km(2), 4),
+         (sp.s2(), None), (sp.bergman(), None)],
+        ids=["H2", "D2", "S12", "Km2", "S2", "A2"],
+    )
+    def test_finite_blaschke_products(self, space, expected):
+        assert [self.order(space, psi.series(2048)) for psi in self.symbols] == [expected] * 4
+        assert self.order(space, ps.from_coefficients([0.5, 0.5])) is None
 
 
 class TestBlaschkeIdentities:
