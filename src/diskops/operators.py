@@ -333,7 +333,15 @@ def _blaschke_orbit_norms(
     if not any(psi.zeros):  # psi = c z^d: row k has degree k d + deg f and no tail
         needed = count * psi.degree + max(f.degree(), 0)
     elif count:
+        # ||psi|| <= ||psi_N|| + tail_norm(N) at every N; a short order gives a loose bound, so
+        # the one at the order whose tail norm is 1 serves where it is smaller
         psi_norm = sp.space_norm(space, series) + psi.tail_norm(space, order)
+        try:
+            n = psi.order_for(1.0, space)
+        except TruncationError:  # no order up to 2^18 holds it: keep the bound at ``order``
+            n = order
+        if n > order:
+            psi_norm = min(psi_norm, sp.space_norm(space, psi.series(n)) + psi.tail_norm(space, n))
         base = 2.0 * math.sqrt(2.0) * max(1.0, psi_norm)
         growth = base**count if count * math.log(base) < 700.0 else math.inf  # e^700 < float max
         scale = 4.0 * count * growth * max(1.0, probe_norm) ** 2

@@ -265,23 +265,42 @@ def reciprocal(f: PowerSeries, order: int) -> PowerSeries:
 
 
 def evaluate(f: PowerSeries, z: complex) -> complex:
-    """Horner evaluation of the truncated series.
+    """The truncated series at one point: ``evaluate_many`` at a 0-d array.
 
     Documented accuracy region is |z| <= 1; nothing stops evaluation
     outside it, but the truncation tail is then unbounded.
     """
-    acc = 0j
-    for c in f.coeffs[::-1]:
-        acc = acc * z + c
-    return complex(acc)
+    return complex(evaluate_many(f, z))
 
 
-def evaluate_many(f: PowerSeries, z: np.ndarray) -> np.ndarray:
-    """Vectorized Horner evaluation at an array of points."""
-    acc = np.zeros_like(z, dtype=np.complex128)
-    for c in f.coeffs[::-1]:
-        acc = acc * z + c
-    return acc
+def evaluate_many(f: PowerSeries, z) -> np.ndarray:
+    """The truncated series at every point of z, in an array of z's shape.
+
+    Baby-step/giant-step Horner with the split of ``compose``: for the m
+    coefficients and b = ceil(sqrt(m)), the powers z^0..z^(b-1) form one
+    (b, points) array, a stacked matrix product gives the block sums
+    sum_i f_{qb+i} z^i, and Horner in z^b runs over the ceil(m/b) blocks:
+    about 2 sqrt(m) array steps in place of m.  The product makes one BLAS
+    matrix-vector call per point, so a point's value does not depend on the
+    batch it comes in (one gemm over all points rounds by position).  At
+    z = 0 the result is f_0 exactly.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    flat = z.ravel()
+    m = len(f.coeffs)
+    b = math.isqrt(m - 1) + 1  # ceil(sqrt(m)), exactly
+    baby = np.empty((b, flat.size), dtype=np.complex128)
+    baby[0] = 1.0
+    for i in range(1, b):
+        np.multiply(baby[i - 1], flat, out=baby[i])
+    padded = np.zeros(-(-m // b) * b, dtype=np.complex128)
+    padded[:m] = f.coeffs
+    blocks = (padded.reshape(-1, b) @ baby.T[:, :, None])[:, :, 0].T
+    giant = baby[-1] * flat
+    acc = np.zeros_like(flat)  # contiguous, so every product takes one numpy loop
+    for block in blocks[::-1]:
+        acc = acc * giant + block
+    return acc.reshape(z.shape)
 
 
 def complex_pairs(pairs, what: str = "series") -> list[complex]:

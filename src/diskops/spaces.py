@@ -26,9 +26,11 @@ the S12 and D2 closed forms lose roughly six digits to cancellation in
 the small denominator, so evaluation switches to a 16-term direct sum
 there.  The principal branch of the logarithm is used throughout; it is
 continuous on the whole domain because |t| < 1 implies Re(1-t) > 0.
-The other kinds sum the series by Horner's rule through the fewest terms
-whose tail, by a_n <= n+1 and the closed-form ``series.Majorant``, is at most
-1e-12 at the largest |t|; ``terms=N`` gives the partial sum through degree N.
+The other kinds sum the series with ``series.evaluate_many``, a blocked
+Horner rule (block sums of b = ceil(sqrt(m)) terms from one matrix product,
+then Horner in t^b), through the fewest terms whose tail, by a_n <= n+1 and
+the closed-form ``series.Majorant``, is at most 1e-12 at the largest |t|;
+``terms=N`` gives the partial sum through degree N.
 """
 
 from __future__ import annotations
@@ -305,10 +307,15 @@ def kernel(space: SpaceWeights, w, z, terms: int | None = None):
         if terms is None:
             # a_n <= n+1, so the tail past degree N is at most sum_{n>N+1} n r^(n-1)
             r = float(np.abs(t).max(initial=0.0))
-            terms = ps.Majorant(-math.log(r), 1, r).order_for(_SERIES_TAIL) - 1 if r else 0
-            if terms >= _SERIES_MAX_TERMS:
-                raise TruncationError(f"kernel series at |conj(w) z| = {r:.6g} needs {terms + 1} "
-                                      f"terms, more than {_SERIES_MAX_TERMS}")
+            try:
+                count = ps.Majorant(-math.log(r), 1, r).order_for(_SERIES_TAIL) if r else 1
+            except TruncationError:  # no order up to the majorant's cap, itself past the limit
+                count = math.inf
+            if count > _SERIES_MAX_TERMS:
+                needs = count if count < math.inf else f"more than {ps._MAJORANT_CAP}"
+                raise TruncationError(f"kernel series at |conj(w) z| = {r!r} needs {needs} "
+                                      f"terms; the limit is {_SERIES_MAX_TERMS}")
+            terms = count - 1
         out = ps.evaluate_many(kernel_coefficient_series(space, terms), t)
     return complex(out[0]) if wb.ndim == 0 else out.reshape(wb.shape)
 

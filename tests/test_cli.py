@@ -268,7 +268,10 @@ class TestCommandLine:
             (["norm", "S12", "{path}"], "[[1, 0],", "Expecting value", {}),
             (["norm", "S12", "{path}.missing"], "[[1, 0]]", "No such file", {}),
             (["kernel", "S12", "2", "0.5"], "", "kernel argument", {}),
-            (["kernel", "S2", "0.9999", "0.9999"], "", "needs 2", {}),
+            (["kernel", "S2", "0.9999", "0.9999"], "", "needs 242834 terms; the limit is 200000",
+             {}),
+            (["kernel", "S2", "0.9999999", "0.9999999"], "",
+             "needs more than 262144 terms; the limit is 200000", {}),
             (["kernel", "S12", "1e400", "0"], "", "kernel points must be finite", {}),
             (["kernel", "S12", "0.5", "inf"], "", "kernel points must be finite", {}),
             (["--truncation", "8", "verify", "pick"], "", "truncation must be", {}),
@@ -288,7 +291,7 @@ class TestCommandLine:
             (["isometry", "S12", "{path}", "3"], '{"a": [1, 0], "zeros": [[0.9, 0], [-0.5, 0]]}',
              "psi^3 within 1e-08 needs truncation >= 388", {}),
             (["isometry", "S12", "{path}", "3"], '{"a": [1, 0], "zeros": [[0.99, 0], [-0.5, 0]]}',
-             "psi^3 within 1e-08 needs truncation >= 7687", {}),
+             "psi^3 within 1e-08 needs truncation >= 4965", {}),
             (["norm", "Dalpha:inf", "{path}"], "[[1, 0]]", "Dalpha requires a finite alpha >= 0", {}),
             (["kernel", "Dalpha:inf", "0.5", "0.5"], "", "Dalpha requires a finite alpha >= 0", {}),
             (["kernel", "Dalpha:1e308", "0.5", "0.5"], "",
@@ -305,7 +308,8 @@ class TestCommandLine:
             (["verify", "constants"], "", "seed must be >= 0", {"DISKOPS_SEED": "-1"}),
         ],
         ids=["bad_pair", "not_a_list", "unknown_space", "bad_json", "missing_file",
-             "outside_disk", "series_too_long", "kernel_w_inf", "kernel_z_inf", "bad_config",
+             "outside_disk", "series_too_long", "series_past_majorant_cap", "kernel_w_inf",
+             "kernel_z_inf", "bad_config",
              "blaschke_missing_key", "blaschke_short_pair",
              "pick_short_node", "tol_nan", "tol_negative", "tol_inf", "tol_env_nan",
              "m_zero", "m_negative", "comp_not_self_map", "isometry_starved_09",
