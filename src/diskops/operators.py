@@ -35,19 +35,20 @@ def _composition_columns(space: sp.SpaceWeights, phi: PowerSeries, n: int, full:
     """Rows 0..k of the transposed compression of f -> f(phi) at size n+1 (row j is
     phi^j * sqrt(weight / weight(j))), and a bound of the squared Frobenius mass of rows k+1..n.
 
-    k is fixed before any row is built.  For s = spaces.sup_bound(phi) < 1, ||phi^j||_H2 <= s^j
-    bounds the mass of row j by (max w / min w) s^(2j), w = weights(n): k is that Majorant's
-    order_for(eps^2) (rho = s^2, or the least normal float if smaller) and the bound its tail
-    at k.  When s >= 1 or that k is n or more, k = n and the bound is 0.  Then, whatever s,
-    k is capped at n // v for phi of valuation v >= 1: phi^j starts at z^(v j), so the rows
-    past it are exactly zero (a zero symbol keeps row 0 alone).  ``full`` (the exact dense
-    compression) keeps all n+1 rows.
+    k is fixed before any row is built.  For s = spaces.sup_bound(phi) (1 + 4 eps) < 1, the
+    computed ||phi^j||_H2 <= s^j (4 eps cover the rounding of each product; a constant, whose
+    sup_bound is exact, has no other slack) bounds the mass of row j by (max w / min w) s^(2j),
+    w = weights(n): k is that Majorant's order_for(eps^2) (rho = s^2, or the least normal
+    float if smaller) and the bound its tail at k.  When s >= 1 or that k is n or more, k = n
+    and the bound is 0.  Then, whatever s, k is capped at n // v for phi of valuation v >= 1:
+    phi^j starts at z^(v j), so the rows past it are exactly zero (a zero symbol keeps row 0
+    alone).  ``full`` (the exact dense compression) keeps all n+1 rows.
     """
     ps.require_open_disk(phi.coeffs[0], "composition symbol's constant term")
     w = space.weights(n)
     k, mass = n, 0.0
     if not full and n > 0:
-        s = sp.sup_bound(phi)
+        s = sp.sup_bound(phi) * (1 + 4 * np.finfo(np.float64).eps)
         if s < 1:
             rows = ps.Majorant(math.log(w.max() / w.min()), 0, max(s * s, np.finfo(np.float64).tiny))
             if rows.tail(n - 1) <= _CUT_MASS:

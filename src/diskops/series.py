@@ -42,7 +42,7 @@ class PowerSeries:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=np.complex128)).copy()
+        c = np.array(self.coeffs, dtype=np.complex128, ndmin=1)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must form a non-empty 1-d sequence")
         if not np.all(np.isfinite(c.view(np.float64))):

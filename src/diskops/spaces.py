@@ -30,7 +30,8 @@ The other kinds sum the series with ``series.evaluate_many``, a blocked
 Horner rule (block sums of b = ceil(sqrt(m)) terms from one matrix product,
 then Horner in t^b), through the fewest terms whose tail, by a_n <= n+1 and
 the closed-form ``series.Majorant``, is at most 1e-12 at the largest |t|;
-``terms=N`` gives the partial sum through degree N.
+``terms=N`` gives the partial sum through degree N.  ``kernel_norm_sq`` sums the
+squared norm of sum a_n z^n in blocks of 2^16 terms, holding no array of all terms.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ _SMALL_T = 1e-3
 _SMALL_T_TERMS = 16
 _SERIES_TAIL = 1e-12  # the series path's tail bound
 _SERIES_MAX_TERMS = 200_000
+_BLOCK = 1 << 16  # terms per block of kernel_norm_sq
 
 
 @dataclass(frozen=True)
@@ -205,6 +207,16 @@ def space_norm(space: SpaceWeights, f: PowerSeries) -> float:
     return float(np.sqrt(space_norm_sq(space, f)))
 
 
+def kernel_norm_sq(space: SpaceWeights, order: int) -> float:
+    """||kernel_coefficient_series(space, order)||^2 = sum_{n<=order} weight(n) a_n^2, summed
+    over blocks of _BLOCK terms, so that no array of all order + 1 terms is held."""
+    total = 0.0
+    for start in range(0, order + 1, _BLOCK):
+        w = space.weight(np.arange(start, min(start + _BLOCK, order + 1)))
+        total += float(norms_sq(w, 1.0 / w))
+    return total
+
+
 def inner_product(space: SpaceWeights, f: PowerSeries, g: PowerSeries) -> complex:
     """sum weight(n) f_n conj(g_n)."""
     n = min(f.order, g.order)
@@ -324,7 +336,8 @@ def kernel_coefficient_series(space: SpaceWeights, order: int) -> PowerSeries:
     """The series sum a_n z^n.
 
     For S12 this is the pointwise-bound extremizer: its sup norm is
-    attained at z = 1 and its S12 norm squared telescopes to 2.
+    attained at z = 1 and its S12 norm squared telescopes to 2.  For the
+    norm alone, ``kernel_norm_sq`` sums it in blocks without this array.
     """
     return PowerSeries(space.kernel_coeffs(order).astype(np.complex128))
 
@@ -352,8 +365,11 @@ def sup_bound(f: PowerSeries) -> float:
     """Upper bound of sup |f| on the circle for the polynomial f of degree d: by Bernstein's
     inequality |f'| <= d sup|f|, and every point lies within pi/M of one of M equispaced
     samples, sup|f| <= max_j |f(zeta_j)| / (1 - pi d / M).  M doubles from 4096 while
-    M <= 4 d; the sampled maximum is raised by 4 ulps of sum |f_n| per FFT level for rounding."""
+    M <= 4 d; the sampled maximum is raised by 4 ulps of sum |f_n| per FFT level for rounding.
+    A constant (d <= 0) gives |f_0|: the FFT of one coefficient is exact."""
     c = ps.truncate(f, max(f.degree(), 0))
+    if c.order == 0:
+        return float(abs(c.coeffs[0]))
     d, m = c.order, 4096
     while m <= 4 * d:
         m *= 2

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +112,18 @@ class TestRunSuite:
         (report,) = checks.run_suite("only", checks.Config(truncation=118))
         assert report.status == rp.PASS
         assert orders == [118] * 10
+
+    def test_extremal_sharpness_holds_no_million_term_array(self):
+        # the million-term S12 norm is summed in blocks; the whole series took about 40 MB
+        (fn,) = [fn for fn in checks.suite_checks("all") if fn.check_id == "extremal_sharpness"]
+        tracemalloc.start()
+        try:
+            report = fn(checks.Config())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.status == rp.PASS
+        assert peak < 4e6
 
     def test_runner_names_every_report(self, pick_reports):
         ids = sorted(fn.check_id for fn in checks.suite_checks("pick"))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -42,6 +43,24 @@ class TestConstruction:
         f = ps.from_coefficients([1, 2])
         with pytest.raises(ValueError):
             f.coeffs[0] = 5.0
+
+    @pytest.mark.parametrize("c", [[1, 2, 3], np.linspace(-1, 1, 5), np.arange(4) * 1j, 0.5])
+    def test_stores_a_private_complex_copy(self, c):
+        f = ps.PowerSeries(c)
+        want = np.atleast_1d(np.asarray(c, np.complex128)).ravel()
+        assert f.coeffs.dtype == np.complex128 and f.coeffs.tobytes() == want.tobytes()
+        assert not np.shares_memory(f.coeffs, c)
+
+    def test_converts_with_one_copy(self):
+        # a float array of n entries needs one complex array of 16 n bytes, not two
+        c = np.ones(1 << 16)
+        tracemalloc.start()
+        try:
+            ps.PowerSeries(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 16 * c.size
 
     def test_json_round_trip(self):
         f = ps.from_coefficients([1 + 2j, -0.5, 0.25j])

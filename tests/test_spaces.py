@@ -89,6 +89,21 @@ class TestNorms:
         extremal = sp.kernel_coefficient_series(sp.s12(), 1_000_000)
         assert abs(sp.space_norm(sp.s12(), extremal) - SQRT2) < 1e-6
 
+    @pytest.mark.parametrize("order", [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+    @pytest.mark.parametrize("name", ["H2", "D2", "S12", "S2", "Km:2"])
+    def test_kernel_norm_sq_matches_the_whole_series(self, name, order):
+        # block edges at multiples of 2^16: only the order of summation differs
+        space = sp.parse_space(name)
+        whole = sp.space_norm(space, sp.kernel_coefficient_series(space, order)) ** 2
+        assert abs(sp.kernel_norm_sq(space, order) - whole) <= 1e-13 * whole
+
+    def test_kernel_norm_sq_telescopes(self):
+        # sum 2/((n+1)(n+2)) over n <= N is 2 - 2/(N+2); on H2 every term is exactly 1
+        n = 1_000_000
+        want = 2.0 - 2.0 / (n + 2)
+        assert abs(sp.kernel_norm_sq(sp.s12(), n) - want) <= 4 * math.ulp(want)
+        assert sp.kernel_norm_sq(sp.hardy(), n) == n + 1
+
     def test_decomposition_basics(self):
         assert sp.norm_decomposition_s12(ps.one()) == (1.0, 0.0, 0.0)
         assert sp.norm_decomposition_s12(ps.monomial(1)) == (1.0, 1.0, 1.0)
@@ -261,6 +276,10 @@ class TestSupNorm:
         ratio = sp.sup_norm(extremal) / sp.space_norm(sp.s12(), extremal)
         assert ratio > SQRT2 - 1e-3
         assert ratio <= SQRT2 + 1e-12
+
+    @pytest.mark.parametrize("c", [0.5, 0.3 - 0.9j, 0.0])
+    def test_upper_bound_of_a_constant_is_exact(self, c):
+        assert sp.sup_bound(ps.from_coefficients([c, 0, 0])) == abs(c)
 
     def test_upper_bound_between_samples(self):
         # |1 + e^(-i pi/M) z| peaks at 2 midway between two of the M samples, where the
