@@ -14,13 +14,12 @@ from .errors import (
     TruncationError,
 )
 from .operators import (
-    blaschke_isometry_check,
     composition_matrix,
     composition_monomial_norm,
     composition_norm,
-    composition_norm_bound_check,
-    dirichlet_linearity_check,
-    growth_formula_check,
+    composition_norm_estimates,
+    dirichlet_linearity_residuals,
+    growth_formula_residuals,
     hilbert_schmidt_norm_sq,
     isometry_defect,
     isometry_order,
@@ -31,11 +30,10 @@ from .pick import (
     PickProblem,
     PsdVerdict,
     corona_kernel_check,
-    kaluza_check,
+    log_convexity,
     pick_matrix,
     psd_check,
     reciprocal_sign_check,
-    scalar_pick_counterexample,
 )
 from .report import VerificationReport, emit_reports, parse_reports, reports_ok
 from .series import (
@@ -55,8 +53,8 @@ from .spaces import (
     dirichlet_energy,
     kernel,
     norm_decomposition_s12,
+    norm_identity_residuals,
     norms_sq,
-    norm_relation_check,
     parse_space,
     space_norm,
     sup_norm,

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import series as ps
 from . import spaces
-from . import report as rp
 from .errors import DomainError
 from .series import PowerSeries
 
@@ -168,18 +167,19 @@ def poisson_kernel(alpha: complex, zeta) -> float | np.ndarray:
     return out if np.ndim(zeta) else float(out)
 
 
+def _check_node_count(nodes: int):
+    if nodes < 256 or nodes & (nodes - 1):
+        raise ValueError("node count must be a power of two >= 256")
+
+
 def poisson_moment(alpha: complex, k: int, nodes: int = DEFAULT_QUAD_NODES) -> complex:
     """Quadrature value of (1/2 pi) integral P_alpha(zeta) conj(zeta)^k |dzeta|.
 
     Equals conj(alpha)^k exactly (harmonic extension of conj(zeta)^k).
     """
+    _check_node_count(nodes)
     zeta = circle_nodes(nodes)
     return circle_mean(poisson_kernel(alpha, zeta) * np.conj(zeta) ** k)
-
-
-def _check_node_count(nodes: int):
-    if nodes < 256 or nodes & (nodes - 1):
-        raise ValueError("node count must be a power of two >= 256")
 
 
 def poisson_product_moment(alpha: complex, k: int, nodes: int = DEFAULT_QUAD_NODES) -> complex:
@@ -294,11 +294,11 @@ def adjoint_symbol_series_oracle(
     return PowerSeries(c)
 
 
-def adjoint_distinctness_check(alpha: complex, tol: float = 1e-6) -> rp.VerificationReport:
+def adjoint_distinctness_gap(alpha: complex) -> float:
     """|(M_psi)* psi (0) - (M_psi)* psi (alpha)| for psi = z phi_alpha.
 
     The gap being nonzero is what obstructs reducibility for these
-    degree-2 symbols; the check passes iff it exceeds tol.
+    degree-2 symbols.
     """
     alpha = complex(alpha)
     ps.require_open_disk(alpha, "parameter")
@@ -308,13 +308,4 @@ def adjoint_distinctness_check(alpha: complex, tol: float = 1e-6) -> rp.Verifica
     rho = abs(alpha) ** 2
     k_max = ps.Majorant(np.log(4.0 + (1.0 + rho) / (1.0 - rho)), 0, rho).order_for(1e-16)
     expansion = adjoint_symbol_expansion(VARIANT_Z_PHI, alpha, k_max)
-    at_zero = complex(expansion.coeffs[0])
-    at_alpha = expansion(alpha)
-    gap = abs(at_zero - at_alpha)
-    return rp.make_report(
-        computed=[("value_at_0", at_zero), ("value_at_alpha", at_alpha), ("gap", gap)],
-        reference=[("gap_lower_bound", tol, rp.PAPER)],
-        tolerance=tol,
-        ok=gap > tol,
-        check_id="adjoint_distinctness",
-    )
+    return abs(complex(expansion.coeffs[0]) - expansion(alpha))

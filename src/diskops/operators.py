@@ -19,7 +19,6 @@ import math
 
 import numpy as np
 
-from . import report as rp
 from . import series as ps
 from . import spaces as sp
 from .blaschke import BlaschkeProduct
@@ -314,7 +313,7 @@ def isometry_order(norms, m_max: int) -> tuple[int | None, float]:
 
 
 # ---------------------------------------------------------------------------
-# identity checks built on finite Blaschke products
+# identities built on finite Blaschke products
 # ---------------------------------------------------------------------------
 
 
@@ -372,67 +371,17 @@ def blaschke_power_defect(
     return float(np.diff(_blaschke_orbit_norms(space, psi, probe, m, order, tol), m)[0])
 
 
-def blaschke_isometry_check(
-    space: sp.SpaceWeights,
-    psi: BlaschkeProduct,
-    probes,
-    n: int,
-    tol: float = 1e-8,
-) -> rp.VerificationReport:
-    """Alternating three-step identity for multiplication by a finite
-    Blaschke product:
-
-        ||psi^3 f||^2 - 3 ||psi^2 f||^2 + 3 ||psi f||^2 - ||f||^2
-
-    evaluated on each probe; passes iff every |value| < tol (1 + ||f||^2).
-    On the S12 scale the value is zero; on other scales the check reports
-    whatever residual the norms produce.
-    """
-    computed = []
-    ok = True
-    worst = 0.0
-    for idx, f in enumerate(probes):
-        norms_sq = _blaschke_orbit_norms(space, psi, f, 3, n, tol)
-        value = float(np.diff(norms_sq, 3)[0])
-        ok = ok and abs(value) < tol * (1.0 + norms_sq[0])
-        worst = max(worst, abs(value))
-        computed.append((f"probe_{idx}_defect", value))
-    computed.append(("max_defect", worst))
-    return rp.make_report(
-        computed=computed,
-        reference=[("defect", 0.0, rp.PAPER)],
-        tolerance=tol,
-        ok=ok,
-        check_id="blaschke_isometry",
-    )
-
-
-def _power_residual_report(check_id: str, residuals: dict, tol: float, scale: float):
-    """One row per power n plus the largest |residual|, which must stay below tol * scale."""
-    computed = []
-    worst = 0.0
-    for n, residual in residuals.items():
-        worst = max(worst, abs(residual))
-        computed.append((f"power_{n}_residual", residual))
-    computed.append(("max_residual", worst))
-    return rp.make_report(
-        computed=computed,
-        reference=[("residual", 0.0, rp.PAPER)],
-        tolerance=tol,
-        ok=worst < tol * scale,
-        check_id=check_id,
-    )
-
-
-def growth_formula_check(
+def growth_formula_residuals(
     space: sp.SpaceWeights,
     psi: BlaschkeProduct,
     f: PowerSeries,
     n_max: int,
     tol: float = 1e-8,
     order: int = 512,
-) -> rp.VerificationReport:
-    """Polynomial-growth formulas for powers of a Blaschke multiplier.
+) -> tuple[dict[int, float], float]:
+    """Residuals of the polynomial-growth formulas for powers of a Blaschke multiplier:
+    ||psi^n f||^2 minus the formula, for n = 2..n_max, and their scale 1 + ||f||^2.
+    TruncationError if ``order`` cannot hold the norms within tol.
 
     On the S12 scale, ||psi^n f||^2 is reproduced by the degree-2 binomial
     combination of the first two defect forms.  On the S2 scale the same
@@ -464,44 +413,40 @@ def growth_formula_check(
                 + abs(psi0**n) ** 2 * f0_sq
             )
         residuals[n] = norms_sq[n] - predicted
-    return _power_residual_report("growth_formula", residuals, tol, 1.0 + norms_sq[0])
+    return residuals, 1.0 + norms_sq[0]
 
 
-def dirichlet_linearity_check(
+def dirichlet_linearity_residuals(
     psi: BlaschkeProduct,
     f: PowerSeries,
     n_max: int,
     tol: float = 1e-8,
     order: int = 512,
-) -> rp.VerificationReport:
-    """Affine growth of the Dirichlet energy under Blaschke powers:
+) -> tuple[dict[int, float], float]:
+    """Residuals of the affine growth of the Dirichlet energy under Blaschke powers,
 
-        D(psi^n f) = D(f) + n [D(psi f) - D(f)].
+        D(psi^n f) - D(f) - n [D(psi f) - D(f)]   for n = 0..n_max,
+
+    and their scale 1 + D(f) + n_max |D(psi f) - D(f)|.  TruncationError as for
+    ``growth_formula_residuals``.
     """
     energies = _blaschke_orbit_norms(
         sp.dirichlet(), psi, f, n_max, order, tol, weights=np.arange(order + 1.0)
     )
     base, slope = energies[0], energies[1] - energies[0]
     residuals = {n: energies[n] - (base + n * slope) for n in range(n_max + 1)}
-    scale = 1.0 + base + abs(slope) * n_max
-    return _power_residual_report("dirichlet_linearity", residuals, tol, scale)
+    return residuals, 1.0 + base + abs(slope) * n_max
 
 
-def composition_norm_bound_check(
-    space: sp.SpaceWeights,
-    phi: PowerSeries,
-    n: int = 256,
-    tol: float = 1e-8,
-) -> rp.VerificationReport:
-    """Compression norm of C_phi against the multiplier-contraction bound
+def composition_norm_estimates(
+    space: sp.SpaceWeights, phi: PowerSeries, n: int = 256
+) -> tuple[float, float]:
+    """Compression norms of M_phi and C_phi at size n+1, both lower bounds of the true norms.
 
-        ||C_phi||^2 <= (1 + |phi(0)|) / (1 - |phi(0)|),
-
-    valid on spaces with kernel coefficients a_n <= 1 whenever
-    ||M_phi|| <= 1.  On the Dirichlet space the kernel value at phi(0)
-    is also a lower bound.  Compression norms are lower bounds of the
-    true norm, so a non-violation is reported as "consistent" rather
-    than "pass"; an upper-bound violation is a hard failure.
+    PreconditionError unless the multiplier-contraction bound
+    ||C_phi||^2 <= (1 + |phi(0)|) / (1 - |phi(0)|) can apply: it needs kernel
+    coefficients a_n <= 1 and ||M_phi|| <= 1, and a measured multiplier norm
+    above 1 + 1e-12 refutes the latter.
     """
     if space.kind == sp.A2:  # a_n <= 1 on every other kind
         raise PreconditionError(f"{space.label} has kernel coefficients above 1")
@@ -510,24 +455,4 @@ def composition_norm_bound_check(
         raise PreconditionError(
             f"measured multiplier norm {mult_est:.6g} exceeds 1 at truncation {n}"
         )
-    comp_est = composition_norm(space, phi, n)
-    phi0 = abs(complex(phi.coeffs[0]))
-    upper = (1.0 + phi0) / (1.0 - phi0)
-    computed = [
-        ("multiplier_norm_estimate", mult_est),
-        ("composition_norm_sq_estimate", comp_est**2),
-    ]
-    reference = [("upper_bound", upper, rp.PAPER)]
-    ok = comp_est**2 <= upper + tol
-    if space.kind == sp.D2 and phi0 > 0:
-        lower = math.log(1.0 / (1.0 - phi0**2)) / phi0**2
-        reference.append(("lower_bound", lower, rp.PAPER))
-        ok = ok and comp_est**2 >= lower - tol
-    return rp.make_report(
-        computed=computed,
-        reference=reference,
-        tolerance=tol,
-        ok=ok,
-        one_sided=True,
-        check_id="composition_norm_bound",
-    )
+    return mult_est, composition_norm(space, phi, n)

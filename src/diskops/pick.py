@@ -65,27 +65,21 @@ class PsdVerdict:
     matrix_scale: float
 
 
-def kaluza_check(space: sp.SpaceWeights, n_max: int) -> rp.VerificationReport:
-    """Log-convexity a_n^2 <= a_{n-1} a_{n+1} for 1 <= n <= n_max.
+def log_convexity(space: sp.SpaceWeights, n_max: int) -> tuple[int, float]:
+    """The first n in 1..n_max with a_n^2 > a_{n-1} a_{n+1} (-1 when there is none) and the
+    least margin a_{n-1} a_{n+1} - a_n^2 over that range.
 
-    Requires a_0 = 1 (hypothesis of the sufficiency criterion).  Records
-    the first failing index, or -1 when the whole range passes.
+    Requires a_0 = 1 (hypothesis of the sufficiency criterion).
     """
+    if n_max < 1:
+        raise ValueError(f"log-convexity needs n_max >= 1, got n_max = {n_max}")
     a = space.kernel_coeffs(n_max + 1)
     if abs(a[0] - 1.0) > 1e-15:
         raise DomainError("log-convexity test requires a_0 = 1")
     lhs = a[1:-1] ** 2
     rhs = a[:-2] * a[2:]
     bad = np.nonzero(lhs > rhs)[0]
-    first_failure = int(bad[0] + 1) if bad.size else -1
-    margin = float(np.min(rhs - lhs))
-    return rp.make_report(
-        computed=[("first_failure_index", first_failure), ("min_margin", margin)],
-        reference=[("first_failure_index", -1, rp.PAPER)],
-        tolerance=0.0,
-        ok=first_failure < 0,
-        check_id=f"kaluza_{space.label}",
-    )
+    return (int(bad[0] + 1) if bad.size else -1), float(np.min(rhs - lhs))
 
 
 def reciprocal_kernel_coefficients(space: sp.SpaceWeights, n_max: int) -> np.ndarray:
@@ -112,7 +106,6 @@ def reciprocal_sign_check(space: sp.SpaceWeights, n_max: int) -> rp.Verification
         reference=[("first_violation_index", -1, rp.PAPER)],
         tolerance=DEFAULT_SIGN_TOL,
         ok=first_failure < 0,
-        check_id=f"reciprocal_sign_{space.label}",
     )
 
 
@@ -149,46 +142,6 @@ def psd_check(matrix: np.ndarray) -> PsdVerdict:
         is_psd=min_eig >= -DEFAULT_PSD_TOL * max(scale, 0.0),
         min_eigenvalue=min_eig,
         matrix_scale=scale,
-    )
-
-
-def scalar_pick_counterexample() -> rp.VerificationReport:
-    """The two halves of the scalar-Pick obstruction on the S2 scale.
-
-    With node 0.5 and target modulus-squared 0.1 the necessary Pick
-    condition holds,
-
-        0.9 * (1 + sum_{n>=1} 0.25^n / n^2) ~ 1.1409 > 1,
-
-    while any candidate multiplier of norm at most one must satisfy
-    |target|^2 <= sum_{n>=1} 0.25^n / (n+1)^2 ~ 0.0706 < 0.1, so no
-    interpolant exists.  Replacing the weights with the Hardy ones makes
-    the attainability sum 1/3 and the obstruction dissolves.
-    """
-    n = np.arange(1, 201, dtype=np.float64)
-    q = 0.25**n
-    condition_value = 0.9 * (1.0 + np.sum(q / n**2))
-    attainable_sq = float(np.sum(q / (n + 1) ** 2))
-    hardy_sum = float(np.sum(q))
-    return rp.make_report(
-        computed=[
-            ("pick_condition_value", condition_value),
-            ("attainable_target_sq", attainable_sq),
-            ("hardy_attainable_sq", hardy_sum),
-        ],
-        reference=[
-            ("pick_condition_value", 1.1409, rp.PAPER),
-            ("attainable_target_sq", 0.0706, rp.PAPER),
-            ("hardy_attainable_sq", 1.0 / 3.0, rp.DERIVED),
-        ],
-        tolerance=5e-4,
-        ok=(
-            condition_value > 1.0
-            and attainable_sq < 0.1
-            and abs(condition_value - 1.1409) < 5e-4
-            and abs(attainable_sq - 0.0706) < 5e-4
-        ),
-        check_id="scalar_pick_gap",
     )
 
 

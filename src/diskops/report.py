@@ -1,9 +1,12 @@
 """Structured verification reports and their serialization.
 
-Every named check in the package produces a ``VerificationReport``:
-what was computed, what it was compared against (with a provenance tag),
-the tolerance, and a status.  ``consistent`` is reserved for one-sided
-checks where only a bound violation would be refutable.
+Every named check in ``checks`` ends in one ``VerificationReport``, built by
+``make_report``, ``compare_report`` or ``vanishing_report``: what was
+computed, what it was compared against (with a provenance tag), the
+tolerance, and a status.  ``consistent`` is reserved for one-sided checks
+where only a bound violation would be refutable.  The library modules return
+numbers; ``pick.reciprocal_sign_check`` is the one report built outside
+``checks``.
 """
 
 from __future__ import annotations
@@ -74,11 +77,11 @@ class VerificationReport:
         raise KeyError(label)
 
 
-def make_report(computed, reference, tolerance, ok, *, one_sided=False, check_id=""):
+def make_report(computed, reference, tolerance, ok, *, one_sided=False):
     """Report from (label, value) / (label, value, tag) tuples: ``pass`` iff
     ``ok`` (``consistent`` when ``one_sided``), else ``fail``."""
     return VerificationReport(
-        check_id=check_id,
+        check_id="",
         status=(CONSISTENT if one_sided else PASS) if ok else FAIL,
         computed=tuple(LabeledValue(l, complex(v)) for l, v in computed),
         reference=tuple(ReferenceValue(l, complex(v), p) for l, v, p in reference),

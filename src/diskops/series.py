@@ -158,6 +158,9 @@ def cauchy_product(a: PowerSeries, b: PowerSeries, order: int) -> PowerSeries:
     """
     if order < 0:
         raise ValueError("order must be >= 0")
+    # a direct convolution, not _multiplier's FFT: FFT rounding spreads about eps ||a|| ||b||
+    # over every coefficient, which would swamp the decaying tails that Blaschke series and
+    # their certified tail bounds rely on
     full = np.convolve(a.coeffs, b.coeffs)
     c = np.zeros(order + 1, dtype=np.complex128)
     m = min(order + 1, len(full))

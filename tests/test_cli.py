@@ -129,14 +129,12 @@ class TestRunSuite:
         ids = sorted(fn.check_id for fn in checks.suite_checks("pick"))
         assert sorted(r.check_id for r in pick_reports) == ids
         assert "kaluza_h2" in ids
-        # called directly, the library check keeps its own default id
-        assert pk.kaluza_check(sp.hardy(), 1000).check_id == "kaluza_H2"
 
     def test_side_condition_fails_inner_report(self, monkeypatch):
         # Hardy weights pass log-convexity with margin exactly 0, which the
         # S12 check rejects: it asks for a strict margin
-        real = pk.kaluza_check
-        monkeypatch.setattr(pk, "kaluza_check", lambda space, n_max: real(sp.hardy(), n_max))
+        real = pk.log_convexity
+        monkeypatch.setattr(pk, "log_convexity", lambda space, n_max: real(sp.hardy(), n_max))
         (fn,) = [fn for fn in checks.suite_checks("pick") if fn.check_id == "kaluza_s12"]
         report = fn(checks.Config())
         assert report.value("first_failure_index") == -1
@@ -373,7 +371,7 @@ class TestCommandLine:
         (lambda: bl.poisson_product_moment(NAN, 0), DomainError),
         (lambda: bl.phi_prime_moment(NAN, 0), DomainError),
         (lambda: bl.adjoint_symbol_expansion(bl.VARIANT_Z_PHI, NAN, 4), DomainError),
-        (lambda: bl.adjoint_distinctness_check(NAN), DomainError),
+        (lambda: bl.adjoint_distinctness_gap(NAN), DomainError),
         (lambda: pk.corona_kernel_check(sp.s12(), [ps.one()], 1.0, grid=[NAN]), DomainError),
         (lambda: sp.dalpha(NAN), ValueError),
     ],

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from diskops import checks
 from diskops import pick as pk
 from diskops import report as rp
 from diskops import series as ps
@@ -12,27 +13,28 @@ from diskops.errors import DomainError, ShapeError
 
 class TestKaluza:
     def test_s12_passes_strictly(self):
-        report = pk.kaluza_check(sp.s12(), 10_000)
-        assert report.status == rp.PASS
-        margin = report.value("min_margin")
-        assert margin.real > 0.0
+        first, margin = pk.log_convexity(sp.s12(), 10_000)
+        assert first == -1
+        assert margin > 0.0
 
     def test_hardy_passes_with_equality(self):
-        report = pk.kaluza_check(sp.hardy(), 500)
-        assert report.status == rp.PASS
-        margin = report.value("min_margin")
-        assert margin.real == 0.0
+        first, margin = pk.log_convexity(sp.hardy(), 500)
+        assert first == -1
+        assert margin == 0.0
 
     def test_s2_fails_at_one(self):
         # a_1^2 = 1 while a_0 a_2 = 1/4
-        report = pk.kaluza_check(sp.s2(), 50)
-        assert report.status == rp.FAIL
-        first = report.value("first_failure_index")
-        assert first.real == 1
+        first, _ = pk.log_convexity(sp.s2(), 50)
+        assert first == 1
 
     def test_km_passes(self):
         for m in (1, 2, 3):
-            assert pk.kaluza_check(sp.km(m), 2000).status == rp.PASS
+            assert pk.log_convexity(sp.km(m), 2000)[0] == -1
+
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_rejects_an_empty_range(self, n_max):
+        with pytest.raises(ValueError, match=f"n_max = {n_max}$"):
+            pk.log_convexity(sp.s12(), n_max)
 
 
 class TestReciprocalSign:
@@ -66,7 +68,7 @@ class TestReciprocalSign:
         # sufficiency direction on every space that passes log-convexity
         for space in (sp.s12(), sp.hardy(), sp.bergman(), sp.dirichlet(), sp.km(2),
                       sp.dalpha(1.3)):
-            if pk.kaluza_check(space, 400).status == rp.PASS:
+            if pk.log_convexity(space, 400)[0] == -1:
                 assert pk.reciprocal_sign_check(space, 400).status == rp.PASS
 
 
@@ -154,7 +156,8 @@ class TestPsdCheck:
 
 class TestScalarPickCounterexample:
     def test_values(self):
-        report = pk.scalar_pick_counterexample()
+        (check,) = [fn for fn in checks.suite_checks("pick") if fn.check_id == "scalar_pick_gap"]
+        report = check(checks.Config())
         assert report.status == rp.PASS
         values = {v.label: v.value.real for v in report.computed}
         assert abs(values["pick_condition_value"] - 1.1409) < 5e-4
