@@ -592,16 +592,20 @@ def _dirichlet_linearity(cfg):
 def _mobius_involution(cfg):
     alphas, tol = (0.3, 0.5 + 0.2j, 0.7, -0.6j), 1e-8
     # every power of phi_a is bounded by 1 on the disk, so its coefficients are too (Cauchy):
-    # cutting the outer series after z^T moves a kept coefficient of phi_a(phi_a) by at most
-    # the tail sum_{j>T} (1-|a|^2) |a|^(j-1) of phi_a's coefficients
-    needed = max(ps.Majorant(math.log(1 / a - a), 0, a).order_for(tol) for a in np.abs(alphas))
+    # cutting the outer series after z^N moves a kept coefficient of phi_a(phi_a) by at most
+    # the tail sum_{j>N} (1-|a|^2) |a|^(j-1) of phi_a's coefficients.  The guard needs the N
+    # for tol; the composition runs at the N for eps/4, at most half an ulp of the target's
+    # coefficient 1, past which a longer series moves no kept value beyond rounding
+    tails = [ps.Majorant(math.log(1 / a - a), 0, a) for a in np.abs(alphas)]
+    needed = max(t.order_for(tol) for t in tails)
     if cfg.truncation < needed:
         raise TruncationError(f"phi_a(phi_a) = z to {tol:g}", needed)
+    order = min(cfg.truncation, max(t.order_for(np.finfo(np.float64).eps / 4) for t in tails))
     worst = 0.0
-    target = ps.monomial(1, order=cfg.truncation)
+    target = ps.monomial(1, order=order)
     for alpha in alphas:
-        phi = bl.MobiusMap(alpha).series(cfg.truncation)
-        composed = ps.compose(phi, phi, cfg.truncation)
+        phi = bl.MobiusMap(alpha).series(order)
+        composed = ps.compose(phi, phi, order)
         worst = max(worst, float(np.max(np.abs(composed.coeffs - target.coeffs))))
     return rp.vanishing_report("max_coefficient_error", worst, tol, rp.TRIVIAL)
 

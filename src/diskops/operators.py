@@ -31,8 +31,9 @@ _CUT_MASS = np.finfo(np.float64).eps ** 2
 
 
 def _composition_columns(space: sp.SpaceWeights, phi: PowerSeries, n: int, full: bool = False):
-    """Rows 0..k of the transposed compression of f -> f(phi) at size n+1 (row j is
-    phi^j * sqrt(weight / weight(j))), and a bound of the squared Frobenius mass of rows k+1..n.
+    """Rows 0..k, columns 0..c of the transposed compression of f -> f(phi) at size n+1 (row j
+    is phi^j * sqrt(weight / weight(j))), and a bound of the squared Frobenius mass of rows
+    k+1..n.  Every entry past column c in rows 0..k is exactly zero.
 
     k is fixed before any row is built.  For s = spaces.sup_bound(phi) (1 + 4 eps) < 1, the
     computed ||phi^j||_H2 <= s^j (4 eps cover the rounding of each product; a constant, whose
@@ -41,11 +42,15 @@ def _composition_columns(space: sp.SpaceWeights, phi: PowerSeries, n: int, full:
     float if smaller) and the bound its tail at k.  When s >= 1 or that k is n or more, k = n
     and the bound is 0.  Then, whatever s, k is capped at n // v for phi of valuation v >= 1:
     phi^j starts at z^(v j), so the rows past it are exactly zero (a zero symbol keeps row 0
-    alone).  ``full`` (the exact dense compression) keeps all n+1 rows.
+    alone).  For phi of degree d whose products take the direct convolution (fewer than
+    series._FFT_MIN_TAPS taps), row j has degree at most j d and its entries past it are
+    exact zeros, so c = min(n, k d) and the table is bitwise the top-left block of the one at
+    c = n; on the FFT path c = n.  ``full`` (the exact dense compression) keeps all n+1 rows
+    and columns.
     """
     ps.require_open_disk(phi.coeffs[0], "composition symbol's constant term")
     w = space.weights(n)
-    k, mass = n, 0.0
+    k, c, mass = n, n, 0.0
     if not full and n > 0:
         s = sp.sup_bound(phi) * (1 + 4 * np.finfo(np.float64).eps)
         if s < 1:
@@ -57,9 +62,12 @@ def _composition_columns(space: sp.SpaceWeights, phi: PowerSeries, n: int, full:
         v = int(nonzero[0]) if len(nonzero) else n + 1
         if v > 0:
             k = min(k, n // v)
+        d = max(phi.degree(), 0)
+        if min(d, n) + 1 < ps._FFT_MIN_TAPS:
+            c = min(n, k * d)
     sqw = np.sqrt(w)
-    table = ps.orbit(ps.one(), phi, k, n)
-    table *= sqw / sqw[: k + 1, None]
+    table = ps.orbit(ps.one(), phi, k, c)
+    table *= sqw[: c + 1] / sqw[: k + 1, None]
     return table, mass
 
 
@@ -200,21 +208,25 @@ def _multiplication_products(space: sp.SpaceWeights, f: PowerSeries, n: int):
 def _composition_products(space: sp.SpaceWeights, phi: PowerSeries, n: int):
     """x -> A x and y -> A^H y for the compression A of C_phi at size n+1, each one BLAS gemv.
 
-    Only rows 0..k of the transposed table are built (``_composition_columns``), so
-    matvec reads x[:k+1] and rmatvec pads with zeros: the products are those of A with
-    columns k+1..n set to zero, a column subset whose norm estimate stays a lower bound
-    of ||C_phi||, within eps ||A||_F of the full compression's.  For sup|phi| >= 1 only
-    the columns that are exactly zero (phi^j past order n, for phi(0) = 0) are cut.
+    Only rows 0..k and columns 0..c of the transposed table are built
+    (``_composition_columns``), so matvec reads x[:k+1] and rmatvec y[:c+1], and each pads
+    its result with zeros: the products are those of A with columns k+1..n set to zero, a
+    column subset whose norm estimate stays a lower bound of ||C_phi||, within eps ||A||_F
+    of the full compression's; the rows past c are exactly zero in the kept columns.  For
+    sup|phi| >= 1 only the columns that are exactly zero (phi^j past order n, for
+    phi(0) = 0) are cut.
     """
     at, _ = _composition_columns(space, phi, n)  # at[j, i] = entry(i, j)
-    k = len(at)
+    k, c = at.shape
 
     def matvec(x):
-        return at.T @ x[:k]
+        out = np.zeros(n + 1, dtype=np.complex128)
+        out[:c] = at.T @ x[:k]
+        return out
 
     def rmatvec(y):
         out = np.zeros(n + 1, dtype=np.complex128)
-        out[:k] = np.conj(at @ np.conj(y))
+        out[:k] = np.conj(at @ np.conj(y[:c]))
         return out
 
     return matvec, rmatvec
@@ -244,19 +256,18 @@ def composition_monomial_norm(space: sp.SpaceWeights, k: int) -> float:
     """
     if k < 1:
         raise ValueError("monomial exponent must be >= 1")
-    idx = np.unique(
-        np.concatenate(
-            [np.arange(64), np.geomspace(64, 10**10, 512).astype(np.int64)]
-        )
-    )
+    # the grid is sorted, so dropping consecutive repeats leaves np.unique's indices; unlike
+    # np.unique it does not import numpy.ma
+    idx = np.concatenate([np.arange(64), np.geomspace(64, 10**10, 512).astype(np.int64)])
+    idx = idx[np.concatenate([[True], idx[1:] != idx[:-1]])]
     ratios = space.weight(k * idx.astype(np.float64)) / space.weight(idx.astype(np.float64))
     return float(np.sqrt(np.max(ratios)))
 
 
 def hilbert_schmidt_norm_sq(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> float:
     """Partial Hilbert-Schmidt sum sum_{j<=n} ||phi^j||^2 / weight(j), every power
-    truncated at order n: the squared Frobenius norm of the compression.  The rows that
-    ``_composition_columns`` builds are summed and the bound of the rest added, so up to
+    truncated at order n: the squared Frobenius norm of the compression.  The block that
+    ``_composition_columns`` builds is summed and the bound of the rest added, so up to
     rounding the value lies in [full sum, full sum + eps^2]; for sup|phi| >= 1 every row
     that is not exactly zero is summed."""
     table, mass = _composition_columns(space, phi, n)

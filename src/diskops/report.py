@@ -69,13 +69,6 @@ class VerificationReport:
     def ok(self) -> bool:
         return self.status in (PASS, CONSISTENT)
 
-    def value(self, label: str) -> complex:
-        """The computed value with this label; KeyError when there is none."""
-        for v in self.computed:
-            if v.label == label:
-                return v.value
-        raise KeyError(label)
-
 
 def make_report(computed, reference, tolerance, ok, *, one_sided=False):
     """Report from (label, value) / (label, value, tag) tuples: ``pass`` iff

@@ -36,6 +36,7 @@ squared norm of sum a_n z^n in blocks of 2^16 terms, holding no array of all ter
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,6 +62,7 @@ _SMALL_T_TERMS = 16
 _SERIES_TAIL = 1e-12  # the series path's tail bound
 _SERIES_MAX_TERMS = 200_000
 _BLOCK = 1 << 16  # terms per block of kernel_norm_sq
+_WEIGHTS_CACHED = 256  # weight vectors SpaceWeights.weights keeps, least recently used out
 
 
 @dataclass(frozen=True)
@@ -122,8 +124,13 @@ class SpaceWeights:
         """An s with weight(n) <= (n+1)^s for every n >= 0 (for Km each (n+i)/i is <= n+1)."""
         return {H2: 0.0, A2: 0.0, D2: 1.0, DALPHA: self.alpha, KM: self.m + 1.0}.get(self.kind, 2.0)
 
+    @functools.lru_cache(maxsize=_WEIGHTS_CACHED)
     def weights(self, n_max: int) -> np.ndarray:
-        return self.weight(np.arange(n_max + 1))
+        """weight(n) for n = 0..n_max, read-only and cached per (space, n_max): the norms of
+        short polynomials ask for the same few vectors many times over."""
+        w = self.weight(np.arange(n_max + 1))
+        w.setflags(write=False)
+        return w
 
     def kernel_coeffs(self, n_max: int) -> np.ndarray:
         """a_n = 1/weight(n) for n = 0..n_max."""

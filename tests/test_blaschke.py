@@ -45,7 +45,8 @@ class TestMobiusMap:
 
     # the error is 7.5e-6 at truncation 32 (a fail before the order was derived)
     # and 2.5e-9 at 54, under the bound 1.7 * 0.7^54 = 7.3e-9
-    @pytest.mark.parametrize("truncation,status", [(32, rp.ERROR), (54, rp.PASS)])
+    @pytest.mark.parametrize("truncation,status", [(32, rp.ERROR), (53, rp.ERROR), (54, rp.PASS),
+                                                   (107, rp.PASS), (256, rp.PASS), (8192, rp.PASS)])
     def test_involution_check_needs_truncation_54(self, monkeypatch, truncation, status):
         (fn,) = [fn for fn in checks.suite_checks("blaschke") if fn.check_id == "mobius_involution"]
         monkeypatch.setattr(checks, "_REGISTRY", {**checks._REGISTRY, "blaschke": [fn]})
@@ -53,6 +54,14 @@ class TestMobiusMap:
         assert report.status == status
         if status == rp.ERROR:
             assert report.computed[0].label.endswith("needs truncation >= 54")
+
+    def test_involution_composes_at_its_certified_order(self):
+        # the composition runs at min(T, 107), 107 the order whose tail for |a| = 0.7 is at most
+        # eps/4, so every truncation from 107 on gives the same value, bit for bit
+        (fn,) = [fn for fn in checks.suite_checks("blaschke") if fn.check_id == "mobius_involution"]
+        values = {t: fn(checks.Config(truncation=t)).computed for t in (107, 256, 8192)}
+        assert values[107] == values[256] == values[8192]
+        assert values[107][0].value.real < 1e-15
 
 
 class TestBlaschkeProduct:

@@ -307,7 +307,8 @@ CUT_SPACES = [sp.hardy(), sp.bergman(), sp.dirichlet(), S12, sp.km(2), sp.dalpha
 
 
 class TestCompositionRowCut:
-    """Rows 0..k* of the C_phi table, fixed by sup_bound(phi) before any row is built."""
+    """Rows 0..k* of the C_phi table, fixed by sup_bound(phi) before any row is built, and
+    columns 0..k* deg(phi), past which those rows are exactly zero."""
 
     @pytest.mark.parametrize("space", CUT_SPACES, ids=lambda s: s.label)
     def test_cut_is_a_certified_prefix_of_the_full_table(self, space):
@@ -315,13 +316,28 @@ class TestCompositionRowCut:
         for phi in CUT_SYMBOLS:
             full, none = op._composition_columns(space, phi, n, full=True)
             cut, mass = op._composition_columns(space, phi, n)
-            k = len(cut) - 1
-            assert none == 0.0 and len(full) == n + 1
-            assert np.array_equal(cut, full[: k + 1])  # bit for bit
+            k, c = cut.shape[0] - 1, cut.shape[1] - 1
+            assert none == 0.0 and full.shape == (n + 1, n + 1)
+            assert c == min(n, k * max(phi.degree(), 0))
+            assert np.array_equal(cut, full[: k + 1, : c + 1])  # bit for bit
+            assert not full[: k + 1, c + 1 :].any()
             assert float(np.sum(np.abs(full[k + 1 :]) ** 2)) <= mass <= np.finfo(float).eps ** 2
             assert k < n or mass == 0.0
             if phi.degree() < 0:
                 assert k == 0
+
+    def test_fft_symbols_keep_every_column(self):
+        # from series._FFT_MIN_TAPS taps on, products round across every coefficient, so the
+        # entries past k* deg(phi) need not be exact zeros and no column is cut
+        n = 512
+        low = 1e-5 * symbol_of_sup(0.3).coeffs
+        phi = ps.PowerSeries(np.concatenate([low, np.zeros(130), [1e-6]]))
+        cut, _ = op._composition_columns(S12, phi, n)
+        full, _ = op._composition_columns(S12, phi, n, full=True)
+        k = len(cut) - 1
+        assert phi.degree() + 1 >= ps._FFT_MIN_TAPS and 0 < k * phi.degree() < n
+        assert cut.shape[1] == n + 1
+        assert np.array_equal(cut, full[: k + 1])
 
     def test_every_nonzero_row_where_the_sup_bound_reaches_one(self):
         # phi^j starts at z^(v j), so only the rows j <= n // v can be nonzero

@@ -49,7 +49,7 @@ class TestReciprocalSign:
         assert abs(c[2] - 0.75) < 1e-12
         report = pk.reciprocal_sign_check(sp.s2(), 8)
         assert report.status == rp.FAIL
-        first = report.value("first_violation_index")
+        first = {v.label: v.value for v in report.computed}["first_violation_index"]
         assert first.real == 2
 
     def test_s22_violation(self):
@@ -58,7 +58,7 @@ class TestReciprocalSign:
         assert abs(c[2] - 0.05) < 1e-12
         report = pk.reciprocal_sign_check(sp.s22(), 8)
         assert report.status == rp.FAIL
-        first = report.value("first_violation_index")
+        first = {v.label: v.value for v in report.computed}["first_violation_index"]
         assert first.real == 2
 
     def test_hardy_exact_zeros_within_tolerance(self):

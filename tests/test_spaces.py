@@ -37,6 +37,20 @@ class TestWeights:
     def test_first_values(self, space, expected):
         assert np.allclose(space.weights(3), expected, rtol=1e-15)
 
+    @pytest.mark.parametrize(
+        "space",
+        [sp.hardy(), sp.bergman(), sp.dirichlet(), sp.s2(), sp.s12(), sp.s22(), sp.dalpha(1.5),
+         sp.km(3)],
+        ids=lambda s: s.label,
+    )
+    def test_cached_weights_are_read_only_and_bitwise(self, space):
+        for n in (0, 7, 1024):
+            w = space.weights(n)
+            assert w is space.weights(n)
+            assert w.tobytes() == space.weight(np.arange(n + 1)).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                w[0] = 2.0
+
     def test_km1_matches_s12(self):
         assert np.allclose(sp.km(1).weights(20), sp.s12().weights(20), rtol=1e-15)
 
