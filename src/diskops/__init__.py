@@ -3,7 +3,7 @@ on the unit disk: truncated power-series arithmetic, reproducing kernels,
 multiplication/composition operator compressions, m-isometry defects,
 Blaschke-product expansions, and interpolation positivity tests."""
 
-from .blaschke import BlaschkeProduct, MobiusMap, phi_pair, z_times_phi
+from .blaschke import BlaschkeProduct, phi_pair, z_times_phi
 from .checks import Config, run_suite
 from .errors import (
     ConvergenceError,
@@ -37,7 +37,6 @@ from .pick import (
 )
 from .report import VerificationReport, emit_reports, parse_reports, reports_ok
 from .series import (
-    DEFAULT_ORDER,
     PowerSeries,
     cauchy_product,
     compose,

@@ -6,7 +6,8 @@ whose Taylor expansion is
     phi_a(z) = a - (1 - |a|^2) sum_{n>=1} conj(a)^{n-1} z^n.
 
 A finite Blaschke product is a unimodular constant times a product of
-such factors; it is inner, with |psi| = 1 on the boundary circle.
+such factors; it is inner, with |psi| = 1 on the boundary circle.  phi_a
+itself is the product ``BlaschkeProduct(1.0, (a,))``.
 
 Circle integrals use the composite trapezoidal rule on equispaced nodes,
 which is spectrally accurate for the smooth periodic integrands that
@@ -26,33 +27,6 @@ from .errors import DomainError
 from .series import PowerSeries
 
 DEFAULT_QUAD_NODES = 4096
-
-
-@dataclass(frozen=True)
-class MobiusMap:
-    """The disk automorphism phi_a swapping 0 and a (|a| < 1)."""
-
-    alpha: complex
-
-    def __post_init__(self):
-        ps.require_open_disk(self.alpha, "Mobius parameter")
-        object.__setattr__(self, "alpha", complex(self.alpha))
-
-    def __call__(self, z):
-        return (self.alpha - z) / (1.0 - np.conj(self.alpha) * z)
-
-    def series(self, order: int) -> PowerSeries:
-        a = self.alpha
-        c = np.zeros(order + 1, dtype=np.complex128)
-        c[0] = a
-        c[1:] = -(1.0 - abs(a) ** 2) * np.conj(a) ** np.arange(order)
-        return PowerSeries(c)
-
-    def derivative_series(self, order: int) -> PowerSeries:
-        # phi_a'(z) = (|a|^2 - 1) sum (n+1) conj(a)^n z^n
-        a = self.alpha
-        n = np.arange(order + 1)
-        return PowerSeries((abs(a) ** 2 - 1.0) * (n + 1) * np.conj(a) ** n)
 
 
 @dataclass(frozen=True)
@@ -82,10 +56,13 @@ class BlaschkeProduct:
         return out if np.ndim(z) else complex(out)
 
     def series(self, order: int) -> PowerSeries:
-        """Truncated Taylor expansion; tail is O(max|zero|^order)."""
-        out = ps.one(order)
-        for alpha in self.zeros:
-            out = ps.cauchy_product(out, MobiusMap(alpha).series(order), order)
+        """Truncated Taylor expansion; tail is O(max|zero|^order).  The factors' coefficients are
+        the closed form of phi_a, and the product folds them from the first factor on."""
+        n = np.arange(order)
+        factors = [np.concatenate([[a], -(1.0 - abs(a) ** 2) * np.conj(a) ** n]) for a in self.zeros]
+        out = PowerSeries(factors[0]) if factors else ps.one(order)
+        for c in factors[1:]:
+            out = ps.cauchy_product(out, PowerSeries(c), order)
         return ps.scale(out, self.unimodular)
 
     def _tail_majorant(self, space: spaces.SpaceWeights | None = None) -> ps.Majorant | None:
@@ -120,12 +97,6 @@ class BlaschkeProduct:
             at_zero = self.tail_bound(0) if space is None else self.tail_norm(space, 0)
             return 0 if at_zero <= tol else self.degree
         return majorant.order_for(tol) if space is None else max(majorant.order_for(tol**2) - 1, 0)
-
-    @staticmethod
-    def from_dict(d: dict) -> "BlaschkeProduct":
-        (a,) = ps.complex_pairs([ps.json_field(d, "a")], "Blaschke 'a'")
-        zeros = ps.complex_pairs(ps.json_field(d, "zeros"), "Blaschke 'zeros'")
-        return BlaschkeProduct(a, tuple(zeros))
 
 
 def z_times_phi(alpha: complex) -> BlaschkeProduct:
@@ -167,9 +138,10 @@ def poisson_kernel(alpha: complex, zeta) -> float | np.ndarray:
     return out if np.ndim(zeta) else float(out)
 
 
-def _check_node_count(nodes: int):
+def check_node_count(nodes: int) -> None:
+    """ValueError unless the quadrature node count is a power of two >= 256."""
     if nodes < 256 or nodes & (nodes - 1):
-        raise ValueError("node count must be a power of two >= 256")
+        raise ValueError(f"quadrature node count must be a power of two >= 256, got {nodes}")
 
 
 def poisson_moment(alpha: complex, k: int, nodes: int = DEFAULT_QUAD_NODES) -> complex:
@@ -177,7 +149,7 @@ def poisson_moment(alpha: complex, k: int, nodes: int = DEFAULT_QUAD_NODES) -> c
 
     Equals conj(alpha)^k exactly (harmonic extension of conj(zeta)^k).
     """
-    _check_node_count(nodes)
+    check_node_count(nodes)
     zeta = circle_nodes(nodes)
     return circle_mean(poisson_kernel(alpha, zeta) * np.conj(zeta) ** k)
 
@@ -187,7 +159,7 @@ def poisson_product_moment(alpha: complex, k: int, nodes: int = DEFAULT_QUAD_NOD
 
         b(k) = (1/2 pi) integral P_alpha(zeta) P_{-alpha}(zeta) conj(zeta)^k |dzeta|.
     """
-    _check_node_count(nodes)
+    check_node_count(nodes)
     zeta = circle_nodes(nodes)
     integrand = poisson_kernel(alpha, zeta) * poisson_kernel(-alpha, zeta) * np.conj(zeta) ** k
     return circle_mean(integrand)
@@ -221,7 +193,10 @@ def phi_prime_moment(alpha: complex, k: int) -> complex:
 def phi_prime_moment_series(alpha: complex, k: int, order: int = 2000) -> complex:
     """Brute-force companion: the same inner product summed from the
     coefficient expansion of phi_a' at the given order."""
-    c = MobiusMap(alpha).derivative_series(order + k).coeffs
+    alpha = complex(alpha)
+    ps.require_open_disk(alpha, "parameter")
+    n = np.arange(order + k + 1)
+    c = (abs(alpha) ** 2 - 1.0) * (n + 1) * np.conj(alpha) ** n  # phi_a'(z) = sum c_n z^n
     return complex(np.sum(c[k:] * np.conj(c[: len(c) - k])))
 
 

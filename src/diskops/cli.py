@@ -9,6 +9,10 @@ Subcommands::
     diskops isometry <space> <blaschke.json> <m> alternating defect values
     diskops pick <problem.json>                  Pick matrix PSD verdict
 
+Input files are JSON, each complex number a [re, im] pair: a series is a list of
+pairs by degree, a Blaschke product {"a": pair, "zeros": [pair, ...]} and a Pick
+problem {"space": name, "nodes": [pair, ...], "targets": [pair, ...]}.
+
 Global flags: --truncation, --tol, --quad-nodes, --seed, --output.
 Each flag also reads an environment override DISKOPS_TRUNCATION,
 DISKOPS_TOL, DISKOPS_QUAD_NODES, DISKOPS_SEED, DISKOPS_OUTPUT (flags win).
@@ -25,6 +29,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import math
 import os
 import sys
 
@@ -74,30 +79,26 @@ def _pin_blas_threads() -> None:
                 break
 
 
+# help text of each Config knob: its flag is --<name> (_ as -), read as the type of its default
+_KNOBS = {
+    "truncation": "working series order",
+    "tol": "default check tolerance",
+    "quad_nodes": "circle quadrature node count",
+    "seed": "PRNG seed for randomized checks",
+    "output": f"report format for verify, one of {', '.join(rp.FORMATS)}",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS defaults let the shared flags appear before or after the
     # subcommand without the subparser clobbering already-parsed values
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--truncation", type=int, default=argparse.SUPPRESS,
-        help="working series order (default 256, env DISKOPS_TRUNCATION)",
-    )
-    common.add_argument(
-        "--tol", type=float, default=argparse.SUPPRESS,
-        help="default check tolerance (default 1e-8, env DISKOPS_TOL)",
-    )
-    common.add_argument(
-        "--quad-nodes", type=int, default=argparse.SUPPRESS,
-        help="circle quadrature nodes, power of two >= 256 (default 4096, env DISKOPS_QUAD_NODES)",
-    )
-    common.add_argument(
-        "--seed", type=int, default=argparse.SUPPRESS,
-        help="PRNG seed for randomized checks (default 0, env DISKOPS_SEED)",
-    )
-    common.add_argument(
-        "--output", choices=("text", "json", "csv"), default=argparse.SUPPRESS,
-        help="report format for verify (default text, env DISKOPS_OUTPUT)",
-    )
+    for name, text in _KNOBS.items():
+        default = getattr(checks.Config, name)
+        common.add_argument(
+            "--" + name.replace("_", "-"), type=type(default), default=argparse.SUPPRESS,
+            help=f"{text} (default {default}, env {ENV_PREFIX}{name.upper()})",
+        )
     parser = argparse.ArgumentParser(
         prog="diskops",
         description="verification harness for analytic-function-space computations",
@@ -141,22 +142,50 @@ def _load_json(path: str):
         return json.load(handle)
 
 
-def _pick(args, name: str, cast, fallback):
-    # explicit flag wins even for falsy values; SUPPRESS leaves the attr unset
-    if hasattr(args, name):
-        return getattr(args, name)
-    raw = os.environ.get(ENV_PREFIX + name.upper())
-    return fallback if raw is None else cast(raw)
+def _complex_pairs(pairs, what: str = "series") -> list[complex]:
+    """[re, im] pairs of floats or in-range ints (no bools) as complex numbers; ValueError
+    naming the first entry that is not one."""
+    for p in pairs if isinstance(pairs, (list, tuple)) else [pairs]:
+        if not (isinstance(p, (list, tuple)) and len(p) == 2 and all(
+                isinstance(x, float) or type(x) is int and abs(x) <= sys.float_info.max for x in p)):
+            raise ValueError(f"{what} entry {p!r} is not a pair of two numbers")
+    return [complex(re, im) for re, im in pairs]
+
+
+def _field(d, key: str):
+    """d[key] of a decoded JSON object; ValueError naming the key when it is missing."""
+    if not isinstance(d, dict) or key not in d:
+        raise ValueError(f"expected a JSON object with the key {key!r}")
+    return d[key]
+
+
+def _read_series(pairs) -> ps.PowerSeries:
+    return ps.from_coefficients(_complex_pairs(pairs))
+
+
+def _read_blaschke(d) -> bl.BlaschkeProduct:
+    (a,) = _complex_pairs([_field(d, "a")], "Blaschke 'a'")
+    return bl.BlaschkeProduct(a, tuple(_complex_pairs(_field(d, "zeros"), "Blaschke 'zeros'")))
+
+
+def _read_pick_problem(d) -> pk.PickProblem:
+    return pk.PickProblem(
+        space=sp.parse_space(str(_field(d, "space"))),
+        nodes=tuple(_complex_pairs(_field(d, "nodes"), "Pick 'nodes'")),
+        targets=tuple(_complex_pairs(_field(d, "targets"), "Pick 'targets'")),
+    )
 
 
 def _config(args) -> checks.Config:
-    return checks.Config(
-        truncation=_pick(args, "truncation", int, 256),
-        tol=_pick(args, "tol", float, 1e-8),
-        quad_nodes=_pick(args, "quad_nodes", int, 4096),
-        seed=_pick(args, "seed", int, 0),
-        output=_pick(args, "output", str, "text"),
-    )
+    """The knobs a flag or a DISKOPS_* variable sets (the flag wins); Config fills in the rest."""
+    knobs = {}
+    for name in _KNOBS:
+        raw = os.environ.get(ENV_PREFIX + name.upper())
+        if hasattr(args, name):  # SUPPRESS leaves the attribute unset when the flag is absent
+            knobs[name] = getattr(args, name)
+        elif raw is not None:
+            knobs[name] = type(getattr(checks.Config, name))(raw)
+    return checks.Config(**knobs)
 
 
 def _cmd_verify(args, cfg: checks.Config) -> int:
@@ -171,14 +200,15 @@ def _cmd_verify(args, cfg: checks.Config) -> int:
 
 def _cmd_norm(args, cfg: checks.Config) -> int:
     space = sp.parse_space(args.space)
-    f = ps.from_pairs(_load_json(args.series_json))
-    print(rp.format_quantity(sp.space_norm(space, f)))
+    # the norm of m, whose parts lie in [-1, 1], cannot overflow or underflow where f's would
+    m, e = ps.frexp(_read_series(_load_json(args.series_json)))
+    print(rp.format_quantity(math.ldexp(sp.space_norm(space, m), e)))
     return 0
 
 
 def _cmd_opnorm(args, cfg: checks.Config) -> int:
     space = sp.parse_space(args.space)
-    f = ps.from_pairs(_load_json(args.series_json))
+    f = _read_series(_load_json(args.series_json))
     if args.kind == "mult":
         value = op.multiplication_norm(space, f, cfg.truncation)
     else:
@@ -197,7 +227,7 @@ def _cmd_kernel(args, cfg: checks.Config) -> int:
 
 def _cmd_isometry(args, cfg: checks.Config) -> int:
     space = sp.parse_space(args.space)
-    psi = bl.BlaschkeProduct.from_dict(_load_json(args.blaschke_json))
+    psi = _read_blaschke(_load_json(args.blaschke_json))
     probes = [ps.one(), ps.monomial(1), ps.from_coefficients([1, 1])]
     values, starved = [], []
     for probe in probes:
@@ -214,7 +244,7 @@ def _cmd_isometry(args, cfg: checks.Config) -> int:
 
 
 def _cmd_pick(args, cfg: checks.Config) -> int:
-    problem = pk.PickProblem.from_dict(_load_json(args.problem_json))
+    problem = _read_pick_problem(_load_json(args.problem_json))
     verdict = pk.psd_check(pk.pick_matrix(problem))
     print(f"is_psd {verdict.is_psd}")
     print(f"min_eigenvalue {rp.format_quantity(verdict.min_eigenvalue)}")
@@ -237,7 +267,8 @@ def main(argv=None) -> int:
     _pin_blas_threads()
     try:
         return _COMMANDS[args.command](args, _config(args))
-    except (DiskOpsError, ValueError, OSError) as exc:  # ValueError covers bad JSON
+    # ValueError covers bad JSON, OverflowError a value past the float range
+    except (DiskOpsError, ValueError, OSError, OverflowError) as exc:
         print("diskops: " + " ".join(str(exc).split()), file=sys.stderr)
         return 2
 

@@ -233,10 +233,12 @@ def _composition_products(space: sp.SpaceWeights, phi: PowerSeries, n: int):
 
 
 def multiplication_norm(space: sp.SpaceWeights, f: PowerSeries, n: int) -> float:
-    """Compression norm of M_f at size n+1 from banded convolutions; |c| for a constant c."""
+    """Compression norm of M_f at size n+1 from banded convolutions; |c| for a constant c.
+    It runs on f scaled to unit size by ``series.frexp``, so no inner product over- or underflows."""
     if f.degree() <= 0:
         return float(abs(f.coeffs[0]))
-    return norm_estimate(*_multiplication_products(space, f, n), n + 1)
+    m, e = ps.frexp(f)
+    return math.ldexp(norm_estimate(*_multiplication_products(space, m, n), n + 1), e)
 
 
 def composition_norm(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> float:

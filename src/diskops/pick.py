@@ -49,14 +49,6 @@ class PickProblem:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "targets", targets)
 
-    @staticmethod
-    def from_dict(d: dict) -> "PickProblem":
-        return PickProblem(
-            space=sp.parse_space(str(ps.json_field(d, "space"))),
-            nodes=tuple(ps.complex_pairs(ps.json_field(d, "nodes"), "Pick 'nodes'")),
-            targets=tuple(ps.complex_pairs(ps.json_field(d, "targets"), "Pick 'targets'")),
-        )
-
 
 @dataclass(frozen=True)
 class PsdVerdict:
@@ -113,13 +105,17 @@ def pick_matrix(problem: PickProblem) -> np.ndarray:
     """Hermitian matrix [(1 - conj(w_i) w_j) K_{node_i}(node_j)] from one kernel call.
 
     The assembled matrix is symmetrized by averaging with its conjugate
-    transpose.
+    transpose.  DomainError if an entry overflows the float range.
     """
     nodes = np.array(problem.nodes, dtype=np.complex128)
     targets = np.array(problem.targets, dtype=np.complex128)
     kernel = sp.kernel(problem.space, nodes[:, None], nodes)
-    out = (1.0 - np.conj(targets)[:, None] * targets) * kernel
-    return 0.5 * (out + out.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, once
+        out = (1.0 - np.conj(targets)[:, None] * targets) * kernel
+        out = 0.5 * (out + out.conj().T)
+    if not np.isfinite(out).all():
+        raise DomainError("the Pick matrix overflows the float range")
+    return out
 
 
 def psd_check(matrix: np.ndarray) -> PsdVerdict:
@@ -127,11 +123,14 @@ def psd_check(matrix: np.ndarray) -> PsdVerdict:
 
     The verdict is positive iff min eig >= -DEFAULT_PSD_TOL * (largest
     diagonal entry); kernel evaluations carry ~1e-12 relative error which the
-    eigensolve can amplify, hence the relative floor.
+    eigensolve can amplify, hence the relative floor.  A matrix with a non-finite
+    entry gets no verdict: DomainError.
     """
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError("PSD check needs a square matrix")
+    if not np.isfinite(m).all():
+        raise DomainError("PSD check needs a finite matrix")
     deviation = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
     scale = float(np.abs(np.diag(m).real).max()) if m.size else 0.0
     if deviation > 1e-8 * max(scale, 1.0):

@@ -151,56 +151,66 @@ def report_from_dict(d: dict) -> VerificationReport:
     )
 
 
-def emit_reports(reports, fmt: str = "text") -> bytes:
-    """Render a report list as a byte stream in json/csv/text form."""
-    if fmt == "json":
-        return json.dumps([report_to_dict(r) for r in reports], indent=2).encode()
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["check_id", "status", "tolerance", "elapsed_ms", "computed", "reference"])
-        for r in reports:
-            writer.writerow(
-                [
-                    r.check_id,
-                    r.status,
-                    f"{r.tolerance:.15g}",
-                    f"{r.elapsed_ms:.15g}",
-                    ";".join(f"{v.label}={format_quantity(v.value)}" for v in r.computed),
-                    ";".join(
-                        f"{v.label}={format_quantity(v.value)}[{v.provenance}]"
-                        for v in r.reference
-                    ),
-                ]
-            )
-        return buf.getvalue().encode()
-    if fmt == "text":
-        lines = []
-        width = max((len(r.check_id) for r in reports), default=10)
-        for r in reports:
-            lines.append(
-                f"[{r.status.upper():>10s}] {r.check_id:<{width}s}"
-                f"  tol={r.tolerance:.3g}  ({r.elapsed_ms:.1f} ms)"
-            )
-            refs = {v.label: v for v in r.reference}
-            for v in r.computed:
-                line = f"    {v.label} = {format_quantity(v.value)}"
-                if v.label in refs:
-                    ref = refs[v.label]
-                    line += f"  vs {format_quantity(ref.value)} [{ref.provenance}]"
-                lines.append(line)
-            for label, ref in refs.items():
-                if not any(v.label == label for v in r.computed):
-                    lines.append(
-                        f"    {label} (reference) = {format_quantity(ref.value)} [{ref.provenance}]"
-                    )
-        counts = {}
-        for r in reports:
-            counts[r.status] = counts.get(r.status, 0) + 1
-        summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
-        lines.append(f"-- {len(reports)} checks ({summary})")
-        return ("\n".join(lines) + "\n").encode()
-    raise ValueError(f"unknown output format {fmt!r}")
+def _emit_csv(reports) -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["check_id", "status", "tolerance", "elapsed_ms", "computed", "reference"])
+    for r in reports:
+        writer.writerow(
+            [
+                r.check_id,
+                r.status,
+                f"{r.tolerance:.15g}",
+                f"{r.elapsed_ms:.15g}",
+                ";".join(f"{v.label}={format_quantity(v.value)}" for v in r.computed),
+                ";".join(
+                    f"{v.label}={format_quantity(v.value)}[{v.provenance}]" for v in r.reference
+                ),
+            ]
+        )
+    return buf.getvalue().encode()
+
+
+def _emit_text(reports) -> bytes:
+    lines = []
+    width = max((len(r.check_id) for r in reports), default=10)
+    for r in reports:
+        lines.append(
+            f"[{r.status.upper():>10s}] {r.check_id:<{width}s}"
+            f"  tol={r.tolerance:.3g}  ({r.elapsed_ms:.1f} ms)"
+        )
+        refs = {v.label: v for v in r.reference}
+        for v in r.computed:
+            line = f"    {v.label} = {format_quantity(v.value)}"
+            if v.label in refs:
+                ref = refs[v.label]
+                line += f"  vs {format_quantity(ref.value)} [{ref.provenance}]"
+            lines.append(line)
+        for label, ref in refs.items():
+            if not any(v.label == label for v in r.computed):
+                lines.append(
+                    f"    {label} (reference) = {format_quantity(ref.value)} [{ref.provenance}]"
+                )
+    counts = {}
+    for r in reports:
+        counts[r.status] = counts.get(r.status, 0) + 1
+    summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
+    lines.append(f"-- {len(reports)} checks ({summary})")
+    return ("\n".join(lines) + "\n").encode()
+
+
+FORMATS = {  # the output formats by name, each with its writer
+    "text": _emit_text,
+    "json": lambda reports: json.dumps([report_to_dict(r) for r in reports], indent=2).encode(),
+    "csv": _emit_csv,
+}
+
+
+def emit_reports(reports, fmt: str) -> bytes:
+    """Render a report list as a byte stream in one of the FORMATS."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown output format {fmt!r}")
+    return FORMATS[fmt](reports)
 
 
 def parse_reports(data: bytes) -> list[VerificationReport]:

@@ -11,22 +11,19 @@ pure functions that return new series.  Truncation is silent and by
 contract: every operation that can grow the degree takes an explicit
 output order, and coefficients above it are discarded.
 
-The default working order is ``DEFAULT_ORDER`` = 256.  Every order the package
-fixes a priori comes from ``Majorant``, one closed-form tail certificate.
+Every order the package fixes a priori comes from ``Majorant``, one
+closed-form tail certificate.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import DomainError, TruncationError
-
-DEFAULT_ORDER = 256
 
 # Shorter symbols (monomials, low degrees) use the exact direct convolution;
 # at this length it costs what an FFT product does, at order 256 and 1024.
@@ -148,6 +145,14 @@ def add(a: PowerSeries, b: PowerSeries) -> PowerSeries:
 
 def scale(f: PowerSeries, factor: complex) -> PowerSeries:
     return PowerSeries(f.coeffs * factor)
+
+
+def frexp(f: PowerSeries) -> tuple[PowerSeries, int]:
+    """(m, e) with f = m 2^e, exact but for parts of m below the normal range, and the largest
+    real or imaginary part of m in [1/2, 1) (e = 0 for f = 0): no square of a part overflows."""
+    parts = f.coeffs.view(np.float64)
+    e = int(np.frexp(np.abs(parts).max())[1])
+    return PowerSeries(np.ldexp(parts, -e).view(np.complex128)), e
 
 
 def cauchy_product(a: PowerSeries, b: PowerSeries, order: int) -> PowerSeries:
@@ -306,29 +311,8 @@ def evaluate_many(f: PowerSeries, z) -> np.ndarray:
     return acc.reshape(z.shape)
 
 
-def complex_pairs(pairs, what: str = "series") -> list[complex]:
-    """[re, im] pairs of floats or in-range ints (no bools) as complex numbers; ValueError
-    naming the first entry that is not one."""
-    for p in pairs if isinstance(pairs, (list, tuple)) else [pairs]:
-        if not (isinstance(p, (list, tuple)) and len(p) == 2 and all(
-                isinstance(x, float) or type(x) is int and abs(x) <= sys.float_info.max for x in p)):
-            raise ValueError(f"{what} entry {p!r} is not a pair of two numbers")
-    return [complex(re, im) for re, im in pairs]
-
-
 def require_open_disk(x, what: str) -> None:
     """DomainError "<what> must lie in the open disk" unless every |x| < 1 (nan and inf fail)."""
     if not np.all(np.abs(np.asarray(x, dtype=np.complex128)) < 1.0):
         raise DomainError(f"{what} must lie in the open disk")
 
-
-def from_pairs(pairs: Sequence[Sequence[float]]) -> PowerSeries:
-    """Series from its JSON form, [re, im] pairs by degree; ValueError unless it is one."""
-    return from_coefficients(complex_pairs(pairs))
-
-
-def json_field(d, key: str):
-    """d[key] of a decoded JSON object; ValueError naming the key when it is missing."""
-    if not isinstance(d, dict) or key not in d:
-        raise ValueError(f"expected a JSON object with the key {key!r}")
-    return d[key]

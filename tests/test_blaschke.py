@@ -6,42 +6,55 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diskops import blaschke as bl
-from diskops import checks
+from diskops import checks, cli
 from diskops import report as rp
 from diskops import series as ps
 from diskops import spaces as sp
 from diskops.errors import DomainError, TruncationError
 
 
+def _phi(alpha):
+    """phi_a as the degree-1 Blaschke product."""
+    return bl.BlaschkeProduct(1.0, (alpha,))
+
+
 class TestMobiusMap:
     def test_swaps_zero_and_alpha(self):
-        phi = bl.MobiusMap(0.4 + 0.1j)
-        assert abs(phi(phi.alpha)) < 1e-15
-        assert abs(phi(0.0) - phi.alpha) < 1e-15
+        alpha = 0.4 + 0.1j
+        phi = _phi(alpha)
+        assert abs(phi(alpha)) < 1e-15
+        assert abs(phi(0.0) - alpha) < 1e-15
 
     def test_series_coefficients(self):
-        # (a - z) * geometric series in conj(a) z
-        alpha = 0.5
-        geom = ps.PowerSeries(alpha ** np.arange(12).astype(complex))
-        oracle = ps.cauchy_product(ps.from_coefficients([alpha, -1.0]), geom, 11)
-        mine = bl.MobiusMap(alpha).series(11)
-        assert np.max(np.abs(mine.coeffs - oracle.coeffs)) < 1e-15
+        for alpha in (0.5, 0.3 - 0.2j, -0.6j, 0j):
+            series = _phi(alpha).series(11).coeffs
+            # bitwise the closed form a, -(1 - |a|^2) conj(a)^(n-1)
+            tail = -(1.0 - abs(alpha) ** 2) * np.conj(alpha) ** np.arange(11)
+            assert np.array_equal(series, np.concatenate([[alpha], tail]))
+            # and, to rounding, (a - z) times the geometric series in conj(a) z
+            geom = ps.PowerSeries(np.conj(alpha) ** np.arange(12))
+            oracle = ps.cauchy_product(ps.from_coefficients([alpha, -1.0]), geom, 11)
+            assert np.max(np.abs(series - oracle.coeffs)) < 1e-15
 
     def test_series_evaluates_to_map(self):
-        phi = bl.MobiusMap(0.3 - 0.2j)
+        phi = _phi(0.3 - 0.2j)
         series = phi.series(128)
         for z in (0.5, -0.4 + 0.3j, 0.7j):
             assert abs(series(z) - phi(z)) < 1e-12
 
     def test_rejects_modulus_one(self):
         with pytest.raises(DomainError):
-            bl.MobiusMap(1.0)
+            _phi(1.0)
 
     def test_derivative_series_formula(self):
+        # phi_a' = (|a|^2 - 1) sum (n+1) conj(a)^n z^n, the closed form of phi_prime_moment_series
         alpha = 0.3 + 0.1j
-        closed = bl.MobiusMap(alpha).derivative_series(10)
-        walked = ps.derivative(bl.MobiusMap(alpha).series(11))
-        assert np.max(np.abs(closed.coeffs[:10] - walked.coeffs[:10])) < 1e-14
+        n = np.arange(11)
+        closed = (abs(alpha) ** 2 - 1.0) * (n + 1) * np.conj(alpha) ** n
+        walked = ps.derivative(_phi(alpha).series(11))
+        assert np.max(np.abs(closed[:10] - walked.coeffs[:10])) < 1e-14
+        series_sum = bl.phi_prime_moment_series(alpha, 3, order=400)
+        assert abs(series_sum - bl.phi_prime_moment(alpha, 3)) < 1e-12
 
     # the error is 7.5e-6 at truncation 32 (a fail before the order was derived)
     # and 2.5e-9 at 54, under the bound 1.7 * 0.7^54 = 7.3e-9
@@ -139,12 +152,32 @@ class TestBlaschkeProduct:
 
     def test_json_round_trip(self):
         psi = bl.z_times_phi(0.4 + 0.2j)
-        parsed = bl.BlaschkeProduct.from_dict({"a": [-1.0, 0.0], "zeros": [[0, 0], [0.4, 0.2]]})
+        parsed = cli._read_blaschke({"a": [-1.0, 0.0], "zeros": [[0, 0], [0.4, 0.2]]})
         assert parsed == psi
+
+    @pytest.mark.parametrize(
+        "psi",
+        [bl.z_times_phi(0.5), bl.phi_pair(0.7), bl.BlaschkeProduct(1.0, (0.0, 0.0, 0.0)),
+         bl.BlaschkeProduct(1.0, (0.3 + 0.4j, -0.6, 0.8j)),
+         bl.BlaschkeProduct(np.exp(0.7j), (0.9, -0.5j, 0.2 + 0.1j, 0.0))],
+        ids=["z_phi05", "phi_pair07", "z_cubed", "three_zeros", "four_zeros_rotated"],
+    )
+    @pytest.mark.parametrize("order", [0, 1, 17, 256])
+    def test_series_is_the_left_fold_from_one(self, psi, order):
+        # the series folds the factors from the first one on; the product from the series 1
+        # that it replaced gives the same values
+        fold = ps.one(order)
+        for alpha in psi.zeros:
+            fold = ps.cauchy_product(fold, _phi(alpha).series(order), order)
+        assert np.array_equal(psi.series(order).coeffs, ps.scale(fold, psi.unimodular).coeffs)
+
+    def test_constant_series(self):
+        assert np.array_equal(bl.BlaschkeProduct(-1j, ()).series(5).coeffs,
+                              [-1j, 0, 0, 0, 0, 0])
 
     def test_involution_composition(self):
         for alpha in (0.3, 0.5 + 0.2j, 0.7):
-            phi = bl.MobiusMap(alpha).series(256)
+            phi = _phi(alpha).series(256)
             composed = ps.compose(phi, phi, 256)
             target = ps.monomial(1, order=256)
             assert np.max(np.abs(composed.coeffs - target.coeffs)) < 1e-8
@@ -274,7 +307,7 @@ class TestAdjointDistinctness:
 @given(st.floats(0.01, 0.7), st.floats(0, 2 * math.pi))
 def test_involution_property(radius, phase):
     alpha = radius * math.cos(phase) + 1j * radius * math.sin(phase)
-    phi = bl.MobiusMap(alpha).series(192)
+    phi = _phi(alpha).series(192)
     composed = ps.compose(phi, phi, 192)
     target = ps.monomial(1, order=192)
     assert np.max(np.abs(composed.coeffs - target.coeffs)) < 1e-8

@@ -4,7 +4,9 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -203,6 +205,20 @@ class TestCommandLine:
         assert cli.main(["--truncation", "512", "opnorm", "S12", "mult", str(path)]) == 0
         assert float(capsys.readouterr().out) > math.sqrt(4.5)
 
+    @pytest.mark.parametrize("scale", ["1e200", "1e-200", "1e160", "1e-170"])
+    def test_norms_of_huge_and_tiny_series(self, tmp_path, capfd, scale):
+        # the inner products of these series overflow or underflow at their own scale: the
+        # values are those of 1 + z times the scale, with no warning
+        path = tmp_path / "series.json"
+        path.write_text(f"[[{scale}, 0], [{scale}, 0]]")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["norm", "S12", str(path)]) == 0
+            assert cli.main(["opnorm", "S12", "mult", str(path)]) == 0
+        norm, opnorm = map(float, capfd.readouterr().out.split())
+        assert norm == 2 * float(scale)
+        assert opnorm == pytest.approx(2.3787284431514 * float(scale), rel=1e-13)
+
     def test_opnorm_comp(self, tmp_path, capsys):
         path = tmp_path / "series.json"
         path.write_text(json.dumps([[0, 0], [0.5, 0]]))
@@ -313,6 +329,20 @@ class TestCommandLine:
              "psi^1100 within 1e-08 needs truncation >= 1101", {}),
             (["verify", "constants", "--seed", "-10000000000"], "", "seed must be >= 0", {}),
             (["verify", "constants"], "", "seed must be >= 0", {"DISKOPS_SEED": "-1"}),
+            (["verify", "pick", "--output", "xml"], "", "output must be one of text, json, csv",
+             {}),
+            (["verify", "pick"], "", "output must be one of text, json, csv",
+             {"DISKOPS_OUTPUT": "xml"}),
+            (["pick", "{path}"],
+             '{"space": "S12", "nodes": [[0, 0], [0.5, 0]], "targets": [[1e200, 0], [0, 0]]}',
+             "the Pick matrix overflows the float range", {}),
+            # 1 - |target|^2 = -1e300 is finite; times the kernel near the circle (4.5e15) it is not
+            (["pick", "{path}"],
+             '{"space": "H2", "nodes": [[0.9999999999999999, 0], [0, 0]], "targets": [[1e150, 0], '
+             '[0, 0]]}', "the Pick matrix overflows the float range", {}),
+            (["norm", "S12", "{path}"], "[[1e308, 0], [1e308, 0]]", "math range error", {}),
+            (["opnorm", "S12", "mult", "{path}"], "[[1e308, 0], [1e308, 0]]", "math range error",
+             {}),
         ],
         ids=["bad_pair", "not_a_list", "unknown_space", "bad_json", "missing_file",
              "outside_disk", "series_too_long", "series_past_majorant_cap", "kernel_w_inf",
@@ -323,7 +353,8 @@ class TestCommandLine:
              "isometry_starved_099", "norm_dalpha_inf", "kernel_dalpha_inf",
              "kernel_dalpha_overflow", "kernel_km_overflow", "isometry_z_starved",
              "isometry_growth_underflow", "isometry_z_starved_1100", "seed_negative",
-             "seed_env_negative"],
+             "seed_env_negative", "output_xml", "output_env_xml", "pick_target_overflow",
+             "pick_kernel_overflow", "norm_past_float_max", "opnorm_past_float_max"],
     )
     @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
     def test_input_errors_exit_2_with_one_line(
@@ -359,7 +390,7 @@ class TestCommandLine:
         (lambda: sp.kernel(sp.hardy(), NAN, 0.5), DomainError),
         (lambda: sp.kernel(sp.s2(), [0.5, NAN], 0.5), DomainError),
         (lambda: sp.kernel(sp.s12(), [[0.5], [0.9]], [0.3, 1.2]), DomainError),
-        (lambda: bl.MobiusMap(NAN), DomainError),
+        (lambda: bl.phi_prime_moment_series(NAN, 0), DomainError),
         (lambda: bl.BlaschkeProduct(1.0, (NAN,)), DomainError),
         (lambda: bl.BlaschkeProduct(NAN), DomainError),
         (lambda: pk.PickProblem(sp.s12(), (NAN,), (0.0,)), DomainError),
@@ -370,10 +401,12 @@ class TestCommandLine:
         (lambda: bl.adjoint_distinctness_gap(NAN), DomainError),
         (lambda: pk.corona_kernel_check(sp.s12(), [ps.one()], 1.0, grid=[NAN]), DomainError),
         (lambda: sp.dalpha(NAN), ValueError),
+        (lambda: pk.psd_check(np.array([[1.0, 0.0], [0.0, NAN]])), DomainError),
+        (lambda: pk.psd_check(np.array([[math.inf]])), DomainError),
     ],
     ids=["cli_kernel", "kernel", "kernel_array_nan", "kernel_array_outside", "mobius", "blaschke_zero", "blaschke_unimodular", "pick_node",
          "poisson_kernel", "poisson_product_moment", "phi_prime_moment", "adjoint_expansion",
-         "adjoint_distinctness", "corona_grid", "dalpha_alpha"],
+         "adjoint_distinctness", "corona_grid", "dalpha_alpha", "psd_check_nan", "psd_check_inf"],
 )
 def test_nan_rejected_at_domain_gates(call, error, capsys):
     if isinstance(error, int):  # the command line reports an exit code
@@ -418,9 +451,9 @@ def _rejects(parse, payload):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_PAIR, min_size=1, max_size=6), _MALFORMED_PAIR, st.integers(0, 5))
 def test_series_json_parser(pairs, bad, at):
-    assert [[c.real, c.imag] for c in ps.from_pairs(_via_json(pairs)).coeffs] == pairs
+    assert [[c.real, c.imag] for c in cli._read_series(_via_json(pairs)).coeffs] == pairs
     pairs[at % len(pairs)] = bad
-    _rejects(ps.from_pairs, pairs)
+    _rejects(cli._read_series, pairs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -428,7 +461,7 @@ def test_series_json_parser(pairs, bad, at):
        st.sampled_from(["no a", "no zeros", "bad a", "bad zero", "zero outside"]))
 def test_blaschke_json_parser(phase, zeros, bad, outside, fault):
     d = {"a": [math.cos(phase), math.sin(phase)], "zeros": zeros}
-    psi = bl.BlaschkeProduct.from_dict(_via_json(d))
+    psi = cli._read_blaschke(_via_json(d))
     assert [psi.unimodular.real, psi.unimodular.imag] == d["a"]
     assert [[z.real, z.imag] for z in psi.zeros] == zeros
     if fault.startswith("no "):
@@ -437,7 +470,7 @@ def test_blaschke_json_parser(phase, zeros, bad, outside, fault):
         d["a"] = bad
     else:
         d["zeros"] = zeros + [bad if fault == "bad zero" else outside]
-    _rejects(bl.BlaschkeProduct.from_dict, d)
+    _rejects(cli._read_blaschke, d)
 
 
 @settings(max_examples=60, deadline=None)
@@ -449,7 +482,7 @@ def test_blaschke_json_parser(phase, zeros, bad, outside, fault):
 def test_pick_json_parser(space, data, bad, outside, fault):
     nodes, targets = [list(p) for p in zip(*data)]
     d = {"space": space, "nodes": nodes, "targets": targets}
-    problem = pk.PickProblem.from_dict(_via_json(d))
+    problem = cli._read_pick_problem(_via_json(d))
     assert problem.space.label == space
     assert [[x.real, x.imag] for x in problem.nodes] == nodes
     assert [[x.real, x.imag] for x in problem.targets] == targets
@@ -459,7 +492,7 @@ def test_pick_json_parser(space, data, bad, outside, fault):
         d["targets"][-1] = bad
     else:
         d["nodes"][-1] = bad if fault == "bad node" else outside
-    _rejects(pk.PickProblem.from_dict, d)
+    _rejects(cli._read_pick_problem, d)
 
 
 def _run_python(args, **env):

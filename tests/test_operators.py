@@ -194,6 +194,15 @@ class TestNormEstimate:
         assert op.multiplication_norm(S12, ps.zero(4), 8) == 0.0
         assert op.multiplication_norm(S12, ps.from_coefficients([0.6 - 0.8j]), 8) == 1.0
 
+    @pytest.mark.parametrize("k", [600, -600])
+    @pytest.mark.parametrize("n", [8, 256])
+    def test_scales_by_powers_of_two_exactly(self, k, n):
+        # the norm runs on f scaled to unit size, so 2^k f neither overflows nor underflows
+        # its inner products, and its norm is 2^k times that of f, bit for bit
+        f = ps.from_coefficients([1.0, 1.0, 0.3 - 0.2j])
+        scaled = ps.PowerSeries(f.coeffs * 2.0**k)
+        assert op.multiplication_norm(S12, scaled, n) == 2.0**k * op.multiplication_norm(S12, f, n)
+
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_smallest_sizes(self, n):
         f = ps.from_coefficients([0.5, 1.0 - 0.25j, 0.75j])

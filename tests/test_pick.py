@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from diskops import checks
+from diskops import checks, cli
 from diskops import pick as pk
 from diskops import report as rp
 from diskops import series as ps
@@ -194,7 +194,7 @@ class TestCorona:
             pk.corona_kernel_check(sp.s12(), [ps.one()], 0.5, grid=[0.5, 1.5])
 
     def test_problem_json(self):
-        problem = pk.PickProblem.from_dict(
+        problem = cli._read_pick_problem(
             {"space": "S2", "nodes": [[0, 0], [0.5, 0]], "targets": [[0, 0], [0.3, 0]]}
         )
         assert problem.space.kind == sp.S2
