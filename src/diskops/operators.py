@@ -234,11 +234,13 @@ def _composition_products(space: sp.SpaceWeights, phi: PowerSeries, n: int):
 
 def multiplication_norm(space: sp.SpaceWeights, f: PowerSeries, n: int) -> float:
     """Compression norm of M_f at size n+1 from banded convolutions; |c| for a constant c.
-    It runs on f scaled to unit size by ``series.frexp``, so no inner product over- or underflows."""
+    It runs on f scaled to unit size by ``series.frexp``, so no inner product over- or underflows.
+    DomainError past the float range."""
     if f.degree() <= 0:
         return float(abs(f.coeffs[0]))
-    m, e = ps.frexp(f)
-    return math.ldexp(norm_estimate(*_multiplication_products(space, m, n), n + 1), e)
+    m, e = ps.frexp(f.coeffs)
+    products = _multiplication_products(space, PowerSeries(m), n)
+    return ps.ldexp_norm(norm_estimate(*products, n + 1), e)
 
 
 def composition_norm(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> float:
@@ -314,7 +316,7 @@ def isometry_order(norms, m_max: int) -> tuple[int | None, float]:
     x = np.asarray(norms, dtype=np.float64)
     if m_max < 1 or x.ndim != 1 or len(x) <= m_max or not np.isfinite(x).all():
         raise ValueError(f"isometry_order needs m_max >= 1 and m_max + 1 finite norms, got {m_max}")
-    diff = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+    diff = ps.frexp(x)[0]
     scale, best = np.abs(diff), math.inf
     for m in range(1, m_max + 1):
         diff, scale = np.diff(diff), scale[1:] + scale[:-1]
@@ -452,7 +454,7 @@ def dirichlet_linearity_residuals(
 
 
 def composition_norm_estimates(
-    space: sp.SpaceWeights, phi: PowerSeries, n: int = 256
+    space: sp.SpaceWeights, phi: PowerSeries, n: int
 ) -> tuple[float, float]:
     """Compression norms of M_phi and C_phi at size n+1, both lower bounds of the true norms.
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 PASS = "pass"
@@ -156,17 +157,10 @@ def _emit_csv(reports) -> bytes:
     writer = csv.writer(buf)
     writer.writerow(["check_id", "status", "tolerance", "elapsed_ms", "computed", "reference"])
     for r in reports:
+        computed = ";".join(f"{v.label}={format_quantity(v.value)}" for v in r.computed)
+        ref = ";".join(f"{v.label}={format_quantity(v.value)}[{v.provenance}]" for v in r.reference)
         writer.writerow(
-            [
-                r.check_id,
-                r.status,
-                f"{r.tolerance:.15g}",
-                f"{r.elapsed_ms:.15g}",
-                ";".join(f"{v.label}={format_quantity(v.value)}" for v in r.computed),
-                ";".join(
-                    f"{v.label}={format_quantity(v.value)}[{v.provenance}]" for v in r.reference
-                ),
-            ]
+            [r.check_id, r.status, f"{r.tolerance:.15g}", f"{r.elapsed_ms:.15g}", computed, ref]
         )
     return buf.getvalue().encode()
 
@@ -191,9 +185,7 @@ def _emit_text(reports) -> bytes:
                 lines.append(
                     f"    {label} (reference) = {format_quantity(ref.value)} [{ref.provenance}]"
                 )
-    counts = {}
-    for r in reports:
-        counts[r.status] = counts.get(r.status, 0) + 1
+    counts = Counter(r.status for r in reports)
     summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
     lines.append(f"-- {len(reports)} checks ({summary})")
     return ("\n".join(lines) + "\n").encode()

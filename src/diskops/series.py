@@ -147,12 +147,20 @@ def scale(f: PowerSeries, factor: complex) -> PowerSeries:
     return PowerSeries(f.coeffs * factor)
 
 
-def frexp(f: PowerSeries) -> tuple[PowerSeries, int]:
-    """(m, e) with f = m 2^e, exact but for parts of m below the normal range, and the largest
-    real or imaginary part of m in [1/2, 1) (e = 0 for f = 0): no square of a part overflows."""
-    parts = f.coeffs.view(np.float64)
-    e = int(np.frexp(np.abs(parts).max())[1])
-    return PowerSeries(np.ldexp(parts, -e).view(np.complex128)), e
+def frexp(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(m, e) with x = m 2^e for a float or complex array x, exact but for parts of m below the
+    normal range, and the largest |real or imaginary part| of m in [1/2, 1) (e = 0 for x = 0)."""
+    parts = x.view(np.float64)
+    e = math.frexp(np.abs(parts).max())[1]
+    return np.ldexp(parts, -e).view(x.dtype), e
+
+
+def ldexp_norm(norm: float, e: int) -> float:
+    """norm 2^e, undoing the scale ``frexp`` set; DomainError past the float range."""
+    try:
+        return math.ldexp(norm, e)
+    except OverflowError:
+        raise DomainError("the norm overflows the float range") from None
 
 
 def cauchy_product(a: PowerSeries, b: PowerSeries, order: int) -> PowerSeries:

@@ -209,8 +209,10 @@ def space_norm_sq(space: SpaceWeights, f: PowerSeries) -> float:
 
 
 def space_norm(space: SpaceWeights, f: PowerSeries) -> float:
-    """sqrt(sum weight(n) |f_n|^2) over the stored coefficients."""
-    return float(np.sqrt(space_norm_sq(space, f)))
+    """sqrt(sum weight(n) |f_n|^2) over the stored coefficients, summed at the unit scale of
+    ``series.frexp`` so that no square over- or underflows.  DomainError past the float range."""
+    m, e = ps.frexp(f.coeffs)
+    return ps.ldexp_norm(math.sqrt(norms_sq(space.weights(f.order), m)), e)
 
 
 def kernel_norm_sq(space: SpaceWeights, order: int) -> float:

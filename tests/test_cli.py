@@ -340,9 +340,10 @@ class TestCommandLine:
             (["pick", "{path}"],
              '{"space": "H2", "nodes": [[0.9999999999999999, 0], [0, 0]], "targets": [[1e150, 0], '
              '[0, 0]]}', "the Pick matrix overflows the float range", {}),
-            (["norm", "S12", "{path}"], "[[1e308, 0], [1e308, 0]]", "math range error", {}),
-            (["opnorm", "S12", "mult", "{path}"], "[[1e308, 0], [1e308, 0]]", "math range error",
-             {}),
+            (["norm", "S12", "{path}"], "[[1e308, 0], [1e308, 0]]",
+             "the norm overflows the float range", {}),
+            (["opnorm", "S12", "mult", "{path}"], "[[1e308, 0], [1e308, 0]]",
+             "the norm overflows the float range", {}),
         ],
         ids=["bad_pair", "not_a_list", "unknown_space", "bad_json", "missing_file",
              "outside_disk", "series_too_long", "series_past_majorant_cap", "kernel_w_inf",

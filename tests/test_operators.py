@@ -203,6 +203,10 @@ class TestNormEstimate:
         scaled = ps.PowerSeries(f.coeffs * 2.0**k)
         assert op.multiplication_norm(S12, scaled, n) == 2.0**k * op.multiplication_norm(S12, f, n)
 
+    def test_norm_past_the_float_range(self):
+        with pytest.raises(DomainError, match="the norm overflows the float range"):
+            op.multiplication_norm(S12, ps.from_coefficients([1e308, 1e308]), 8)
+
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_smallest_sizes(self, n):
         f = ps.from_coefficients([0.5, 1.0 - 0.25j, 0.75j])

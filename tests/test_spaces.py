@@ -102,6 +102,21 @@ class TestNorms:
         extremal = sp.kernel_coefficient_series(sp.s12(), 1_000_000)
         assert abs(sp.space_norm(sp.s12(), extremal) - SQRT2) < 1e-6
 
+    @pytest.mark.parametrize("k", [600, -600])
+    @pytest.mark.parametrize("name", ["H2", "S12", "D2"])
+    def test_scales_by_powers_of_two_exactly(self, name, k):
+        # the sum runs at unit scale, so the squares of 2^k f neither overflow nor underflow;
+        # at unit scale the norm is the square root of the unscaled sum, bit for bit
+        space = sp.parse_space(name)
+        f = ps.from_coefficients([1.0, 1.0, 0.3 - 0.2j, -0.7j])
+        norm = sp.space_norm(space, f)
+        assert norm == math.sqrt(sp.space_norm_sq(space, f))
+        assert sp.space_norm(space, ps.PowerSeries(f.coeffs * 2.0**k)) == 2.0**k * norm
+
+    def test_norm_past_the_float_range(self):
+        with pytest.raises(DomainError, match="the norm overflows the float range"):
+            sp.space_norm(sp.s12(), ps.from_coefficients([1e308, 1e308]))
+
     @pytest.mark.parametrize("order", [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
     @pytest.mark.parametrize("name", ["H2", "D2", "S12", "S2", "Km:2"])
     def test_kernel_norm_sq_matches_the_whole_series(self, name, order):
