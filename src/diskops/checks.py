@@ -427,7 +427,7 @@ def _blaschke_identity_pair(cfg):
 def _blaschke_s2_correction(cfg):
     # On the S2 scale the three-step identity picks up exactly -|f(0)|^2
     # for symbols vanishing at the origin.
-    value = op.blaschke_power_defect(sp.s2(), bl.z_times_phi(0.4), 3, ps.one(), 1024)
+    value = op.blaschke_power_defect(sp.s2(), bl.z_times_phi(0.4), 3, ps.one(), 1024, 1e-8)
     return rp.compare_report([("three_step_residual", value, -1.0, rp.DERIVED)], tolerance=1e-8)
 
 

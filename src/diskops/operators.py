@@ -376,7 +376,7 @@ def blaschke_power_defect(
     m: int,
     probe: PowerSeries,
     order: int,
-    tol: float = 1e-8,
+    tol: float,
 ) -> float:
     """Alternating sum sum_{k<=m} (-1)^{m-k} C(m,k) ||psi^k f||^2 over the orbit
     of the probe under the product series of psi, every row truncated at ``order``;
@@ -391,7 +391,7 @@ def growth_formula_residuals(
     psi: BlaschkeProduct,
     f: PowerSeries,
     n_max: int,
-    tol: float = 1e-8,
+    tol: float,
     order: int = 512,
 ) -> tuple[dict[int, float], float]:
     """Residuals of the polynomial-growth formulas for powers of a Blaschke multiplier:
@@ -435,7 +435,7 @@ def dirichlet_linearity_residuals(
     psi: BlaschkeProduct,
     f: PowerSeries,
     n_max: int,
-    tol: float = 1e-8,
+    tol: float,
     order: int = 512,
 ) -> tuple[dict[int, float], float]:
     """Residuals of the affine growth of the Dirichlet energy under Blaschke powers,

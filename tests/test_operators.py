@@ -473,7 +473,7 @@ class TestIsometryDefect:
             with pytest.raises(ValueError, match="isometry order"):
                 op.isometry_defect(S12, self.z, m, ps.one())
             with pytest.raises(ValueError, match="isometry order"):
-                op.blaschke_power_defect(S12, shift_z, m, ps.one(), 32)
+                op.blaschke_power_defect(S12, shift_z, m, ps.one(), 32, 1e-8)
 
 
 def newton_coefficients(norms, order):
@@ -579,7 +579,7 @@ class TestMultiplierIsometryGrid:
 class TestBlaschkeIdentities:
     def test_shift_symbol_weight_arithmetic(self):
         # ||z^3||^2 - 3||z^2||^2 + 3||z||^2 - 1 = 10 - 18 + 9 - 1
-        value = op.blaschke_power_defect(S12, shift_z, 3, ps.one(), 32)
+        value = op.blaschke_power_defect(S12, shift_z, 3, ps.one(), 32, 1e-8)
         assert value == 0.0
         w = S12.weights(3)
         assert (w[3], w[2], w[1]) == (10.0, 6.0, 3.0)
@@ -587,7 +587,8 @@ class TestBlaschkeIdentities:
     @staticmethod
     def three_step_identity_holds(psi, probes):
         return all(
-            abs(op.blaschke_power_defect(S12, psi, 3, f, 1024)) < 1e-8 * (1 + sp.space_norm_sq(S12, f))
+            abs(op.blaschke_power_defect(S12, psi, 3, f, 1024, 1e-8))
+            < 1e-8 * (1 + sp.space_norm_sq(S12, f))
             for f in probes
         )
 
@@ -601,16 +602,17 @@ class TestBlaschkeIdentities:
     def test_s2_scale_correction(self):
         # for symbols vanishing at 0 the identity on the S2 scale misses
         # by exactly -|f(0)|^2
-        value = op.blaschke_power_defect(sp.s2(), bl.z_times_phi(0.4), 3, ps.one(), 1024)
+        value = op.blaschke_power_defect(sp.s2(), bl.z_times_phi(0.4), 3, ps.one(), 1024, 1e-8)
         assert abs(value + 1.0) < 1e-8
 
     def test_truncation_guard(self):
         psi = bl.BlaschkeProduct(1.0, (0.95, -0.95, 0.95j))
         # ||psi|| is bounded at the order whose tail norm is 1, not at the starved 48 (1587)
         with pytest.raises(TruncationError, match="needs truncation >= 1012$") as info:
-            op.blaschke_power_defect(S12, psi, 3, ps.one(), 48)
+            op.blaschke_power_defect(S12, psi, 3, ps.one(), 48, 1e-8)
         assert info.value.needed == 1012
-        value = op.blaschke_power_defect(S12, psi, 3, ps.one(), 1012)  # the order named holds it
+        # the order named holds it
+        value = op.blaschke_power_defect(S12, psi, 3, ps.one(), 1012, 1e-8)
         assert abs(value) < 1e-8
 
 
@@ -635,7 +637,8 @@ class TestGrowthFormulas:
                 assert _residuals_within(result, 1e-8), (space.label, psi, f.coeffs)
 
     def test_phi_pair_on_s12(self):
-        result = op.growth_formula_residuals(S12, bl.phi_pair(0.5), ps.monomial(1), 6, order=512)
+        psi = bl.phi_pair(0.5)
+        result = op.growth_formula_residuals(S12, psi, ps.monomial(1), 6, 1e-8, order=512)
         assert _residuals_within(result, 1e-8)
 
     def test_direct_power_oracle(self):
@@ -659,12 +662,12 @@ class TestGrowthFormulas:
 
     def test_rejects_other_spaces(self):
         with pytest.raises(ValueError):
-            op.growth_formula_residuals(sp.hardy(), shift_z, ps.one(), 4)
+            op.growth_formula_residuals(sp.hardy(), shift_z, ps.one(), 4, 1e-8)
 
 
 class TestDirichletLinearity:
     def test_shift_monomials(self):
-        result = op.dirichlet_linearity_residuals(shift_z, ps.one(), 5, order=64)
+        result = op.dirichlet_linearity_residuals(shift_z, ps.one(), 5, 1e-8, order=64)
         assert list(result[0]) == [0, 1, 2, 3, 4, 5]
         assert _residuals_within(result, 1e-8)
 
@@ -676,7 +679,8 @@ class TestDirichletLinearity:
         ],
     )
     def test_blaschke_cases(self, psi, f, n_max):
-        assert _residuals_within(op.dirichlet_linearity_residuals(psi, f, n_max, order=512), 1e-8)
+        result = op.dirichlet_linearity_residuals(psi, f, n_max, 1e-8, order=512)
+        assert _residuals_within(result, 1e-8)
 
 
 class TestCompositionBounds:
