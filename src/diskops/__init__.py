@@ -17,7 +17,7 @@ from .operators import (
     composition_matrix,
     composition_monomial_norm,
     composition_norm,
-    composition_norm_estimates,
+    contractive_composition_norm,
     dirichlet_linearity_residuals,
     growth_formula_residuals,
     hilbert_schmidt_norm_sq,

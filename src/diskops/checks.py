@@ -974,7 +974,7 @@ def _comp_upper_bound(cfg):
     for _ in range(10):
         f = _random_polynomial(rng, max_degree=8)
         f = ps.scale(f, target / sp.space_norm(s12, f))
-        _, est = op.composition_norm_estimates(s12, f, n=cfg.truncation)
+        est = op.contractive_composition_norm(s12, f, n=cfg.truncation)
         upper = _composition_upper_bound(f)
         min_slack = min(min_slack, upper - est**2)
         ok = ok and est**2 <= upper + cfg.tol
@@ -991,7 +991,7 @@ def _comp_upper_bound(cfg):
 def _comp_d2_bracket(cfg):
     # on D2 the kernel value at phi(0) = 1/2 is a lower bound of ||C_phi||^2 as well
     phi = ps.from_coefficients([0.5])
-    _, est = op.composition_norm_estimates(sp.dirichlet(), phi, n=cfg.truncation)
+    est = op.contractive_composition_norm(sp.dirichlet(), phi, n=cfg.truncation)
     est_sq = est**2
     lower = math.log(1.0 / 0.75) / 0.25
     upper = _composition_upper_bound(phi)

@@ -22,36 +22,45 @@ import numpy as np
 from . import series as ps
 from . import spaces as sp
 from .blaschke import BlaschkeProduct
-from .errors import ConvergenceError, PreconditionError, TruncationError
+from .errors import ConvergenceError, DomainError, PreconditionError, TruncationError
 from .series import PowerSeries
 
 
 # The squared Frobenius mass the C_phi products may leave out: (eps ||A||_F)^2 at most
 _CUT_MASS = np.finfo(np.float64).eps ** 2
+# Entries per block of hilbert_schmidt_norm_sq, as in spaces.kernel_norm_sq
+_BLOCK = 1 << 16
 
 
-def _composition_columns(space: sp.SpaceWeights, phi: PowerSeries, n: int, full: bool = False):
-    """Rows 0..k, columns 0..c of the transposed compression of f -> f(phi) at size n+1 (row j
-    is phi^j * sqrt(weight / weight(j))), and a bound of the squared Frobenius mass of rows
-    k+1..n.  Every entry past column c in rows 0..k is exactly zero.
+def _composition_cut(space: sp.SpaceWeights, phi: PowerSeries, n: int, full: bool = False):
+    """(k, c, mass): the rows 0..k and columns 0..c of the transposed compression of
+    f -> f(phi) at size n+1 that are built (row j is phi^j * sqrt(weight / weight(j))), and a
+    bound of the squared Frobenius mass of rows k+1..n.  Every entry past column c in rows
+    0..k is exactly zero.
 
-    k is fixed before any row is built.  For s = spaces.sup_bound(phi) (1 + 4 eps) < 1, the
-    computed ||phi^j||_H2 <= s^j (4 eps cover the rounding of each product; a constant, whose
-    sup_bound is exact, has no other slack) bounds the mass of row j by (max w / min w) s^(2j),
-    w = weights(n): k is that Majorant's order_for(eps^2) (rho = s^2, or the least normal
-    float if smaller) and the bound its tail at k.  When s >= 1 or that k is n or more, k = n
-    and the bound is 0.  Then, whatever s, k is capped at n // v for phi of valuation v >= 1:
-    phi^j starts at z^(v j), so the rows past it are exactly zero (a zero symbol keeps row 0
-    alone).  For phi of degree d whose products take the direct convolution (fewer than
-    series._FFT_MIN_TAPS taps), row j has degree at most j d and its entries past it are
-    exact zeros, so c = min(n, k d) and the table is bitwise the top-left block of the one at
-    c = n; on the FFT path c = n.  ``full`` (the exact dense compression) keeps all n+1 rows
-    and columns.
+    DomainError unless |phi(0)| < 1, and when ``spaces.sup_norm(phi)`` exceeds 1 by more than
+    its ``sup_rounding``: then some |phi(zeta)| > 1 on the circle, so phi maps points of the
+    disk outside it.  k is fixed before any row is built.  For
+    s = spaces.sup_bound(phi) (1 + 4 eps) < 1, the computed ||phi^j||_H2 <= s^j (4 eps cover
+    the rounding of each product; a constant, whose sup_bound is exact, has no other slack)
+    bounds the mass of row j by (max w / min w) s^(2j), w = weights(n): k is that Majorant's
+    order_for(eps^2) (rho = s^2, or the least normal float if smaller) and the bound its tail
+    at k.  When s >= 1 or that k is n or more, k = n and the bound is 0.  Then, whatever s,
+    k is capped at n // v for phi of valuation v >= 1: phi^j starts at z^(v j), so the rows
+    past it are exactly zero (a zero symbol keeps row 0 alone).  For phi of degree d whose
+    products take the direct convolution (fewer than series._FFT_MIN_TAPS taps), row j has
+    degree at most j d and its entries past it are exact zeros, so c = min(n, k d) and the
+    table is bitwise the top-left block of the one at c = n; on the FFT path c = n.
+    ``full`` (the exact dense compression) keeps all n+1 rows and columns.
     """
     ps.require_open_disk(phi.coeffs[0], "composition symbol's constant term")
-    w = space.weights(n)
+    sup = sp.sup_norm(phi)
+    if sup > 1.0 + sp.sup_rounding(phi):
+        raise DomainError(f"composition symbol has sampled sup |phi| = {sup:.6g} > 1: "
+                          "phi is no self-map of the disk")
     k, c, mass = n, n, 0.0
     if not full and n > 0:
+        w = space.weights(n)
         s = sp.sup_bound(phi) * (1 + 4 * np.finfo(np.float64).eps)
         if s < 1:
             rows = ps.Majorant(math.log(w.max() / w.min()), 0, max(s * s, np.finfo(np.float64).tiny))
@@ -65,7 +74,14 @@ def _composition_columns(space: sp.SpaceWeights, phi: PowerSeries, n: int, full:
         d = max(phi.degree(), 0)
         if min(d, n) + 1 < ps._FFT_MIN_TAPS:
             c = min(n, k * d)
-    sqw = np.sqrt(w)
+    return k, c, mass
+
+
+def _composition_columns(space: sp.SpaceWeights, phi: PowerSeries, n: int, full: bool = False):
+    """The rows 0..k, columns 0..c of the transposed compression of f -> f(phi) at size n+1
+    that ``_composition_cut`` sizes, and its bound of the squared mass of the rest."""
+    k, c, mass = _composition_cut(space, phi, n, full)
+    sqw = np.sqrt(space.weights(n))
     table = ps.orbit(ps.one(), phi, k, c)
     table *= sqw[: c + 1] / sqw[: k + 1, None]
     return table, mass
@@ -151,7 +167,8 @@ def norm_estimate(matvec, rmatvec, n: int) -> float:
             break
         if k == rows:  # the rows past k are scratch, so np.resize may fill them with copies
             rows = min(2 * rows, cap)
-            us, vs = np.resize(us, (rows, n)), np.resize(vs, (rows + 1, n))
+            us = np.resize(us, (rows, n))  # one basis at a time, so one old copy is held
+            vs = np.resize(vs, (rows + 1, n))
         alphas.append(alpha)
         np.divide(u, alpha, out=us[k])
         w = rmatvec(us[k])
@@ -270,12 +287,27 @@ def composition_monomial_norm(space: sp.SpaceWeights, k: int) -> float:
 
 def hilbert_schmidt_norm_sq(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> float:
     """Partial Hilbert-Schmidt sum sum_{j<=n} ||phi^j||^2 / weight(j), every power
-    truncated at order n: the squared Frobenius norm of the compression.  The block that
-    ``_composition_columns`` builds is summed and the bound of the rest added, so up to
-    rounding the value lies in [full sum, full sum + eps^2]; for sup|phi| >= 1 every row
-    that is not exactly zero is summed."""
-    table, mass = _composition_columns(space, phi, n)
-    return float(np.sum(np.abs(table) ** 2)) + mass
+    truncated at order n: the squared Frobenius norm of the compression.  The rows 0..k and
+    columns 0..c that ``_composition_cut`` sizes are summed and its bound of the rest added,
+    so up to rounding the value lies in [full sum, full sum + eps^2]; for sup|phi| >= 1 every
+    row that is not exactly zero is summed.  The rows are built and summed in blocks of at
+    most _BLOCK entries, each ``series.orbit`` call restarting from the last row of the one
+    before (the rows are bitwise those of one call), so no array of all rows is held."""
+    k, c, mass = _composition_cut(space, phi, n)
+    sqw = np.sqrt(space.weights(n))
+    step = max(1, _BLOCK // (c + 1) - 1)  # rows per block; each orbit holds one more
+    total, last = mass, ps.one()
+    for start in range(0, k + 1, step):
+        stop = min(start + step, k + 1)
+        lead = 1 if start else 0  # every call but the first starts with the row before
+        rows = ps.orbit(last, phi, stop - start - 1 + lead, c)[lead:]
+        last = PowerSeries(rows[-1])
+        rows *= sqw[: c + 1] / sqw[start:stop, None]
+        squares = np.abs(rows)
+        squares *= squares
+        total += float(np.sum(squares))
+        del rows, squares  # free this block before the next one is built
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -453,21 +485,29 @@ def dirichlet_linearity_residuals(
     return residuals, 1.0 + base + abs(slope) * n_max
 
 
-def composition_norm_estimates(
-    space: sp.SpaceWeights, phi: PowerSeries, n: int
-) -> tuple[float, float]:
-    """Compression norms of M_phi and C_phi at size n+1, both lower bounds of the true norms.
+def contractive_composition_norm(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> float:
+    """Compression norm of C_phi at size n+1, a lower bound of ||C_phi||, once the
+    multiplier-contraction bound ||C_phi||^2 <= (1 + |phi(0)|) / (1 - |phi(0)|) can apply: it
+    needs kernel coefficients a_n <= 1 and ||M_phi|| <= 1, else PreconditionError.
 
-    PreconditionError unless the multiplier-contraction bound
-    ||C_phi||^2 <= (1 + |phi(0)|) / (1 - |phi(0)|) can apply: it needs kernel
-    coefficients a_n <= 1 and ||M_phi|| <= 1, and a measured multiplier norm
-    above 1 + 1e-12 refutes the latter.
+    On S12 the algebra constant gives ||M_phi|| <= 2 sqrt(2) ||phi||_{S12}, which admits phi
+    when at most 1, with no compression built.  For phi of order d, ``spaces.space_norm`` sums
+    d+1 weighted squares (exact weights; each |phi_j| within an ulp, its square and the product
+    by w_j a rounding each, the sum d more: relative error gamma_{d+4}, Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 3.1) and takes a square root (half that, plus a
+    rounding); the rounded 2 sqrt(2), the two products and the rounded 1 + radius add four:
+    (d + 14) u / 2 to first order, u = eps / 2.  The radius (d + 9) eps is over twice that.
+    Where the certificate does not decide, a measured multiplier norm above 1 + 1e-12 refutes
+    the precondition; the measurement is a lower bound, so it can only refute.
     """
     if space.kind == sp.A2:  # a_n <= 1 on every other kind
         raise PreconditionError(f"{space.label} has kernel coefficients above 1")
-    mult_est = multiplication_norm(space, phi, n)
-    if mult_est > 1.0 + 1e-12:
-        raise PreconditionError(
-            f"measured multiplier norm {mult_est:.6g} exceeds 1 at truncation {n}"
-        )
-    return mult_est, composition_norm(space, phi, n)
+    radius = (phi.order + 9) * np.finfo(np.float64).eps
+    if not (space.kind == sp.S12
+            and 2.0 * math.sqrt(2.0) * sp.space_norm(space, phi) * (1.0 + radius) <= 1.0):
+        mult_est = multiplication_norm(space, phi, n)
+        if mult_est > 1.0 + 1e-12:
+            raise PreconditionError(
+                f"measured multiplier norm {mult_est:.6g} exceeds 1 at truncation {n}"
+            )
+    return composition_norm(space, phi, n)

@@ -248,10 +248,10 @@ def test_criterion_09_composition_suite():
         deg = int(rng.integers(0, 9))
         f = ps.PowerSeries(rng.uniform(-1, 1, deg + 1) + 1j * rng.uniform(-1, 1, deg + 1))
         f = ps.scale(f, 0.99 / (2 * SQRT2) / sp.space_norm(S12, f))
-        _, comp = op.composition_norm_estimates(S12, f, n=256)
+        comp = op.contractive_composition_norm(S12, f, n=256)
         phi0 = abs(f.coeffs[0])
         upper_ok = upper_ok and comp**2 <= (1.0 + phi0) / (1.0 - phi0) + 1e-8
-    _, comp = op.composition_norm_estimates(sp.dirichlet(), ps.from_coefficients([0.5]), n=256)
+    comp = op.contractive_composition_norm(sp.dirichlet(), ps.from_coefficients([0.5]), n=256)
     est_sq = comp**2
     lower = math.log(1.0 / 0.75) / 0.25
     bracket_ok = lower - 1e-8 <= est_sq <= 3.0

@@ -309,8 +309,9 @@ class TestCommandLine:
             (["verify", "composition"], "", "tol must be finite and > 0", {"DISKOPS_TOL": "nan"}),
             (["isometry", "S12", "{path}", "0"], _Z_JSON, "isometry order must be >= 1", {}),
             (["isometry", "S12", "{path}", "-1"], _Z_JSON, "isometry order must be >= 1", {}),
+            # refused before any power of phi is built, whose orbit used to overflow at 1024
             (["--truncation", "1024", "opnorm", "S12", "comp", "{path}"], "[[0.5, 0], [2, 0]]",
-             "overflows at order 1024", {}),
+             "sampled sup |phi| = 2.5 > 1: phi is no self-map", {}),
             (["isometry", "S12", "{path}", "3"], '{"a": [1, 0], "zeros": [[0.9, 0], [-0.5, 0]]}',
              "psi^3 within 1e-08 needs truncation >= 388", {}),
             (["isometry", "S12", "{path}", "3"], '{"a": [1, 0], "zeros": [[0.99, 0], [-0.5, 0]]}',
@@ -344,6 +345,9 @@ class TestCommandLine:
              "the norm overflows the float range", {}),
             (["opnorm", "S12", "mult", "{path}"], "[[1e308, 0], [1e308, 0]]",
              "the norm overflows the float range", {}),
+            # sup 1.1 on the circle, with no overflow: this printed 4.2168940064765e+41
+            (["--truncation", "1024", "opnorm", "S12", "comp", "{path}"], "[[0.5, 0], [0.6, 0]]",
+             "sampled sup |phi| = 1.1 > 1: phi is no self-map", {}),
         ],
         ids=["bad_pair", "not_a_list", "unknown_space", "bad_json", "missing_file",
              "outside_disk", "series_too_long", "series_past_majorant_cap", "kernel_w_inf",
@@ -355,7 +359,8 @@ class TestCommandLine:
              "kernel_dalpha_overflow", "kernel_km_overflow", "isometry_z_starved",
              "isometry_growth_underflow", "isometry_z_starved_1100", "seed_negative",
              "seed_env_negative", "output_xml", "output_env_xml", "pick_target_overflow",
-             "pick_kernel_overflow", "norm_past_float_max", "opnorm_past_float_max"],
+             "pick_kernel_overflow", "norm_past_float_max", "opnorm_past_float_max",
+             "opnorm_comp_not_self_map"],
     )
     @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
     def test_input_errors_exit_2_with_one_line(

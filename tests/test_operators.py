@@ -30,6 +30,13 @@ def random_poly(rng, max_degree=12, min_degree=0):
 shift_z = bl.BlaschkeProduct(-1.0, (0j,))  # the symbol z as a Blaschke product
 
 
+def upper_bound_symbols():
+    """The ten seed-0 symbols of comp_upper_bound_random, scaled to 2 sqrt(2) ||f||_{S12} = 0.99."""
+    rng = checks._rng(checks.Config(seed=0), "comp_upper_bound_random")
+    symbols = [checks._random_polynomial(rng, max_degree=8) for _ in range(10)]
+    return [ps.scale(f, 0.99 / (2 * math.sqrt(2)) / sp.space_norm(S12, f)) for f in symbols]
+
+
 def multiplication_matrix(space, f, n):
     """Dense compression of M_f on the first n+1 basis vectors, entry by entry: the
     reference that the banded products and the norm estimator are checked against."""
@@ -308,6 +315,20 @@ class TestNormEstimate:
             tracemalloc.stop()
         assert peak < 16e6
 
+    def test_bases_grow_one_at_a_time(self):
+        # the first symbol of comp_upper_bound_random at seed 0 takes 54 steps at size 8193, so
+        # both bases double from 32 rows to 64; growing them in one statement held the old and
+        # the new copies of both (a traced peak of 24.8 MiB, 20.8 MiB one at a time)
+        f = upper_bound_symbols()[0]
+        op.multiplication_norm(S12, f, 64)
+        tracemalloc.start()
+        try:
+            op.multiplication_norm(S12, f, 8192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 22 * 2**20
+
 
 def symbol_of_sup(target, seed=7):
     f = ps.PowerSeries(np.random.default_rng(seed).uniform(-1, 1, 7) + 0.5j)
@@ -397,6 +418,17 @@ class TestCompositionMatrix:
         with pytest.raises(DomainError):
             op.composition_matrix(S12, ps.from_coefficients([1.0, 0.1]), 8)
 
+    @pytest.mark.parametrize("space", [S12, sp.hardy()], ids=lambda s: s.label)
+    def test_refuses_a_symbol_that_is_no_self_map(self, space):
+        # |0.5 + 0.6z| = 1.1 at z = 1, so phi maps points of the disk outside it, though
+        # |phi(0)| < 1 and its powers stay finite at order 1024
+        phi = ps.from_coefficients([0.5, 0.6])
+        for build in (op.composition_norm, op.composition_matrix, op.hilbert_schmidt_norm_sq):
+            with pytest.raises(DomainError, match=r"sampled sup \|phi\| = 1.1 > 1"):
+                build(space, phi, 1024)
+        for phi in (ps.monomial(1), ps.from_coefficients([0.5, 0.5])):  # sup |phi| = 1 exactly
+            assert op.composition_norm(space, phi, 64) >= 1.0
+
     def test_monomial_norm_limit(self):
         for k in range(1, 9):
             value = op.composition_monomial_norm(S12, k)
@@ -407,6 +439,23 @@ class TestCompositionMatrix:
 class TestHilbertSchmidt:
     def test_zero_symbol(self):
         assert op.hilbert_schmidt_norm_sq(S12, ps.from_coefficients([0.0]), 64) == 1.0
+
+    def test_blocks_hold_no_table(self):
+        # the symbols of comp_hilbert_schmidt_bound at seed 0: the sum over the whole table at
+        # size 8193 traced 8.2 MiB, blocks of 2^16 entries trace about 1.8
+        rng = checks._rng(checks.Config(seed=0), "comp_hilbert_schmidt_bound")
+        symbols = []
+        for _ in range(10):
+            f = checks._random_polynomial(rng, max_degree=8, min_degree=1)
+            symbols.append(ps.scale(f, 0.8 / sp.sup_norm(f)))
+        tracemalloc.start()
+        try:
+            for f in symbols:
+                op.hilbert_schmidt_norm_sq(S12, f, 8192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     def test_half_z_geometric(self):
         # ||(z/2)^n||^2 / ||z^n||^2 = 4^-n, so the sum telescopes to 4/3
@@ -685,26 +734,49 @@ class TestDirichletLinearity:
 
 class TestCompositionBounds:
     # ||C_phi||^2 <= (1 + |phi(0)|) / (1 - |phi(0)|) once ||M_phi|| <= 1
-    def test_zero_symbol(self):
-        mult, comp = op.composition_norm_estimates(S12, ps.from_coefficients([0.0]), n=64)
-        assert mult == 0.0
+
+    @staticmethod
+    def counted_gate(monkeypatch):
+        """The list of truncations that multiplication_norm runs at from here on."""
+        calls, measure = [], op.multiplication_norm
+
+        def counting(space, f, n):
+            calls.append(n)
+            return measure(space, f, n)
+
+        monkeypatch.setattr(op, "multiplication_norm", counting)
+        return calls
+
+    def test_zero_symbol(self, monkeypatch):
+        calls = self.counted_gate(monkeypatch)
+        comp = op.contractive_composition_norm(S12, ps.from_coefficients([0.0]), n=64)
         assert abs(comp**2 - 1.0) < 1e-12
+        assert calls == []  # ||0||_{S12} = 0 certifies ||M_0|| <= 1
 
     def test_d2_constant_half(self):
-        _, comp = op.composition_norm_estimates(sp.dirichlet(), ps.from_coefficients([0.5]), n=256)
+        comp = op.contractive_composition_norm(sp.dirichlet(), ps.from_coefficients([0.5]), n=256)
         lower = math.log(1.0 / 0.75) / 0.25
         assert abs(comp**2 - lower) < 1e-10
         assert comp**2 <= 3.0
 
-    def test_half_z_on_s12(self):
-        mult, comp = op.composition_norm_estimates(S12, ps.from_coefficients([0, 0.5]), n=128)
-        assert mult <= 1.0
+    def test_certified_symbols_take_no_multiplier_norm(self, monkeypatch):
+        # 2 sqrt(2) ||f||_{S12} = 0.99 proves ||M_f|| <= 1
+        calls = self.counted_gate(monkeypatch)
+        for f in upper_bound_symbols():
+            assert op.contractive_composition_norm(S12, f, n=256) == op.composition_norm(S12, f, 256)
+        assert calls == []
+
+    def test_half_z_on_s12(self, monkeypatch):
+        # 2 sqrt(2) ||z/2||_{S12} = sqrt(6) > 1 decides nothing; ||M_{z/2}|| = sqrt(3)/2 admits it
+        calls = self.counted_gate(monkeypatch)
+        comp = op.contractive_composition_norm(S12, ps.from_coefficients([0, 0.5]), n=128)
+        assert calls == [128]
         assert comp**2 <= 1.0 + 1e-8
 
     def test_precondition_large_multiplier(self):
         with pytest.raises(PreconditionError, match="measured multiplier norm .* exceeds 1"):
-            op.composition_norm_estimates(S12, ps.from_coefficients([0, 3.0]), n=64)
+            op.contractive_composition_norm(S12, ps.from_coefficients([0, 3.0]), n=64)
 
     def test_precondition_space(self):
         with pytest.raises(PreconditionError, match="A2 has kernel coefficients above 1"):
-            op.composition_norm_estimates(sp.bergman(), ps.from_coefficients([0, 0.5]), n=64)
+            op.contractive_composition_norm(sp.bergman(), ps.from_coefficients([0, 0.5]), n=64)
