@@ -28,15 +28,14 @@ from .series import PowerSeries
 
 # The squared Frobenius mass the C_phi products may leave out: (eps ||A||_F)^2 at most
 _CUT_MASS = np.finfo(np.float64).eps ** 2
-# Entries per block of hilbert_schmidt_norm_sq, as in spaces.kernel_norm_sq
+# Entries per block of _composition_rows, as in spaces.kernel_norm_sq
 _BLOCK = 1 << 16
 
 
 def _composition_cut(space: sp.SpaceWeights, phi: PowerSeries, n: int, full: bool = False):
     """(k, c, mass): the rows 0..k and columns 0..c of the transposed compression of
     f -> f(phi) at size n+1 that are built (row j is phi^j * sqrt(weight / weight(j))), and a
-    bound of the squared Frobenius mass of rows k+1..n.  Every entry past column c in rows
-    0..k is exactly zero.
+    bound of the squared Frobenius mass of rows k+1..n.
 
     DomainError unless |phi(0)| < 1, and when ``spaces.sup_norm(phi)`` exceeds 1 by more than
     its ``sup_rounding``: then some |phi(zeta)| > 1 on the circle, so phi maps points of the
@@ -47,11 +46,10 @@ def _composition_cut(space: sp.SpaceWeights, phi: PowerSeries, n: int, full: boo
     order_for(eps^2) (rho = s^2, or the least normal float if smaller) and the bound its tail
     at k.  When s >= 1 or that k is n or more, k = n and the bound is 0.  Then, whatever s,
     k is capped at n // v for phi of valuation v >= 1: phi^j starts at z^(v j), so the rows
-    past it are exactly zero (a zero symbol keeps row 0 alone).  For phi of degree d whose
-    products take the direct convolution (fewer than series._FFT_MIN_TAPS taps), row j has
-    degree at most j d and its entries past it are exact zeros, so c = min(n, k d) and the
-    table is bitwise the top-left block of the one at c = n; on the FFT path c = n.
-    ``full`` (the exact dense compression) keeps all n+1 rows and columns.
+    past it are exactly zero (a zero symbol keeps row 0 alone).  For phi of degree d, row j
+    has degree at most j d, so c = min(n, k d): past it the direct convolution leaves exact
+    zeros and the FFT product (long symbols) the rounding of exact zeros, a few eps of the
+    row.  ``full`` (the exact dense compression) keeps all n+1 rows and columns.
     """
     ps.require_open_disk(phi.coeffs[0], "composition symbol's constant term")
     sup = sp.sup_norm(phi)
@@ -71,19 +69,35 @@ def _composition_cut(space: sp.SpaceWeights, phi: PowerSeries, n: int, full: boo
         v = int(nonzero[0]) if len(nonzero) else n + 1
         if v > 0:
             k = min(k, n // v)
-        d = max(phi.degree(), 0)
-        if min(d, n) + 1 < ps._FFT_MIN_TAPS:
-            c = min(n, k * d)
+        c = min(n, k * max(phi.degree(), 0))
     return k, c, mass
+
+
+def _composition_rows(space: sp.SpaceWeights, phi: PowerSeries, n: int, k: int, c: int):
+    """The rows 0..k, columns 0..c of the transposed compression of f -> f(phi) at size n+1,
+    yielded as (start, rows) in blocks of at most _BLOCK entries: the one builder of every C_phi
+    table.  Each ``series.orbit`` call restarts from the last row of the block before, so the
+    rows are bitwise those of one call and no array of all rows is held."""
+    sqw = np.sqrt(space.weights(n))
+    step = max(1, _BLOCK // (c + 1) - 1)  # rows per block; each orbit holds one more
+    last = ps.one()
+    for start in range(0, k + 1, step):
+        stop = min(start + step, k + 1)
+        lead = 1 if start else 0  # every call but the first starts with the row before
+        rows = ps.orbit(last, phi, stop - start - 1 + lead, c)[lead:]
+        last = PowerSeries(rows[-1])
+        rows *= sqw[: c + 1] / sqw[start:stop, None]
+        yield start, rows
+        del rows  # free this block before the next one is built
 
 
 def _composition_columns(space: sp.SpaceWeights, phi: PowerSeries, n: int, full: bool = False):
     """The rows 0..k, columns 0..c of the transposed compression of f -> f(phi) at size n+1
     that ``_composition_cut`` sizes, and its bound of the squared mass of the rest."""
     k, c, mass = _composition_cut(space, phi, n, full)
-    sqw = np.sqrt(space.weights(n))
-    table = ps.orbit(ps.one(), phi, k, c)
-    table *= sqw[: c + 1] / sqw[: k + 1, None]
+    table = np.empty((k + 1, c + 1), dtype=np.complex128)
+    for start, rows in _composition_rows(space, phi, n, k, c):
+        table[start : start + len(rows)] = rows
     return table, mass
 
 
@@ -122,8 +136,8 @@ def _bidiagonal(alphas: list, betas: list) -> np.ndarray:
     return b
 
 
-def norm_estimate(matvec, rmatvec, n: int) -> float:
-    """sigma_max of the n x n operator with products x -> A x and y -> A^H y.
+def norm_estimate(matvec, rmatvec, m: int, n: int) -> float:
+    """sigma_max of the m x n operator with products x -> A x and y -> A^H y.
 
     Golub-Kahan-Lanczos bidiagonalization (Golub & Kahan, SIAM J. Numer. Anal.
     B 2, 1965) from the fixed start v_1 = ones / sqrt(n), so calls repeat
@@ -131,30 +145,32 @@ def norm_estimate(matvec, rmatvec, n: int) -> float:
     A V_k = U_k B_k and A^H U_k = V_k B_k^H + beta_k v_{k+1} e_k^T for the upper
     bidiagonal B_k, so the top singular triple (sigma, x, y) of B_k has residual
     beta_k |x_k|, and the iteration stops once that is at most eps sigma.  A
-    beta_k or alpha_{k+1} of at most n eps times the largest alpha or beta so
-    far is a breakdown: span V_k is then invariant under A^H A, or A V_{k+1}
-    lies in span U_k, and the Ritz pair comes from B_k, or from the k x (k+1)
-    block [B_k, beta_k e_k], exactly.  The result is
+    beta_k or alpha_{k+1} of at most max(m, n) eps times the largest alpha or beta
+    so far is a breakdown, as is k = n (V_k spans C^n) or k = m (U_k spans C^m):
+    span V_k is then invariant under A^H A, or A V_{k+1} lies in span U_k, and the
+    Ritz pair comes from B_k, or from the k x (k+1) block [B_k, beta_k e_k],
+    exactly.  The result is
     ||A v|| for the unit Ritz vector v = V y: a lower bound of sigma_max.
 
-    The products take and return 1-d complex arrays of length n, each call a new
-    array, which the iteration updates in place.  The bases start with _BASIS_ROWS
-    rows and double when the steps need more, so storage follows the steps taken.
-    Each test of the stop rule is one SVD of B_k.  The first comes after
-    _TEST_EVERY steps, the second max(_TEST_EVERY, k // 8) after it; each later one
-    where log(residual / (eps sigma)), fitted linearly in k through the last two
-    failed tests, reaches 0, at least 1 and at most 2 max(_TEST_EVERY, k // 8)
-    steps ahead.  n <= 2 takes a dense SVD; no convergence within
-    min(n, _MAX_STEPS) steps raises ConvergenceError.
+    matvec takes 1-d complex arrays of length n and returns length m, rmatvec the
+    reverse, each call a new array, which the iteration updates in place.  The bases
+    start with _BASIS_ROWS rows and double when the steps need more, so storage
+    follows the steps taken.  Each test of the stop rule is one SVD of B_k.  The first
+    comes after _TEST_EVERY steps, the second max(_TEST_EVERY, k // 8) after it; each
+    later one where log(residual / (eps sigma)), fitted linearly in k through the last
+    two failed tests, reaches 0, at least 1 and at most 2 max(_TEST_EVERY, k // 8)
+    steps ahead.  min(m, n) <= 2 takes a dense SVD of the min(m, n) columns of A or
+    A^H; no convergence within _MAX_STEPS steps raises ConvergenceError.
     """
-    if n <= 2:
-        a = np.array([matvec(e) for e in np.eye(n)]).reshape(n, n).T
-        return float(np.linalg.svd(a, compute_uv=False).max(initial=0.0))
+    if min(m, n) <= 2:  # the columns of A, or of A^H where it has fewer
+        cols = [matvec(e) for e in np.eye(n)] if n <= m else [rmatvec(e) for e in np.eye(m)]
+        return float(np.linalg.svd(np.array(cols).T, compute_uv=False).max(initial=0.0))
     eps = np.finfo(np.float64).eps
-    cap = min(n, _MAX_STEPS)
+    floor = max(m, n) * eps
+    cap = min(m, n, _MAX_STEPS)
     rows = min(cap, _BASIS_ROWS)
     vs = np.empty((rows + 1, n), dtype=np.complex128)  # rows v_1 .. v_{k+1}
-    us = np.empty((rows, n), dtype=np.complex128)  # rows u_1 .. u_k
+    us = np.empty((rows, m), dtype=np.complex128)  # rows u_1 .. u_k
     alphas, betas = [], []  # the diagonal of B_k, and beta_1 .. beta_k above it
     vs[0] = 1.0 / math.sqrt(n)
     u = matvec(vs[0])
@@ -163,11 +179,11 @@ def norm_estimate(matvec, rmatvec, n: int) -> float:
         _orthogonalize(u, us[:k])
         alpha = _norm(u)
         scale = max(scale, alpha)
-        if alpha <= n * eps * scale:
+        if alpha <= floor * scale:
             break
         if k == rows:  # the rows past k are scratch, so np.resize may fill them with copies
             rows = min(2 * rows, cap)
-            us = np.resize(us, (rows, n))  # one basis at a time, so one old copy is held
+            us = np.resize(us, (rows, m))  # one basis at a time, so one old copy is held
             vs = np.resize(vs, (rows + 1, n))
         alphas.append(alpha)
         np.divide(u, alpha, out=us[k])
@@ -177,18 +193,20 @@ def norm_estimate(matvec, rmatvec, n: int) -> float:
         beta = _norm(w)
         scale = max(scale, beta)
         k += 1
-        if k == n or beta <= n * eps * scale:
+        if k == n or beta <= floor * scale:
             break
         betas.append(beta)
         np.divide(w, beta, out=vs[k])
-        if k >= next_test or k == cap:
+        if k == m:  # U_k spans C^m, so alpha_{k+1} = 0
+            break
+        if k >= next_test or k == _MAX_STEPS:
             x, s, yh = np.linalg.svd(_bidiagonal(alphas, betas[:-1]))
             residual = beta * abs(x[-1, 0])
             if residual <= eps * s[0]:
                 ritz = yh[0]
                 break
-            if k == cap:
-                raise ConvergenceError(f"top singular value did not converge at size {n}")
+            if k == _MAX_STEPS:
+                raise ConvergenceError(f"top singular value did not converge at size {m} x {n}")
             gap, step = math.log(residual / (eps * s[0])), max(_TEST_EVERY, k // 8)
             if last_test:  # where the log-linear fit through the last two tests reaches 0
                 k0, gap0 = last_test
@@ -210,8 +228,8 @@ def _multiplication_products(space: sp.SpaceWeights, f: PowerSeries, n: int):
     """A x = sqrt(w) (f * x / sqrt(w)); A^H y is conj(f) * u read backwards, u = sqrt(w) y."""
     sqw = np.sqrt(space.weights(n))
     inv_sqw = 1.0 / sqw
-    times_f = ps._multiplier(f, n)
-    times_conj_f = ps._multiplier(PowerSeries(np.conj(f.coeffs)), n)
+    times_f = ps.multiplier(f, n)
+    times_conj_f = ps.multiplier(PowerSeries(np.conj(f.coeffs)), n)
 
     def matvec(x):
         return sqw * times_f(x * inv_sqw)
@@ -223,30 +241,21 @@ def _multiplication_products(space: sp.SpaceWeights, f: PowerSeries, n: int):
 
 
 def _composition_products(space: sp.SpaceWeights, phi: PowerSeries, n: int):
-    """x -> A x and y -> A^H y for the compression A of C_phi at size n+1, each one BLAS gemv.
-
-    Only rows 0..k and columns 0..c of the transposed table are built
-    (``_composition_columns``), so matvec reads x[:k+1] and rmatvec y[:c+1], and each pads
-    its result with zeros: the products are those of A with columns k+1..n set to zero, a
-    column subset whose norm estimate stays a lower bound of ||C_phi||, within eps ||A||_F
-    of the full compression's; the rows past c are exactly zero in the kept columns.  For
-    sup|phi| >= 1 only the columns that are exactly zero (phi^j past order n, for
-    phi(0) = 0) are cut.
-    """
+    """(matvec, rmatvec, c+1, k+1): x -> A x and y -> A^H y, each one BLAS gemv, and the shape
+    of A, the rows 0..c, columns 0..k of the compression of C_phi at size n+1 that
+    ``_composition_columns`` builds.  Zero rows and columns leave singular values alone, so A
+    has those of the compression with columns k+1..n set to zero (rows past c are zero in the
+    others, or a few eps on the FFT path): a lower bound of ||C_phi||, within eps ||A||_F of
+    the full compression's.  For sup|phi| >= 1 only exactly zero columns are cut."""
     at, _ = _composition_columns(space, phi, n)  # at[j, i] = entry(i, j)
-    k, c = at.shape
 
     def matvec(x):
-        out = np.zeros(n + 1, dtype=np.complex128)
-        out[:c] = at.T @ x[:k]
-        return out
+        return at.T @ x
 
     def rmatvec(y):
-        out = np.zeros(n + 1, dtype=np.complex128)
-        out[:k] = np.conj(at @ np.conj(y[:c]))
-        return out
+        return np.conj(at @ np.conj(y))
 
-    return matvec, rmatvec
+    return matvec, rmatvec, at.shape[1], at.shape[0]
 
 
 def multiplication_norm(space: sp.SpaceWeights, f: PowerSeries, n: int) -> float:
@@ -257,12 +266,12 @@ def multiplication_norm(space: sp.SpaceWeights, f: PowerSeries, n: int) -> float
         return float(abs(f.coeffs[0]))
     m, e = ps.frexp(f.coeffs)
     products = _multiplication_products(space, PowerSeries(m), n)
-    return ps.ldexp_norm(norm_estimate(*products, n + 1), e)
+    return ps.ldexp_norm(norm_estimate(*products, n + 1, n + 1), e)
 
 
 def composition_norm(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> float:
-    """Compression norm of C_phi at size n+1 from the power table of phi."""
-    return norm_estimate(*_composition_products(space, phi, n), n + 1)
+    """Compression norm of C_phi at size n+1 from its certified block of the power table."""
+    return norm_estimate(*_composition_products(space, phi, n))
 
 
 def composition_monomial_norm(space: sp.SpaceWeights, k: int) -> float:
@@ -288,21 +297,13 @@ def composition_monomial_norm(space: sp.SpaceWeights, k: int) -> float:
 def hilbert_schmidt_norm_sq(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> float:
     """Partial Hilbert-Schmidt sum sum_{j<=n} ||phi^j||^2 / weight(j), every power
     truncated at order n: the squared Frobenius norm of the compression.  The rows 0..k and
-    columns 0..c that ``_composition_cut`` sizes are summed and its bound of the rest added,
-    so up to rounding the value lies in [full sum, full sum + eps^2]; for sup|phi| >= 1 every
-    row that is not exactly zero is summed.  The rows are built and summed in blocks of at
-    most _BLOCK entries, each ``series.orbit`` call restarting from the last row of the one
-    before (the rows are bitwise those of one call), so no array of all rows is held."""
+    columns 0..c that ``_composition_cut`` sizes are summed block by block as
+    ``_composition_rows`` builds them, so no array of all rows is held, and its bound of the
+    rest is added: up to rounding the value lies in [full sum, full sum + eps^2]; for
+    sup|phi| >= 1 every row that is not exactly zero is summed."""
     k, c, mass = _composition_cut(space, phi, n)
-    sqw = np.sqrt(space.weights(n))
-    step = max(1, _BLOCK // (c + 1) - 1)  # rows per block; each orbit holds one more
-    total, last = mass, ps.one()
-    for start in range(0, k + 1, step):
-        stop = min(start + step, k + 1)
-        lead = 1 if start else 0  # every call but the first starts with the row before
-        rows = ps.orbit(last, phi, stop - start - 1 + lead, c)[lead:]
-        last = PowerSeries(rows[-1])
-        rows *= sqw[: c + 1] / sqw[start:stop, None]
+    total = mass
+    for _, rows in _composition_rows(space, phi, n, k, c):
         squares = np.abs(rows)
         squares *= squares
         total += float(np.sum(squares))

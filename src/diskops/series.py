@@ -59,12 +59,6 @@ class PowerSeries:
     def __call__(self, z: complex) -> complex:
         return evaluate(self, z)
 
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        return add(self, other)
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        return add(self, scale(other, -1.0))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PowerSeries) and np.array_equal(self.coeffs, other.coeffs)
 
@@ -135,14 +129,6 @@ def truncate(f: PowerSeries, order: int) -> PowerSeries:
     return PowerSeries(c)
 
 
-def add(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    order = max(a.order, b.order)
-    c = np.zeros(order + 1, dtype=np.complex128)
-    c[: a.order + 1] += a.coeffs
-    c[: b.order + 1] += b.coeffs
-    return PowerSeries(c)
-
-
 def scale(f: PowerSeries, factor: complex) -> PowerSeries:
     return PowerSeries(f.coeffs * factor)
 
@@ -171,7 +157,7 @@ def cauchy_product(a: PowerSeries, b: PowerSeries, order: int) -> PowerSeries:
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    # a direct convolution, not _multiplier's FFT: FFT rounding spreads about eps ||a|| ||b||
+    # a direct convolution, not multiplier's FFT: FFT rounding spreads about eps ||a|| ||b||
     # over every coefficient, which would swamp the decaying tails that Blaschke series and
     # their certified tail bounds rely on
     full = np.convolve(a.coeffs, b.coeffs)
@@ -189,7 +175,7 @@ def derivative(f: PowerSeries) -> PowerSeries:
     return PowerSeries(n * f.coeffs[1:])
 
 
-def _multiplier(phi: PowerSeries, order: int):
+def multiplier(phi: PowerSeries, order: int):
     """x -> first order+1 coefficients of x * b, len(x) = order+1, for b = phi cut after
     its degree.  An FFT shorter than order + len(b) would wrap the top term onto index 0."""
     b = phi.coeffs[: min(max(phi.degree(), 0), order) + 1]
@@ -203,7 +189,7 @@ def _multiplier(phi: PowerSeries, order: int):
 def orbit(f: PowerSeries, phi: PowerSeries, count: int, order: int) -> np.ndarray:
     """(count+1) x (order+1) array whose row k holds f * phi^k truncated at ``order``.
 
-    Each row is the previous one times phi through ``_multiplier``.  The loop
+    Each row is the previous one times phi through ``multiplier``.  The loop
     stops at the first row that underflows to exactly zero: a product by phi
     maps zero to zero on the direct and on the FFT path, so every later row is
     zero too.  A row that is not finite stays so under a product by phi, so the
@@ -212,7 +198,7 @@ def orbit(f: PowerSeries, phi: PowerSeries, count: int, order: int) -> np.ndarra
     """
     if order < 0 or count < 0:
         raise ValueError("order and count must be >= 0")
-    times_phi = _multiplier(phi, order)
+    times_phi = multiplier(phi, order)
     table = np.zeros((count + 1, order + 1), dtype=np.complex128)
     table[0] = truncate(f, order).coeffs
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, once
@@ -248,7 +234,7 @@ def compose(f: PowerSeries, phi: PowerSeries, order: int) -> PowerSeries:
     baby = orbit(one(), phi, b, order)
     padded = np.zeros(-(-m // b) * b, dtype=np.complex128)
     padded[:m] = f.coeffs
-    times_giant = _multiplier(PowerSeries(baby[b]), order)
+    times_giant = multiplier(PowerSeries(baby[b]), order)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, once
         blocks = padded.reshape(-1, b) @ baby[:b]
         acc = blocks[-1]

@@ -203,9 +203,16 @@ def norms_sq(weights: np.ndarray, rows) -> np.ndarray:
     return np.abs(rows) ** 2 @ weights
 
 
+def _scaled_sum_sq(weights: np.ndarray, f: PowerSeries) -> float:
+    """sum weights[n] |f_n|^2, summed at the unit scale of ``series.frexp`` so that no square
+    over- or underflows.  DomainError past the float range."""
+    m, e = ps.frexp(f.coeffs)
+    return ps.ldexp_norm(float(norms_sq(weights, m)), 2 * e)
+
+
 def space_norm_sq(space: SpaceWeights, f: PowerSeries) -> float:
-    """sum weight(n) |f_n|^2 over the stored coefficients."""
-    return float(norms_sq(space.weights(f.order), f.coeffs))
+    """sum weight(n) |f_n|^2 over the stored coefficients, scaled as ``_scaled_sum_sq``."""
+    return _scaled_sum_sq(space.weights(f.order), f)
 
 
 def space_norm(space: SpaceWeights, f: PowerSeries) -> float:
@@ -236,19 +243,19 @@ def norm_decomposition_s12(f: PowerSeries) -> tuple[float, float, float]:
     """The three summands ||f||_{H2}^2, ||f'||_{A2}^2, ||f'||_{H2}^2.
 
     Their combination with factors (1, 3/2, 1/2) equals the squared S12
-    norm: the weights satisfy (n+1)(n+2)/2 = 1 + (3/2) n + (1/2) n^2.
+    norm: the weights satisfy (n+1)(n+2)/2 = 1 + (3/2) n + (1/2) n^2.  Each is
+    summed at the unit scale of ``series.frexp``; DomainError past the float range.
     """
-    mags = np.abs(f.coeffs) ** 2
+    m, e = ps.frexp(f.coeffs)
+    mags = np.abs(m) ** 2
     n = np.arange(f.order + 1)
-    hardy_sq = float(mags.sum())
-    bergman_deriv_sq = float((n * mags).sum())
-    hardy_deriv_sq = float((n * n * mags).sum())
-    return hardy_sq, bergman_deriv_sq, hardy_deriv_sq
+    return tuple(ps.ldexp_norm(float(terms.sum()), 2 * e)
+                 for terms in (mags, n * mags, n * n * mags))
 
 
 def dirichlet_energy(f: PowerSeries) -> float:
-    """D(f) = ||f'||_{A2}^2 = sum_{n>=1} n |f_n|^2."""
-    return float(norms_sq(np.arange(f.order + 1.0), f.coeffs))
+    """D(f) = ||f'||_{A2}^2 = sum_{n>=1} n |f_n|^2, scaled as ``_scaled_sum_sq``."""
+    return _scaled_sum_sq(np.arange(f.order + 1.0), f)
 
 
 def norm_identity_residuals(f: PowerSeries) -> tuple[float, float, float]:

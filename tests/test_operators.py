@@ -79,16 +79,18 @@ class TestMultiplicationMatrix:
     def test_adjoint_consistency(self):
         # the products the norm estimator runs on: A x and A^H y agree with
         # the dense compression, and <A x, y> = <x, A^H y>
+        # (for C_phi, the block of the dense compression that its products act on)
         rng = np.random.default_rng(1)
         f = random_poly(rng)
         phi = ps.scale(random_poly(rng, max_degree=6), 0.1)
+        matvec, rmatvec, m, n = op._composition_products(S12, phi, 40)
         cases = [
             (multiplication_matrix(S12, f, 40), op._multiplication_products(S12, f, 40)),
-            (op.composition_matrix(S12, phi, 40), op._composition_products(S12, phi, 40)),
+            (op.composition_matrix(S12, phi, 40)[:m, :n], (matvec, rmatvec)),
         ]
         for t, (matvec, rmatvec) in cases:
-            x = rng.normal(size=41) + 1j * rng.normal(size=41)
-            y = rng.normal(size=41) + 1j * rng.normal(size=41)
+            x = rng.normal(size=t.shape[1]) + 1j * rng.normal(size=t.shape[1])
+            y = rng.normal(size=t.shape[0]) + 1j * rng.normal(size=t.shape[0])
             lhs = np.vdot(y, matvec(x))
             assert abs(lhs - np.vdot(y, t @ x)) < 1e-12 * (1 + abs(lhs))
             assert abs(lhs - np.vdot(t.conj().T @ y, x)) < 1e-12 * (1 + abs(lhs))
@@ -141,8 +143,9 @@ def dense_norm(a):
     return np.linalg.svd(a, compute_uv=False)[0]
 
 
-def counted(matvec, rmatvec):
-    """The two products, and a function that returns how often they ran."""
+def counted(matvec, rmatvec, *shape):
+    """The two products and the shape, if given, and a function that returns how often the
+    products ran."""
     calls = []
 
     def counted_matvec(x):
@@ -153,7 +156,7 @@ def counted(matvec, rmatvec):
         calls.append(1)
         return rmatvec(y)
 
-    return (counted_matvec, counted_rmatvec), lambda: len(calls)
+    return (counted_matvec, counted_rmatvec, *shape), lambda: len(calls)
 
 
 class TestNormEstimate:
@@ -179,22 +182,20 @@ class TestNormEstimate:
             assert est <= dense * (1 + 1e-15)
 
     def test_composition_certified_cut_is_exact(self):
-        # sup|0.1 + 0.05z| = 0.15 certifies that rows past k* hold at most eps^2 of the
-        # squared Frobenius mass: the products are A with columns k*+1..n set to zero
+        # sup|0.1 + 0.05z| = 0.15 certifies that columns past k* hold at most eps^2 of the
+        # squared Frobenius mass, and phi^j has degree j, so rows past k* are exactly zero in
+        # the others: the products are those of the top-left 23 x 23 block of the 513 x 513 A
         phi, n = ps.from_coefficients([0.1, 0.05]), 512
         a = op.composition_matrix(S12, phi, n)
-        k = len(op._composition_columns(S12, phi, n)[0]) - 1
-        assert 0 < k < n
+        matvec, rmatvec, rows, cols = op._composition_products(S12, phi, n)
+        assert (rows, cols) == (23, 23)
         dense = dense_norm(a)
         assert abs(op.composition_norm(S12, phi, n) - dense) <= 1e-13 * dense
-        matvec, rmatvec = op._composition_products(S12, phi, n)
-        eye = np.eye(n + 1)
-        columns = np.column_stack([matvec(e) for e in eye])
-        assert np.array_equal(columns[:, : k + 1], a[:, : k + 1])
-        assert not columns[:, k + 1 :].any()
-        rows = np.column_stack([rmatvec(e) for e in eye])
-        assert np.array_equal(rows[: k + 1], a.conj().T[: k + 1])
-        assert not rows[k + 1 :].any()
+        columns = np.column_stack([matvec(e) for e in np.eye(cols)])
+        assert np.array_equal(columns, a[:rows, :cols])
+        assert not a[rows:, :cols].any()
+        adjoint = np.column_stack([rmatvec(e) for e in np.eye(rows)])
+        assert np.array_equal(adjoint, a.conj().T[:cols, :rows])
 
     def test_constant_symbols_are_exact(self):
         # the identity is TestOperatorNorm.test_identity
@@ -242,11 +243,20 @@ class TestNormEstimate:
         assert report.status == rp.ERROR
         assert report.computed[0].label.startswith("ConvergenceError")
 
+    @pytest.mark.parametrize("m, n", [(1, 40), (40, 1), (2, 2), (64, 17), (17, 64)])
+    def test_rectangular_operators(self, m, n):
+        # m x n: matvec maps C^n to C^m, rmatvec back; the start vector lives in C^n
+        rng = np.random.default_rng(m * 100 + n)
+        a = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+        sigma = dense_norm(a)
+        est = op.norm_estimate(lambda x: a @ x, lambda y: a.conj().T @ y, m, n)
+        assert sigma * (1 - 1e-13) <= est <= sigma * (1 + 1e-15)
+
     def test_zero_operator(self):
         def zeros(x):
             return np.zeros(64, dtype=np.complex128)
 
-        assert op.norm_estimate(zeros, zeros, 64) == 0.0
+        assert op.norm_estimate(zeros, zeros, 64, 64) == 0.0
 
     @pytest.mark.parametrize("n", [64, 256])
     @pytest.mark.parametrize("c", [0.5, 0.3 - 0.6j])
@@ -258,21 +268,25 @@ class TestNormEstimate:
 
     def test_cube_composition_closes_at_its_rank(self):
         # C_{z^3} sends e_j to a multiple of e_{3j}, so its compression at size 129 has
-        # rank 43 with distinct singular values: alpha_44 breaks down after 43 steps, and
-        # 43 products with A^H and 44 + 1 with A are all it may spend
+        # rank 43 with distinct singular values, all in the 127 x 43 block of columns
+        # j <= 42 and rows up to 126: V_43 spans C^43 after 43 steps, and 43 products with
+        # A^H and 43 + 1 with A are all it may spend
         phi, n = ps.monomial(3), 128
         dense = dense_norm(op.composition_matrix(S12, phi, n))
         products, count = counted(*op._composition_products(S12, phi, n))
-        assert abs(op.norm_estimate(*products, n + 1) - dense) <= 1e-13 * dense
-        assert count() == 2 * 43 + 2
+        assert products[2:] == (127, 43)
+        assert abs(op.norm_estimate(*products) - dense) <= 1e-13 * dense
+        assert count() == 2 * 43 + 1
 
     def test_stop_reads_the_left_singular_vector(self):
         # C_{z/2} is diagonal with singular values 2^-j.  The residual of the top Ritz
         # triple is beta_k |x_k| for the left vector x of B_k; the right vector's last
-        # entry is sigma x_k / alpha_k, 127 times larger at k = 8, and would stop later
+        # entry is sigma x_k / alpha_k, 127 times larger at k = 8, and would stop later.
+        # The products are those of the diagonal 58 x 58 block, 2^-j for j <= 57
         phi, n = ps.from_coefficients([0, 0.5]), 64
         products, count = counted(*op._composition_products(S12, phi, n))
-        assert op.norm_estimate(*products, n + 1) == 1.0
+        assert products[2:] == (58, 58)
+        assert op.norm_estimate(*products) == 1.0
         assert count() == 2 * 8 + 1
 
     @pytest.mark.parametrize("n", [64, 300])
@@ -284,7 +298,8 @@ class TestNormEstimate:
         s = rng.uniform(0, 1, n)
         s[rng.choice(n, 2, replace=False)] = 2.0, 2.0 - gap
         d = s * np.exp(2j * np.pi * rng.uniform(size=n))
-        assert abs(op.norm_estimate(lambda x: d * x, lambda y: np.conj(d) * y, n) - 2) <= 1e-13 * 2
+        est = op.norm_estimate(lambda x: d * x, lambda y: np.conj(d) * y, n, n)
+        assert abs(est - 2) <= 1e-13 * 2
 
     @pytest.mark.parametrize("n", [64, 256])
     @pytest.mark.parametrize("space", [sp.hardy(), sp.bergman(), sp.dirichlet(), S12],
@@ -329,6 +344,21 @@ class TestNormEstimate:
             tracemalloc.stop()
         assert peak < 22 * 2**20
 
+    def test_composition_storage_follows_the_block(self):
+        # the GKL vectors and bases span the certified block of C_phi, at most 197 rows and 48
+        # columns for the symbols of comp_upper_bound_random at seed 0 and size 8193; padding
+        # both sides to 8193 entries traced 8.85 MiB
+        symbols = upper_bound_symbols()
+        op.composition_norm(S12, symbols[0], 8192)
+        tracemalloc.start()
+        try:
+            for f in symbols:
+                op.composition_norm(S12, f, 8192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 def symbol_of_sup(target, seed=7):
     f = ps.PowerSeries(np.random.default_rng(seed).uniform(-1, 1, 7) + 0.5j)
@@ -342,7 +372,8 @@ CUT_SPACES = [sp.hardy(), sp.bergman(), sp.dirichlet(), S12, sp.km(2), sp.dalpha
 
 class TestCompositionRowCut:
     """Rows 0..k* of the C_phi table, fixed by sup_bound(phi) before any row is built, and
-    columns 0..k* deg(phi), past which those rows are exactly zero."""
+    columns 0..k* deg(phi), past which those rows are zero (within a few eps on the FFT
+    path)."""
 
     @pytest.mark.parametrize("space", CUT_SPACES, ids=lambda s: s.label)
     def test_cut_is_a_certified_prefix_of_the_full_table(self, space):
@@ -361,17 +392,20 @@ class TestCompositionRowCut:
                 assert k == 0
 
     def test_fft_symbols_keep_every_column(self):
-        # from series._FFT_MIN_TAPS taps on, products round across every coefficient, so the
-        # entries past k* deg(phi) need not be exact zeros and no column is cut
+        # a symbol of 138 taps takes FFT products, which round across every coefficient, so
+        # past k* deg(phi) the full table holds rounding of exact zeros, not zeros: the cut
+        # keeps every column above that rounding, here 4 rows and 412 of the 513 columns
         n = 512
         low = 1e-5 * symbol_of_sup(0.3).coeffs
         phi = ps.PowerSeries(np.concatenate([low, np.zeros(130), [1e-6]]))
         cut, _ = op._composition_columns(S12, phi, n)
         full, _ = op._composition_columns(S12, phi, n, full=True)
-        k = len(cut) - 1
-        assert phi.degree() + 1 >= ps._FFT_MIN_TAPS and 0 < k * phi.degree() < n
-        assert cut.shape[1] == n + 1
-        assert np.array_equal(cut, full[: k + 1])
+        k, d = len(cut) - 1, phi.degree()
+        assert d == 137 and cut.shape == (4, 3 * d + 1)
+        scale = 4 * np.finfo(float).eps * np.abs(full[: k + 1]).max(axis=1, keepdims=True)
+        assert np.all(np.abs(full[: k + 1, 3 * d + 1 :]) <= scale)  # the columns cut
+        assert np.all(np.abs(cut - full[: k + 1, : 3 * d + 1]) <= scale)  # the columns kept
+        assert np.array_equal(cut[:2], full[:2, : 3 * d + 1])  # 1 and phi: same FFT input and size
 
     def test_every_nonzero_row_where_the_sup_bound_reaches_one(self):
         # phi^j starts at z^(v j), so only the rows j <= n // v can be nonzero

@@ -116,6 +116,16 @@ class TestNorms:
     def test_norm_past_the_float_range(self):
         with pytest.raises(DomainError, match="the norm overflows the float range"):
             sp.space_norm(sp.s12(), ps.from_coefficients([1e308, 1e308]))
+        # the squared norms of 1e200 (1 + z) are past the float range, and those of
+        # 1e-200 (1 + z) below it, where both norms are not: a DomainError or 0, never the
+        # inf of unscaled squares, or the nan of 0 * inf at the zero Dirichlet weight
+        huge, tiny = ps.from_coefficients([1e200, 1e200]), ps.from_coefficients([1e-200, 1e-200])
+        assert sp.space_norm(sp.s12(), huge) > 1e200 and sp.space_norm(sp.s12(), tiny) > 1e-200
+        for squared in (lambda f: sp.space_norm_sq(sp.s12(), f), sp.dirichlet_energy,
+                        lambda f: max(sp.norm_decomposition_s12(f))):
+            with pytest.raises(DomainError, match="overflows the float range"):
+                squared(huge)
+            assert squared(tiny) == 0.0
 
     @pytest.mark.parametrize("order", [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
     @pytest.mark.parametrize("name", ["H2", "D2", "S12", "S2", "Km:2"])
