@@ -68,14 +68,15 @@ class BlaschkeProduct:
     def _tail_majorant(self, space: spaces.SpaceWeights | None = None) -> ps.Majorant | None:
         """Each factor has |coefficient_n| <= r^(n-1), r the largest zero modulus, so the majorant
         of |psi_n| is n^(d-1) r^(n-d); with weight(n) <= (n+1)^s, weight(n) |psi_n|^2 is at most
-        (n+1)^(2(d-1)+s) r^(2(n+1)) r^(-2(d+1)), the term n+1 of the space's majorant.  None for
-        r = 0, where psi is a unimodular times z^d."""
+        (n+1)^(2(d-1)+s) r^(2(n+1)) r^(-2(d+1)), the term n+1 of the space's majorant, r^2 raised
+        to the least normal float.  None for r = 0, where psi is a unimodular times z^d."""
         d, r = self.degree, max((abs(z) for z in self.zeros), default=0.0)
         if r == 0.0:
             return None
         if space is None:
             return ps.Majorant(-d * np.log(r), d - 1, r)
-        return ps.Majorant(-2 * (d + 1) * np.log(r), 2 * (d - 1) + space.weight_exponent, r * r)
+        rho = max(r * r, np.finfo(np.float64).tiny)
+        return ps.Majorant(-2 * (d + 1) * np.log(r), 2 * (d - 1) + space.weight_exponent, rho)
 
     def tail_bound(self, order: int) -> float:
         """Bound on sum_{n>order} |psi_n|."""
@@ -83,20 +84,21 @@ class BlaschkeProduct:
         return float(order < self.degree) if majorant is None else majorant.tail(order)
 
     def tail_norm(self, space: spaces.SpaceWeights, order: int) -> float:
-        """Bound on the space norm of the series past ``order``."""
+        """Bound on sqrt(sum_{n>order} (n+1)^s |psi_n|^2), s = ``space.weight_exponent``, so on
+        the space norm of the series past ``order``; it grows with the number of zeros."""
         majorant = self._tail_majorant(space)
         if majorant is None:
-            return float(order < self.degree) * float(np.sqrt(space.weight(self.degree)))
+            return float(order < self.degree) * (self.degree + 1.0) ** (0.5 * space.weight_exponent)
         return float(np.sqrt(majorant.tail(order + 1)))
 
     def order_for(self, tol: float, space: spaces.SpaceWeights | None = None) -> int:
         """The smallest order with tail_bound(order) <= tol, or tail_norm(space, order) <= tol
-        when a space is given; TruncationError past order 2^18."""
+        when a space is given; TruncationError where ``series.Majorant.order_for`` refuses."""
         majorant = self._tail_majorant(space)
         if majorant is None:
             at_zero = self.tail_bound(0) if space is None else self.tail_norm(space, 0)
             return 0 if at_zero <= tol else self.degree
-        return majorant.order_for(tol) if space is None else max(majorant.order_for(tol**2) - 1, 0)
+        return majorant.order_for(tol) if space is None else max(majorant.order_for(tol * tol) - 1, 0)
 
 
 def z_times_phi(alpha: complex) -> BlaschkeProduct:

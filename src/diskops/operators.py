@@ -369,38 +369,31 @@ def _blaschke_orbit_norms(
     space: sp.SpaceWeights, psi: BlaschkeProduct, f: PowerSeries, count: int, order: int,
     tol: float, weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """sum_n weights[n] |(f psi^k)_n|^2 for k = 0..count (weights default to space.weights),
-    psi's product series built once and every row cut at ``order``.  psi's tail majorant,
-    carried through the powers by the multiplier-algebra bound ||fg|| <= 2 sqrt(2) ||f|| ||g||,
-    fixes the order the discarded tails need to move no value past tol: TruncationError
-    naming it if ``order`` is below, or unnamed if the budget underflows.  For psi = c z^d
-    the rows are polynomials, exact from order count d + deg f on."""
-    series = psi.series(order)
-    probe_norm = sp.space_norm(space, f)
-    needed = 0  # when no power is taken
-    if not any(psi.zeros):  # psi = c z^d: row k has degree k d + deg f and no tail
-        needed = count * psi.degree + max(f.degree(), 0)
-    elif count:
-        # ||psi|| <= ||psi_N|| + tail_norm(N) at every N; a short order gives a loose bound, so
-        # the one at the order whose tail norm is 1 serves where it is smaller
-        psi_norm = sp.space_norm(space, series) + psi.tail_norm(space, order)
-        try:
-            n = psi.order_for(1.0, space)
-        except TruncationError:  # no order up to 2^18 holds it: keep the bound at ``order``
-            n = order
-        if n > order:
-            psi_norm = min(psi_norm, sp.space_norm(space, psi.series(n)) + psi.tail_norm(space, n))
-        base = 2.0 * math.sqrt(2.0) * max(1.0, psi_norm)
-        growth = base**count if count * math.log(base) < 700.0 else math.inf  # e^700 < float max
-        scale = 4.0 * count * growth * max(1.0, probe_norm) ** 2
-        budget = 0.5 * tol * (1.0 + probe_norm**2) / scale
-        if budget < np.finfo(np.float64).tiny:
-            raise TruncationError(f"psi^{count} within {tol:g}: the tail budget underflows")
-        needed = psi.order_for(budget, space)
+    """sum_n weights[n] |(f psi^k)_n|^2 for k = 0..count (weights at most space.weights, the
+    default) on the orbit of f under psi's series cut at ``order``: TruncationError naming the
+    least order that holds every value built from them within tol (1 + ||f||^2) if ``order`` is
+    below it, unnamed if ``BlaschkeProduct.order_for`` finds none.  Coefficient n of a product reads only those <= n
+    of its factors, so row k is exact up to rounding and its norm low by t_k^2 alone, the squared
+    norm of f psi^k past ``order``.  psi^m, m = count (psi's zeros each repeated m times), has a
+    tail majorant above that of every psi^k, k <= m, on the (n+1)^s-weighted tail,
+    s = ``space.weight_exponent``; as weight(i+j) <= (i+1)^s (j+1)^s, Minkowski over the terms
+    f_j z^j gives t_k <= sum_j |f_j| (j+1)^(s/2) times tail_norm(psi^m, order - deg f).  The
+    values built from the norms weigh them by sum |c_k| <= m 2^m (2^m for Delta^m, 2 (n-1)^2 for
+    the growth residuals at power n, 2n for the Dirichlet ones), so the least N with
+    m 2^m t^2 <= tol (1 + ||f||^2) / 2 is named, half of tol left to rounding.  2^-m is applied by
+    ldexp; ``series.Majorant`` refuses a budget below the least normal float, which
+    psi = c z^d, with no tail past degree m d, still meets."""
+    needed = 0  # no power taken, or f = 0: no row has a tail
+    coeffs = np.abs(f.coeffs[: f.degree() + 1])
+    size = float(coeffs @ np.arange(1.0, len(coeffs) + 1) ** (0.5 * space.weight_exponent))
+    if count and size:
+        budget = math.ldexp(0.5 * tol * (1.0 + sp.space_norm_sq(space, f)) / count, -count)
+        power = BlaschkeProduct(1.0, psi.zeros * count)
+        needed = max(f.degree(), 0) + power.order_for(math.sqrt(budget) / size, space)
     if needed > order:
         raise TruncationError(f"psi^{count} within {tol:g}", needed)
     weights = space.weights(order) if weights is None else weights
-    return sp.norms_sq(weights, ps.orbit(f, series, count, order))
+    return sp.norms_sq(weights, ps.orbit(f, psi.series(order), count, order))
 
 
 def blaschke_power_defect(

@@ -69,7 +69,8 @@ class Majorant:
     ``tail(order)`` bounds sum_{n>order} term(n): q(n) = term(n+1)/term(n) <= e^(p/n) rho, so
     from n1 = max(order+1, ceil(2p/ln(1/rho))) on q is below sqrt(rho) and falls, and the terms
     sum to at most term(n1)/(1 - q(n1)); those before n1 are summed (inf past 2^18 of them).
-    ``order_for(tol)`` bisects for the least order with tail <= tol; TruncationError past 2^18."""
+    ``order_for(tol)`` bisects for the least order with tail <= tol; TruncationError past 2^18,
+    or for tol below the least normal float, where the terms it sums would underflow."""
 
     log_c: float
     p: float
@@ -86,7 +87,7 @@ class Majorant:
         return float(terms[:-1].sum() + terms[-1] / (1.0 - (1.0 + 1.0 / n1) ** self.p * self.rho))
 
     def order_for(self, tol: float) -> int:
-        if not self.tail(_MAJORANT_CAP) <= tol:
+        if not (tol >= np.finfo(np.float64).tiny and self.tail(_MAJORANT_CAP) <= tol):
             raise TruncationError(f"no order up to {_MAJORANT_CAP} holds the tail within {tol:g}")
         lo, hi = -1, _MAJORANT_CAP  # tail(hi) <= tol < tail(lo), with tail(-1) = inf
         while hi - lo > 1:

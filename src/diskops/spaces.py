@@ -233,10 +233,12 @@ def kernel_norm_sq(space: SpaceWeights, order: int) -> float:
 
 
 def inner_product(space: SpaceWeights, f: PowerSeries, g: PowerSeries) -> complex:
-    """sum weight(n) f_n conj(g_n)."""
+    """sum weight(n) f_n conj(g_n), summed with f and g at the unit scale of ``series.frexp``
+    so that no product over- or underflows.  DomainError past the float range."""
     n = min(f.order, g.order)
-    w = space.weights(n)
-    return complex(np.sum(w * f.coeffs[: n + 1] * np.conj(g.coeffs[: n + 1])))
+    (a, e), (b, k) = ps.frexp(f.coeffs[: n + 1]), ps.frexp(g.coeffs[: n + 1])
+    total = complex(np.sum(space.weights(n) * a * np.conj(b)))
+    return complex(ps.ldexp_norm(total.real, e + k), ps.ldexp_norm(total.imag, e + k))
 
 
 def norm_decomposition_s12(f: PowerSeries) -> tuple[float, float, float]:
@@ -264,11 +266,12 @@ def norm_identity_residuals(f: PowerSeries) -> tuple[float, float, float]:
 
     (a)  2 ||f||_{S12}^2 = ||f||_{S2}^2 + 2 ||f||_{H2}^2 + 3 D(f) - |f(0)|^2
     (b)  ||f||_{S22}^2   = ||f||_{S2}^2 + ||f||_{H2}^2 - |f(0)|^2
+    DomainError when a squared norm is past the float range.
     """
-    s12_sq = space_norm(s12(), f) ** 2
-    s2_sq = space_norm(s2(), f) ** 2
-    s22_sq = space_norm(s22(), f) ** 2
-    h2_sq = space_norm(hardy(), f) ** 2
+    s12_sq = space_norm_sq(s12(), f)
+    s2_sq = space_norm_sq(s2(), f)
+    s22_sq = space_norm_sq(s22(), f)
+    h2_sq = space_norm_sq(hardy(), f)
     f0_sq = abs(f.coeffs[0]) ** 2
     rhs_a = s2_sq + 2.0 * h2_sq + 3.0 * dirichlet_energy(f) - f0_sq
     rhs_b = s2_sq + h2_sq - f0_sq

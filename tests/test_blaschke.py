@@ -144,6 +144,28 @@ class TestBlaschkeProduct:
         needed = psi.order_for(1e-6, space)
         assert psi.tail_norm(space, needed) <= 1e-6 < psi.tail_norm(space, needed - 1)
 
+    @pytest.mark.parametrize("space", [sp.hardy(), sp.bergman(), sp.dirichlet(), sp.s2(), sp.s12(),
+                                       sp.km(2)], ids=lambda s: s.label)
+    @pytest.mark.parametrize("r", [0.0, 0.5])
+    def test_tail_norm_grows_with_the_number_of_zeros(self, space, r):
+        # the Blaschke orbit guard bounds the tail of every psi^k, k <= m, by that of psi^m;
+        # on A2 the z^d case once gave sqrt(weight(d)), which falls with d
+        for order in (0, 3, 40):
+            norms = [bl.BlaschkeProduct(1.0, (r,) * d).tail_norm(space, order) for d in range(1, 8)]
+            assert norms == sorted(norms)
+
+    def test_order_for_at_the_ends_of_the_float_range(self):
+        # the squared budget (1e-160)^2 rounds to the subnormal 9.99989e-321, a range where the
+        # majorant's terms lose their digits; z^3 has no tail past its degree, so it gets one
+        with pytest.raises(TruncationError, match="holds the tail within 9.99989e-321"):
+            bl.phi_pair(0.5).order_for(1e-160, sp.s12())
+        assert bl.BlaschkeProduct(1.0, (0.0,) * 3).order_for(0.0, sp.s12()) == 3
+        # r^2 = 1e-400 underflows to 0, whose log was a ValueError; a tol of 1e200, whose square
+        # overflows, was an OverflowError
+        tiny_zero = bl.BlaschkeProduct(1.0, (1e-200,))
+        assert tiny_zero.order_for(1e-8, sp.s12()) == 1 and tiny_zero.tail_norm(sp.s12(), 1) < 1e-60
+        assert bl.phi_pair(0.5).order_for(1e200, sp.s12()) == 0
+
     def test_rejects_zero_outside_disk(self):
         with pytest.raises(DomainError):
             bl.BlaschkeProduct(1.0, (1.2,))

@@ -1,9 +1,10 @@
+import cmath
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from diskops import blaschke as bl
@@ -690,13 +691,82 @@ class TestBlaschkeIdentities:
 
     def test_truncation_guard(self):
         psi = bl.BlaschkeProduct(1.0, (0.95, -0.95, 0.95j))
-        # ||psi|| is bounded at the order whose tail norm is 1, not at the starved 48 (1587)
-        with pytest.raises(TruncationError, match="needs truncation >= 1012$") as info:
+        # the tail majorant of psi^3, the nine zeros, names 1530 (the exact tails need 446)
+        with pytest.raises(TruncationError, match="needs truncation >= 1530$") as info:
             op.blaschke_power_defect(S12, psi, 3, ps.one(), 48, 1e-8)
-        assert info.value.needed == 1012
+        assert info.value.needed == 1530
         # the order named holds it
-        value = op.blaschke_power_defect(S12, psi, 3, ps.one(), 1012, 1e-8)
+        value = op.blaschke_power_defect(S12, psi, 3, ps.one(), 1530, 1e-8)
         assert abs(value) < 1e-8
+
+
+_ORACLE_NODES = 1 << 16
+_GUARD_SPACES = [sp.hardy(), sp.dirichlet(), sp.s2(), S12, sp.km(2), sp.dalpha(1.5)]
+
+
+def _named_order(space, psi, f, m, tol):
+    """The order the Blaschke orbit guard names for f psi^k, k <= m (0 if it names none)."""
+    try:
+        op._blaschke_orbit_norms(space, psi, f, m, 0, tol)
+    except TruncationError as exc:
+        return exc.needed
+    return 0
+
+
+def _exact_tails(space, psi, f, m):
+    """max_k sum_{N < n < 2^15} weight(n) |(f psi^k)_n|^2 for every N < 2^15, the coefficients
+    read from samples on 2^16 points of the circle: no product series is involved."""
+    zeta = bl.circle_nodes(_ORACLE_NODES)
+    samples = ps.evaluate_many(f, zeta) * psi(zeta) ** np.arange(m + 1)[:, None]
+    half = _ORACLE_NODES // 2
+    coeffs = np.fft.fft(samples, axis=1)[:, :half] / _ORACLE_NODES
+    weighted = np.abs(coeffs) ** 2 * space.weights(half - 1)
+    past = np.cumsum(weighted[:, :0:-1], axis=1)[:, ::-1]  # past[k, N] sums n = N+1 .. half-1
+    return np.append(past.max(axis=0), 0.0)
+
+
+def _guard_budget(space, f, m, tol):
+    """tol (1 + ||f||^2) / 2 / (m 2^m): what the tails t_k^2 of f psi^k may reach, k <= m."""
+    return tol * (1.0 + sp.space_norm_sq(space, f)) / 2 / (m * 2.0**m)
+
+
+@pytest.mark.parametrize("space", _GUARD_SPACES, ids=lambda s: s.label)
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 0.9), st.floats(0.0, 2 * math.pi)), min_size=1,
+                max_size=3),
+       st.lists(st.complex_numbers(max_magnitude=1.0), min_size=1, max_size=4),
+       st.integers(1, 6))
+def test_orbit_guard_is_sound(space, zeros, probe, m):
+    # every value built from ||f psi^k||^2, k <= m, weighs them by sum |c_k| <= m 2^m, so at the
+    # order named the exact tails must hold m 2^m max_k t_k^2 within tol (1 + ||f||^2) / 2
+    psi = bl.BlaschkeProduct(1.0, tuple(r * cmath.exp(1j * t) for r, t in zeros))
+    f = ps.from_coefficients(probe)
+    named = _named_order(space, psi, f, m, 1e-8)
+    margin = _exact_tails(space, psi, f, m)[named] / _guard_budget(space, f, m, 1e-8)
+    target(margin, label="exact tail / budget at the named order")
+    assert margin <= 1.0
+
+
+@pytest.mark.parametrize(
+    "space,psi,f,m,named",
+    [(S12, bl.z_times_phi(0.3), ps.from_coefficients([1, 1]), 6, 65),
+     (S12, bl.phi_pair(0.5), ps.monomial(1), 6, 113),
+     (sp.dirichlet(), bl.BlaschkeProduct(1.0, (0.6,)), ps.one(), 5, 65),
+     (S12, bl.BlaschkeProduct(1.0, (0.9, -0.5)), ps.one(), 3, 467),
+     (S12, bl.BlaschkeProduct(1.0, (0.99, -0.5)), ps.one(), 3, 6523),
+     (sp.hardy(), bl.BlaschkeProduct(1.0, (0.99, -0.5)), ps.one(), 3, 5571),
+     (S12, bl.BlaschkeProduct(1.0, (0.95, -0.95, 0.95j)), ps.one(), 3, 1530)],
+    ids=["S12_z_phi03", "S12_phi_pair05", "D2_phi06", "S12_09_05", "S12_099_05", "H2_099_05",
+         "S12_three_095"],
+)
+def test_orbit_guard_orders(space, psi, f, m, named):
+    # the order named is sound and within 4 times the least order the exact tails allow
+    # (the largest ratio, 3.79, is H2 with zeros 0.99 and -0.5: least 1472)
+    assert _named_order(space, psi, f, m, 1e-8) == named
+    tails = _exact_tails(space, psi, f, m)
+    budget = _guard_budget(space, f, m, 1e-8)
+    least = int(np.argmax(tails <= budget))
+    assert tails[named] <= budget and named <= 4 * least
 
 
 def _residuals_within(residuals_and_scale, tol):

@@ -112,6 +112,8 @@ class TestNorms:
         norm = sp.space_norm(space, f)
         assert norm == math.sqrt(sp.space_norm_sq(space, f))
         assert sp.space_norm(space, ps.PowerSeries(f.coeffs * 2.0**k)) == 2.0**k * norm
+        ip = sp.inner_product(space, f, f)
+        assert sp.inner_product(space, ps.PowerSeries(f.coeffs * 2.0**k), f) == 2.0**k * ip
 
     def test_norm_past_the_float_range(self):
         with pytest.raises(DomainError, match="the norm overflows the float range"):
@@ -126,6 +128,13 @@ class TestNorms:
             with pytest.raises(DomainError, match="overflows the float range"):
                 squared(huge)
             assert squared(tiny) == 0.0
+        with pytest.raises(DomainError, match="overflows the float range"):
+            sp.norm_identity_residuals(huge)
+        # <f, g> runs at the scale of each: weight times 1e308 would overflow before 1e-300
+        big, small = ps.from_coefficients([1e308, 1e308]), ps.from_coefficients([1e-300, 1e-300])
+        assert sp.inner_product(sp.s12(), big, small) == pytest.approx(4e8, rel=1e-15)
+        with pytest.raises(DomainError, match="overflows the float range"):
+            sp.inner_product(sp.s12(), huge, huge)
 
     @pytest.mark.parametrize("order", [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
     @pytest.mark.parametrize("name", ["H2", "D2", "S12", "S2", "Km:2"])
