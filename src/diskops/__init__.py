@@ -18,8 +18,7 @@ from .operators import (
     composition_monomial_norm,
     composition_norm,
     contractive_composition_norm,
-    dirichlet_linearity_residuals,
-    growth_formula_residuals,
+    growth_residuals,
     hilbert_schmidt_norm_sq,
     isometry_defect,
     isometry_order,

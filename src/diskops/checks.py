@@ -534,7 +534,7 @@ def _residual_report(cases, tol, ok=True, each_power=False):
 @_check("isometries", "growth_monomial_square")
 def _growth_monomial(cfg):
     s2 = sp.s2()
-    residuals, scale = op.growth_formula_residuals(s2, _Z, ps.one(), 6, tol=1e-12, order=64)
+    residuals, scale = op.growth_residuals(s2, _Z, ps.one(), 3, 6, 1e-12, 64, np.arange(65.0) ** 2)
     # the formula is only tested when the S2 monomial norms n^2 come out exact
     exact = all(sp.space_norm(s2, ps.monomial(n)) ** 2 == float(n * n) for n in range(1, 7))
     return _residual_report([("max_residual", residuals, scale)], 1e-12, exact, each_power=True)
@@ -544,9 +544,10 @@ def _growth_monomial(cfg):
 def _growth_s2(cfg):
     symbols = [("z", _Z), ("z_phi03", bl.z_times_phi(0.3))]
     probes = [("one", ps.one()), ("one_plus_z", ps.from_coefficients([1, 1]))]
+    seminorm = np.arange(513.0) ** 2  # ||f||^2 - |f(0)|^2
     cases = [
         (f"{sname}_{pname}_residual",
-         *op.growth_formula_residuals(sp.s2(), psi, f, 6, tol=cfg.tol, order=512))
+         *op.growth_residuals(sp.s2(), psi, f, 3, 6, cfg.tol, weights=seminorm))
         for sname, psi in symbols for pname, f in probes
     ]
     return _residual_report(cases, cfg.tol)
@@ -561,8 +562,7 @@ def _growth_s12(cfg):
         ("phi_pair05_z", bl.phi_pair(0.5), ps.monomial(1)),
     ]
     return _residual_report(
-        [(f"{name}_residual",
-          *op.growth_formula_residuals(sp.s12(), psi, f, 6, tol=cfg.tol, order=512))
+        [(f"{name}_residual", *op.growth_residuals(sp.s12(), psi, f, 3, 6, cfg.tol))
          for name, psi, f in cases],
         cfg.tol,
     )
@@ -575,8 +575,9 @@ def _dirichlet_linearity(cfg):
         ("z_phi02_quadratic", bl.z_times_phi(0.2), ps.from_coefficients([1, 0, 1]), 4),
         ("z_one", _Z, ps.one(), 5),
     ]
+    d2, energy = sp.dirichlet(), np.arange(513.0)  # energy: sum_n n |f_n|^2
     return _residual_report(
-        [(f"{name}_residual", *op.dirichlet_linearity_residuals(psi, f, n, tol=cfg.tol, order=512))
+        [(f"{name}_residual", *op.growth_residuals(d2, psi, f, 2, n, cfg.tol, weights=energy))
          for name, psi, f, n in cases],
         cfg.tol,
     )

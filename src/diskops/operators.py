@@ -275,23 +275,17 @@ def composition_norm(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> float:
 
 
 def composition_monomial_norm(space: sp.SpaceWeights, k: int) -> float:
-    """Norm of f -> f(z^k) from its diagonal action on the monomial basis.
+    """Norm of f -> f(z^k): k^(s/2), s = ``space.weight_exponent``.
 
-    The operator maps e_n to sqrt(weight(k n)/weight(n)) e_{k n}, with
-    orthogonal images, so its norm is sup_n sqrt(weight(k n)/weight(n)).
-    The sup is evaluated over a geometric index grid up to 10^10; for
-    polynomial weight sequences the ratio is eventually monotone, so the
-    cap controls the (one-sided) accuracy, and 10^10 leaves the S12 value
-    within 1e-8 of the exact limit k.
+    The operator maps e_n to sqrt(weight(k n)/weight(n)) e_{k n}, with orthogonal images, so
+    its norm is sup_n sqrt(weight(k n)/weight(n)).  Factor by factor, weight(k n) <= k^s weight(n):
+    1 + k n <= k (1 + n), k n + i <= k (n + i), 1 + (k n)^2 <= k^2 (1 + n^2), and A2's
+    1 / (k n + 1) <= 1 / (n + 1).  The sup is attained at n = 0 when s = 0 (on S2 at every
+    n >= 1) and approached as n grows otherwise.
     """
     if k < 1:
         raise ValueError("monomial exponent must be >= 1")
-    # the grid is sorted, so dropping consecutive repeats leaves np.unique's indices; unlike
-    # np.unique it does not import numpy.ma
-    idx = np.concatenate([np.arange(64), np.geomspace(64, 10**10, 512).astype(np.int64)])
-    idx = idx[np.concatenate([[True], idx[1:] != idx[:-1]])]
-    ratios = space.weight(k * idx.astype(np.float64)) / space.weight(idx.astype(np.float64))
-    return float(np.sqrt(np.max(ratios)))
+    return k ** (0.5 * space.weight_exponent)
 
 
 def hilbert_schmidt_norm_sq(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> float:
@@ -372,24 +366,29 @@ def _blaschke_orbit_norms(
     """sum_n weights[n] |(f psi^k)_n|^2 for k = 0..count (weights at most space.weights, the
     default) on the orbit of f under psi's series cut at ``order``: TruncationError naming the
     least order that holds every value built from them within tol (1 + ||f||^2) if ``order`` is
-    below it, unnamed if ``BlaschkeProduct.order_for`` finds none.  Coefficient n of a product reads only those <= n
-    of its factors, so row k is exact up to rounding and its norm low by t_k^2 alone, the squared
-    norm of f psi^k past ``order``.  psi^m, m = count (psi's zeros each repeated m times), has a
-    tail majorant above that of every psi^k, k <= m, on the (n+1)^s-weighted tail,
-    s = ``space.weight_exponent``; as weight(i+j) <= (i+1)^s (j+1)^s, Minkowski over the terms
-    f_j z^j gives t_k <= sum_j |f_j| (j+1)^(s/2) times tail_norm(psi^m, order - deg f).  The
-    values built from the norms weigh them by sum |c_k| <= m 2^m (2^m for Delta^m, 2 (n-1)^2 for
-    the growth residuals at power n, 2n for the Dirichlet ones), so the least N with
-    m 2^m t^2 <= tol (1 + ||f||^2) / 2 is named, half of tol left to rounding.  2^-m is applied by
-    ldexp; ``series.Majorant`` refuses a budget below the least normal float, which
-    psi = c z^d, with no tail past degree m d, still meets."""
+    below it, or giving the reason of ``BlaschkeProduct.order_for`` if that finds none.
+    Coefficient n of a product reads only those <= n of its factors, so row k is exact up to
+    rounding and its norm low by t_k^2 alone, the squared norm of f psi^k past ``order``.  psi^m,
+    m = count (psi's zeros each repeated m times), has a tail majorant above that of every
+    psi^k, k <= m, on the (n+1)^s-weighted tail, s = ``space.weight_exponent``; as
+    weight(i+j) <= (i+1)^s (j+1)^s, Minkowski over the terms f_j z^j gives
+    t_k <= sum_j |f_j| (j+1)^(s/2) times tail_norm(psi^m, order - deg f).  The values built from
+    the norms weigh them by sum |c_k| <= m 2^m: 2^m for Delta^m, and for the residual at power n
+    of ``growth_residuals`` with j nodes, 1 + sum_i |L_i(n)| over the Lagrange basis of the
+    nodes 0..j-1 (2 (n-1)^2 for j = 3, 2n for j = 2), which stays within m 2^m for j <= 7 or
+    m <= 10.  So the least N with m 2^m t^2 <= tol (1 + ||f||^2) / 2 is named, half of tol
+    left to rounding.  2^-m is applied by ldexp; ``series.Majorant`` refuses a budget below the
+    least normal float, which psi = c z^d, with no tail past degree m d, still meets."""
     needed = 0  # no power taken, or f = 0: no row has a tail
     coeffs = np.abs(f.coeffs[: f.degree() + 1])
     size = float(coeffs @ np.arange(1.0, len(coeffs) + 1) ** (0.5 * space.weight_exponent))
     if count and size:
         budget = math.ldexp(0.5 * tol * (1.0 + sp.space_norm_sq(space, f)) / count, -count)
         power = BlaschkeProduct(1.0, psi.zeros * count)
-        needed = max(f.degree(), 0) + power.order_for(math.sqrt(budget) / size, space)
+        try:
+            needed = max(f.degree(), 0) + power.order_for(math.sqrt(budget) / size, space)
+        except TruncationError as exc:
+            raise TruncationError(f"psi^{count} within {tol:g}: {exc}") from exc
     if needed > order:
         raise TruncationError(f"psi^{count} within {tol:g}", needed)
     weights = space.weights(order) if weights is None else weights
@@ -412,71 +411,27 @@ def blaschke_power_defect(
     return float(np.diff(_blaschke_orbit_norms(space, psi, probe, m, order, tol), m)[0])
 
 
-def growth_formula_residuals(
-    space: sp.SpaceWeights,
-    psi: BlaschkeProduct,
-    f: PowerSeries,
-    n_max: int,
-    tol: float,
-    order: int = 512,
+def growth_residuals(
+    space: sp.SpaceWeights, psi: BlaschkeProduct, f: PowerSeries, m: int, n_max: int, tol: float,
+    order: int = 512, weights: np.ndarray | None = None,
 ) -> tuple[dict[int, float], float]:
-    """Residuals of the polynomial-growth formulas for powers of a Blaschke multiplier:
-    ||psi^n f||^2 minus the formula, for n = 2..n_max, and their scale 1 + ||f||^2.
-    TruncationError if ``order`` cannot hold the norms within tol.
+    """x_n - sum_{j<m} C(n,j) Delta^j x_0 for n = m-1..n_max, x the ``_blaschke_orbit_norms`` of
+    f under psi (TruncationError as there), and their scale 1 + ||f||^2: for m <= 7 or
+    n_max <= 10 the orbit guard holds them within tol times the scale.
 
-    On the S12 scale, ||psi^n f||^2 is reproduced by the degree-2 binomial
-    combination of the first two defect forms.  On the S2 scale the same
-    combination needs explicit boundary corrections:
-
-        ||psi^n f||^2 = (n(n-1)/2) ||psi^2 f||^2 - n(n-2) ||psi f||^2
-                        + ((n-1)(n-2)/2) (||f||^2 - |f(0)|^2)
-                        - (n(n-1)/2) |psi(0)^2 f(0)|^2
-                        + n(n-2) |psi(0) f(0)|^2 + |psi(0)^n f(0)|^2.
+    M_psi is an m-isometry on f iff n -> x_n = ||psi^n f||^2 is a polynomial of degree below m,
+    its Newton series through x_0..x_{m-1} (Agler & Stankus, Integral Equations Operator Theory
+    21, 1995).  A Blaschke psi gives m = 3 on S12, m = 2 for the Dirichlet energy (weights n;
+    Richter, Trans. AMS 328, 1991) and m = 3 for the S2 seminorm ||f||^2 - |f(0)|^2 (weights
+    n^2): the S2 norm adds the geometric |psi(0)^n f(0)|^2.
     """
-    if space.kind not in (sp.S2, sp.S12):
-        raise ValueError("growth formulas are stated on the S2 and S12 scales")
-    norms_sq = _blaschke_orbit_norms(space, psi, f, n_max, order, tol)
-    psi0 = psi(0.0)
-    f0_sq = abs(f.coeffs[0]) ** 2
-    residuals = {}
-    for n in range(2, n_max + 1):
-        if space.kind == sp.S12:
-            b1 = norms_sq[1] - norms_sq[0]
-            b2 = norms_sq[2] - 2.0 * norms_sq[1] + norms_sq[0]
-            predicted = norms_sq[0] + n * b1 + math.comb(n, 2) * b2
-        else:
-            predicted = (
-                n * (n - 1) / 2.0 * norms_sq[2]
-                - n * (n - 2) * norms_sq[1]
-                + (n - 1) * (n - 2) / 2.0 * (norms_sq[0] - f0_sq)
-                - n * (n - 1) / 2.0 * abs(psi0**2) ** 2 * f0_sq
-                + n * (n - 2) * abs(psi0) ** 2 * f0_sq
-                + abs(psi0**n) ** 2 * f0_sq
-            )
-        residuals[n] = norms_sq[n] - predicted
-    return residuals, 1.0 + norms_sq[0]
-
-
-def dirichlet_linearity_residuals(
-    psi: BlaschkeProduct,
-    f: PowerSeries,
-    n_max: int,
-    tol: float,
-    order: int = 512,
-) -> tuple[dict[int, float], float]:
-    """Residuals of the affine growth of the Dirichlet energy under Blaschke powers,
-
-        D(psi^n f) - D(f) - n [D(psi f) - D(f)]   for n = 0..n_max,
-
-    and their scale 1 + D(f) + n_max |D(psi f) - D(f)|.  TruncationError as for
-    ``growth_formula_residuals``.
-    """
-    energies = _blaschke_orbit_norms(
-        sp.dirichlet(), psi, f, n_max, order, tol, weights=np.arange(order + 1.0)
-    )
-    base, slope = energies[0], energies[1] - energies[0]
-    residuals = {n: energies[n] - (base + n * slope) for n in range(n_max + 1)}
-    return residuals, 1.0 + base + abs(slope) * n_max
+    if m < 1:
+        raise ValueError("isometry order must be >= 1")
+    x = _blaschke_orbit_norms(space, psi, f, n_max, order, tol, weights)
+    newton = [np.diff(x, j)[0] for j in range(m)]
+    residuals = {n: x[n] - sum(math.comb(n, j) * d for j, d in enumerate(newton))
+                 for n in range(m - 1, n_max + 1)}
+    return residuals, 1.0 + sp.space_norm_sq(space, f)
 
 
 def contractive_composition_norm(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> float:

@@ -326,7 +326,10 @@ class TestCommandLine:
              "psi^256 within 1e-08 needs truncation >= 257", {}),
             # m 2^m = 1000 2^1000 takes the tail budget below the least normal float
             (["isometry", "S12", "{path}", "1000"], '{"a": [1, 0], "zeros": [[0.5, 0], [0, 0.3]]}',
-             "no order up to 262144 holds the tail within", {}),
+             "diskops: psi^1000 within 1e-08: no order up to 262144 holds the tail within", {}),
+            (["--tol", "1e-6", "isometry", "D2", "{path}", "1000"],
+             '{"a": [1, 0], "zeros": [[0.5, 0], [0, 0.3]]}',
+             "diskops: psi^1000 within 1e-06: no order up to 262144 holds the tail within", {}),
             (["isometry", "S12", "{path}", "1100"], _Z_JSON,
              "psi^1100 within 1e-08 needs truncation >= 1101", {}),
             (["verify", "constants", "--seed", "-10000000000"], "", "seed must be >= 0", {}),
@@ -358,7 +361,8 @@ class TestCommandLine:
              "m_zero", "m_negative", "comp_not_self_map", "isometry_starved_09",
              "isometry_starved_099", "norm_dalpha_inf", "kernel_dalpha_inf",
              "kernel_dalpha_overflow", "kernel_km_overflow", "isometry_z_starved",
-             "isometry_growth_underflow", "isometry_z_starved_1100", "seed_negative",
+             "isometry_growth_underflow", "isometry_growth_underflow_d2_tol",
+             "isometry_z_starved_1100", "seed_negative",
              "seed_env_negative", "output_xml", "output_env_xml", "pick_target_overflow",
              "pick_kernel_overflow", "norm_past_float_max", "opnorm_past_float_max",
              "opnorm_comp_not_self_map"],
