@@ -256,12 +256,27 @@ def _algebra_bound(cfg):
     )
 
 
+def _witness_norm(cfg: Config, f: ps.PowerSeries, closes) -> tuple[float, int]:
+    """The compression norm of M_f on S12 at the first n = 16, 32, 64, ..., capped at the
+    truncation, where ``closes(norm)`` holds (at the truncation if none), and that n.  The norm
+    at n + 1 rows does not decrease in n, as P_n M_f P_n is a compression of P_m M_f P_m for
+    m >= n, so a lower bound of ||M_f|| that closes at some n holds at every larger one."""
+    n = 16
+    while True:
+        n = min(n, cfg.truncation)
+        est = op.multiplication_norm(sp.s12(), f, n)
+        if closes(est) or n == cfg.truncation:
+            return est, n
+        n *= 2
+
+
 @_check("constants", "mult_monomial_norms")
 def _mult_monomial_norms(cfg):
     s12 = sp.s12()
     rows = []
     for k in range(11):
-        est = op.multiplication_norm(s12, ps.monomial(k), 64)
+        # the shift's sup of sqrt(weight(n + k) / weight(n)) sits at n = 0: 16 rows attain it
+        est = op.multiplication_norm(s12, ps.monomial(k), 16)
         want = math.sqrt((k + 1) * (k + 2) / 2.0)
         rows.append((f"norm_k{k}", est, want, rp.PAPER))
     return rp.compare_report(rows, tolerance=1e-10)
@@ -269,10 +284,10 @@ def _mult_monomial_norms(cfg):
 
 @_check("constants", "mult_one_plus_z_norm")
 def _mult_one_plus_z(cfg):
-    est = op.multiplication_norm(sp.s12(), ps.from_coefficients([1, 1]), 512)
     floor = math.sqrt(4.5)
+    est, n = _witness_norm(cfg, ps.from_coefficients([1, 1]), lambda est: est > floor)
     return rp.make_report(
-        computed=[("norm_estimate", est)],
+        computed=[("norm_estimate", est), ("witness_size", n)],
         reference=[("strict_lower_bound", floor, rp.PAPER)],
         tolerance=0.0,
         ok=est > floor,
@@ -285,14 +300,21 @@ def _mult_norm_sandwich(cfg):
     s12 = sp.s12()
     lower_slack = np.inf
     upper_slack = np.inf
+    size = 0
     for _ in range(200):
         f = _random_polynomial(rng)
-        est = op.multiplication_norm(s12, f, 256)
         norm = sp.space_norm(s12, f)
-        lower_slack = min(lower_slack, est - max(sp.sup_norm(f), norm))
+        floor = max(sp.sup_bound(f), norm)
+        est, n = _witness_norm(cfg, f, lambda est: est - floor >= -1e-12)
+        size = max(size, n)
+        lower_slack = min(lower_slack, est - floor)
+        # The upper side compares a lower bound of ||M_f|| with 2 sqrt(2) ||f||, so it can
+        # refute the algebra bound but not certify it.  It stays a pass, the status the
+        # benchmark references hold, until a multiplier-norm certificate decides it.
         upper_slack = min(upper_slack, 2.0 * SQRT2 * norm - est)
     return rp.make_report(
-        computed=[("min_lower_slack", lower_slack), ("min_upper_slack", upper_slack)],
+        computed=[("min_lower_slack", lower_slack), ("min_upper_slack", upper_slack),
+                  ("witness_size", size)],
         reference=[("slack_floor", 0.0, rp.PAPER)],
         tolerance=0.0,
         # constant symbols make both sides exactly equal, so allow rounding
@@ -303,15 +325,16 @@ def _mult_norm_sandwich(cfg):
 @_check("constants", "mult_strict_sup_gap")
 def _mult_strict_gap(cfg):
     rng = _rng(cfg, "mult_strict_sup_gap")
-    s12 = sp.s12()
     min_margin = np.inf
+    size = 0
     for _ in range(20):
         f = _random_polynomial(rng, min_degree=1)
-        est = op.multiplication_norm(s12, f, 512)
-        sup = sp.sup_norm(f)
+        sup = sp.sup_bound(f)
+        est, n = _witness_norm(cfg, f, lambda est: est > sup)
+        size = max(size, n)
         min_margin = min(min_margin, (est - sup) / sup)
     return rp.make_report(
-        computed=[("min_relative_margin", min_margin)],
+        computed=[("min_relative_margin", min_margin), ("witness_size", size)],
         reference=[("margin_floor", 0.0, rp.PAPER)],
         tolerance=0.0,
         ok=min_margin > 0.0,

@@ -116,7 +116,8 @@ _MAX_STEPS = 500
 # Steps before the first convergence test, and from the first to the second; each test
 # is one SVD of the k x k bidiagonal, about the cost of one step.
 _TEST_EVERY = 4
-# Rows the two Krylov bases start with; they double when the steps need more.
+# Rows the two Krylov bases start with; they double when the steps need more.  An operator
+# with at most this many rows or columns takes a dense SVD instead.
 _BASIS_ROWS = 32
 
 
@@ -159,16 +160,18 @@ def norm_estimate(matvec, rmatvec, m: int, n: int) -> float:
     comes after _TEST_EVERY steps, the second max(_TEST_EVERY, k // 8) after it; each
     later one where log(residual / (eps sigma)), fitted linearly in k through the last
     two failed tests, reaches 0, at least 1 and at most 2 max(_TEST_EVERY, k // 8)
-    steps ahead.  min(m, n) <= 2 takes a dense SVD of the min(m, n) columns of A or
-    A^H; no convergence within _MAX_STEPS steps raises ConvergenceError.
+    steps ahead.  min(m, n) <= _BASIS_ROWS takes a dense SVD of the min(m, n) columns of A
+    or A^H, built by as many products: at these sizes the per-step cost of the iteration,
+    not the size, is what a call spends.  No convergence within _MAX_STEPS steps raises
+    ConvergenceError.
     """
-    if min(m, n) <= 2:  # the columns of A, or of A^H where it has fewer
+    if min(m, n) <= _BASIS_ROWS:  # the columns of A, or of A^H where it has fewer
         cols = [matvec(e) for e in np.eye(n)] if n <= m else [rmatvec(e) for e in np.eye(m)]
         return float(np.linalg.svd(np.array(cols).T, compute_uv=False).max(initial=0.0))
     eps = np.finfo(np.float64).eps
     floor = max(m, n) * eps
     cap = min(m, n, _MAX_STEPS)
-    rows = min(cap, _BASIS_ROWS)
+    rows = _BASIS_ROWS
     vs = np.empty((rows + 1, n), dtype=np.complex128)  # rows v_1 .. v_{k+1}
     us = np.empty((rows, m), dtype=np.complex128)  # rows u_1 .. u_k
     alphas, betas = [], []  # the diagonal of B_k, and beta_1 .. beta_k above it
@@ -361,7 +364,7 @@ def isometry_order(norms, m_max: int) -> tuple[int | None, float]:
 
 def _blaschke_orbit_norms(
     space: sp.SpaceWeights, psi: BlaschkeProduct, f: PowerSeries, count: int, order: int,
-    tol: float, weights: np.ndarray | None = None,
+    tol: float, weights: np.ndarray | None = None, coeff_sum: int = 0,
 ) -> np.ndarray:
     """sum_n weights[n] |(f psi^k)_n|^2 for k = 0..count (weights at most space.weights, the
     default) on the orbit of f under psi's series cut at ``order``: TruncationError naming the
@@ -372,18 +375,21 @@ def _blaschke_orbit_norms(
     m = count (psi's zeros each repeated m times), has a tail majorant above that of every
     psi^k, k <= m, on the (n+1)^s-weighted tail, s = ``space.weight_exponent``; as
     weight(i+j) <= (i+1)^s (j+1)^s, Minkowski over the terms f_j z^j gives
-    t_k <= sum_j |f_j| (j+1)^(s/2) times tail_norm(psi^m, order - deg f).  The values built from
-    the norms weigh them by sum |c_k| <= m 2^m: 2^m for Delta^m, and for the residual at power n
-    of ``growth_residuals`` with j nodes, 1 + sum_i |L_i(n)| over the Lagrange basis of the
-    nodes 0..j-1 (2 (n-1)^2 for j = 3, 2n for j = 2), which stays within m 2^m for j <= 7 or
-    m <= 10.  So the least N with m 2^m t^2 <= tol (1 + ||f||^2) / 2 is named, half of tol
-    left to rounding.  2^-m is applied by ldexp; ``series.Majorant`` refuses a budget below the
-    least normal float, which psi = c z^d, with no tail past degree m d, still meets."""
+    t_k <= sum_j |f_j| (j+1)^(s/2) times tail_norm(psi^m, order - deg f).  A value built from
+    the norms weighs them by the sum |c_k| of its coefficients, ``coeff_sum``, which the guard
+    raises to at least m 2^m (2^m is that of Delta^m).  So the least N with
+    W t^2 <= tol (1 + ||f||^2) / 2, W = max(m 2^m, coeff_sum), is named, half of tol left to
+    rounding.  W is applied as a float in [1/2, 1) and an ldexp, so no power of two overflows;
+    ``series.Majorant`` refuses a budget below the least normal float, which psi = c z^d, with
+    no tail past degree m d, still meets."""
     needed = 0  # no power taken, or f = 0: no row has a tail
     coeffs = np.abs(f.coeffs[: f.degree() + 1])
     size = float(coeffs @ np.arange(1.0, len(coeffs) + 1) ** (0.5 * space.weight_exponent))
     if count and size:
-        budget = math.ldexp(0.5 * tol * (1.0 + sp.space_norm_sq(space, f)) / count, -count)
+        coeff_sum = max(count << count, coeff_sum)
+        shift = coeff_sum.bit_length()
+        budget = math.ldexp(0.5 * tol * (1.0 + sp.space_norm_sq(space, f))
+                            / (coeff_sum / (1 << shift)), -shift)
         power = BlaschkeProduct(1.0, psi.zeros * count)
         try:
             needed = max(f.degree(), 0) + power.order_for(math.sqrt(budget) / size, space)
@@ -416,8 +422,11 @@ def growth_residuals(
     order: int = 512, weights: np.ndarray | None = None,
 ) -> tuple[dict[int, float], float]:
     """x_n - sum_{j<m} C(n,j) Delta^j x_0 for n = m-1..n_max, x the ``_blaschke_orbit_norms`` of
-    f under psi (TruncationError as there), and their scale 1 + ||f||^2: for m <= 7 or
-    n_max <= 10 the orbit guard holds them within tol times the scale.
+    f under psi (TruncationError as there), and their scale 1 + ||f||^2, within tol times which
+    the orbit guard holds them.  The residual at n is x_n - sum_i L_i(n) x_i over the Lagrange
+    basis of the nodes 0..m-1, so it weighs the norms by 1 + sum_i |L_i(n)|, which grows with
+    n past m - 1 (2n for m = 2, 2 (n-1)^2 for m = 3); for n >= m,
+    |L_i(n)| = C(n, i) C(n-i-1, m-1-i).  The guard takes that weight at n_max.
 
     M_psi is an m-isometry on f iff n -> x_n = ||psi^n f||^2 is a polynomial of degree below m,
     its Newton series through x_0..x_{m-1} (Agler & Stankus, Integral Equations Operator Theory
@@ -427,7 +436,9 @@ def growth_residuals(
     """
     if m < 1:
         raise ValueError("isometry order must be >= 1")
-    x = _blaschke_orbit_norms(space, psi, f, n_max, order, tol, weights)
+    lagrange = (sum(math.comb(n_max, i) * math.comb(n_max - i - 1, m - 1 - i) for i in range(m))
+                if n_max >= m else 1)
+    x = _blaschke_orbit_norms(space, psi, f, n_max, order, tol, weights, 1 + lagrange)
     newton = [np.diff(x, j)[0] for j in range(m)]
     residuals = {n: x[n] - sum(math.comb(n, j) * d for j, d in enumerate(newton))
                  for n in range(m - 1, n_max + 1)}

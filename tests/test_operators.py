@@ -140,6 +140,48 @@ class TestOperatorNorm:
             assert est > sp.sup_norm(f)
 
 
+_WITNESS_CHECKS = ("mult_one_plus_z_norm", "mult_norm_sandwich", "mult_strict_sup_gap")
+
+
+def _witness_sizes(monkeypatch, cfg, scale=1.0):
+    """Run the three witness checks at cfg, each M_f norm multiplied by ``scale``: their
+    reports and every n they passed to ``multiplication_norm``, one list per check."""
+    norm, sizes = op.multiplication_norm, []
+
+    def recorded(space, f, n):
+        sizes[-1].append(n)
+        return scale * norm(space, f, n)
+
+    monkeypatch.setattr(op, "multiplication_norm", recorded)
+    reports = []
+    for fn in checks.suite_checks("constants"):
+        if fn.check_id in _WITNESS_CHECKS:
+            sizes.append([])
+            reports.append(fn(cfg))
+    return reports, sizes
+
+
+class TestWitnessSizes:
+    @pytest.mark.parametrize("truncation, seed", [(16, 0), (256, 0), (256, 3)])
+    def test_every_witness_closes_at_16(self, monkeypatch, truncation, seed):
+        reports, sizes = _witness_sizes(monkeypatch, checks.Config(truncation=truncation,
+                                                                   seed=seed))
+        assert [len(s) for s in sizes] == [1, 200, 20]
+        assert {n for s in sizes for n in s} == {16}
+        for report in reports:
+            assert report.status == rp.PASS
+            assert report.computed[-1] == rp.LabeledValue("witness_size", 16)
+
+    def test_a_witness_that_never_closes_stops_at_the_truncation(self, monkeypatch):
+        # every norm read as 0: no witness closes, so each symbol doubles 16, 32, 64 and
+        # stops at the truncation, 100, which its report names; no compression exceeds it
+        reports, sizes = _witness_sizes(monkeypatch, checks.Config(truncation=100), scale=0.0)
+        assert sizes == [[16, 32, 64, 100] * count for count in (1, 200, 20)]
+        for report in reports:
+            assert report.status == rp.FAIL
+            assert report.computed[-1] == rp.LabeledValue("witness_size", 100)
+
+
 def dense_norm(a):
     return np.linalg.svd(a, compute_uv=False)[0]
 
@@ -236,22 +278,64 @@ class TestNormEstimate:
         monkeypatch.setattr(op, "_MAX_STEPS", 2)
         with pytest.raises(ConvergenceError, match="did not converge at size 65"):
             op.multiplication_norm(S12, ps.from_coefficients([1, 1]), 64)
+        # a check whose estimate stops there reports the error: C_{z^3} at size 129 runs on
+        # its 127 x 43 block, past the dense cut
         (fn,) = [
-            fn for fn in checks.suite_checks("constants") if fn.check_id == "mult_monomial_norms"
+            fn for fn in checks.suite_checks("composition") if fn.check_id == "comp_monomial_norms"
         ]
-        monkeypatch.setattr(checks, "_REGISTRY", {**checks._REGISTRY, "constants": [fn]})
-        (report,) = checks.run_suite("constants", checks.Config())
+        monkeypatch.setattr(checks, "_REGISTRY", {**checks._REGISTRY, "composition": [fn]})
+        (report,) = checks.run_suite("composition", checks.Config())
         assert report.status == rp.ERROR
         assert report.computed[0].label.startswith("ConvergenceError")
 
-    @pytest.mark.parametrize("m, n", [(1, 40), (40, 1), (2, 2), (64, 17), (17, 64)])
+    @pytest.mark.parametrize("m, n", [(1, 40), (40, 1), (2, 2), (64, 17), (17, 64), (80, 40),
+                                      (40, 80), (33, 70)])
     def test_rectangular_operators(self, m, n):
-        # m x n: matvec maps C^n to C^m, rmatvec back; the start vector lives in C^n
+        # m x n: matvec maps C^n to C^m, rmatvec back; the start vector lives in C^n.  The last
+        # three are past the dense cut, so Golub-Kahan runs on them
         rng = np.random.default_rng(m * 100 + n)
         a = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
         sigma = dense_norm(a)
         est = op.norm_estimate(lambda x: a @ x, lambda y: a.conj().T @ y, m, n)
         assert sigma * (1 - 1e-13) <= est <= sigma * (1 + 1e-15)
+
+    @pytest.mark.parametrize("m, n", [(70, 33), (33, 70), (40, 80)])
+    def test_breakdown_at_full_span(self, m, n):
+        # singular values spread over [1, 1.001]: no Ritz value resolves before V_k spans C^n
+        # (k == n, the tall case) or U_k spans C^m (k == m), after min(m, n) products with
+        # A^H and one more with A than that, and the Ritz pair comes from B_k exactly
+        rng = np.random.default_rng(m * 100 + n)
+        k = min(m, n)
+        q1 = np.linalg.qr(rng.normal(size=(m, k)) + 1j * rng.normal(size=(m, k)))[0]
+        q2 = np.linalg.qr(rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k)))[0]
+        a = (q1 * (1 + 1e-3 * rng.uniform(size=k))) @ q2.conj().T
+        (matvec, _), count_a = counted(lambda x: a @ x, None)
+        (rmatvec, _), count_ah = counted(lambda y: a.conj().T @ y, None)
+        sigma = dense_norm(a)
+        assert abs(op.norm_estimate(matvec, rmatvec, m, n) - sigma) <= 1e-13 * sigma
+        assert (count_a(), count_ah()) == (k + 1, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, op._BASIS_ROWS), st.integers(3, 120), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_dense_branch_matches_svd(self, small, large, wide, seed):
+        m, n = (small, large) if wide else (large, small)
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+        sigma = dense_norm(a)
+        est = op.norm_estimate(lambda x: a @ x, lambda y: a.conj().T @ y, m, n)
+        assert abs(est - sigma) <= 1e-13 * sigma
+
+    @pytest.mark.parametrize("m, n", [(32, 70), (70, 32)])
+    def test_dense_cut(self, m, n):
+        # up to _BASIS_ROWS rows or columns, one product per column of A (or of A^H, where it
+        # has fewer) and one SVD; at 33, test_breakdown_at_full_span counts both products
+        rng = np.random.default_rng(m + n)
+        a = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+        (matvec, _), count_a = counted(lambda x: a @ x, None)
+        (rmatvec, _), count_ah = counted(lambda y: a.conj().T @ y, None)
+        op.norm_estimate(matvec, rmatvec, m, n)
+        assert (count_a(), count_ah()) == ((n, 0) if n <= m else (0, m))
 
     def test_zero_operator(self):
         def zeros(x):
@@ -758,8 +842,8 @@ def _guard_budget(space, f, m, tol):
        st.lists(st.complex_numbers(max_magnitude=1.0), min_size=1, max_size=4),
        st.integers(1, 6))
 def test_orbit_guard_is_sound(space, zeros, probe, m):
-    # every value built from ||f psi^k||^2, k <= m, weighs them by sum |c_k| <= m 2^m, so at the
-    # order named the exact tails must hold m 2^m max_k t_k^2 within tol (1 + ||f||^2) / 2
+    # with no coeff_sum the guard weighs ||f psi^k||^2, k <= m, by m 2^m, so at the order named
+    # the exact tails must hold m 2^m max_k t_k^2 within tol (1 + ||f||^2) / 2
     psi = bl.BlaschkeProduct(1.0, tuple(r * cmath.exp(1j * t) for r, t in zeros))
     f = ps.from_coefficients(probe)
     named = _named_order(space, psi, f, m, 1e-8)
@@ -788,6 +872,23 @@ def test_orbit_guard_orders(space, psi, f, m, named):
     budget = _guard_budget(space, f, m, 1e-8)
     least = int(np.argmax(tails <= budget))
     assert tails[named] <= budget and named <= 4 * least
+
+
+def test_growth_guard_takes_the_lagrange_weight():
+    # with 8 nodes, the residual at n = 11 weighs the norms by 1 + sum_i |L_i(11)| = 23,298,
+    # above the 11 * 2^11 = 22,528 that names 101 for psi^11: the guard names one order more,
+    # and the exact tails there hold the budget with that weight
+    space, psi, f = sp.dirichlet(), bl.BlaschkeProduct(1.0, (0.5,)), ps.one()
+    assert _named_order(space, psi, f, 11, 1e-8) == 101
+    with pytest.raises(TruncationError) as exc:
+        op.growth_residuals(space, psi, f, 8, 11, 1e-8, order=0)
+    assert exc.value.needed == 102
+    budget = _guard_budget(space, f, 11, 1e-8) * (11 * 2**11) / 23298
+    assert _exact_tails(space, psi, f, 11)[102] <= budget
+    # three nodes weigh them by 2 (n - 1)^2 <= n 2^n: the order stays that of the m 2^m weight
+    with pytest.raises(TruncationError) as exc:
+        op.growth_residuals(space, psi, f, 3, 11, 1e-8, order=0)
+    assert exc.value.needed == 101
 
 
 def _residuals_within(residuals_and_scale, tol):
