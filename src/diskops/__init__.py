@@ -55,7 +55,7 @@ from .spaces import (
     norms_sq,
     parse_space,
     space_norm,
-    sup_norm,
+    sup_bracket,
 )
 
 __version__ = "0.1.0"

@@ -37,12 +37,12 @@ def _composition_cut(space: sp.SpaceWeights, phi: PowerSeries, n: int, full: boo
     f -> f(phi) at size n+1 that are built (row j is phi^j * sqrt(weight / weight(j))), and a
     bound of the squared Frobenius mass of rows k+1..n.
 
-    DomainError unless |phi(0)| < 1, and when ``spaces.sup_norm(phi)`` exceeds 1 by more than
-    its ``sup_rounding``: then some |phi(zeta)| > 1 on the circle, so phi maps points of the
-    disk outside it.  k is fixed before any row is built.  For
-    s = spaces.sup_bound(phi) (1 + 4 eps) < 1, the computed ||phi^j||_H2 <= s^j (4 eps cover
-    the rounding of each product; a constant, whose sup_bound is exact, has no other slack)
-    bounds the mass of row j by (max w / min w) s^(2j), w = weights(n): k is that Majorant's
+    One ``spaces.sup_bracket(phi)`` = (lo, hi) decides both sides.  DomainError unless
+    |phi(0)| < 1, and when lo > 1: then some |phi(zeta)| > 1 on the circle, so phi maps points
+    of the disk outside it.  k is fixed before any row is built.  For s = hi (1 + 4 eps) < 1,
+    the computed ||phi^j||_H2 <= s^j (4 eps cover the rounding of each product; a constant,
+    whose bracket is exact, has no other slack) bounds the mass of row j by
+    (max w / min w) s^(2j), w = weights(n): k is that Majorant's
     order_for(eps^2) (rho = s^2, or the least normal float if smaller) and the bound its tail
     at k.  When s >= 1 or that k is n or more, k = n and the bound is 0.  Then, whatever s,
     k is capped at n // v for phi of valuation v >= 1: phi^j starts at z^(v j), so the rows
@@ -52,14 +52,14 @@ def _composition_cut(space: sp.SpaceWeights, phi: PowerSeries, n: int, full: boo
     row.  ``full`` (the exact dense compression) keeps all n+1 rows and columns.
     """
     ps.require_open_disk(phi.coeffs[0], "composition symbol's constant term")
-    sup = sp.sup_norm(phi)
-    if sup > 1.0 + sp.sup_rounding(phi):
-        raise DomainError(f"composition symbol has sampled sup |phi| = {sup:.6g} > 1: "
+    lo, hi = sp.sup_bracket(phi)
+    if lo > 1.0:
+        raise DomainError(f"composition symbol has sampled sup |phi| = {lo:.6g} > 1: "
                           "phi is no self-map of the disk")
     k, c, mass = n, n, 0.0
     if not full and n > 0:
         w = space.weights(n)
-        s = sp.sup_bound(phi) * (1 + 4 * np.finfo(np.float64).eps)
+        s = hi * (1 + 4 * np.finfo(np.float64).eps)
         if s < 1:
             rows = ps.Majorant(math.log(w.max() / w.min()), 0, max(s * s, np.finfo(np.float64).tiny))
             if rows.tail(n - 1) <= _CUT_MASS:
@@ -379,17 +379,23 @@ def _blaschke_orbit_norms(
     the norms weighs them by the sum |c_k| of its coefficients, ``coeff_sum``, which the guard
     raises to at least m 2^m (2^m is that of Delta^m).  So the least N with
     W t^2 <= tol (1 + ||f||^2) / 2, W = max(m 2^m, coeff_sum), is named, half of tol left to
-    rounding.  W is applied as a float in [1/2, 1) and an ldexp, so no power of two overflows;
-    ``series.Majorant`` refuses a budget below the least normal float, which psi = c z^d, with
-    no tail past degree m d, still meets."""
+    rounding.  W is applied as a float in [1/2, 1) and an ldexp, so no power of two overflows.
+    A budget of psi^m's squared tail, W t^2 over size^2, below the least normal float is refused,
+    named as a power of two, before psi^m's m deg(psi) zeros are listed; psi = c z^d, with no
+    tail past degree m d, still meets it exactly."""
     needed = 0  # no power taken, or f = 0: no row has a tail
     coeffs = np.abs(f.coeffs[: f.degree() + 1])
     size = float(coeffs @ np.arange(1.0, len(coeffs) + 1) ** (0.5 * space.weight_exponent))
     if count and size:
         coeff_sum = max(count << count, coeff_sum)
         shift = coeff_sum.bit_length()
-        budget = math.ldexp(0.5 * tol * (1.0 + sp.space_norm_sq(space, f))
-                            / (coeff_sum / (1 << shift)), -shift)
+        scale = 1.0 + sp.space_norm_sq(space, f)
+        budget = math.ldexp(0.5 * tol * scale / (coeff_sum / (1 << shift)), -shift)
+        # log2 of budget / size^2, the bound of psi^m's squared tail, which may underflow
+        exponent = math.log2(tol) - 1 + math.log2(scale) - math.log2(coeff_sum) - 2 * math.log2(size)
+        if exponent < np.finfo(np.float64).minexp and any(psi.zeros):
+            raise TruncationError(f"psi^{count} within {tol:g}: the tail budget 2^{exponent:.1f} "
+                                  "is below the float range")
         power = BlaschkeProduct(1.0, psi.zeros * count)
         try:
             needed = max(f.degree(), 0) + power.order_for(math.sqrt(budget) / size, space)
@@ -426,7 +432,8 @@ def growth_residuals(
     the orbit guard holds them.  The residual at n is x_n - sum_i L_i(n) x_i over the Lagrange
     basis of the nodes 0..m-1, so it weighs the norms by 1 + sum_i |L_i(n)|, which grows with
     n past m - 1 (2n for m = 2, 2 (n-1)^2 for m = 3); for n >= m,
-    |L_i(n)| = C(n, i) C(n-i-1, m-1-i).  The guard takes that weight at n_max.
+    |L_i(n)| = C(n, i) C(n-i-1, m-1-i).  The guard takes that weight at n_max; ValueError
+    unless n_max >= m.
 
     M_psi is an m-isometry on f iff n -> x_n = ||psi^n f||^2 is a polynomial of degree below m,
     its Newton series through x_0..x_{m-1} (Agler & Stankus, Integral Equations Operator Theory
@@ -436,8 +443,9 @@ def growth_residuals(
     """
     if m < 1:
         raise ValueError("isometry order must be >= 1")
-    lagrange = (sum(math.comb(n_max, i) * math.comb(n_max - i - 1, m - 1 - i) for i in range(m))
-                if n_max >= m else 1)
+    if n_max < m:  # the residual at n = m - 1 is 0 by construction, and tests nothing
+        raise ValueError(f"growth_residuals needs n_max >= m, got n_max {n_max} for m {m}")
+    lagrange = sum(math.comb(n_max, i) * math.comb(n_max - i - 1, m - 1 - i) for i in range(m))
     x = _blaschke_orbit_norms(space, psi, f, n_max, order, tol, weights, 1 + lagrange)
     newton = [np.diff(x, j)[0] for j in range(m)]
     residuals = {n: x[n] - sum(math.comb(n, j) * d for j, d in enumerate(newton))

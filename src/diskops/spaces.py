@@ -347,42 +347,20 @@ def kernel_coefficient_series(space: SpaceWeights, order: int) -> PowerSeries:
 # ---------------------------------------------------------------------------
 
 
-def sup_norm(f: PowerSeries, samples: int = 4096) -> float:
-    """max |f| over equispaced boundary points (maximum modulus principle).
-
-    An approximation from below with O(d^2/samples) relative error for a
-    degree-d polynomial; the sample count grows automatically when the
-    stored order exceeds it.
-    """
-    values = np.fft.fft(f.coeffs, n=_sample_count(f, samples))
-    return float(np.abs(values).max())
-
-
-def _sample_count(f: PowerSeries, samples: int) -> int:
-    """The FFT size ``sup_norm(f, samples)`` takes: samples, doubled until it is at least
-    2 (f.order + 1)."""
-    while samples < 2 * (f.order + 1):
-        samples *= 2
-    return samples
-
-
-def sup_rounding(f: PowerSeries, samples: int = 4096) -> float:
-    """A bound of the rounding error of each value that ``sup_norm(f, samples)`` samples:
-    4 ulps of sum |f_n| per level of its FFT."""
-    m = _sample_count(f, samples)
-    return 4 * m.bit_length() * np.finfo(np.float64).eps * np.abs(f.coeffs).sum()
-
-
-def sup_bound(f: PowerSeries) -> float:
-    """Upper bound of sup |f| on the circle for the polynomial f of degree d: by Bernstein's
-    inequality |f'| <= d sup|f|, and every point lies within pi/M of one of M equispaced
-    samples, sup|f| <= max_j |f(zeta_j)| / (1 - pi d / M).  M doubles from 4096 while
-    M <= 4 d; the sampled maximum is raised by its ``sup_rounding``.
-    A constant (d <= 0) gives |f_0|: the FFT of one coefficient is exact."""
+def sup_bracket(f: PowerSeries) -> tuple[float, float]:
+    """(lo, hi) with lo <= sup |f| <= hi on the unit circle, for the polynomial f of degree d,
+    from one FFT: M equispaced samples, M = 4096 doubled while M <= 4 d, whose peak is within
+    rounding = 4 ulps of sum |f_n| per FFT level of the largest exact sample.  A sample is a
+    value of f, so lo = peak - rounding.  By Bernstein's inequality |f'| <= d sup|f|, and every
+    point lies within pi/M of a sample, so hi = (peak + rounding) / (1 - pi d / M), the
+    sampling bound of Ehlich and Zeller (Math. Z. 86, 1964) in Bernstein's form.  A constant
+    (d <= 0) gives (|f_0|, |f_0|): the FFT of one coefficient is exact."""
     c = ps.truncate(f, max(f.degree(), 0))
     if c.order == 0:
-        return float(abs(c.coeffs[0]))
+        return (float(abs(c.coeffs[0])),) * 2
     d, m = c.order, 4096
     while m <= 4 * d:
         m *= 2
-    return (sup_norm(c, m) + sup_rounding(c, m)) / (1.0 - math.pi * d / m)
+    peak = float(np.abs(np.fft.fft(c.coeffs, n=m)).max())
+    rounding = float(4 * m.bit_length() * np.finfo(np.float64).eps * np.abs(c.coeffs).sum())
+    return peak - rounding, (peak + rounding) / (1.0 - math.pi * d / m)

@@ -324,12 +324,18 @@ class TestCommandLine:
              "Km:1000000 weights overflow the float range", {}),
             (["isometry", "S12", "{path}", "256"], _Z_JSON,
              "psi^256 within 1e-08 needs truncation >= 257", {}),
-            # m 2^m = 1000 2^1000 takes the tail budget below the least normal float
+            # m 2^m = 1000 2^1000 takes the tail budget below the least normal float, which is
+            # named as a power of two; at m = 100000 it used to print as "within 0"
             (["isometry", "S12", "{path}", "1000"], '{"a": [1, 0], "zeros": [[0.5, 0], [0, 0.3]]}',
-             "diskops: psi^1000 within 1e-08: no order up to 262144 holds the tail within", {}),
+             "diskops: psi^1000 within 1e-08: the tail budget 2^-1036.5 is below the float range",
+             {}),
             (["--tol", "1e-6", "isometry", "D2", "{path}", "1000"],
              '{"a": [1, 0], "zeros": [[0.5, 0], [0, 0.3]]}',
-             "diskops: psi^1000 within 1e-06: no order up to 262144 holds the tail within", {}),
+             "diskops: psi^1000 within 1e-06: the tail budget 2^-1029.9 is below the float range",
+             {}),
+            (["isometry", "S12", "{path}", "100000"], '{"a": [1, 0], "zeros": [[0.5, 0], [0, 0.3]]}',
+             "diskops: psi^100000 within 1e-08: the tail budget 2^-100043.2 is below the float range",
+             {}),
             (["isometry", "S12", "{path}", "1100"], _Z_JSON,
              "psi^1100 within 1e-08 needs truncation >= 1101", {}),
             (["verify", "constants", "--seed", "-10000000000"], "", "seed must be >= 0", {}),
@@ -362,6 +368,7 @@ class TestCommandLine:
              "isometry_starved_099", "norm_dalpha_inf", "kernel_dalpha_inf",
              "kernel_dalpha_overflow", "kernel_km_overflow", "isometry_z_starved",
              "isometry_growth_underflow", "isometry_growth_underflow_d2_tol",
+             "isometry_growth_underflow_100000",
              "isometry_z_starved_1100", "seed_negative",
              "seed_env_negative", "output_xml", "output_env_xml", "pick_target_overflow",
              "pick_kernel_overflow", "norm_past_float_max", "opnorm_past_float_max",

@@ -130,14 +130,14 @@ class TestOperatorNorm:
             f = random_poly(rng)
             est = op.multiplication_norm(S12, f, 256)
             norm = sp.space_norm(S12, f)
-            assert max(sp.sup_norm(f), norm) <= est <= 2 * math.sqrt(2) * norm + 1e-12
+            assert max(sp.sup_bracket(f)[1], norm) <= est <= 2 * math.sqrt(2) * norm + 1e-12
 
     def test_strict_sup_gap(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             f = random_poly(rng, min_degree=1)
             est = op.multiplication_norm(S12, f, 512)
-            assert est > sp.sup_norm(f)
+            assert est > sp.sup_bracket(f)[1]
 
 
 _WITNESS_CHECKS = ("mult_one_plus_z_norm", "mult_norm_sandwich", "mult_strict_sup_gap")
@@ -398,7 +398,7 @@ class TestNormEstimate:
         f = ps.compose(g, ps.monomial(p), 4 * p)
         dense = dense_norm(multiplication_matrix(space, f, n))
         assert abs(op.multiplication_norm(space, f, n) - dense) <= 1e-13 * dense
-        phi = ps.scale(f, 0.5 / sp.sup_norm(f))
+        phi = ps.scale(f, 0.5 / sp.sup_bracket(f)[0])
         dense = dense_norm(op.composition_matrix(space, phi, n))
         assert abs(op.composition_norm(space, phi, n) - dense) <= 1e-13 * dense
 
@@ -447,7 +447,7 @@ class TestNormEstimate:
 
 def symbol_of_sup(target, seed=7):
     f = ps.PowerSeries(np.random.default_rng(seed).uniform(-1, 1, 7) + 0.5j)
-    return ps.scale(f, target / sp.sup_norm(f))
+    return ps.scale(f, target / sp.sup_bracket(f)[0])
 
 
 CUT_SYMBOLS = [symbol_of_sup(0.3), symbol_of_sup(0.8), symbol_of_sup(0.95),
@@ -456,9 +456,9 @@ CUT_SPACES = [sp.hardy(), sp.bergman(), sp.dirichlet(), S12, sp.km(2), sp.dalpha
 
 
 class TestCompositionRowCut:
-    """Rows 0..k* of the C_phi table, fixed by sup_bound(phi) before any row is built, and
-    columns 0..k* deg(phi), past which those rows are zero (within a few eps on the FFT
-    path)."""
+    """Rows 0..k* of the C_phi table, fixed by the upper side of sup_bracket(phi) before any row
+    is built, and columns 0..k* deg(phi), past which those rows are zero (within a few eps on
+    the FFT path)."""
 
     @pytest.mark.parametrize("space", CUT_SPACES, ids=lambda s: s.label)
     def test_cut_is_a_certified_prefix_of_the_full_table(self, space):
@@ -587,7 +587,7 @@ class TestHilbertSchmidt:
         symbols = []
         for _ in range(10):
             f = checks._random_polynomial(rng, max_degree=8, min_degree=1)
-            symbols.append(ps.scale(f, 0.8 / sp.sup_norm(f)))
+            symbols.append(ps.scale(f, 0.8 / sp.sup_bracket(f)[0]))
         tracemalloc.start()
         try:
             for f in symbols:
@@ -608,9 +608,9 @@ class TestHilbertSchmidt:
         rng = np.random.default_rng(5)
         for _ in range(5):
             f = random_poly(rng, max_degree=8, min_degree=1)
-            f = ps.scale(f, 0.8 / sp.sup_norm(f))
+            f = ps.scale(f, 0.8 / sp.sup_bracket(f)[0])
             value = op.hilbert_schmidt_norm_sq(S12, f, 256)
-            bound = 1.0 + 2.0 * sp.space_norm_sq(S12, f) / (1.0 - sp.sup_norm(f) ** 2)
+            bound = 1.0 + 2.0 * sp.space_norm_sq(S12, f) / (1.0 - sp.sup_bracket(f)[0] ** 2)
             assert value <= bound
 
 
@@ -891,6 +891,19 @@ def test_growth_guard_takes_the_lagrange_weight():
     assert exc.value.needed == 101
 
 
+@pytest.mark.parametrize("space", [sp.hardy(), S12], ids=lambda s: s.label)
+@pytest.mark.parametrize("m", [1000, 100_000])
+def test_orbit_guard_refuses_an_underflowing_budget_before_psi_m(monkeypatch, space, m):
+    # m 2^m takes the budget below the least normal float, where it used to print as 0; the
+    # refusal names it as a power of two before psi^m's m deg(psi) zeros are listed
+    monkeypatch.setattr(op, "BlaschkeProduct", None)  # psi^m is built through this name
+    psi = bl.BlaschkeProduct(1.0, (0.5, 0.3j))
+    with pytest.raises(TruncationError, match=rf"^psi\^{m} within 1e-08: the tail budget "
+                                              r"2\^-\d+\.\d is below the float range$") as exc:
+        op._blaschke_orbit_norms(space, psi, ps.one(), m, 512, 1e-8)
+    assert exc.value.needed is None
+
+
 def _residuals_within(residuals_and_scale, tol):
     residuals, scale = residuals_and_scale
     return max(map(abs, residuals.values())) < tol * scale
@@ -952,6 +965,13 @@ class TestGrowthFormulas:
     def test_rejects_order_zero(self):
         with pytest.raises(ValueError, match="order must be >= 1"):
             op.growth_residuals(sp.hardy(), shift_z, ps.one(), 0, 4, 1e-8)
+
+    @pytest.mark.parametrize("m,n_max", [(3, 0), (3, 1), (3, 2), (2, 1), (1, 0)])
+    def test_rejects_n_max_below_m(self, m, n_max):
+        # n_max = m - 1 leaves only the residual at the last node, 0 by construction
+        with pytest.raises(ValueError, match=f"^growth_residuals needs n_max >= m, got n_max "
+                                             f"{n_max} for m {m}$"):
+            op.growth_residuals(S12, bl.BlaschkeProduct(1.0, (0.5,)), ps.one(), m, n_max, 1e-8)
 
 
 class TestDirichletLinearity:

@@ -312,36 +312,65 @@ def test_kernel_array_calls(space, ws, zs, terms, small_r, small_phase):
 class TestSupNorm:
     def test_positive_coefficients_peak_at_one(self):
         f = ps.from_coefficients([1, 2, 1])
-        assert abs(sp.sup_norm(f) - 4.0) < 1e-12
+        lo, hi = sp.sup_bracket(f)
+        assert abs(lo - 4.0) < 1e-12 and lo <= 4.0 <= hi
 
     def test_monomial(self):
-        assert abs(sp.sup_norm(ps.monomial(7)) - 1.0) < 1e-12
+        lo, hi = sp.sup_bracket(ps.monomial(7))
+        assert abs(lo - 1.0) < 1e-12 and lo <= 1.0 <= hi
 
     def test_pointwise_bound_sharpness(self):
+        # at degree 10^4 the upper side is 1.9 times the lower one, so only lo shows the ratio
         extremal = sp.kernel_coefficient_series(sp.s12(), 10_000)
-        ratio = sp.sup_norm(extremal) / sp.space_norm(sp.s12(), extremal)
+        ratio = sp.sup_bracket(extremal)[0] / sp.space_norm(sp.s12(), extremal)
         assert ratio > SQRT2 - 1e-3
         assert ratio <= SQRT2 + 1e-12
 
     @pytest.mark.parametrize("c", [0.5, 0.3 - 0.9j, 0.0])
     def test_upper_bound_of_a_constant_is_exact(self, c):
-        assert sp.sup_bound(ps.from_coefficients([c, 0, 0])) == abs(c)
+        assert sp.sup_bracket(ps.from_coefficients([c, 0, 0])) == (abs(c), abs(c))
 
     def test_upper_bound_between_samples(self):
         # |1 + e^(-i pi/M) z| peaks at 2 midway between two of the M samples, where the
         # samples read 2 cos(pi / 2M) at most; Bernstein's factor must cover that gap
-        m, d = 4096, 1  # the sample count sup_bound starts from
+        m, d = 4096, 1  # the sample count of sup_bracket at degree 1
         f = ps.from_coefficients([1, cmath.exp(-1j * math.pi / m)])
-        sampled, bound = sp.sup_norm(f, m), sp.sup_bound(f)
-        assert sampled < 2.0 <= bound
-        assert bound / sampled <= 1.0 / (1.0 - math.pi * d / m) + 1e-12
+        lo, hi = sp.sup_bracket(f)
+        assert lo < 2.0 <= hi
+        assert hi / lo <= 1.0 / (1.0 - math.pi * d / m) + 1e-12
 
     @pytest.mark.parametrize("coeffs", [[0.0], [0.3 - 0.4j], [0.25, 0.5j], [1, 2, 1], [0, 0, 0, 1]])
     def test_upper_bound_brackets_a_sampled_peak(self, coeffs):
         # constants and monomials are flat on the circle; 1 + 2z + z^2 peaks at the sample z = 1
         f = ps.from_coefficients(coeffs)
         peak = float(sum(abs(c) for c in coeffs))
-        assert peak <= sp.sup_bound(f) <= peak / (1.0 - math.pi * f.degree() / 4096) + 1e-12
+        lo, hi = sp.sup_bracket(f)
+        assert peak - 1e-12 <= lo <= peak <= hi <= peak / (1.0 - math.pi * f.degree() / 4096) + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 1500), st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e3]))
+def test_sup_bracket_brackets_a_finer_grid(degree, seed, scale):
+    # the degrees pass 1024, where the sample count doubles to 8192
+    rng = np.random.default_rng(seed)
+    coeffs = scale * (rng.uniform(-1, 1, degree + 1) + 1j * rng.uniform(-1, 1, degree + 1))
+    coeffs[-1] = scale  # degree exactly d
+    f = ps.PowerSeries(coeffs)
+    lo, hi = sp.sup_bracket(f)
+    if degree == 0:
+        assert lo == hi == abs(coeffs[0])  # a constant is exact
+        return
+    m = 4096  # the FFT size of sup_bracket: doubled while at most 4 d
+    while m <= 4 * degree:
+        m *= 2
+    fine = 4 * m  # a grid that holds the bracket's samples, and 3 more between each two
+    peak = float(np.abs(np.fft.fft(coeffs, n=fine)).max())
+    rounding = 4 * fine.bit_length() * np.finfo(float).eps * np.abs(coeffs).sum()
+    assert lo <= peak + rounding
+    assert hi >= peak - rounding
+    # the bracket is as tight as its construction: not vacuous
+    bracket_rounding = 4 * m.bit_length() * np.finfo(float).eps * np.abs(coeffs).sum()
+    assert hi / lo <= (1 + 2 * bracket_rounding / lo) / (1 - math.pi * degree / m) * (1 + 1e-14)
 
 
 @settings(max_examples=80, deadline=None)
@@ -353,7 +382,7 @@ def test_pointwise_and_algebra_bounds(re, im):
     norm = sp.space_norm(sp.s12(), f)
     if norm == 0.0:
         return
-    assert sp.sup_norm(f) <= SQRT2 * norm + 1e-12
+    assert sp.sup_bracket(f)[1] <= SQRT2 * norm + 1e-12
     product = ps.cauchy_product(f, f, 2 * f.order)
     assert sp.space_norm(sp.s12(), product) < 2.0 * SQRT2 * norm * norm + 1e-12
 
