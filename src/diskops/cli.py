@@ -17,7 +17,8 @@ Global flags: --truncation, --tol, --quad-nodes, --seed, --output.
 Each flag also reads an environment override DISKOPS_TRUNCATION,
 DISKOPS_TOL, DISKOPS_QUAD_NODES, DISKOPS_SEED, DISKOPS_OUTPUT (flags win).
 Numbers print with 15 significant digits.  ``verify`` exits 1 iff a report
-has status fail or error; bad input prints ``diskops: <message>`` and exits 2.
+has status fail or error; bad input, or an array past the memory, prints
+``diskops: <message>`` and exits 2.
 ``isometry`` is guarded by --tol: a truncation too short to hold the defects
 within it prints one ``diskops:`` line naming the order that does, and exits 2.
 ``main`` runs OpenBLAS with one thread unless OPENBLAS_NUM_THREADS or
@@ -264,8 +265,9 @@ def main(argv=None) -> int:
     _pin_blas_threads()
     try:
         return _COMMANDS[args.command](args, _config(args))
-    except (DiskOpsError, ValueError, OSError) as exc:  # ValueError covers bad JSON
-        print("diskops: " + " ".join(str(exc).split()), file=sys.stderr)
+    # ValueError covers bad JSON, MemoryError an array past the memory (a huge --truncation)
+    except (DiskOpsError, ValueError, OSError, MemoryError) as exc:
+        print("diskops: " + (" ".join(str(exc).split()) or type(exc).__name__), file=sys.stderr)
         return 2
 
 

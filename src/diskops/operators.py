@@ -121,6 +121,11 @@ _TEST_EVERY = 4
 _BASIS_ROWS = 32
 
 
+def _dense_norm(a: np.ndarray) -> float:
+    """sigma_max of a dense matrix from one SVD; 0 for an empty one."""
+    return float(np.linalg.svd(a, compute_uv=False).max(initial=0.0))
+
+
 def _norm(x: np.ndarray) -> float:
     return math.sqrt(np.vdot(x, x).real)
 
@@ -162,12 +167,14 @@ def norm_estimate(matvec, rmatvec, m: int, n: int) -> float:
     two failed tests, reaches 0, at least 1 and at most 2 max(_TEST_EVERY, k // 8)
     steps ahead.  min(m, n) <= _BASIS_ROWS takes a dense SVD of the min(m, n) columns of A
     or A^H, built by as many products: at these sizes the per-step cost of the iteration,
-    not the size, is what a call spends.  No convergence within _MAX_STEPS steps raises
+    not the size, is what a call spends.  ``multiplication_norm`` and ``composition_norm``
+    hold their small blocks as arrays and take that SVD themselves, so this branch serves a
+    caller with products alone.  No convergence within _MAX_STEPS steps raises
     ConvergenceError.
     """
     if min(m, n) <= _BASIS_ROWS:  # the columns of A, or of A^H where it has fewer
         cols = [matvec(e) for e in np.eye(n)] if n <= m else [rmatvec(e) for e in np.eye(m)]
-        return float(np.linalg.svd(np.array(cols).T, compute_uv=False).max(initial=0.0))
+        return _dense_norm(np.array(cols).T)
     eps = np.finfo(np.float64).eps
     floor = max(m, n) * eps
     cap = min(m, n, _MAX_STEPS)
@@ -227,6 +234,15 @@ def norm_estimate(matvec, rmatvec, m: int, n: int) -> float:
     return _norm(matvec(v / _norm(v)))
 
 
+def _multiplication_block(space: sp.SpaceWeights, f: PowerSeries, n: int) -> np.ndarray:
+    """The (n+1) x (n+1) compression of M_f as one banded array: entry (i, j) is
+    sqrt(w_i) (f_{i-j} / sqrt(w_j)) for j <= i, the two products ``_multiplication_products``
+    takes, so it equals the columns those build, entry for entry."""
+    sqw = np.sqrt(space.weights(n))
+    k = np.arange(n + 1)
+    return sqw[:, None] * (np.tril(ps.truncate(f, n).coeffs[k[:, None] - k]) * (1.0 / sqw))
+
+
 def _multiplication_products(space: sp.SpaceWeights, f: PowerSeries, n: int):
     """A x = sqrt(w) (f * x / sqrt(w)); A^H y is conj(f) * u read backwards, u = sqrt(w) y."""
     sqw = np.sqrt(space.weights(n))
@@ -250,7 +266,11 @@ def _composition_products(space: sp.SpaceWeights, phi: PowerSeries, n: int):
     has those of the compression with columns k+1..n set to zero (rows past c are zero in the
     others, or a few eps on the FFT path): a lower bound of ||C_phi||, within eps ||A||_F of
     the full compression's.  For sup|phi| >= 1 only exactly zero columns are cut."""
-    at, _ = _composition_columns(space, phi, n)  # at[j, i] = entry(i, j)
+    return _table_products(_composition_columns(space, phi, n)[0])
+
+
+def _table_products(at: np.ndarray):
+    """(matvec, rmatvec, m, n) of the m x n matrix A = at.T, each product one BLAS gemv."""
 
     def matvec(x):
         return at.T @ x
@@ -262,19 +282,29 @@ def _composition_products(space: sp.SpaceWeights, phi: PowerSeries, n: int):
 
 
 def multiplication_norm(space: sp.SpaceWeights, f: PowerSeries, n: int) -> float:
-    """Compression norm of M_f at size n+1 from banded convolutions; |c| for a constant c.
-    It runs on f scaled to unit size by ``series.frexp``, so no inner product over- or underflows.
-    DomainError past the float range."""
+    """Compression norm of M_f at size n+1 from banded convolutions, or up to _BASIS_ROWS
+    rows from one SVD of ``_multiplication_block``; |c| for a constant c.  It runs on f scaled
+    to unit size by ``series.frexp``, so no inner product over- or underflows.  DomainError
+    past the float range."""
     if f.degree() <= 0:
         return float(abs(f.coeffs[0]))
     m, e = ps.frexp(f.coeffs)
-    products = _multiplication_products(space, PowerSeries(m), n)
-    return ps.ldexp_norm(norm_estimate(*products, n + 1, n + 1), e)
+    unit = PowerSeries(m)
+    if n + 1 <= _BASIS_ROWS:
+        value = _dense_norm(_multiplication_block(space, unit, n))
+    else:
+        value = norm_estimate(*_multiplication_products(space, unit, n), n + 1, n + 1)
+    return ps.ldexp_norm(value, e)
 
 
 def composition_norm(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> float:
-    """Compression norm of C_phi at size n+1 from its certified block of the power table."""
-    return norm_estimate(*_composition_products(space, phi, n))
+    """Compression norm of C_phi at size n+1 from its certified block A of the power table:
+    one SVD of A, or of A^H where that has fewer columns (the matrix ``norm_estimate``'s dense
+    branch would build), when either side is at most _BASIS_ROWS long."""
+    at, _ = _composition_columns(space, phi, n)  # at = A^T
+    if min(at.shape) <= _BASIS_ROWS:
+        return _dense_norm(at.T if at.shape[0] <= at.shape[1] else np.conj(at))
+    return norm_estimate(*_table_products(at))
 
 
 def composition_monomial_norm(space: sp.SpaceWeights, k: int) -> float:

@@ -42,7 +42,7 @@ class PowerSeries:
         c = np.array(self.coeffs, dtype=np.complex128, ndmin=1)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must form a non-empty 1-d sequence")
-        if not np.all(np.isfinite(c.view(np.float64))):
+        if not np.isfinite(c.view(np.float64)).all():
             raise DomainError("non-finite coefficient")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
@@ -308,6 +308,6 @@ def evaluate_many(f: PowerSeries, z) -> np.ndarray:
 
 def require_open_disk(x, what: str) -> None:
     """DomainError "<what> must lie in the open disk" unless every |x| < 1 (nan and inf fail)."""
-    if not np.all(np.abs(np.asarray(x, dtype=np.complex128)) < 1.0):
+    if not (np.abs(np.asarray(x, dtype=np.complex128)) < 1.0).all():
         raise DomainError(f"{what} must lie in the open disk")
 

@@ -63,6 +63,8 @@ _SERIES_TAIL = 1e-12  # the series path's tail bound
 _SERIES_MAX_TERMS = 200_000
 _BLOCK = 1 << 16  # terms per block of kernel_norm_sq
 _WEIGHTS_CACHED = 256  # weight vectors SpaceWeights.weights keeps, least recently used out
+_SAMPLES = 4096  # sup_bracket's sample count, doubled for degrees of 1024 and more
+_TABLE_TAPS = 16  # sup_bracket takes its samples from two tables up to this many coefficients
 
 
 @dataclass(frozen=True)
@@ -347,20 +349,76 @@ def kernel_coefficient_series(space: SpaceWeights, order: int) -> PowerSeries:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _sample_tables() -> tuple[np.ndarray, np.ndarray]:
+    """(twiddles, dft) of ``sup_bracket``'s table path, built on the first call and kept:
+    w^(n r) for n < 16, r < 256, and w^(256 n j) for n, j < 16, w = exp(-2 pi i / 4096), each
+    from its exponent reduced so that the angle lies in [-pi, pi]: about 70 KB."""
+    def roots(k, m):  # exp(-2 pi i k / m)
+        k = k % m
+        return np.exp(-2j * np.pi * np.where(k > m // 2, k - m, k) / m)
+
+    n = np.arange(_TABLE_TAPS)[:, None]
+    return roots(n * np.arange(_SAMPLES // _TABLE_TAPS), _SAMPLES), roots(n * n.T, _TABLE_TAPS)
+
+
+def _samples(c: np.ndarray, m: int) -> np.ndarray:
+    """sum_n c_n w^(n k) for k < m, w = exp(-2 pi i / m): from ``_sample_tables`` at [r, j] for
+    k = 256 j + r when c has at most 16 entries (m = 4096), else from one FFT at [k]."""
+    if len(c) <= _TABLE_TAPS:
+        twiddles, dft = _sample_tables()
+        return (c[:, None] * twiddles[: len(c)]).T @ dft[: len(c)]
+    return np.fft.fft(c, n=m)
+
+
+def _ldexp_toward(x: float, e: int, toward: float) -> float:
+    """x 2^e rounded toward ``toward`` (-inf or inf): ldexp rounds to nearest in the subnormal
+    range, and scaling back up by 2^-e is exact, so it shows which way; past the float range
+    this is inf, or the largest float when rounded down."""
+    try:
+        y = math.ldexp(x, e)
+    except OverflowError:
+        y = math.copysign(math.inf, x)
+    if (math.ldexp(y, -e) > x) if toward < 0 else (math.ldexp(y, -e) < x):
+        y = math.nextafter(y, toward)
+    return y
+
+
 def sup_bracket(f: PowerSeries) -> tuple[float, float]:
-    """(lo, hi) with lo <= sup |f| <= hi on the unit circle, for the polynomial f of degree d,
-    from one FFT: M equispaced samples, M = 4096 doubled while M <= 4 d, whose peak is within
-    rounding = 4 ulps of sum |f_n| per FFT level of the largest exact sample.  A sample is a
-    value of f, so lo = peak - rounding.  By Bernstein's inequality |f'| <= d sup|f|, and every
-    point lies within pi/M of a sample, so hi = (peak + rounding) / (1 - pi d / M), the
-    sampling bound of Ehlich and Zeller (Math. Z. 86, 1964) in Bernstein's form.  A constant
-    (d <= 0) gives (|f_0|, |f_0|): the FFT of one coefficient is exact."""
-    c = ps.truncate(f, max(f.degree(), 0))
-    if c.order == 0:
-        return (float(abs(c.coeffs[0])),) * 2
-    d, m = c.order, 4096
-    while m <= 4 * d:
-        m *= 2
-    peak = float(np.abs(np.fft.fft(c.coeffs, n=m)).max())
-    rounding = float(4 * m.bit_length() * np.finfo(np.float64).eps * np.abs(c.coeffs).sum())
-    return peak - rounding, (peak + rounding) / (1.0 - math.pi * d / m)
+    """(lo, hi) with lo <= sup |f| <= hi on the unit circle, for the polynomial f of degree d.
+
+    It takes M equispaced samples, M = 4096 doubled while M <= 4 d, of the coefficients at
+    the unit scale of ``series.frexp``, so no sample over- or underflows, and scales the two
+    sides back by that power of two, exactly in the normal range, lo rounded down and hi up
+    past it (lo is the largest float, hi inf, past the float range).  A sample is a value of
+    f, within rounding = 4 ulps of sum |f_n| per FFT level, 4 eps bit_length(M) sum |f_n|, so
+    lo = peak - rounding.  By Bernstein's inequality |f'| <= d sup|f|, and every point lies
+    within pi/M of a sample, so hi = (peak + rounding) / (1 - pi d / M), the sampling bound
+    of Ehlich and Zeller (Math. Z. 86, 1964) in Bernstein's form.  A constant (d <= 0) in the
+    normal range gives (|f_0|, |f_0|).
+
+    For d < 16 the M = 4096 samples come from a pruned FFT (Markel, IEEE Trans. Audio
+    Electroacoust. 19, 1971) in place of one FFT: sample 256 j + r is
+    sum_n (f_n w^(n r)) w^(256 n j), w = exp(-2 pi i / M), so one product of the coefficients
+    with the 16 x 256 table w^(n r) and one (256 x (d+1)) ((d+1) x 16) product with the
+    16-point DFT matrix give all of them.  Its error, with u = eps / 2: a table entry comes
+    from an angle within 2 pi u of the exact one (pi and the product by the integer exponent
+    each round once; 1/M is exact) and a complex exponential within sqrt(2) u, so within
+    8 u; the product by f_n adds sqrt(5) u |f_n| (Brent, Percival and Zimmermann, Math. Comp.
+    76, 2007), the DFT entry 8 u and its product sqrt(5) u more, and the sum of d + 1 terms
+    d u (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1), each times
+    sum |f_n|; the modulus adds u.  That is (21.5 + d) u <= 37 u = 18.5 eps of sum |f_n| to
+    first order, inside the 52 eps of the rounding at M = 4096.
+    """
+    d = max(f.degree(), 0)
+    c, e = ps.frexp(f.coeffs[: d + 1])
+    if d == 0:
+        lo = hi = float(abs(c[0]))
+    else:
+        m = _SAMPLES
+        while m <= 4 * d:
+            m *= 2
+        peak = float(np.abs(_samples(c, m)).max())
+        rounding = float(4 * m.bit_length() * np.finfo(np.float64).eps * np.abs(c).sum())
+        lo, hi = peak - rounding, (peak + rounding) / (1.0 - math.pi * d / m)
+    return _ldexp_toward(lo, e, -math.inf), _ldexp_toward(hi, e, math.inf)

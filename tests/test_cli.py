@@ -358,6 +358,9 @@ class TestCommandLine:
             # sup 1.1 on the circle, with no overflow: this printed 4.2168940064765e+41
             (["--truncation", "1024", "opnorm", "S12", "comp", "{path}"], "[[0.5, 0], [0.6, 0]]",
              "sampled sup |phi| = 1.1 > 1: phi is no self-map", {}),
+            # sup 2e308 on the circle: the bracket's lower side saturates at the largest float
+            (["opnorm", "S12", "comp", "{path}"], "[[0, 0], [1e308, 0], [1e308, 0]]",
+             "> 1: phi is no self-map", {}),
         ],
         ids=["bad_pair", "not_a_list", "unknown_space", "bad_json", "missing_file",
              "outside_disk", "series_too_long", "series_past_majorant_cap", "kernel_w_inf",
@@ -372,7 +375,7 @@ class TestCommandLine:
              "isometry_z_starved_1100", "seed_negative",
              "seed_env_negative", "output_xml", "output_env_xml", "pick_target_overflow",
              "pick_kernel_overflow", "norm_past_float_max", "opnorm_past_float_max",
-             "opnorm_comp_not_self_map"],
+             "opnorm_comp_not_self_map", "opnorm_comp_sup_past_float_max"],
     )
     @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
     def test_input_errors_exit_2_with_one_line(
@@ -387,6 +390,21 @@ class TestCommandLine:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("diskops: ") and message in line
+
+    def test_out_of_memory_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch):
+        # --truncation 100000000 asks the Golub-Kahan bases for 49.2 GiB: one line, not a
+        # traceback (raised here by a stand-in, never by allocating)
+        def no_memory(space, f, n):
+            raise MemoryError(f"Unable to allocate 49.2 GiB for an array with shape (33, {n + 1})")
+
+        monkeypatch.setattr(cli.op, "multiplication_norm", no_memory)
+        path = tmp_path / "s.json"
+        path.write_text("[[0.5, 0], [0.25, 0]]")
+        assert cli.main(["--truncation", "100000000", "opnorm", "S12", "mult", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("diskops: Unable to allocate 49.2 GiB for an array with shape "
+                                "(33, 100000001)\n")
 
     def test_verify_determinism_bitwise(self, capsys):
         cli.main(["verify", "composition", "--output", "json"])

@@ -337,6 +337,46 @@ class TestNormEstimate:
         op.norm_estimate(matvec, rmatvec, m, n)
         assert (count_a(), count_ah()) == ((n, 0) if n <= m else (0, m))
 
+    @pytest.mark.parametrize("space", [S12, sp.hardy(), sp.dirichlet(), sp.bergman(), sp.km(2),
+                                       sp.dalpha(1.5)], ids=lambda s: s.label)
+    def test_multiplication_block_is_the_column_build(self, space):
+        # the banded array takes, entry for entry, the two products that the banded
+        # convolutions take on the identity columns: equal at every dense size, for symbols
+        # of every degree up to 40, longer than the block included
+        rng = np.random.default_rng(len(space.label))
+        for degree in range(41):
+            f = ps.PowerSeries(rng.uniform(-1, 1, degree + 1) + 1j * rng.uniform(-1, 1, degree + 1))
+            for n in range(op._BASIS_ROWS):
+                block = op._multiplication_block(space, f, n)
+                assert np.array_equal(block, multiplication_columns(space, f, n))
+
+    @pytest.mark.parametrize("space", [S12, sp.hardy(), sp.km(2)], ids=lambda s: s.label)
+    def test_dense_multiplication_norm_is_the_dense_branch(self, space):
+        # one SVD of the banded array gives norm_estimate's dense value bit for bit
+        rng = np.random.default_rng(7)
+        for degree in (1, 5, 12, 40):
+            f = ps.PowerSeries(rng.uniform(-1, 1, degree + 1) + 1j * rng.uniform(-1, 1, degree + 1))
+            m, e = ps.frexp(f.coeffs)
+            for n in range(op._BASIS_ROWS):
+                products = op._multiplication_products(space, ps.PowerSeries(m), n)
+                dense = ps.ldexp_norm(op.norm_estimate(*products, n + 1, n + 1), e)
+                assert op.multiplication_norm(space, f, n) == dense
+
+    @pytest.mark.parametrize("coeffs, n, shape", [
+        ([0.5], 64, (1, 58)),  # A^H has fewer columns
+        ([0.3 - 0.2j], 20, (1, 21)),
+        ([0.02, 0, 0.05], 256, (31, 16)),  # A has fewer columns
+        ([0.05, 0.1j, 0.02], 64, (39, 20)),
+        ([0.2, 0.4j, 0.1], 16, (17, 17)),
+    ])
+    def test_dense_composition_norm_is_the_dense_branch(self, coeffs, n, shape):
+        # the certified block's SVD, of A or of A^H where that has fewer columns, is the
+        # value norm_estimate's dense branch builds from the products, bit for bit
+        phi = ps.from_coefficients(coeffs)
+        products = op._composition_products(S12, phi, n)
+        assert products[2:] == shape
+        assert op.composition_norm(S12, phi, n) == op.norm_estimate(*products)
+
     def test_zero_operator(self):
         def zeros(x):
             return np.zeros(64, dtype=np.complex128)

@@ -1,11 +1,15 @@
 import cmath
+import functools
 import math
 import re
+import sys
 import time
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from diskops import series as ps
@@ -360,7 +364,7 @@ def test_sup_bracket_brackets_a_finer_grid(degree, seed, scale):
     if degree == 0:
         assert lo == hi == abs(coeffs[0])  # a constant is exact
         return
-    m = 4096  # the FFT size of sup_bracket: doubled while at most 4 d
+    m = 4096  # the sample count of sup_bracket: doubled while at most 4 d
     while m <= 4 * degree:
         m *= 2
     fine = 4 * m  # a grid that holds the bracket's samples, and 3 more between each two
@@ -371,6 +375,62 @@ def test_sup_bracket_brackets_a_finer_grid(degree, seed, scale):
     # the bracket is as tight as its construction: not vacuous
     bracket_rounding = 4 * m.bit_length() * np.finfo(float).eps * np.abs(coeffs).sum()
     assert hi / lo <= (1 + 2 * bracket_rounding / lo) / (1 - math.pi * degree / m) * (1 + 1e-14)
+
+
+@functools.cache
+def _roots_of_unity(m: int = 4096) -> list:
+    """exp(-2 pi i k / m) for k < m, to 30 digits."""
+    with mpmath.workdps(30):
+        return [mpmath.expjpi(mpmath.mpf(-2 * k) / m) for k in range(m)]
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(1, 15), st.integers(0, 2**32 - 1))
+def test_table_samples_lie_within_the_rounding(degree, seed):
+    # the pruned FFT's 4096 samples, at the unit scale sup_bracket takes them, against 30-digit
+    # values: the largest error over eps sum |f_n| stays within the rounding radius
+    # 4 bit_length(4096) = 52 (the derived first-order bound is 18.5); target() reports it
+    rng = np.random.default_rng(seed)
+    c = ps.frexp(rng.uniform(-1, 1, degree + 1) + 1j * rng.uniform(-1, 1, degree + 1))[0]
+    samples = sp._samples(c, 4096)
+    assert samples.shape == (256, 16)  # sample 256 j + r at [r, j]
+    roots = _roots_of_unity()
+    with mpmath.workdps(30):
+        coeffs = [mpmath.mpc(x.real, x.imag) for x in c]
+        error = max(
+            abs(mpmath.mpc(samples[r, j].real, samples[r, j].imag)
+                - mpmath.fsum(a * roots[n * (256 * j + r) % 4096] for n, a in enumerate(coeffs)))
+            for r in range(256) for j in range(16))
+    ratio = float(error) / (np.finfo(float).eps * np.abs(c).sum())
+    target(ratio)
+    assert ratio <= 4 * (4096).bit_length()
+
+
+class TestSupBracketAtTheEndsOfTheFloatRange:
+    @pytest.mark.parametrize("coeffs", [[1e-320, 1e-320], [5e-324, 5e-324j],
+                                        [0.0, 7e-322, -3e-321j],
+                                        [1e-310, -2e-310j, 3e-311, 0, 1e-309]])
+    def test_subnormal_coefficients(self, coeffs):
+        # the same polynomial times 2^1000 is in the normal range, where the scaling is exact:
+        # the subnormal bracket holds its bracket scaled back, within one subnormal step
+        # (1e-320 + 1e-320 z gave lo = 2.0005e-320 > 2e-320, its rounding radius 0)
+        f = ps.from_coefficients(coeffs)
+        lo, hi = sp.sup_bracket(f)
+        big_lo, big_hi = (Fraction(x) / 2**1000 for x in sp.sup_bracket(ps.scale(f, 2.0**1000)))
+        step = Fraction(5e-324)
+        assert big_lo - step < Fraction(lo) <= big_lo
+        assert big_hi <= Fraction(hi) < big_hi + step
+
+    def test_subnormal_pair_peaks_at_one(self):
+        lo, hi = sp.sup_bracket(ps.from_coefficients([1e-320, 1e-320]))
+        assert lo < 2e-320 < hi
+
+    @pytest.mark.parametrize("coeffs", [[0, 1e308, 1e308], [1.5e308 + 1.5e308j],
+                                        [1e308] * 20])
+    def test_past_the_float_range(self, coeffs):
+        # sup |f| is past the largest float: lo is that float and hi inf, with no warning
+        # (0 + 1e308 z + 1e308 z^2 gave (nan, inf) and two RuntimeWarnings)
+        assert sp.sup_bracket(ps.from_coefficients(coeffs)) == (sys.float_info.max, math.inf)
 
 
 @settings(max_examples=80, deadline=None)
