@@ -20,7 +20,6 @@ from .operators import (
     contractive_composition_norm,
     growth_residuals,
     hilbert_schmidt_norm_sq,
-    isometry_defect,
     isometry_order,
     multiplication_norm,
     norm_estimate,

@@ -399,23 +399,23 @@ def _shift_defect3(cfg):
     worst = 0.0
     for _ in range(100):
         probe = _random_polynomial(rng)
-        worst = max(worst, abs(op.isometry_defect(sp.s12(), ps.monomial(1), 3, probe)))
+        worst = max(worst, abs(op.blaschke_power_defect(sp.s12(), _Z, 3, probe, probe.order + 3,
+                                                         cfg.tol)))
     return rp.vanishing_report("max_defect", worst, 1e-12, rp.PAPER, "defect")
 
 
 @_check("isometries", "shift_s12_defect2_unit")
 def _shift_defect2(cfg):
-    value = op.isometry_defect(sp.s12(), ps.monomial(1), 2, ps.one())
+    value = op.blaschke_power_defect(sp.s12(), _Z, 2, ps.one(), 2, cfg.tol)
     return rp.compare_report([("defect", value, 1.0, rp.DERIVED)], tolerance=0.0)
 
 
 @_check("isometries", "shift_h2_defect1")
 def _shift_h2_defect(cfg):
     rng = _rng(cfg, "shift_h2_defect1")
-    worst = max(
-        abs(op.isometry_defect(sp.hardy(), ps.monomial(1), 1, _random_polynomial(rng)))
-        for _ in range(20)
-    )
+    probes = [_random_polynomial(rng) for _ in range(20)]
+    worst = max(abs(op.blaschke_power_defect(sp.hardy(), _Z, 1, probe, probe.order + 1, cfg.tol))
+                for probe in probes)
     return rp.vanishing_report("max_defect", worst, 1e-13, rp.TRIVIAL, "defect")
 
 
@@ -529,8 +529,9 @@ def _km_defect(cfg):
             # unit-norm probes keep the large Km weights from inflating
             # the rounding floor of the alternating sum
             probe = ps.scale(probe, 1.0 / sp.space_norm(space, probe))
-            worst = max(worst, abs(op.isometry_defect(space, ps.monomial(1), m + 2, probe)))
-        strict = op.isometry_defect(space, ps.monomial(1), m + 1, ps.one())
+            worst = max(worst, abs(op.blaschke_power_defect(space, _Z, m + 2, probe,
+                                                             probe.order + m + 2, cfg.tol)))
+        strict = op.blaschke_power_defect(space, _Z, m + 1, ps.one(), m + 1, cfg.tol)
         rows.append((f"max_defect_m{m}", worst))
         rows.append((f"strict_witness_m{m}", strict))
         ok = ok and worst < 1e-12 and strict == 1.0

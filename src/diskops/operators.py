@@ -7,10 +7,11 @@ lower-banded profile
 
     entry(i, j) = f_{i-j} * sqrt(weight(i) / weight(j)),   j <= i <= j + deg f.
 
-Because the compressions of these column-finite operators are restrictions
-to invariant polynomial subspaces, the largest singular value of the
-compression is a certified lower bound of the operator norm and is
-nondecreasing in the truncation size.
+Because the compressions of these column-finite operators are restrictions to invariant
+polynomial subspaces, the largest singular value of the compression is a certified lower
+bound of the operator norm and is nondecreasing in the truncation size: one SVD of a block
+with at most _BASIS_ROWS rows or columns, Golub-Kahan (``norm_estimate``) past it.  Every
+alternating defect of M_psi, the shift psi = z included, is ``blaschke_power_defect``'s.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def _composition_cut(space: sp.SpaceWeights, phi: PowerSeries, n: int, full: boo
     ps.require_open_disk(phi.coeffs[0], "composition symbol's constant term")
     lo, hi = sp.sup_bracket(phi)
     if lo > 1.0:
-        raise DomainError(f"composition symbol has sampled sup |phi| = {lo:.6g} > 1: "
+        raise DomainError(f"composition symbol has sup |phi| >= {lo:.6g} > 1: "
                           "phi is no self-map of the disk")
     k, c, mass = n, n, 0.0
     if not full and n > 0:
@@ -116,8 +117,8 @@ _MAX_STEPS = 500
 # Steps before the first convergence test, and from the first to the second; each test
 # is one SVD of the k x k bidiagonal, about the cost of one step.
 _TEST_EVERY = 4
-# Rows the two Krylov bases start with; they double when the steps need more.  An operator
-# with at most this many rows or columns takes a dense SVD instead.
+# Rows the two Krylov bases start with; they double when the steps need more.  A block of
+# M_f or C_phi with at most this many rows or columns takes a dense SVD instead.
 _BASIS_ROWS = 32
 
 
@@ -165,16 +166,8 @@ def norm_estimate(matvec, rmatvec, m: int, n: int) -> float:
     comes after _TEST_EVERY steps, the second max(_TEST_EVERY, k // 8) after it; each
     later one where log(residual / (eps sigma)), fitted linearly in k through the last
     two failed tests, reaches 0, at least 1 and at most 2 max(_TEST_EVERY, k // 8)
-    steps ahead.  min(m, n) <= _BASIS_ROWS takes a dense SVD of the min(m, n) columns of A
-    or A^H, built by as many products: at these sizes the per-step cost of the iteration,
-    not the size, is what a call spends.  ``multiplication_norm`` and ``composition_norm``
-    hold their small blocks as arrays and take that SVD themselves, so this branch serves a
-    caller with products alone.  No convergence within _MAX_STEPS steps raises
-    ConvergenceError.
+    steps ahead.  No convergence within _MAX_STEPS steps raises ConvergenceError.
     """
-    if min(m, n) <= _BASIS_ROWS:  # the columns of A, or of A^H where it has fewer
-        cols = [matvec(e) for e in np.eye(n)] if n <= m else [rmatvec(e) for e in np.eye(m)]
-        return _dense_norm(np.array(cols).T)
     eps = np.finfo(np.float64).eps
     floor = max(m, n) * eps
     cap = min(m, n, _MAX_STEPS)
@@ -259,28 +252,6 @@ def _multiplication_products(space: sp.SpaceWeights, f: PowerSeries, n: int):
     return matvec, rmatvec
 
 
-def _composition_products(space: sp.SpaceWeights, phi: PowerSeries, n: int):
-    """(matvec, rmatvec, c+1, k+1): x -> A x and y -> A^H y, each one BLAS gemv, and the shape
-    of A, the rows 0..c, columns 0..k of the compression of C_phi at size n+1 that
-    ``_composition_columns`` builds.  Zero rows and columns leave singular values alone, so A
-    has those of the compression with columns k+1..n set to zero (rows past c are zero in the
-    others, or a few eps on the FFT path): a lower bound of ||C_phi||, within eps ||A||_F of
-    the full compression's.  For sup|phi| >= 1 only exactly zero columns are cut."""
-    return _table_products(_composition_columns(space, phi, n)[0])
-
-
-def _table_products(at: np.ndarray):
-    """(matvec, rmatvec, m, n) of the m x n matrix A = at.T, each product one BLAS gemv."""
-
-    def matvec(x):
-        return at.T @ x
-
-    def rmatvec(y):
-        return np.conj(at @ np.conj(y))
-
-    return matvec, rmatvec, at.shape[1], at.shape[0]
-
-
 def multiplication_norm(space: sp.SpaceWeights, f: PowerSeries, n: int) -> float:
     """Compression norm of M_f at size n+1 from banded convolutions, or up to _BASIS_ROWS
     rows from one SVD of ``_multiplication_block``; |c| for a constant c.  It runs on f scaled
@@ -298,13 +269,17 @@ def multiplication_norm(space: sp.SpaceWeights, f: PowerSeries, n: int) -> float
 
 
 def composition_norm(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> float:
-    """Compression norm of C_phi at size n+1 from its certified block A of the power table:
-    one SVD of A, or of A^H where that has fewer columns (the matrix ``norm_estimate``'s dense
-    branch would build), when either side is at most _BASIS_ROWS long."""
+    """Compression norm of C_phi at size n+1 from the block A, rows 0..c and columns 0..k, of
+    the compression that ``_composition_columns`` builds.  Zero rows and columns leave singular
+    values alone, so A has those of the compression with columns k+1..n set to zero (rows past
+    c are zero in the others, or a few eps on the FFT path): a lower bound of ||C_phi||, within
+    eps ||A||_F of the full compression's; for sup|phi| >= 1 only exactly zero columns are cut.
+    One SVD of A, or of A^H where that has fewer columns, when either side is at most
+    _BASIS_ROWS long; else ``norm_estimate`` with x -> A x and y -> A^H y, one gemv each."""
     at, _ = _composition_columns(space, phi, n)  # at = A^T
     if min(at.shape) <= _BASIS_ROWS:
         return _dense_norm(at.T if at.shape[0] <= at.shape[1] else np.conj(at))
-    return norm_estimate(*_table_products(at))
+    return norm_estimate(lambda x: at.T @ x, lambda y: np.conj(at @ np.conj(y)), *at.shape[::-1])
 
 
 def composition_monomial_norm(space: sp.SpaceWeights, k: int) -> float:
@@ -341,21 +316,6 @@ def hilbert_schmidt_norm_sq(space: sp.SpaceWeights, phi: PowerSeries, n: int) ->
 # ---------------------------------------------------------------------------
 # isometry defects
 # ---------------------------------------------------------------------------
-
-
-def isometry_defect(
-    space: sp.SpaceWeights, symbol: PowerSeries, m: int, probe: PowerSeries
-) -> float:
-    """The alternating defect sum_{k=0..m} (-1)^{m-k} C(m,k) ||symbol^k probe||^2.
-
-    The orbit is kept at order probe.order + m deg(symbol), where no product
-    is cut, so the norms are exact ambient-space norms up to rounding.
-    """
-    if m < 1:
-        raise ValueError("isometry order must be >= 1")
-    order = probe.order + m * max(symbol.degree(), 0)
-    norms_sq = sp.norms_sq(space.weights(order), ps.orbit(probe, symbol, m, order))
-    return float(np.diff(norms_sq, m)[0])
 
 
 # An m-th difference counts as 0 when it is at most this fraction of sum_k C(m,k) |x_{n+k}|:

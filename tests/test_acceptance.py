@@ -105,13 +105,13 @@ def test_criterion_03_multiplier_norms():
 
 def test_criterion_04_three_isometry():
     rng = np.random.default_rng(2)
-    z = ps.monomial(1)
+    z = bl.BlaschkeProduct(-1.0, (0j,))  # the symbol z as a Blaschke product
     worst3 = 0.0
     for _ in range(100):
         deg = int(rng.integers(0, 13))
         probe = ps.PowerSeries(rng.uniform(-1, 1, deg + 1) + 1j * rng.uniform(-1, 1, deg + 1))
-        worst3 = max(worst3, abs(op.isometry_defect(S12, z, 3, probe)))
-    beta2 = op.isometry_defect(S12, z, 2, ps.one())
+        worst3 = max(worst3, abs(op.blaschke_power_defect(S12, z, 3, probe, probe.order + 3, 1e-8)))
+    beta2 = op.blaschke_power_defect(S12, z, 2, ps.one(), 2, 1e-8)
     probes = [ps.one(), ps.from_coefficients([1, 1])]
     products = [
         all(

@@ -311,7 +311,7 @@ class TestCommandLine:
             (["isometry", "S12", "{path}", "-1"], _Z_JSON, "isometry order must be >= 1", {}),
             # refused before any power of phi is built, whose orbit used to overflow at 1024
             (["--truncation", "1024", "opnorm", "S12", "comp", "{path}"], "[[0.5, 0], [2, 0]]",
-             "sampled sup |phi| = 2.5 > 1: phi is no self-map", {}),
+             "sup |phi| >= 2.5 > 1: phi is no self-map", {}),
             (["isometry", "S12", "{path}", "3"], '{"a": [1, 0], "zeros": [[0.9, 0], [-0.5, 0]]}',
              "psi^3 within 1e-08 needs truncation >= 474", {}),
             (["isometry", "S12", "{path}", "3"], '{"a": [1, 0], "zeros": [[0.99, 0], [-0.5, 0]]}',
@@ -357,10 +357,12 @@ class TestCommandLine:
              "the norm overflows the float range", {}),
             # sup 1.1 on the circle, with no overflow: this printed 4.2168940064765e+41
             (["--truncation", "1024", "opnorm", "S12", "comp", "{path}"], "[[0.5, 0], [0.6, 0]]",
-             "sampled sup |phi| = 1.1 > 1: phi is no self-map", {}),
-            # sup 2e308 on the circle: the bracket's lower side saturates at the largest float
+             "sup |phi| >= 1.1 > 1: phi is no self-map", {}),
+            # sup 2e308 on the circle: the bracket's lower side saturates at the largest float,
+            # a bound, so the line says >=
             (["opnorm", "S12", "comp", "{path}"], "[[0, 0], [1e308, 0], [1e308, 0]]",
-             "> 1: phi is no self-map", {}),
+             "diskops: composition symbol has sup |phi| >= 1.79769e+308 > 1: phi is no self-map "
+             "of the disk", {}),
         ],
         ids=["bad_pair", "not_a_list", "unknown_space", "bad_json", "missing_file",
              "outside_disk", "series_too_long", "series_past_majorant_cap", "kernel_w_inf",
