@@ -33,7 +33,7 @@ from .pick import (
     psd_check,
     reciprocal_sign_check,
 )
-from .report import VerificationReport, emit_reports, parse_reports, reports_ok
+from .report import VerificationReport, emit_reports, reports_ok
 from .series import (
     PowerSeries,
     cauchy_product,

@@ -11,7 +11,10 @@ itself is the product ``BlaschkeProduct(1.0, (a,))``.
 
 Circle integrals use the composite trapezoidal rule on equispaced nodes,
 which is spectrally accurate for the smooth periodic integrands that
-appear here (Poisson kernels and their products).
+appear here (Poisson kernels and their products).  Each moment family is
+read from one density or expansion per parameter: the Poisson moments
+k = 0..k_max from one product of kernels, the phi_a' moments from one
+coefficient expansion.
 """
 
 from __future__ import annotations
@@ -140,35 +143,36 @@ def poisson_kernel(alpha: complex, zeta) -> float | np.ndarray:
     return out if np.ndim(zeta) else float(out)
 
 
+def _check_index(k) -> None:
+    """ValueError unless the moment index k is an int >= 0."""
+    if not isinstance(k, (int, np.integer)) or k < 0:
+        raise ValueError(f"moment index must be an int >= 0, got {k!r}")
+
+
 def check_node_count(nodes: int) -> None:
     """ValueError unless the quadrature node count is a power of two >= 256."""
     if nodes < 256 or nodes & (nodes - 1):
         raise ValueError(f"quadrature node count must be a power of two >= 256, got {nodes}")
 
 
-def poisson_moment(alpha: complex, k: int, nodes: int = DEFAULT_QUAD_NODES) -> complex:
-    """Quadrature value of (1/2 pi) integral P_alpha(zeta) conj(zeta)^k |dzeta|.
+def poisson_product_moment(alphas, k_max: int, nodes: int = DEFAULT_QUAD_NODES) -> np.ndarray:
+    """Quadrature values of the moments k = 0..k_max of the Poisson kernel product
 
-    Equals conj(alpha)^k exactly (harmonic extension of conj(zeta)^k).
+        (1/2 pi) integral prod_a P_a(zeta) conj(zeta)^k |dzeta|,
+
+    from one density over the zeros ``alphas``.  ``(a,)`` gives conj(a)^k exactly (harmonic
+    extension of conj(zeta)^k); ``(a, -a)`` gives the two-sided moment b(k).
     """
+    _check_index(k_max)
     check_node_count(nodes)
     zeta = circle_nodes(nodes)
-    return circle_mean(poisson_kernel(alpha, zeta) * np.conj(zeta) ** k)
-
-
-def poisson_product_moment(alpha: complex, k: int, nodes: int = DEFAULT_QUAD_NODES) -> complex:
-    """Quadrature value of the two-sided Poisson moment
-
-        b(k) = (1/2 pi) integral P_alpha(zeta) P_{-alpha}(zeta) conj(zeta)^k |dzeta|.
-    """
-    check_node_count(nodes)
-    zeta = circle_nodes(nodes)
-    integrand = poisson_kernel(alpha, zeta) * poisson_kernel(-alpha, zeta) * np.conj(zeta) ** k
-    return circle_mean(integrand)
+    density = np.prod([poisson_kernel(a, zeta) for a in alphas], axis=0)
+    return np.array([circle_mean(density * np.conj(zeta) ** k) for k in range(k_max + 1)])
 
 
 def poisson_product_moment_closed(alpha: complex, k: int) -> complex:
     """Closed form: b(2l) = ((1-|a|^2)/(1+|a|^2)) conj(a)^{2l}, b(odd) = 0."""
+    _check_index(k)
     alpha = complex(alpha)
     if k % 2:
         return 0j
@@ -186,20 +190,23 @@ def phi_prime_moment(alpha: complex, k: int) -> complex:
 
         ((1 + |a|^2)/(1 - |a|^2)) conj(a)^k + k conj(a)^k.
     """
+    _check_index(k)
     alpha = complex(alpha)
     ps.require_open_disk(alpha, "parameter")
     ak = np.conj(alpha) ** k
     return complex((1.0 + abs(alpha) ** 2) / (1.0 - abs(alpha) ** 2) * ak + k * ak)
 
 
-def phi_prime_moment_series(alpha: complex, k: int, order: int = 2000) -> complex:
-    """Brute-force companion: the same inner product summed from the
+def phi_prime_moment_series(alpha: complex, k_max: int, order: int = 2000) -> np.ndarray:
+    """Brute-force companion for k = 0..k_max: the same inner products summed from one
     coefficient expansion of phi_a' at the given order."""
+    _check_index(k_max)
     alpha = complex(alpha)
     ps.require_open_disk(alpha, "parameter")
-    n = np.arange(order + k + 1)
+    n = np.arange(order + k_max + 1)
     c = (abs(alpha) ** 2 - 1.0) * (n + 1) * np.conj(alpha) ** n  # phi_a'(z) = sum c_n z^n
-    return complex(np.sum(c[k:] * np.conj(c[: len(c) - k])))
+    head = np.conj(c[: order + 1])
+    return np.array([np.sum(c[k : k + order + 1] * head) for k in range(k_max + 1)])
 
 
 VARIANT_Z_PHI = "z_phi"

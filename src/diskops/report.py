@@ -59,12 +59,6 @@ class VerificationReport:
     def __post_init__(self):
         if self.status not in _STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
-        self.computed = tuple(
-            v if isinstance(v, LabeledValue) else LabeledValue(*v) for v in self.computed
-        )
-        self.reference = tuple(
-            v if isinstance(v, ReferenceValue) else ReferenceValue(*v) for v in self.reference
-        )
 
     @property
     def ok(self) -> bool:
@@ -136,22 +130,6 @@ def report_to_dict(r: VerificationReport) -> dict:
     }
 
 
-def report_from_dict(d: dict) -> VerificationReport:
-    return VerificationReport(
-        check_id=d["check_id"],
-        status=d["status"],
-        computed=tuple(
-            LabeledValue(v["label"], complex(v["value"][0], v["value"][1])) for v in d["computed"]
-        ),
-        reference=tuple(
-            ReferenceValue(v["label"], complex(v["value"][0], v["value"][1]), v["provenance"])
-            for v in d["reference"]
-        ),
-        tolerance=d["tolerance"],
-        elapsed_ms=d["elapsed_ms"],
-    )
-
-
 def _emit_csv(reports) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -203,11 +181,6 @@ def emit_reports(reports, fmt: str) -> bytes:
     if fmt not in FORMATS:
         raise ValueError(f"unknown output format {fmt!r}")
     return FORMATS[fmt](reports)
-
-
-def parse_reports(data: bytes) -> list[VerificationReport]:
-    """Inverse of ``emit_reports(..., 'json')``."""
-    return [report_from_dict(d) for d in json.loads(data.decode())]
 
 
 def reports_ok(reports) -> bool:

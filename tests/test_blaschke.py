@@ -53,7 +53,7 @@ class TestMobiusMap:
         closed = (abs(alpha) ** 2 - 1.0) * (n + 1) * np.conj(alpha) ** n
         walked = ps.derivative(_phi(alpha).series(11))
         assert np.max(np.abs(closed[:10] - walked.coeffs[:10])) < 1e-14
-        series_sum = bl.phi_prime_moment_series(alpha, 3, order=400)
+        series_sum = bl.phi_prime_moment_series(alpha, 3, order=400)[3]
         assert abs(series_sum - bl.phi_prime_moment(alpha, 3)) < 1e-12
 
     # the error is 7.5e-6 at truncation 32 (a fail before the order was derived)
@@ -205,6 +205,11 @@ class TestBlaschkeProduct:
             assert np.max(np.abs(composed.coeffs - target.coeffs)) < 1e-8
 
 
+# the sweep of the moment checks, and the parameter of poisson_mean_and_moments
+_MOMENT_PARAMETERS = [r * np.exp(1j * t) for r in (0.1, 0.3, 0.5, 0.7)
+                      for t in (0.0, np.pi / 4, np.pi / 2)] + [0.3 + 0.2j]
+
+
 class TestPoisson:
     def test_at_origin(self):
         zeta = bl.circle_nodes(256)
@@ -216,8 +221,7 @@ class TestPoisson:
 
     def test_moments_match_power(self):
         alpha = 0.3 + 0.2j
-        for k in range(6):
-            quad = bl.poisson_moment(alpha, k, 4096)
+        for k, quad in enumerate(bl.poisson_product_moment((alpha,), 5, 4096)):
             assert abs(quad - np.conj(alpha) ** k) < 1e-10
 
     def test_rejects_off_circle(self):
@@ -225,8 +229,8 @@ class TestPoisson:
             bl.poisson_kernel(0.3, 0.5)
 
     def test_product_moment_values(self):
-        assert abs(bl.poisson_product_moment(0.5, 0, 1024) - 0.6) < 1e-12
-        quad = bl.poisson_product_moment(0.4j, 2, 1024)
+        assert abs(bl.poisson_product_moment((0.5, -0.5), 0, 1024)[0] - 0.6) < 1e-12
+        quad = bl.poisson_product_moment((0.4j, -0.4j), 2, 1024)[2]
         closed = (1.0 - 0.16) / (1.0 + 0.16) * np.conj(0.4j) ** 2
         assert abs(quad - closed) < 1e-10
 
@@ -234,8 +238,7 @@ class TestPoisson:
         for radius in (0.1, 0.3, 0.5, 0.7):
             for phase in (0.0, np.pi / 4, np.pi / 2):
                 alpha = radius * np.exp(1j * phase)
-                for k in range(9):
-                    quad = bl.poisson_product_moment(alpha, k, 4096)
+                for k, quad in enumerate(bl.poisson_product_moment((alpha, -alpha), 8, 4096)):
                     closed = bl.poisson_product_moment_closed(alpha, k)
                     if k % 2:
                         assert abs(quad) < 1e-12
@@ -244,13 +247,26 @@ class TestPoisson:
 
     def test_node_count_contract(self):
         with pytest.raises(ValueError):
-            bl.poisson_product_moment(0.3, 0, 100)
+            bl.poisson_product_moment((0.3, -0.3), 0, 100)
         with pytest.raises(ValueError):
-            bl.poisson_product_moment(0.3, 0, 300)
+            bl.poisson_product_moment((0.3, -0.3), 0, 300)
         # no nodes would give nan, and 3 nodes alias conj(zeta) onto zeta^2
         for nodes in (0, 3):
             with pytest.raises(ValueError, match="node count"):
-                bl.poisson_moment(0.3, 1, nodes)
+                bl.poisson_product_moment((0.3,), 1, nodes)
+
+    @pytest.mark.parametrize("nodes", [256, 1024, 4096])
+    def test_one_density_is_the_per_k_arithmetic(self, nodes):
+        # the moments from one density are bitwise the per-k quadratures they replaced
+        zeta = bl.circle_nodes(nodes)
+        for alpha in _MOMENT_PARAMETERS:
+            single = bl.poisson_product_moment((alpha,), 8, nodes)
+            pair = bl.poisson_product_moment((alpha, -alpha), 8, nodes)
+            for k in range(9):
+                p_a = bl.poisson_kernel(alpha, zeta)
+                assert single[k] == bl.circle_mean(p_a * np.conj(zeta) ** k)
+                p_minus = bl.poisson_kernel(-alpha, zeta)
+                assert pair[k] == bl.circle_mean(p_a * p_minus * np.conj(zeta) ** k)
 
 
 class TestPhiPrimeMoments:
@@ -266,14 +282,41 @@ class TestPhiPrimeMoments:
                 alpha = radius * np.exp(1j * phase)
                 for k in (0, 1, 3, 8):
                     closed = bl.phi_prime_moment(alpha, k)
-                    series = bl.phi_prime_moment_series(alpha, k, 2000)
+                    series = bl.phi_prime_moment_series(alpha, 8, 2000)[k]
                     assert abs(closed - series) / abs(closed) < 1e-9
 
     def test_specific_complex_case(self):
         alpha = 0.3 + 0.1j
         closed = bl.phi_prime_moment(alpha, 3)
-        series = bl.phi_prime_moment_series(alpha, 3, 2000)
+        series = bl.phi_prime_moment_series(alpha, 3, 2000)[3]
         assert abs(closed - series) / abs(closed) < 1e-9
+
+    def test_one_expansion_is_the_per_k_arithmetic(self):
+        # the sums over one expansion are bitwise the per-k sums they replaced
+        for alpha in _MOMENT_PARAMETERS:
+            series = bl.phi_prime_moment_series(alpha, 8, 2000)
+            for k in range(9):
+                n = np.arange(2000 + k + 1)
+                c = (abs(alpha) ** 2 - 1.0) * (n + 1) * np.conj(alpha) ** n
+                assert series[k] == np.sum(c[k:] * np.conj(c[: len(c) - k]))
+
+
+@pytest.mark.parametrize("index", [-1, -2, 1.5])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: bl.poisson_product_moment((0.5,), k, 256),
+        lambda k: bl.poisson_product_moment((0.5, -0.5), k, 256),
+        lambda k: bl.poisson_product_moment_closed(0.5, k),
+        lambda k: bl.phi_prime_moment(0.5, k),
+        lambda k: bl.phi_prime_moment_series(0.5, k, 10),
+    ],
+    ids=["poisson", "poisson_pair", "poisson_pair_closed", "phi_prime", "phi_prime_series"],
+)
+def test_moment_index_must_be_a_nonnegative_int(call, index):
+    # a negative k wraps the slices and a fractional one takes a branch of conj(zeta)^k
+    with pytest.raises(ValueError, match="moment index must be an int >= 0"):
+        call(index)
 
 
 class TestAdjointExpansions:

@@ -171,8 +171,7 @@ class TestEmit:
 
     def test_json_round_trip(self, pick_reports):
         payload = rp.emit_reports(pick_reports, "json")
-        parsed = rp.parse_reports(payload)
-        assert parsed == pick_reports
+        assert json.loads(payload) == [rp.report_to_dict(r) for r in pick_reports]
 
     def test_csv_row_count(self, pick_reports):
         rows = rp.emit_reports(pick_reports, "csv").decode().strip().splitlines()
@@ -267,9 +266,9 @@ class TestCommandLine:
     def test_verify_exit_code_and_flag_after_subcommand(self, capsys):
         code = cli.main(["verify", "pick", "--output", "json"])
         out = capsys.readouterr().out
-        reports = rp.parse_reports(out.encode())
+        reports = json.loads(out)
         assert code == 0
-        assert all(r.ok for r in reports)
+        assert all(r["status"] in (rp.PASS, rp.CONSISTENT) for r in reports)
 
     def test_env_override(self, monkeypatch, capsys):
         monkeypatch.setenv("DISKOPS_OUTPUT", "csv")
@@ -413,12 +412,9 @@ class TestCommandLine:
         first = capsys.readouterr().out
         cli.main(["verify", "composition", "--output", "json"])
         second = capsys.readouterr().out
-        a = rp.parse_reports(first.encode())
-        b = rp.parse_reports(second.encode())
+        a, b = json.loads(first), json.loads(second)
         for x, y in zip(a, b):
-            assert [(v.label, v.value) for v in x.computed] == [
-                (v.label, v.value) for v in y.computed
-            ]
+            assert x["computed"] == y["computed"]
 
 
 @pytest.mark.parametrize(
@@ -433,7 +429,7 @@ class TestCommandLine:
         (lambda: bl.BlaschkeProduct(NAN), DomainError),
         (lambda: pk.PickProblem(sp.s12(), (NAN,), (0.0,)), DomainError),
         (lambda: bl.poisson_kernel(NAN, 1.0), DomainError),
-        (lambda: bl.poisson_product_moment(NAN, 0), DomainError),
+        (lambda: bl.poisson_product_moment((NAN,), 0), DomainError),
         (lambda: bl.phi_prime_moment(NAN, 0), DomainError),
         (lambda: bl.adjoint_symbol_expansion(bl.VARIANT_Z_PHI, NAN, 4), DomainError),
         (lambda: bl.adjoint_distinctness_gap(NAN), DomainError),
