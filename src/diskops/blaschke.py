@@ -213,14 +213,6 @@ VARIANT_Z_PHI = "z_phi"
 VARIANT_PHI_PAIR = "phi_pair"
 
 
-def adjoint_variant_product(variant: str, alpha: complex) -> BlaschkeProduct:
-    if variant == VARIANT_Z_PHI:
-        return z_times_phi(alpha)
-    if variant == VARIANT_PHI_PAIR:
-        return phi_pair(alpha)
-    raise ValueError(f"unknown adjoint variant {variant!r}")
-
-
 def adjoint_symbol_expansion(variant: str, alpha: complex, k_max: int) -> PowerSeries:
     """Coefficients of (M_psi)* psi in the S2 monomial expansion.
 
@@ -242,6 +234,7 @@ def adjoint_symbol_expansion(variant: str, alpha: complex, k_max: int) -> PowerS
     second family with weight 2 (once per cross term of the product rule),
     matching the constant term and the brute-force oracle.
     """
+    _check_index(k_max)
     alpha = complex(alpha)
     ps.require_open_disk(alpha, "parameter")
     rho = abs(alpha) ** 2
@@ -263,12 +256,11 @@ def adjoint_symbol_expansion(variant: str, alpha: complex, k_max: int) -> PowerS
     return PowerSeries(c)
 
 
-def adjoint_symbol_series_oracle(
-    variant: str, alpha: complex, k_max: int, order: int = 400
-) -> PowerSeries:
-    """Brute-force expansion coefficients <psi, z^k psi>_{S2} / w(k) computed
-    from the truncated product series; independent of the closed forms."""
-    psi = adjoint_variant_product(variant, alpha).series(order)
+def adjoint_symbol_series_oracle(psi: BlaschkeProduct, k_max: int, order: int = 400) -> PowerSeries:
+    """Brute-force expansion coefficients <psi, z^k psi>_{S2} / w(k) of any finite Blaschke
+    product, computed from its truncated series; independent of the closed forms."""
+    _check_index(k_max)
+    psi = psi.series(order)
     space = spaces.s2()
     c = np.zeros(k_max + 1, dtype=np.complex128)
     for k in range(k_max + 1):

@@ -6,10 +6,10 @@ spaces from them and ends in exactly one ``report`` helper call
 (``make_report``, ``compare_report`` or ``vanishing_report``) that carries
 its whole verdict, so every rule that turns a number into a status lives
 here.  The suite runner stamps each report with the id its check is
-registered under.  Checks draw any randomness from a PRNG seeded by the
-config (plus a per-check offset), so two runs with the same config produce
-identical computed values.  Suites never abort on a check failure:
-exceptions are captured as status="error" reports.
+registered under.  A randomized check is registered as seeded: the registry
+passes it a PRNG seeded by the config's seed and the check's id, so its
+computed values depend on those two alone.  Suites never abort on a check
+failure: exceptions are captured as status="error" reports.
 """
 
 from __future__ import annotations
@@ -60,10 +60,12 @@ class Config:
 _REGISTRY: dict[str, list] = {name: [] for name in SUITE_NAMES if name != "all"}
 
 
-def _check(suite: str, check_id: str):
+def _check(suite: str, check_id: str, seeded: bool = False):
+    """Register fn under check_id; a seeded one is called as fn(cfg, _rng(cfg, check_id))."""
     def wrap(fn):
-        fn.check_id = check_id
-        _REGISTRY[suite].append(fn)
+        entry = (lambda cfg: fn(cfg, _rng(cfg, check_id))) if seeded else fn
+        entry.check_id = check_id
+        _REGISTRY[suite].append(entry)
         return fn
 
     return wrap
@@ -120,9 +122,8 @@ for _suffix, _space in (("s12", sp.s12()), ("h2", sp.hardy()), ("a2", sp.bergman
     )
 
 
-@_check("kernels", "kernel_hermitian_symmetry")
-def _kernel_hermitian(cfg):
-    rng = _rng(cfg, "kernel_hermitian_symmetry")
+@_check("kernels", "kernel_hermitian_symmetry", seeded=True)
+def _kernel_hermitian(cfg, rng):
     spaces = [sp.hardy(), sp.bergman(), sp.dirichlet(), sp.s12(), sp.s2(), sp.s22(), sp.km(2)]
     pts = np.array(
         [rng.uniform(0, 0.9) * np.exp(1j * rng.uniform(0, 2 * np.pi)) for _ in range(50)]
@@ -135,9 +136,8 @@ def _kernel_hermitian(cfg):
     return rp.vanishing_report("max_deviation", worst, 1e-12, rp.TRIVIAL)
 
 
-@_check("kernels", "kernel_reproducing_property")
-def _kernel_reproducing(cfg):
-    rng = _rng(cfg, "kernel_reproducing_property")
+@_check("kernels", "kernel_reproducing_property", seeded=True)
+def _kernel_reproducing(cfg, rng):
     spaces = [sp.hardy(), sp.bergman(), sp.dirichlet(), sp.s12(), sp.s2(), sp.s22(),
               sp.km(3), sp.dalpha(1.5)]
     worst = 0.0
@@ -196,9 +196,8 @@ def _kernel_small_switch(cfg):
 # ===========================================================================
 
 
-@_check("constants", "pointwise_bound_sqrt2")
-def _pointwise_bound(cfg):
-    rng = _rng(cfg, "pointwise_bound_sqrt2")
+@_check("constants", "pointwise_bound_sqrt2", seeded=True)
+def _pointwise_bound(cfg, rng):
     s12 = sp.s12()
     worst = 0.0
     for _ in range(500):
@@ -239,9 +238,8 @@ def _extremal_sharpness(cfg):
     )
 
 
-@_check("constants", "algebra_product_bound")
-def _algebra_bound(cfg):
-    rng = _rng(cfg, "algebra_product_bound")
+@_check("constants", "algebra_product_bound", seeded=True)
+def _algebra_bound(cfg, rng):
     s12 = sp.s12()
     limit = 2.0 * SQRT2
     worst = 0.0
@@ -297,9 +295,8 @@ def _mult_one_plus_z(cfg):
     )
 
 
-@_check("constants", "mult_norm_sandwich")
-def _mult_norm_sandwich(cfg):
-    rng = _rng(cfg, "mult_norm_sandwich")
+@_check("constants", "mult_norm_sandwich", seeded=True)
+def _mult_norm_sandwich(cfg, rng):
     s12 = sp.s12()
     lower_slack = np.inf
     upper_slack = np.inf
@@ -325,9 +322,8 @@ def _mult_norm_sandwich(cfg):
     )
 
 
-@_check("constants", "mult_strict_sup_gap")
-def _mult_strict_gap(cfg):
-    rng = _rng(cfg, "mult_strict_sup_gap")
+@_check("constants", "mult_strict_sup_gap", seeded=True)
+def _mult_strict_gap(cfg, rng):
     min_margin = np.inf
     size = 0
     for _ in range(20):
@@ -354,9 +350,8 @@ def _extremal_product(cfg):
     return rp.vanishing_report("max_relative_error", worst, 1e-12, rp.PAPER)
 
 
-@_check("constants", "s12_norm_decomposition")
-def _norm_decomposition(cfg):
-    rng = _rng(cfg, "s12_norm_decomposition")
+@_check("constants", "s12_norm_decomposition", seeded=True)
+def _norm_decomposition(cfg, rng):
     s12 = sp.s12()
     rows = []
     h, b, hd = sp.norm_decomposition_s12(ps.one())
@@ -371,9 +366,8 @@ def _norm_decomposition(cfg):
     return rp.compare_report(rows, tolerance=1e-12, relative=True)
 
 
-@_check("constants", "norm_relations")
-def _norm_relations(cfg):
-    rng = _rng(cfg, "norm_relations")
+@_check("constants", "norm_relations", seeded=True)
+def _norm_relations(cfg, rng):
     passes = []
     for f in (ps.one(), ps.monomial(1), _random_polynomial(rng)):
         residual_a, residual_b, scale = sp.norm_identity_residuals(f)
@@ -393,14 +387,14 @@ def _norm_relations(cfg):
 _Z = bl.BlaschkeProduct(-1.0, (0j,))  # the symbol z
 
 
-@_check("isometries", "shift_s12_defect3")
-def _shift_defect3(cfg):
-    rng = _rng(cfg, "shift_s12_defect3")
-    worst = 0.0
-    for _ in range(100):
-        probe = _random_polynomial(rng)
-        worst = max(worst, abs(op.blaschke_power_defect(sp.s12(), _Z, 3, probe, probe.order + 3,
-                                                         cfg.tol)))
+def _shift_defect(space: sp.SpaceWeights, m: int, probes, tol: float) -> float:
+    """The largest |Delta^m| of M_z over the probes, each on its whole orbit."""
+    return max(abs(op.blaschke_power_defect(space, _Z, m, f, f.order + m, tol)) for f in probes)
+
+
+@_check("isometries", "shift_s12_defect3", seeded=True)
+def _shift_defect3(cfg, rng):
+    worst = _shift_defect(sp.s12(), 3, [_random_polynomial(rng) for _ in range(100)], cfg.tol)
     return rp.vanishing_report("max_defect", worst, 1e-12, rp.PAPER, "defect")
 
 
@@ -410,12 +404,9 @@ def _shift_defect2(cfg):
     return rp.compare_report([("defect", value, 1.0, rp.DERIVED)], tolerance=0.0)
 
 
-@_check("isometries", "shift_h2_defect1")
-def _shift_h2_defect(cfg):
-    rng = _rng(cfg, "shift_h2_defect1")
-    probes = [_random_polynomial(rng) for _ in range(20)]
-    worst = max(abs(op.blaschke_power_defect(sp.hardy(), _Z, 1, probe, probe.order + 1, cfg.tol))
-                for probe in probes)
+@_check("isometries", "shift_h2_defect1", seeded=True)
+def _shift_h2_defect(cfg, rng):
+    worst = _shift_defect(sp.hardy(), 1, [_random_polynomial(rng) for _ in range(20)], cfg.tol)
     return rp.vanishing_report("max_defect", worst, 1e-13, rp.TRIVIAL, "defect")
 
 
@@ -436,9 +427,8 @@ def _blaschke_identity(psi: bl.BlaschkeProduct, probes, tol: float):
     )
 
 
-@_check("isometries", "blaschke_identity_z_phi04")
-def _blaschke_identity_zphi(cfg):
-    rng = _rng(cfg, "blaschke_identity_z_phi04")
+@_check("isometries", "blaschke_identity_z_phi04", seeded=True)
+def _blaschke_identity_zphi(cfg, rng):
     probes = [ps.one(), ps.from_coefficients([1, 1]), _random_polynomial(rng, max_degree=8)]
     return _blaschke_identity(bl.z_times_phi(0.4), probes, cfg.tol)
 
@@ -516,21 +506,17 @@ def _shift_order_km(cfg):
     )
 
 
-@_check("isometries", "km_defect_orders")
-def _km_defect(cfg):
-    rng = _rng(cfg, "km_defect_orders")
+@_check("isometries", "km_defect_orders", seeded=True)
+def _km_defect(cfg, rng):
     rows = []
     ok = True
     for m in (1, 2, 3):
         space = sp.km(m)
-        worst = 0.0
-        for _ in range(10):
-            probe = _random_polynomial(rng, max_degree=8)
-            # unit-norm probes keep the large Km weights from inflating
-            # the rounding floor of the alternating sum
-            probe = ps.scale(probe, 1.0 / sp.space_norm(space, probe))
-            worst = max(worst, abs(op.blaschke_power_defect(space, _Z, m + 2, probe,
-                                                             probe.order + m + 2, cfg.tol)))
+        probes = [_random_polynomial(rng, max_degree=8) for _ in range(10)]
+        # unit-norm probes keep the large Km weights from inflating
+        # the rounding floor of the alternating sum
+        probes = [ps.scale(f, 1.0 / sp.space_norm(space, f)) for f in probes]
+        worst = _shift_defect(space, m + 2, probes, cfg.tol)
         strict = op.blaschke_power_defect(space, _Z, m + 1, ps.one(), m + 1, cfg.tol)
         rows.append((f"max_defect_m{m}", worst))
         rows.append((f"strict_witness_m{m}", strict))
@@ -637,9 +623,8 @@ def _mobius_involution(cfg):
     return rp.vanishing_report("max_coefficient_error", worst, tol, rp.TRIVIAL)
 
 
-@_check("blaschke", "blaschke_boundary_modulus")
-def _blaschke_boundary(cfg):
-    rng = _rng(cfg, "blaschke_boundary_modulus")
+@_check("blaschke", "blaschke_boundary_modulus", seeded=True)
+def _blaschke_boundary(cfg, rng):
     products = [_random_blaschke(rng) for _ in range(10)]
     tol = 1e-8
     # every product series is cut at the one order whose tail bounds are all within tol
@@ -693,19 +678,20 @@ def _poisson_moments(cfg):
     return rp.compare_report(rows, tolerance=1e-10)
 
 
+_MOMENT_ALPHAS = [r * np.exp(1j * p) for r in (0.1, 0.3, 0.5, 0.7) for p in (0.0, np.pi / 4, np.pi / 2)]
+
+
 @_check("blaschke", "poisson_product_moments")
 def _poisson_product_moments(cfg):
     worst_even = 0.0
     worst_odd = 0.0
-    for radius in (0.1, 0.3, 0.5, 0.7):
-        for phase in (0.0, np.pi / 4, np.pi / 2):
-            alpha = radius * np.exp(1j * phase)
-            for k, quad in enumerate(bl.poisson_product_moment((alpha, -alpha), 8, cfg.quad_nodes)):
-                closed = bl.poisson_product_moment_closed(alpha, k)
-                if k % 2:
-                    worst_odd = max(worst_odd, abs(quad))
-                else:
-                    worst_even = max(worst_even, abs(quad - closed))
+    for alpha in _MOMENT_ALPHAS:
+        for k, quad in enumerate(bl.poisson_product_moment((alpha, -alpha), 8, cfg.quad_nodes)):
+            closed = bl.poisson_product_moment_closed(alpha, k)
+            if k % 2:
+                worst_odd = max(worst_odd, abs(quad))
+            else:
+                worst_even = max(worst_even, abs(quad - closed))
     (base,) = bl.poisson_product_moment((0.5, -0.5), 0, cfg.quad_nodes)
     return rp.make_report(
         computed=[
@@ -722,12 +708,10 @@ def _poisson_product_moments(cfg):
 @_check("blaschke", "phi_prime_moments")
 def _phi_prime_moments(cfg):
     worst = 0.0
-    for radius in (0.1, 0.3, 0.5, 0.7):
-        for phase in (0.0, np.pi / 4, np.pi / 2):
-            alpha = radius * np.exp(1j * phase)
-            for k, series in enumerate(bl.phi_prime_moment_series(alpha, 8, 2000)):
-                closed = bl.phi_prime_moment(alpha, k)
-                worst = max(worst, abs(closed - series) / abs(closed))
+    for alpha in _MOMENT_ALPHAS:
+        for k, series in enumerate(bl.phi_prime_moment_series(alpha, 8, 2000)):
+            closed = bl.phi_prime_moment(alpha, k)
+            worst = max(worst, abs(closed - series) / abs(closed))
     half = bl.phi_prime_moment(0.5, 0)
     return rp.make_report(
         computed=[("max_relative_error", worst), ("value_half_k0", half)],
@@ -737,12 +721,13 @@ def _phi_prime_moments(cfg):
     )
 
 
-def _adjoint_expansion_check(variant, alphas, ok):
-    """The closed-form expansion against its oracle; passes iff that error vanishes and ok."""
+def _adjoint_expansion_check(variant, product, alphas, ok):
+    """The closed-form expansion of each product(alpha) against its oracle; passes iff that
+    error vanishes and ok."""
     worst = 0.0
     for alpha in alphas:
         closed = bl.adjoint_symbol_expansion(variant, alpha, 16)
-        oracle = bl.adjoint_symbol_series_oracle(variant, alpha, 16, order=400)
+        oracle = bl.adjoint_symbol_series_oracle(product(alpha), 16, order=400)
         scale = np.maximum(np.abs(oracle.coeffs), 1e-3)
         worst = max(worst, float(np.max(np.abs(closed.coeffs - oracle.coeffs) / scale)))
     return rp.make_report(
@@ -756,14 +741,15 @@ def _adjoint_z_phi(cfg):
     # alpha = 0 collapses to the pure square shift with constant term 4
     const = bl.adjoint_symbol_expansion(bl.VARIANT_Z_PHI, 0.0, 4).coeffs
     square_shift = abs(const[0] - 4.0) <= 1e-14 and np.max(np.abs(const[1:])) == 0
-    return _adjoint_expansion_check(bl.VARIANT_Z_PHI, (0.5, 0.3 + 0.1j), square_shift)
+    return _adjoint_expansion_check(bl.VARIANT_Z_PHI, bl.z_times_phi, (0.5, 0.3 + 0.1j), square_shift)
 
 
 @_check("blaschke", "adjoint_expansion_phi_pair")
 def _adjoint_phi_pair(cfg):
     # the product phi_a phi_{-a} is even, so its odd coefficients vanish
     odd = bl.adjoint_symbol_expansion(bl.VARIANT_PHI_PAIR, 0.5, 15).coeffs[1::2]
-    return _adjoint_expansion_check(bl.VARIANT_PHI_PAIR, (0.5, 0.4j), np.max(np.abs(odd)) == 0)
+    return _adjoint_expansion_check(bl.VARIANT_PHI_PAIR, bl.phi_pair, (0.5, 0.4j),
+                                    np.max(np.abs(odd)) == 0)
 
 
 @_check("blaschke", "adjoint_distinctness")
@@ -809,12 +795,7 @@ def _kaluza_h2(cfg):
 @_check("pick", "kaluza_s2_failure")
 def _kaluza_s2(cfg):
     first, _ = pk.log_convexity(sp.s2(), 100)
-    return rp.make_report(
-        computed=[("first_failure_index", first)],
-        reference=[("first_failure_index", 1, rp.DERIVED)],
-        tolerance=0.0,
-        ok=first == 1,
-    )
+    return rp.compare_report([("first_failure_index", first, 1, rp.DERIVED)], tolerance=0.0)
 
 
 @_check("pick", "reciprocal_sign_s12")
@@ -824,7 +805,7 @@ def _reciprocal_s12(cfg):
 
 def _reciprocal_coeffs(space: sp.SpaceWeights, c1: float, c2: float, cfg: Config):
     c = pk.reciprocal_kernel_coefficients(space, 16)
-    first = next((n for n in range(1, len(c)) if c[n] > pk.DEFAULT_SIGN_TOL), -1)
+    first = pk.first_sign_violation(c)
     rows = [
         ("c0", c[0], 1.0, rp.PAPER),
         ("c1", c[1], c1, rp.PAPER),
@@ -897,10 +878,9 @@ def _scalar_pick_matrix(cfg):
     )
 
 
-@_check("pick", "pick_gram_positivity")
-def _pick_gram(cfg):
-    rng = _rng(cfg, "pick_gram_positivity")
-    worst = np.inf
+@_check("pick", "pick_gram_positivity", seeded=True)
+def _pick_gram(cfg, rng):
+    worst, ok = np.inf, True
     for space in (sp.s12(), sp.hardy(), sp.dirichlet(), sp.s2()):
         nodes = tuple(
             rng.uniform(0.05, 0.85) * np.exp(1j * rng.uniform(0, 2 * np.pi)) for _ in range(8)
@@ -908,11 +888,12 @@ def _pick_gram(cfg):
         problem = pk.PickProblem(space, nodes, (0.0,) * 8)
         verdict = pk.psd_check(pk.pick_matrix(problem))
         worst = min(worst, verdict.min_eigenvalue / max(verdict.matrix_scale, 1.0))
+        ok = ok and verdict.is_psd
     return rp.make_report(
         computed=[("min_scaled_eigenvalue", worst)],
         reference=[("floor", 0.0, rp.TRIVIAL)],
         tolerance=1e-10,
-        ok=worst >= -1e-10,
+        ok=ok,
     )
 
 
@@ -985,11 +966,10 @@ def _composition_upper_bound(phi: ps.PowerSeries) -> float:
     return (1.0 + phi0) / (1.0 - phi0)
 
 
-@_check("composition", "comp_upper_bound_random")
-def _comp_upper_bound(cfg):
+@_check("composition", "comp_upper_bound_random", seeded=True)
+def _comp_upper_bound(cfg, rng):
     # compression norms are lower bounds of ||C_phi||, so not exceeding the upper bound is
     # "consistent" rather than "pass"; a violation is a hard failure
-    rng = _rng(cfg, "comp_upper_bound_random")
     s12 = sp.s12()
     target = 0.99 / (2.0 * SQRT2)
     min_slack = np.inf
@@ -1027,9 +1007,8 @@ def _comp_d2_bracket(cfg):
     )
 
 
-@_check("composition", "comp_hilbert_schmidt_bound")
-def _comp_hs_bound(cfg):
-    rng = _rng(cfg, "comp_hilbert_schmidt_bound")
+@_check("composition", "comp_hilbert_schmidt_bound", seeded=True)
+def _comp_hs_bound(cfg, rng):
     s12 = sp.s12()
     min_slack = np.inf
     for _ in range(10):
@@ -1064,9 +1043,8 @@ def _comp_hs_values(cfg):
     return rp.compare_report(rows, tolerance=tol)
 
 
-@_check("composition", "comp_diagonal_identities")
-def _comp_diagonal(cfg):
-    rng = _rng(cfg, "comp_diagonal_identities")
+@_check("composition", "comp_diagonal_identities", seeded=True)
+def _comp_diagonal(cfg, rng):
     worst = 0.0
     for n, k in ((2, 3), (4, 2), (5, 5)):
         composed = ps.compose(ps.monomial(n), ps.monomial(k), n * k)

@@ -80,18 +80,24 @@ def reciprocal_kernel_coefficients(space: sp.SpaceWeights, n_max: int) -> np.nda
     return ps.reciprocal(kernel, n_max).coeffs.real.copy()
 
 
+def first_sign_violation(c: np.ndarray) -> int:
+    """The first n >= 1 with c_n > DEFAULT_SIGN_TOL, the tolerance absorbing rounding of exact
+    zeros; -1 when there is none."""
+    bad = np.nonzero(c[1:] > DEFAULT_SIGN_TOL)[0]
+    return int(bad[0] + 1) if bad.size else -1
+
+
 def reciprocal_sign_check(space: sp.SpaceWeights, n_max: int) -> rp.VerificationReport:
     """Complete-Pick characterization: c_n <= 0 for every n >= 1.
 
-    DEFAULT_SIGN_TOL absorbs rounding of exact zeros.  Reports the first
-    violating index and its value when the pattern breaks.
+    Reports the first violating index (``first_sign_violation``) and its
+    value when the pattern breaks.
     """
     c = reciprocal_kernel_coefficients(space, n_max)
-    bad = np.nonzero(c[1:] > DEFAULT_SIGN_TOL)[0]
-    first_failure = int(bad[0] + 1) if bad.size else -1
+    first_failure = first_sign_violation(c)
     worst = float(c[1:].max()) if n_max >= 1 else 0.0
     computed = [("first_violation_index", first_failure), ("max_coefficient", worst)]
-    if bad.size:
+    if first_failure >= 0:
         computed.append(("violation_value", float(c[first_failure])))
     return rp.make_report(
         computed=computed,
@@ -119,7 +125,7 @@ def pick_matrix(problem: PickProblem) -> np.ndarray:
 
 
 def psd_check(matrix: np.ndarray) -> PsdVerdict:
-    """Smallest eigenvalue of a Hermitian matrix against a scaled floor.
+    """Smallest eigenvalue of a Hermitian matrix, symmetrized here alone, against a scaled floor.
 
     The verdict is positive iff min eig >= -DEFAULT_PSD_TOL * (largest
     diagonal entry); kernel evaluations carry ~1e-12 relative error which the
@@ -165,4 +171,4 @@ def corona_kernel_check(space: sp.SpaceWeights, symbols, delta: float, grid=None
     ps.require_open_disk(points, "corona grid points")
     values = np.array([ps.evaluate_many(f, points) for f in symbols])
     out = (values.conj().T @ values - delta**2) * sp.kernel(space, points[:, None], points)
-    return psd_check(0.5 * (out + out.conj().T))
+    return psd_check(out)

@@ -191,14 +191,14 @@ def test_criterion_07_adjoint_moment_oracles():
                 else:
                     worst_even = max(worst_even, abs(quad - wanted))
     worst_exp = 0.0
-    for variant, alpha in (
-        (bl.VARIANT_Z_PHI, 0.5),
-        (bl.VARIANT_Z_PHI, 0.3 + 0.1j),
-        (bl.VARIANT_PHI_PAIR, 0.5),
-        (bl.VARIANT_PHI_PAIR, 0.4j),
+    for variant, product, alpha in (
+        (bl.VARIANT_Z_PHI, bl.z_times_phi, 0.5),
+        (bl.VARIANT_Z_PHI, bl.z_times_phi, 0.3 + 0.1j),
+        (bl.VARIANT_PHI_PAIR, bl.phi_pair, 0.5),
+        (bl.VARIANT_PHI_PAIR, bl.phi_pair, 0.4j),
     ):
         closed = bl.adjoint_symbol_expansion(variant, alpha, 16)
-        oracle = bl.adjoint_symbol_series_oracle(variant, alpha, 16, order=400)
+        oracle = bl.adjoint_symbol_series_oracle(product(alpha), 16, order=400)
         scale = np.maximum(np.abs(oracle.coeffs), 1e-3)
         worst_exp = max(worst_exp, float(np.max(np.abs(closed.coeffs - oracle.coeffs) / scale)))
     gap = bl.adjoint_distinctness_gap(0.5)

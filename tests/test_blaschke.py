@@ -310,8 +310,11 @@ class TestPhiPrimeMoments:
         lambda k: bl.poisson_product_moment_closed(0.5, k),
         lambda k: bl.phi_prime_moment(0.5, k),
         lambda k: bl.phi_prime_moment_series(0.5, k, 10),
+        lambda k: bl.adjoint_symbol_expansion(bl.VARIANT_Z_PHI, 0.5, k),
+        lambda k: bl.adjoint_symbol_series_oracle(bl.z_times_phi(0.5), k, 10),
     ],
-    ids=["poisson", "poisson_pair", "poisson_pair_closed", "phi_prime", "phi_prime_series"],
+    ids=["poisson", "poisson_pair", "poisson_pair_closed", "phi_prime", "phi_prime_series",
+         "adjoint_expansion", "adjoint_oracle"],
 )
 def test_moment_index_must_be_a_nonnegative_int(call, index):
     # a negative k wraps the slices and a fractional one takes a branch of conj(zeta)^k
@@ -334,22 +337,39 @@ class TestAdjointExpansions:
     @pytest.mark.parametrize("alpha", [0.5, 0.3 + 0.1j, -0.45j])
     def test_z_phi_matches_oracle(self, alpha):
         closed = bl.adjoint_symbol_expansion(bl.VARIANT_Z_PHI, alpha, 16)
-        oracle = bl.adjoint_symbol_series_oracle(bl.VARIANT_Z_PHI, alpha, 16, order=400)
+        oracle = bl.adjoint_symbol_series_oracle(bl.z_times_phi(alpha), 16, order=400)
         scale = np.maximum(np.abs(oracle.coeffs), 1e-3)
         assert np.max(np.abs(closed.coeffs - oracle.coeffs) / scale) < 1e-8
 
     @pytest.mark.parametrize("alpha", [0.5, 0.4j, 0.2 + 0.3j])
     def test_phi_pair_matches_oracle(self, alpha):
         closed = bl.adjoint_symbol_expansion(bl.VARIANT_PHI_PAIR, alpha, 16)
-        oracle = bl.adjoint_symbol_series_oracle(bl.VARIANT_PHI_PAIR, alpha, 16, order=400)
+        oracle = bl.adjoint_symbol_series_oracle(bl.phi_pair(alpha), 16, order=400)
         scale = np.maximum(np.abs(oracle.coeffs), 1e-3)
         assert np.max(np.abs(closed.coeffs - oracle.coeffs) / scale) < 1e-8
 
     def test_phi_pair_odd_coefficients_vanish(self):
         closed = bl.adjoint_symbol_expansion(bl.VARIANT_PHI_PAIR, 0.5, 15)
         assert np.max(np.abs(closed.coeffs[1::2])) == 0.0
-        oracle = bl.adjoint_symbol_series_oracle(bl.VARIANT_PHI_PAIR, 0.5, 15, order=400)
+        oracle = bl.adjoint_symbol_series_oracle(bl.phi_pair(0.5), 15, order=400)
         assert np.max(np.abs(oracle.coeffs[1::2])) < 1e-12
+
+    def test_oracle_on_a_product_without_closed_form(self):
+        # <psi, z^k psi>_S2 = psi(0) conj((z^k psi)(0)) + <psi', (z^k psi)'>_H2 by quadrature on
+        # the circle, with psi' = psi sum_a (|a|^2 - 1) / ((1 - conj(a) z)(a - z))
+        zeros = (0.3, -0.2j, 0.5 + 0.1j)
+        psi = bl.BlaschkeProduct(1.0, zeros)
+        z = bl.circle_nodes(4096)
+        values = psi(z)
+        prime = values * sum((abs(a) ** 2 - 1) / ((1 - np.conj(a) * z) * (a - z)) for a in zeros)
+        quad = []
+        for k in range(9):
+            shifted_prime = k * z ** (k - 1) * values + z**k * prime
+            at_zero = psi(0.0) * np.conj(psi(0.0)) if k == 0 else 0.0
+            quad.append((at_zero + np.mean(prime * np.conj(shifted_prime))) / (k**2 if k else 1))
+        oracle = bl.adjoint_symbol_series_oracle(psi, 8).coeffs
+        quad = np.array(quad)
+        assert np.max(np.abs(oracle - quad) / np.maximum(np.abs(quad), 1e-3)) < 1e-12
 
 
 class TestAdjointDistinctness:

@@ -66,6 +66,11 @@ class TestRunSuite:
     def test_all_suite_size(self):
         assert len(checks.suite_checks("all")) >= 40
 
+    def test_check_ids_unique(self):
+        # a repeated id would share a seed stream and a benchmark metric name
+        ids = [fn.check_id for fn in checks.suite_checks("all")]
+        assert len(set(ids)) == len(ids)
+
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             checks.run_suite("nope", checks.Config())

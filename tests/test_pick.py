@@ -61,6 +61,19 @@ class TestReciprocalSign:
         first = {v.label: v.value for v in report.computed}["first_violation_index"]
         assert first.real == 2
 
+    @pytest.mark.parametrize(
+        "c, first",
+        [
+            ([1.0, -0.5, pk.DEFAULT_SIGN_TOL], -1),  # the rule is strictly above the tolerance
+            ([1.0, -0.5, np.nextafter(pk.DEFAULT_SIGN_TOL, 1.0)], 2),
+            ([1.0], -1),
+        ],
+    )
+    def test_first_sign_violation(self, c, first):
+        c = np.array(c)
+        reference = next((n for n in range(1, len(c)) if c[n] > pk.DEFAULT_SIGN_TOL), -1)
+        assert pk.first_sign_violation(c) == reference == first
+
     def test_hardy_exact_zeros_within_tolerance(self):
         assert pk.reciprocal_sign_check(sp.hardy(), 100).status == rp.PASS
 
@@ -96,6 +109,20 @@ class TestPickMatrix:
             problem = pk.PickProblem(space, nodes, (0.0,) * 7)
             verdict = pk.psd_check(pk.pick_matrix(problem))
             assert verdict.is_psd
+
+    def test_zero_targets_scale_at_least_one(self):
+        # each diagonal entry is K(z, z) >= a_0 = 1, so is_psd agrees with a floor on
+        # min eig / max(scale, 1)
+        rng = np.random.default_rng(4)
+        for space in (sp.s12(), sp.hardy(), sp.dirichlet(), sp.s2()):
+            nodes = tuple(
+                rng.uniform(0.05, 0.85) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+                for _ in range(8)
+            )
+            verdict = pk.psd_check(pk.pick_matrix(pk.PickProblem(space, nodes, (0.0,) * 8)))
+            assert verdict.matrix_scale >= 1.0
+            floor = verdict.min_eigenvalue / max(verdict.matrix_scale, 1.0) >= -pk.DEFAULT_PSD_TOL
+            assert verdict.is_psd == floor
 
     def test_unimodular_target_scaling_invariance(self):
         rng = np.random.default_rng(2)
