@@ -892,7 +892,7 @@ def _pick_gram(cfg, rng):
     return rp.make_report(
         computed=[("min_scaled_eigenvalue", worst)],
         reference=[("floor", 0.0, rp.TRIVIAL)],
-        tolerance=1e-10,
+        tolerance=pk.DEFAULT_PSD_TOL,
         ok=ok,
     )
 

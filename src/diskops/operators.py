@@ -29,8 +29,6 @@ from .series import PowerSeries
 
 # The squared Frobenius mass the C_phi products may leave out: (eps ||A||_F)^2 at most
 _CUT_MASS = np.finfo(np.float64).eps ** 2
-# Entries per block of _composition_rows, as in spaces.kernel_norm_sq
-_BLOCK = 1 << 16
 
 
 def _composition_cut(space: sp.SpaceWeights, phi: PowerSeries, n: int, full: bool = False):
@@ -74,31 +72,14 @@ def _composition_cut(space: sp.SpaceWeights, phi: PowerSeries, n: int, full: boo
     return k, c, mass
 
 
-def _composition_rows(space: sp.SpaceWeights, phi: PowerSeries, n: int, k: int, c: int):
-    """The rows 0..k, columns 0..c of the transposed compression of f -> f(phi) at size n+1,
-    yielded as (start, rows) in blocks of at most _BLOCK entries: the one builder of every C_phi
-    table.  Each ``series.orbit`` call restarts from the last row of the block before, so the
-    rows are bitwise those of one call and no array of all rows is held."""
-    sqw = np.sqrt(space.weights(n))
-    step = max(1, _BLOCK // (c + 1) - 1)  # rows per block; each orbit holds one more
-    last = ps.one()
-    for start in range(0, k + 1, step):
-        stop = min(start + step, k + 1)
-        lead = 1 if start else 0  # every call but the first starts with the row before
-        rows = ps.orbit(last, phi, stop - start - 1 + lead, c)[lead:]
-        last = PowerSeries(rows[-1])
-        rows *= sqw[: c + 1] / sqw[start:stop, None]
-        yield start, rows
-        del rows  # free this block before the next one is built
-
-
 def _composition_columns(space: sp.SpaceWeights, phi: PowerSeries, n: int, full: bool = False):
     """The rows 0..k, columns 0..c of the transposed compression of f -> f(phi) at size n+1
-    that ``_composition_cut`` sizes, and its bound of the squared mass of the rest."""
+    that ``_composition_cut`` sizes, as one ``series.orbit`` of phi's powers scaled in place
+    (every C_phi table), and its bound of the squared mass of the rest."""
     k, c, mass = _composition_cut(space, phi, n, full)
-    table = np.empty((k + 1, c + 1), dtype=np.complex128)
-    for start, rows in _composition_rows(space, phi, n, k, c):
-        table[start : start + len(rows)] = rows
+    sqw = np.sqrt(space.weights(n))
+    table = ps.orbit(ps.one(), phi, k, c)
+    table *= sqw[: c + 1] / sqw[: k + 1, None]
     return table, mass
 
 
@@ -298,19 +279,24 @@ def composition_monomial_norm(space: sp.SpaceWeights, k: int) -> float:
 
 def hilbert_schmidt_norm_sq(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> float:
     """Partial Hilbert-Schmidt sum sum_{j<=n} ||phi^j||^2 / weight(j), every power
-    truncated at order n: the squared Frobenius norm of the compression.  The rows 0..k and
-    columns 0..c that ``_composition_cut`` sizes are summed block by block as
-    ``_composition_rows`` builds them, so no array of all rows is held, and its bound of the
-    rest is added: up to rounding the value lies in [full sum, full sum + eps^2]; for
-    sup|phi| >= 1 every row that is not exactly zero is summed."""
+    truncated at order n: the squared Frobenius norm of the compression.  The powers 0..k,
+    columns 0..c, that ``_composition_cut`` sizes are built one at a time by
+    ``series.multiplier``, each kept only as its weighted square sum, so no table is held, and
+    its bound of the rest is added: up to rounding the value lies in [full sum, full sum + eps^2];
+    for sup|phi| >= 1 every row that is not exactly zero is summed.  A power that overflows
+    raises the DomainError of ``series.orbit``."""
     k, c, mass = _composition_cut(space, phi, n)
-    total = mass
-    for _, rows in _composition_rows(space, phi, n, k, c):
-        squares = np.abs(rows)
-        squares *= squares
-        total += float(np.sum(squares))
-        del rows, squares  # free this block before the next one is built
-    return total
+    w = space.weights(n)
+    times_phi = ps.multiplier(phi, c)
+    row, terms = ps.one(c).coeffs, np.empty(k + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing power is refused below
+        for j in range(k + 1):
+            if j:
+                row = times_phi(row)
+            terms[j] = sp.norms_sq(w[: c + 1], row)  # not finite where the row is not
+            if not math.isfinite(terms[j]) and not np.isfinite(row).all():
+                raise DomainError(f"f * phi^{j} overflows at order {c}: phi is no self-map")
+    return mass + float(np.sum(terms / w[: k + 1]))
 
 
 # ---------------------------------------------------------------------------

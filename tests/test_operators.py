@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -558,6 +559,37 @@ class TestCompositionRowCut:
             assert np.array_equal(table, full[:rows])
             assert not full[rows:].any()
 
+    @staticmethod
+    def blocked_columns(space, phi, n, full):
+        """The retired blocked build: rows in blocks of at most 2^16 entries, each ``orbit``
+        call restarting from the last row of the block before."""
+        k, c, mass = op._composition_cut(space, phi, n, full)
+        sqw = np.sqrt(space.weights(n))
+        table = np.empty((k + 1, c + 1), dtype=np.complex128)
+        step = max(1, (1 << 16) // (c + 1) - 1)  # rows per block; each orbit holds one more
+        last = ps.one()
+        for start in range(0, k + 1, step):
+            stop = min(start + step, k + 1)
+            lead = 1 if start else 0  # every call but the first starts with the row before
+            rows = ps.orbit(last, phi, stop - start - 1 + lead, c)[lead:]
+            last = ps.PowerSeries(rows[-1])
+            rows *= sqw[: c + 1] / sqw[start:stop, None]
+            table[start:stop] = rows
+        return table, mass
+
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("space, phi", [(S12, ps.monomial(1)), (sp.km(2), symbol_of_sup(0.95)),
+                                            (sp.dirichlet(), symbol_of_sup(0.8))],
+                             ids=["S12-z", "Km:2-0.95", "D2-0.8"])
+    def test_one_orbit_equals_the_blocked_build(self, space, phi, full):
+        # at n = 1024 every table has 1025 columns, so a block holds 62 rows and each table
+        # here spans several blocks: the one orbit gives the same bits
+        n = 1024
+        table, mass = op._composition_columns(space, phi, n, full)
+        blocked, blocked_mass = self.blocked_columns(space, phi, n, full)
+        assert table.shape[1] == n + 1 and len(table) > 2 * 62
+        assert np.array_equal(table, blocked) and mass == blocked_mass
+
     @pytest.mark.parametrize("space", CUT_SPACES, ids=lambda s: s.label)
     def test_hilbert_schmidt_never_below_the_full_sum(self, space):
         n = 512
@@ -636,7 +668,7 @@ class TestHilbertSchmidt:
 
     def test_blocks_hold_no_table(self):
         # the symbols of comp_hilbert_schmidt_bound at seed 0: the sum over the whole table at
-        # size 8193 traced 8.2 MiB, blocks of 2^16 entries trace about 1.8
+        # size 8193 traced 8.2 MiB, blocks of 2^16 entries about 1.76, one power at a time 0.25
         rng = checks._rng(checks.Config(seed=0), "comp_hilbert_schmidt_bound")
         symbols = []
         for _ in range(10):
@@ -649,7 +681,19 @@ class TestHilbertSchmidt:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 2**20
+        assert peak < 2**20
+
+    def test_overflowing_power_is_refused_without_warning(self, monkeypatch):
+        # a sup bracket of (1, 1) keeps every row of 2z at n = 1100, and 2^1024 overflows: the
+        # sum refuses it with the one line of series.orbit, as composition_norm does through it
+        monkeypatch.setattr(sp, "sup_bracket", lambda f: (1.0, 1.0))
+        phi = ps.from_coefficients([0, 2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for build in (op.hilbert_schmidt_norm_sq, op.composition_norm):
+                with pytest.raises(DomainError, match=r"^f \* phi\^1024 overflows at order 1100: "
+                                                      r"phi is no self-map$"):
+                    build(S12, phi, 1100)
 
     def test_half_z_geometric(self):
         # ||(z/2)^n||^2 / ||z^n||^2 = 4^-n, so the sum telescopes to 4/3
