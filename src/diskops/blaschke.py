@@ -60,13 +60,9 @@ class BlaschkeProduct:
 
     def series(self, order: int) -> PowerSeries:
         """Truncated Taylor expansion; tail is O(max|zero|^order).  The factors' coefficients are
-        the closed form of phi_a, and the product folds them from the first factor on."""
-        n = np.arange(order)
-        factors = [np.concatenate([[a], -(1.0 - abs(a) ** 2) * np.conj(a) ** n]) for a in self.zeros]
-        out = PowerSeries(factors[0]) if factors else ps.one(order)
-        for c in factors[1:]:
-            out = ps.cauchy_product(out, PowerSeries(c), order)
-        return ps.scale(out, self.unimodular)
+        the closed form of phi_a, and the product folds them from the first factor on.  The last
+        16 are kept, keyed on the bits of the constant and zeros (equality takes -0.0 for 0.0)."""
+        return _product_series(np.array((self.unimodular, *self.zeros)).tobytes(), order)
 
     def _tail_majorant(self, space: spaces.SpaceWeights | None = None) -> ps.Majorant | None:
         """Each factor has |coefficient_n| <= r^(n-1), r the largest zero modulus, so the majorant
@@ -102,6 +98,18 @@ class BlaschkeProduct:
             at_zero = self.tail_bound(0) if space is None else self.tail_norm(space, 0)
             return 0 if at_zero <= tol else self.degree
         return majorant.order_for(tol) if space is None else max(majorant.order_for(tol * tol) - 1, 0)
+
+
+@lru_cache(maxsize=16)
+def _product_series(key: bytes, order: int) -> PowerSeries:
+    """``BlaschkeProduct.series`` of the product whose constant and zeros have these bytes."""
+    unimodular, *zeros = (complex(a) for a in np.frombuffer(key, dtype=np.complex128))
+    n = np.arange(order)
+    factors = [np.concatenate([[a], -(1.0 - abs(a) ** 2) * np.conj(a) ** n]) for a in zeros]
+    out = PowerSeries(factors[0]) if factors else ps.one(order)
+    for c in factors[1:]:
+        out = ps.cauchy_product(out, PowerSeries(c), order)
+    return ps.scale(out, unimodular)
 
 
 def z_times_phi(alpha: complex) -> BlaschkeProduct:

@@ -29,12 +29,15 @@ from .series import PowerSeries
 
 # The squared Frobenius mass the C_phi products may leave out: (eps ||A||_F)^2 at most
 _CUT_MASS = np.finfo(np.float64).eps ** 2
+# The mass a Hilbert-Schmidt sum may leave out: a quarter ulp at most of a sum >= 1 (row 0 is 1)
+_SUM_MASS = np.finfo(np.float64).eps / 4
 
 
-def _composition_cut(space: sp.SpaceWeights, phi: PowerSeries, n: int, full: bool = False):
+def _composition_cut(space: sp.SpaceWeights, phi: PowerSeries, n: int, full: bool = False,
+                     target: float = _CUT_MASS):
     """(k, c, mass): the rows 0..k and columns 0..c of the transposed compression of
     f -> f(phi) at size n+1 that are built (row j is phi^j * sqrt(weight / weight(j))), and a
-    bound of the squared Frobenius mass of rows k+1..n.
+    bound of the squared Frobenius mass of rows k+1..n, at most ``target``.
 
     One ``spaces.sup_bracket(phi)`` = (lo, hi) decides both sides.  DomainError unless
     |phi(0)| < 1, and when lo > 1: then some |phi(zeta)| > 1 on the circle, so phi maps points
@@ -42,7 +45,7 @@ def _composition_cut(space: sp.SpaceWeights, phi: PowerSeries, n: int, full: boo
     the computed ||phi^j||_H2 <= s^j (4 eps cover the rounding of each product; a constant,
     whose bracket is exact, has no other slack) bounds the mass of row j by
     (max w / min w) s^(2j), w = weights(n): k is that Majorant's
-    order_for(eps^2) (rho = s^2, or the least normal float if smaller) and the bound its tail
+    order_for(target) (rho = s^2, or the least normal float if smaller) and the bound its tail
     at k.  When s >= 1 or that k is n or more, k = n and the bound is 0.  Then, whatever s,
     k is capped at n // v for phi of valuation v >= 1: phi^j starts at z^(v j), so the rows
     past it are exactly zero (a zero symbol keeps row 0 alone).  For phi of degree d, row j
@@ -61,8 +64,8 @@ def _composition_cut(space: sp.SpaceWeights, phi: PowerSeries, n: int, full: boo
         s = hi * (1 + 4 * np.finfo(np.float64).eps)
         if s < 1:
             rows = ps.Majorant(math.log(w.max() / w.min()), 0, max(s * s, np.finfo(np.float64).tiny))
-            if rows.tail(n - 1) <= _CUT_MASS:
-                k = rows.order_for(_CUT_MASS)
+            if rows.tail(n - 1) <= target:
+                k = rows.order_for(target)
                 mass = rows.tail(k)
         nonzero = np.flatnonzero(phi.coeffs[: n + 1])
         v = int(nonzero[0]) if len(nonzero) else n + 1
@@ -280,20 +283,21 @@ def composition_monomial_norm(space: sp.SpaceWeights, k: int) -> float:
 def hilbert_schmidt_norm_sq(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> float:
     """Partial Hilbert-Schmidt sum sum_{j<=n} ||phi^j||^2 / weight(j), every power
     truncated at order n: the squared Frobenius norm of the compression.  The powers 0..k,
-    columns 0..c, that ``_composition_cut`` sizes are built one at a time by
-    ``series.multiplier``, each kept only as its weighted square sum, so no table is held, and
-    its bound of the rest is added: up to rounding the value lies in [full sum, full sum + eps^2];
-    for sup|phi| >= 1 every row that is not exactly zero is summed.  A power that overflows
-    raises the DomainError of ``series.orbit``."""
-    k, c, mass = _composition_cut(space, phi, n)
+    columns 0..c, that ``_composition_cut`` sizes for a rest of at most _SUM_MASS are built one
+    at a time by ``series.multiplier`` from [1], a direct product only as long as its degree
+    (j d, until c + 1), and kept as weighted square sums, so no table is held; the bound of the
+    rest is added (it moves no bit of a sum >= 1): up to rounding the value lies in
+    [full sum, full sum + eps/4]; for sup|phi| >= 1 every row that is not exactly zero is
+    summed.  A power that overflows raises the DomainError of ``series.orbit``."""
+    k, c, mass = _composition_cut(space, phi, n, target=_SUM_MASS)
     w = space.weights(n)
     times_phi = ps.multiplier(phi, c)
-    row, terms = ps.one(c).coeffs, np.empty(k + 1)
+    row, terms = ps.one().coeffs, np.empty(k + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing power is refused below
         for j in range(k + 1):
             if j:
                 row = times_phi(row)
-            terms[j] = sp.norms_sq(w[: c + 1], row)  # not finite where the row is not
+            terms[j] = sp.norms_sq(w[: len(row)], row)  # not finite where the row is not
             if not math.isfinite(terms[j]) and not np.isfinite(row).all():
                 raise DomainError(f"f * phi^{j} overflows at order {c}: phi is no self-map")
     return mass + float(np.sum(terms / w[: k + 1]))
@@ -358,29 +362,37 @@ def _blaschke_orbit_norms(
     rounding.  W is applied as a float in [1/2, 1) and an ldexp, so no power of two overflows.
     A budget of psi^m's squared tail, W t^2 over size^2, below the least normal float is refused,
     named as a power of two, before psi^m's m deg(psi) zeros are listed; psi = c z^d, with no
-    tail past degree m d, still meets it exactly."""
-    needed = 0  # no power taken, or f = 0: no row has a tail
-    coeffs = np.abs(f.coeffs[: f.degree() + 1])
-    size = float(coeffs @ np.arange(1.0, len(coeffs) + 1) ** (0.5 * space.weight_exponent))
-    if count and size:
-        coeff_sum = max(count << count, coeff_sum)
-        shift = coeff_sum.bit_length()
-        scale = 1.0 + sp.space_norm_sq(space, f)
-        budget = math.ldexp(0.5 * tol * scale / (coeff_sum / (1 << shift)), -shift)
-        # log2 of budget / size^2, the bound of psi^m's squared tail, which may underflow
-        exponent = math.log2(tol) - 1 + math.log2(scale) - math.log2(coeff_sum) - 2 * math.log2(size)
-        if exponent < np.finfo(np.float64).minexp and any(psi.zeros):
-            raise TruncationError(f"psi^{count} within {tol:g}: the tail budget 2^{exponent:.1f} "
-                                  "is below the float range")
-        power = BlaschkeProduct(1.0, psi.zeros * count)
-        try:
-            needed = max(f.degree(), 0) + power.order_for(math.sqrt(budget) / size, space)
-        except TruncationError as exc:
-            raise TruncationError(f"psi^{count} within {tol:g}: {exc}") from exc
+    tail past degree m d, still meets it exactly, and at an order of deg f + m d or more, the
+    most the guard names for it, skips it: no row loses a term.  DomainError for a norm past
+    the float range."""
+    needed = 0  # no power taken, f = 0, or psi = c z^d at an order that holds psi^m f
+    degree = max(f.degree(), 0)
+    if count and (any(psi.zeros) or order < degree + count * psi.degree):
+        coeffs = np.abs(f.coeffs[: degree + 1])
+        size = float(coeffs @ np.arange(1.0, len(coeffs) + 1) ** (0.5 * space.weight_exponent))
+        if size:
+            coeff_sum = max(count << count, coeff_sum)
+            shift = coeff_sum.bit_length()
+            scale = 1.0 + sp.space_norm_sq(space, f)
+            budget = math.ldexp(0.5 * tol * scale / (coeff_sum / (1 << shift)), -shift)
+            # log2 of budget / size^2, the bound of psi^m's squared tail, which may underflow
+            exponent = math.log2(tol) - 1 + math.log2(scale) - math.log2(coeff_sum) - 2 * math.log2(size)
+            if exponent < np.finfo(np.float64).minexp and any(psi.zeros):
+                raise TruncationError(f"psi^{count} within {tol:g}: the tail budget 2^{exponent:.1f} "
+                                      "is below the float range")
+            power = BlaschkeProduct(1.0, psi.zeros * count)
+            try:
+                needed = degree + power.order_for(math.sqrt(budget) / size, space)
+            except TruncationError as exc:
+                raise TruncationError(f"psi^{count} within {tol:g}: {exc}") from exc
     if needed > order:
         raise TruncationError(f"psi^{count} within {tol:g}", needed)
     weights = space.weights(order) if weights is None else weights
-    return sp.norms_sq(weights, ps.orbit(f, psi.series(order), count, order))
+    with np.errstate(over="ignore"):  # a norm past the float range is refused below
+        norms = sp.norms_sq(weights, ps.orbit(f, psi.series(order), count, order))
+    if not np.isfinite(norms).all():
+        raise DomainError("the norm overflows the float range")
+    return norms
 
 
 def blaschke_power_defect(

@@ -193,6 +193,23 @@ class TestBlaschkeProduct:
             fold = ps.cauchy_product(fold, _phi(alpha).series(order), order)
         assert np.array_equal(psi.series(order).coeffs, ps.scale(fold, psi.unimodular).coeffs)
 
+    @pytest.mark.parametrize("unimodular, zero", [(1.0, 0j), (-1.0, 0j), (complex(1, -0.0), 0.5),
+                                                  (complex(-1, -0.0), 0j), (1j, 0j)])
+    def test_cached_series_keeps_the_signed_zeros_of_its_own_product(self, unimodular, zero):
+        # products whose zeros differ only in the sign of a zero part are equal, but their
+        # series differ in the signs of zero parts: each gets its own from the cache
+        order, signed = 6, complex(-zero.real if zero.real == 0 else zero.real, -zero.imag)
+        a, b = (bl.BlaschkeProduct(unimodular, (z,)) for z in (complex(zero), signed))
+        assert a == b
+        bl._product_series.cache_clear()
+        fresh = b.series(order).coeffs.view(np.float64)
+        bl._product_series.cache_clear()
+        cached = a.series(order).coeffs.view(np.float64)
+        assert a.series(order) is a.series(order)  # built once
+        assert np.signbit(cached).tolist() != np.signbit(fresh).tolist()
+        again = b.series(order).coeffs.view(np.float64)
+        assert np.array_equal(again, fresh) and np.signbit(again).tolist() == np.signbit(fresh).tolist()
+
     def test_constant_series(self):
         assert np.array_equal(bl.BlaschkeProduct(-1j, ()).series(5).coeffs,
                               [-1j, 0, 0, 0, 0, 0])

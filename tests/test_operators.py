@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, target
+from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
 from diskops import blaschke as bl
@@ -662,18 +662,47 @@ def test_dilation_norm_is_the_sampled_sup(space, k):
     assert closed * (1 - 2.1e-5) <= sampled <= closed * (1 + 32 * np.finfo(np.float64).eps)
 
 
+def hilbert_schmidt_symbols():
+    """The ten seed-0 symbols of comp_hilbert_schmidt_bound, scaled to sup |phi| = 0.8."""
+    rng = checks._rng(checks.Config(seed=0), "comp_hilbert_schmidt_bound")
+    symbols = []
+    for _ in range(10):
+        f = checks._random_polynomial(rng, max_degree=8, min_degree=1)
+        symbols.append(ps.scale(f, 0.8 / sp.sup_bracket(f)[0]))
+    return symbols
+
+
 class TestHilbertSchmidt:
     def test_zero_symbol(self):
         assert op.hilbert_schmidt_norm_sq(S12, ps.from_coefficients([0.0]), 64) == 1.0
 
+    @pytest.mark.parametrize("n", [1024, 8192])
+    def test_walk_takes_only_the_powers_and_coefficients_that_reach_the_sum(self, monkeypatch, n):
+        # the sum stops where the rest is at most eps/4, before the eps^2 cut of the tables, and
+        # power j, of degree at most j d, is walked with min(j d, c) + 1 coefficients
+        multiplier, walked = ps.multiplier, []
+
+        def counted(phi, order):
+            times_phi = multiplier(phi, order)
+
+            def step(row):  # row is power j, and the product power j + 1
+                out = times_phi(row)
+                walked.extend([len(out)] if walked else [len(row), len(out)])
+                return out
+            return step
+
+        monkeypatch.setattr(ps, "multiplier", counted)
+        for phi in hilbert_schmidt_symbols():
+            k, c, _ = op._composition_cut(S12, phi, n, target=op._SUM_MASS)
+            assert k < op._composition_cut(S12, phi, n)[0] and k + 1 <= 130
+            walked.clear()
+            op.hilbert_schmidt_norm_sq(S12, phi, n)
+            assert walked == [min(j * phi.degree(), c) + 1 for j in range(k + 1)]
+
     def test_blocks_hold_no_table(self):
         # the symbols of comp_hilbert_schmidt_bound at seed 0: the sum over the whole table at
         # size 8193 traced 8.2 MiB, blocks of 2^16 entries about 1.76, one power at a time 0.25
-        rng = checks._rng(checks.Config(seed=0), "comp_hilbert_schmidt_bound")
-        symbols = []
-        for _ in range(10):
-            f = checks._random_polynomial(rng, max_degree=8, min_degree=1)
-            symbols.append(ps.scale(f, 0.8 / sp.sup_bracket(f)[0]))
+        symbols = hilbert_schmidt_symbols()
         tracemalloc.start()
         try:
             for f in symbols:
@@ -710,6 +739,25 @@ class TestHilbertSchmidt:
             value = op.hilbert_schmidt_norm_sq(S12, f, 256)
             bound = 1.0 + 2.0 * sp.space_norm_sq(S12, f) / (1.0 - sp.sup_bracket(f)[0] ** 2)
             assert value <= bound
+
+
+@pytest.mark.parametrize("space", [S12, sp.dirichlet(), sp.hardy(), sp.bergman(), sp.km(2)],
+                         ids=lambda s: s.label)
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=2, max_size=9),
+       st.floats(0.05, 0.95), st.sampled_from([64, 256]))
+def test_hilbert_schmidt_lies_above_the_full_sum_by_at_most_its_cut(space, parts, sup, n):
+    # the sum stops where its rest is at most eps/4 and adds that bound: it lies in
+    # [full sum, full sum + eps/4] up to rounding.  The full table is summed exactly, as the
+    # rounding of np.sum over its (n+1)^2 entries alone reaches 5 spacings on S12
+    f = ps.from_coefficients([complex(x, y) for x, y in parts])
+    assume(f.degree() >= 1 and sp.sup_bracket(f)[0] >= 1e-3)
+    phi = ps.scale(f, sup / sp.sup_bracket(f)[0])
+    full = math.fsum((np.abs(op.composition_matrix(space, phi, n)) ** 2).ravel())
+    value = op.hilbert_schmidt_norm_sq(space, phi, n)
+    spacing = np.spacing(full)
+    target(abs(value - full) / spacing, label="|sum - full sum| in spacings")
+    assert full - 4 * spacing <= value <= full + np.finfo(float).eps / 4 + 4 * spacing
 
 
 class TestIsometryDefect:
@@ -971,6 +1019,45 @@ def test_orbit_guard_orders(space, psi, f, m, named):
     budget = _guard_budget(space, f, m, 1e-8)
     least = int(np.argmax(tails <= budget))
     assert tails[named] <= budget and named <= 4 * least
+
+
+@pytest.mark.parametrize("space", _GUARD_SPACES + [sp.bergman()], ids=lambda s: s.label)
+def test_orbit_guard_of_a_monomial_symbol_decides_every_order_as_before(space):
+    # psi = c z^p has no tail: psi^m f has degree deg f + m p, the most the guard names, so an
+    # order of that or more skips the guard.  Below it the guard runs and names what it named
+    # (deg f + m p, or deg f where tol (1 + ||f||^2) holds the whole of psi^m f); at every
+    # order the call refuses with the same text and order, or returns the norms of the orbit
+    probes = [ps.one(), ps.monomial(1), ps.from_coefficients([1, 1]), ps.zero(),
+              ps.from_coefficients([1e-9, 0, 2e-9j]), ps.from_coefficients([0.3, -2, 0.5j, 1])]
+    for psi in (shift_z, bl.BlaschkeProduct(1j, (0j, 0j)), bl.BlaschkeProduct(-1.0, (0j,) * 3)):
+        for f in probes:
+            for m in (1, 2, 3, 6):
+                for tol in (1e-12, 1e-8, 1e-2, 1.0, 1e6):
+                    named = _named_order(space, psi, f, m, tol)
+                    top = max(f.degree(), 0) + m * psi.degree
+                    assert named in ({top, max(f.degree(), 0)} if f.degree() >= 0 else {0})
+                    for order in {max(named - 1, 0), named, top - 1, top, top + 1}:
+                        if order < named:
+                            with pytest.raises(TruncationError) as exc:
+                                op._blaschke_orbit_norms(space, psi, f, m, order, tol)
+                            assert exc.value.needed == named
+                            assert str(exc.value) == f"psi^{m} within {tol:g} needs truncation >= {named}"
+                        else:
+                            orbit = ps.orbit(f, psi.series(order), m, order)
+                            assert np.array_equal(op._blaschke_orbit_norms(space, psi, f, m, order, tol),
+                                                  sp.norms_sq(space.weights(order), orbit))
+
+
+@pytest.mark.parametrize("psi", [shift_z, bl.phi_pair(0.5)], ids=["z", "phi_pair05"])
+@pytest.mark.parametrize("scale", [1e200, 5e153], ids=["f", "psi_cubed_f"])
+def test_orbit_norms_past_the_float_range_are_refused(psi, scale):
+    # ||f||^2 overflows at 1e200 (1 + z), and at 5e153 (1 + z) only ||psi^3 f||^2 on S12 does:
+    # each is refused in one line, with no RuntimeWarning, whether the guard runs or is skipped
+    f = ps.from_coefficients([scale, scale])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="^the norm overflows the float range$"):
+            op.blaschke_power_defect(S12, psi, 3, f, 600, 1e-8)
 
 
 def test_growth_guard_takes_the_lagrange_weight():
