@@ -211,13 +211,16 @@ def norm_estimate(matvec, rmatvec, m: int, n: int) -> float:
     return _norm(matvec(v / _norm(v)))
 
 
-def _multiplication_block(space: sp.SpaceWeights, f: PowerSeries, n: int) -> np.ndarray:
-    """The (n+1) x (n+1) compression of M_f as one banded array: entry (i, j) is
-    sqrt(w_i) (f_{i-j} / sqrt(w_j)) for j <= i, the two products ``_multiplication_products``
-    takes, so it equals the columns those build, entry for entry."""
+def _multiplication_blocks(space: sp.SpaceWeights, rows: np.ndarray, n: int) -> np.ndarray:
+    """The (n+1) x (n+1) compressions of M_f for the rows f of a 2-d coefficient array, stacked
+    as one banded array: entry (i, j) is sqrt(w_i) (f_{i-j} / sqrt(w_j)) for j <= i, the two
+    products ``_multiplication_products`` takes, so each equals the columns those build, entry
+    for entry."""
     sqw = np.sqrt(space.weights(n))
     k = np.arange(n + 1)
-    return sqw[:, None] * (np.tril(ps.truncate(f, n).coeffs[k[:, None] - k]) * (1.0 / sqw))
+    c = np.zeros((len(rows), n + 1), dtype=np.complex128)
+    c[:, : min(n + 1, rows.shape[1])] = rows[:, : n + 1]
+    return sqw[:, None] * (np.tril(c[:, k[:, None] - k]) * (1.0 / sqw))
 
 
 def _multiplication_products(space: sp.SpaceWeights, f: PowerSeries, n: int):
@@ -236,20 +239,43 @@ def _multiplication_products(space: sp.SpaceWeights, f: PowerSeries, n: int):
     return matvec, rmatvec
 
 
-def multiplication_norm(space: sp.SpaceWeights, f: PowerSeries, n: int) -> float:
-    """Compression norm of M_f at size n+1 from banded convolutions, or up to _BASIS_ROWS
-    rows from one SVD of ``_multiplication_block``; |c| for a constant c.  It runs on f scaled
-    to unit size by ``series.frexp``, so no inner product over- or underflows.  DomainError
-    past the float range."""
-    if f.degree() <= 0:
-        return float(abs(f.coeffs[0]))
-    m, e = ps.frexp(f.coeffs)
-    unit = PowerSeries(m)
+# Bytes of blocks per stacked SVD of multiplication_norms.  Every batch array stays under
+# glibc's 128 KiB mmap threshold, these with their temporaries at half of it: freeing a larger
+# array raises the threshold for good, so later arrays stay on the heap and peak RSS rises.
+# Unchunked sample batches added 6.9 MB to a verify run, 32-symbol SVD chunks with a 1000-row
+# draw 0.4 MB; with every batch array under 128 KiB, peak RSS fell 0.4 MB.
+_BATCH_BYTES = 1 << 16
+
+
+def multiplication_norms(space: sp.SpaceWeights, rows: np.ndarray, n: int) -> np.ndarray:
+    """Compression norm of M_f at size n+1 for each row f of a 2-d coefficient array: up to
+    _BASIS_ROWS rows one SVD of its ``_multiplication_blocks`` block, stacked _BATCH_BYTES at a
+    time (a stacked SVD takes each block as a single one does, bit for bit), else from banded
+    convolutions; |c| for a constant c.  Each row runs scaled to unit size by
+    ``series.frexp``, so no inner product over- or underflows.  DomainError past the float
+    range."""
+    m, e = ps.frexp(rows)
+    values = np.empty(len(rows))
+    constant = ~(rows[:, 1:] != 0).any(axis=1)
+    varying = np.flatnonzero(~constant)
     if n + 1 <= _BASIS_ROWS:
-        value = _dense_norm(_multiplication_block(space, unit, n))
+        step = max(1, _BATCH_BYTES // (16 * (n + 1) ** 2))
+        for at in np.split(varying, range(step, len(varying), step)):
+            blocks = _multiplication_blocks(space, m[at], n)
+            values[at] = np.linalg.svd(blocks, compute_uv=False).max(axis=-1, initial=0.0)
     else:
-        value = norm_estimate(*_multiplication_products(space, unit, n), n + 1, n + 1)
-    return ps.ldexp_norm(value, e)
+        for i in varying:
+            products = _multiplication_products(space, PowerSeries(m[i]), n)
+            values[i] = norm_estimate(*products, n + 1, n + 1)
+    values[varying] = ps.ldexp_norm(values[varying], e[varying])
+    for i in np.flatnonzero(constant):  # a scalar abs: np.abs of an array can differ by an ulp
+        values[i] = abs(rows[i, 0])
+    return values
+
+
+def multiplication_norm(space: sp.SpaceWeights, f: PowerSeries, n: int) -> float:
+    """Compression norm of M_f at size n+1: ``multiplication_norms`` of one row."""
+    return float(multiplication_norms(space, f.coeffs[None], n)[0])
 
 
 def composition_norm(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> float:

@@ -134,20 +134,29 @@ def scale(f: PowerSeries, factor: complex) -> PowerSeries:
     return PowerSeries(f.coeffs * factor)
 
 
-def frexp(x: np.ndarray) -> tuple[np.ndarray, int]:
+def frexp(x: np.ndarray):
     """(m, e) with x = m 2^e for a float or complex array x, exact but for parts of m below the
-    normal range, and the largest |real or imaginary part| of m in [1/2, 1) (e = 0 for x = 0)."""
+    normal range, and the largest |real or imaginary part| of m in [1/2, 1) (e = 0 for x = 0).
+    A 2-d x is scaled row by row, e holding one exponent per row."""
     parts = x.view(np.float64)
-    e = math.frexp(np.abs(parts).max())[1]
-    return np.ldexp(parts, -e).view(x.dtype), e
+    e = np.frexp(np.abs(parts).max(axis=-1))[1]
+    return np.ldexp(parts, -e[..., None]).view(x.dtype), (e if x.ndim > 1 else int(e))
 
 
-def ldexp_norm(norm: float, e: int) -> float:
-    """norm 2^e, undoing the scale ``frexp`` set; DomainError past the float range."""
-    try:
-        return math.ldexp(norm, e)
-    except OverflowError:
-        raise DomainError("the norm overflows the float range") from None
+def ldexp_norm(norm, e):
+    """norm 2^e, undoing the scale ``frexp`` set, elementwise for an array of norms and
+    exponents; DomainError past the float range."""
+    if np.ndim(norm):
+        with np.errstate(over="ignore"):  # refused below
+            out = np.ldexp(norm, e)
+        if np.isfinite(out).all():
+            return out
+    else:
+        try:
+            return math.ldexp(norm, e)
+        except OverflowError:
+            pass
+    raise DomainError("the norm overflows the float range")
 
 
 def cauchy_product(a: PowerSeries, b: PowerSeries, order: int) -> PowerSeries:

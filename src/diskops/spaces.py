@@ -217,11 +217,20 @@ def space_norm_sq(space: SpaceWeights, f: PowerSeries) -> float:
     return _scaled_sum_sq(space.weights(f.order), f)
 
 
+def space_norms(space: SpaceWeights, rows: np.ndarray) -> np.ndarray:
+    """sqrt(sum weight(n) |rows[i, n]|^2) for each row of a 2-d coefficient array, each row
+    summed at its own unit scale of ``series.frexp`` so that no square over- or underflows.
+    Each sum is one (1 x L)(L x 1) product of a stacked matmul, which rounds as the 1-d dot of
+    a single row does; a gemv rows @ w, or zeros padded past a row, rounds by position
+    instead.  DomainError past the float range."""
+    m, e = ps.frexp(rows)
+    sums = np.matmul((np.abs(m) ** 2)[:, None, :], space.weights(rows.shape[1] - 1)[:, None])
+    return ps.ldexp_norm(np.sqrt(sums[:, 0, 0]), e)
+
+
 def space_norm(space: SpaceWeights, f: PowerSeries) -> float:
-    """sqrt(sum weight(n) |f_n|^2) over the stored coefficients, summed at the unit scale of
-    ``series.frexp`` so that no square over- or underflows.  DomainError past the float range."""
-    m, e = ps.frexp(f.coeffs)
-    return ps.ldexp_norm(math.sqrt(norms_sq(space.weights(f.order), m)), e)
+    """sqrt(sum weight(n) |f_n|^2) over the stored coefficients: ``space_norms`` of one row."""
+    return float(space_norms(space, f.coeffs[None])[0])
 
 
 def kernel_norm_sq(space: SpaceWeights, order: int) -> float:
@@ -349,11 +358,10 @@ def kernel_coefficient_series(space: SpaceWeights, order: int) -> PowerSeries:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
 def _sample_tables() -> tuple[np.ndarray, np.ndarray]:
-    """(twiddles, dft) of ``sup_bracket``'s table path, built on the first call and kept:
-    w^(n r) for n < 16, r < 256, and w^(256 n j) for n, j < 16, w = exp(-2 pi i / 4096), each
-    from its exponent reduced so that the angle lies in [-pi, pi]: about 70 KB."""
+    """(twiddles, dft) of ``sup_bracket``'s table path: w^(n r) for n < 16, r < 256, and
+    w^(256 n j) for n, j < 16, w = exp(-2 pi i / 4096), each from its exponent reduced so that
+    the angle lies in [-pi, pi]: about 70 KB."""
     def roots(k, m):  # exp(-2 pi i k / m)
         k = k % m
         return np.exp(-2j * np.pi * np.where(k > m // 2, k - m, k) / m)
@@ -362,11 +370,16 @@ def _sample_tables() -> tuple[np.ndarray, np.ndarray]:
     return roots(n * np.arange(_SAMPLES // _TABLE_TAPS), _SAMPLES), roots(n * n.T, _TABLE_TAPS)
 
 
+# Built once at import, below every later array on the heap: built on the first call, inside
+# pointwise_bound_sqrt2, they sat above its freed batch of symbols and held the heap top there.
+_SAMPLE_TABLES = _sample_tables()
+
+
 def _samples(c: np.ndarray, m: int) -> np.ndarray:
-    """sum_n c_n w^(n k) for k < m, w = exp(-2 pi i / m): from ``_sample_tables`` at [r, j] for
+    """sum_n c_n w^(n k) for k < m, w = exp(-2 pi i / m): from ``_SAMPLE_TABLES`` at [r, j] for
     k = 256 j + r when c has at most 16 entries (m = 4096), else from one FFT at [k]."""
     if len(c) <= _TABLE_TAPS:
-        twiddles, dft = _sample_tables()
+        twiddles, dft = _SAMPLE_TABLES
         return (c[:, None] * twiddles[: len(c)]).T @ dft[: len(c)]
     return np.fft.fft(c, n=m)
 

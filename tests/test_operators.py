@@ -22,6 +22,7 @@ from diskops.errors import (
 )
 
 S12 = sp.s12()
+SQRT2 = math.sqrt(2.0)
 
 
 def random_poly(rng, max_degree=12, min_degree=0):
@@ -154,20 +155,22 @@ _WITNESS_CHECKS = ("mult_one_plus_z_norm", "mult_norm_sandwich", "mult_strict_su
 
 def _witness_sizes(monkeypatch, cfg, scale=1.0):
     """Run the three witness checks at cfg, each M_f norm multiplied by ``scale``: their
-    reports and every n they passed to ``multiplication_norm``, one list per check."""
-    norm, sizes = op.multiplication_norm, []
+    reports and, one list per check, each symbol's list of the n its M_f norms were taken at,
+    in order.  Every norm, batched or single, goes through ``multiplication_norms``."""
+    norms, sizes = op.multiplication_norms, []
 
-    def recorded(space, f, n):
-        sizes[-1].append(n)
-        return scale * norm(space, f, n)
+    def recorded(space, rows, n):
+        for row in rows:
+            sizes[-1].setdefault(np.trim_zeros(row, "b").tobytes(), []).append(n)
+        return scale * norms(space, rows, n)
 
-    monkeypatch.setattr(op, "multiplication_norm", recorded)
+    monkeypatch.setattr(op, "multiplication_norms", recorded)
     reports = []
     for fn in checks.suite_checks("constants"):
         if fn.check_id in _WITNESS_CHECKS:
-            sizes.append([])
+            sizes.append({})
             reports.append(fn(cfg))
-    return reports, sizes
+    return reports, [list(symbols.values()) for symbols in sizes]
 
 
 class TestWitnessSizes:
@@ -176,7 +179,7 @@ class TestWitnessSizes:
         reports, sizes = _witness_sizes(monkeypatch, checks.Config(truncation=truncation,
                                                                    seed=seed))
         assert [len(s) for s in sizes] == [1, 200, 20]
-        assert {n for s in sizes for n in s} == {16}
+        assert all(symbol == [16] for s in sizes for symbol in s)
         for report in reports:
             assert report.status == rp.PASS
             assert report.computed[-1] == rp.LabeledValue("witness_size", 16)
@@ -185,10 +188,109 @@ class TestWitnessSizes:
         # every norm read as 0: no witness closes, so each symbol doubles 16, 32, 64 and
         # stops at the truncation, 100, which its report names; no compression exceeds it
         reports, sizes = _witness_sizes(monkeypatch, checks.Config(truncation=100), scale=0.0)
-        assert sizes == [[16, 32, 64, 100] * count for count in (1, 200, 20)]
+        assert sizes == [[[16, 32, 64, 100]] * count for count in (1, 200, 20)]
         for report in reports:
             assert report.status == rp.FAIL
             assert report.computed[-1] == rp.LabeledValue("witness_size", 100)
+
+
+def single_row_norm(f):
+    """||f||_{S12} as one 1-d dot at f's unit scale, the norm of the retired sweeps."""
+    e = math.frexp(np.abs(f.coeffs.view(np.float64)).max())[1]
+    m = np.ldexp(f.coeffs.view(np.float64), -e).view(np.complex128)
+    return math.ldexp(math.sqrt(np.abs(m) ** 2 @ S12.weights(f.order)), e)
+
+
+def single_block_norm(f, n):
+    """||P_n M_f P_n|| on S12 for n + 1 <= 32 as one SVD of one banded block at f's unit scale,
+    |f_0| for a constant: the first witness of the retired sandwich sweep."""
+    if f.degree() <= 0:
+        return float(abs(f.coeffs[0]))
+    e = math.frexp(np.abs(f.coeffs.view(np.float64)).max())[1]
+    unit = ps.PowerSeries(np.ldexp(f.coeffs.view(np.float64), -e).view(np.complex128))
+    sqw, k = np.sqrt(S12.weights(n)), np.arange(n + 1)
+    block = sqw[:, None] * (np.tril(ps.truncate(unit, n).coeffs[k[:, None] - k]) * (1.0 / sqw))
+    return math.ldexp(float(np.linalg.svd(block, compute_uv=False).max(initial=0.0)), e)
+
+
+def retired_sweeps(cfg):
+    """The computed values of pointwise_bound_sqrt2, algebra_product_bound and
+    mult_norm_sandwich as the retired loops took them, every symbol drawn, normed and sampled
+    on its own: the reference that the pruned and batched sweeps must equal bit for bit."""
+    rng = checks._rng(cfg, "pointwise_bound_sqrt2")
+    worst = 0.0
+    for _ in range(500):
+        f = random_poly(rng)
+        worst = max(worst, sp.sup_bracket(f)[0] / single_row_norm(f))
+    values = {"pointwise_bound_sqrt2": [worst]}
+    rng = checks._rng(cfg, "algebra_product_bound")
+    worst = 0.0
+    for _ in range(500):
+        f, g = random_poly(rng), random_poly(rng)
+        prod = ps.cauchy_product(f, g, f.order + g.order)
+        worst = max(worst, single_row_norm(prod) / (single_row_norm(f) * single_row_norm(g)))
+    values["algebra_product_bound"] = [worst]
+    rng = checks._rng(cfg, "mult_norm_sandwich")
+    lower, upper, size = np.inf, np.inf, 0
+    for _ in range(200):
+        f = random_poly(rng)
+        norm = single_row_norm(f)
+        floor = max(sp.sup_bracket(f)[1], norm)
+        est, n = single_block_norm(f, 16), 16
+        while not (est - floor >= -1e-12 or n == cfg.truncation):
+            n = min(2 * n, cfg.truncation)
+            est = op.multiplication_norm(S12, f, n)
+        lower, upper = min(lower, est - floor), min(upper, 2.0 * SQRT2 * norm - est)
+        size = max(size, n)
+    values["mult_norm_sandwich"] = [lower, upper, size]
+    return values
+
+
+_SWEEPS = ("pointwise_bound_sqrt2", "algebra_product_bound", "mult_norm_sandwich")
+
+
+def swept_values(cfg, check_ids=_SWEEPS):
+    """The computed values the registered checks report, by id."""
+    return {fn.check_id: [v.value for v in fn(cfg).computed]
+            for fn in checks.suite_checks("constants") if fn.check_id in check_ids}
+
+
+class TestSampledSweeps:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_pruned_and_batched_sweeps_are_the_retired_loops(self, seed):
+        cfg = checks.Config(seed=seed)
+        assert swept_values(cfg) == retired_sweeps(cfg)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(10, 2**32 - 1))
+    def test_pruned_pointwise_sweep_is_the_full_one(self, seed):
+        # only symbols whose triangle bound sum |f_n| can beat the worst ratio are sampled
+        cfg = checks.Config(seed=seed)
+        got = swept_values(cfg, ("pointwise_bound_sqrt2",))["pointwise_bound_sqrt2"]
+        assert got == retired_sweeps(cfg)["pointwise_bound_sqrt2"]
+
+    def test_stacked_svd_is_the_single_one(self):
+        # 4000 symbols drawn as the checks draw them, constants included: the batched first
+        # witness equals one SVD per symbol, and multiplication_norm, bit for bit
+        rows, lengths = checks._random_rows(np.random.default_rng(11), 4000)
+        batched = op.multiplication_norms(S12, rows, 16)
+        for row, n, norm in zip(rows, lengths, batched):
+            f = ps.PowerSeries(row[:n])
+            assert norm == single_block_norm(f, 16) == op.multiplication_norm(S12, f, 16)
+
+    @pytest.mark.parametrize("check_id", _SWEEPS)
+    def test_sweeps_trace_at_most_512_kib(self, check_id):
+        # every batch array stays under glibc's 128 KiB mmap threshold (operators._BATCH_BYTES);
+        # the one-symbol loops traced 119, 5 and 119 KiB
+        (fn,) = [fn for fn in checks.suite_checks("constants") if fn.check_id == check_id]
+        fn(checks.Config())
+        tracemalloc.start()
+        try:
+            fn(checks.Config())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 512 * 1024
 
 
 def dense_norm(a):
@@ -359,7 +461,7 @@ class TestNormEstimate:
         for degree in range(41):
             f = ps.PowerSeries(rng.uniform(-1, 1, degree + 1) + 1j * rng.uniform(-1, 1, degree + 1))
             for n in range(op._BASIS_ROWS):
-                block = op._multiplication_block(space, f, n)
+                block = op._multiplication_blocks(space, f.coeffs[None], n)[0]
                 assert np.array_equal(block, multiplication_columns(space, f, n))
 
     @pytest.mark.parametrize("space", [S12, sp.hardy(), sp.km(2)], ids=lambda s: s.label)

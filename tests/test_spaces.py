@@ -119,6 +119,25 @@ class TestNorms:
         ip = sp.inner_product(space, f, f)
         assert sp.inner_product(space, ps.PowerSeries(f.coeffs * 2.0**k), f) == 2.0**k * ip
 
+    @pytest.mark.parametrize("length", [*range(1, 26), 257, 1025])
+    def test_batched_norms_are_the_single_row_dot(self, length):
+        # each row of a batch rounds as the 1-d dot of that row alone at its own unit scale,
+        # the norm space_norm took before it became a batch of one, bit for bit; a gemv
+        # rows @ w rounds by position and misses this on hundreds of rows
+        rng = np.random.default_rng(length)
+        count = 200 if length < 100 else 20
+        shape = (count, length)
+        scales = 2.0 ** rng.integers(-600, 600, (count, 1))
+        rows = scales * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+        w = sp.s12().weights(length - 1)
+        single = []
+        for row in rows:
+            e = math.frexp(np.abs(row.view(np.float64)).max())[1]
+            m = np.ldexp(row.view(np.float64), -e).view(np.complex128)
+            single.append(math.ldexp(math.sqrt(np.abs(m) ** 2 @ w), e))
+        assert sp.space_norms(sp.s12(), rows).tolist() == single
+        assert [sp.space_norm(sp.s12(), ps.PowerSeries(row)) for row in rows] == single
+
     def test_norm_past_the_float_range(self):
         with pytest.raises(DomainError, match="the norm overflows the float range"):
             sp.space_norm(sp.s12(), ps.from_coefficients([1e308, 1e308]))
