@@ -137,26 +137,21 @@ def scale(f: PowerSeries, factor: complex) -> PowerSeries:
 def frexp(x: np.ndarray):
     """(m, e) with x = m 2^e for a float or complex array x, exact but for parts of m below the
     normal range, and the largest |real or imaginary part| of m in [1/2, 1) (e = 0 for x = 0).
-    A 2-d x is scaled row by row, e holding one exponent per row."""
+    A 2-d x is scaled row by row, e holding one exponent per row; for a 1-d x, e is an int."""
     parts = x.view(np.float64)
     e = np.frexp(np.abs(parts).max(axis=-1))[1]
     return np.ldexp(parts, -e[..., None]).view(x.dtype), (e if x.ndim > 1 else int(e))
 
 
 def ldexp_norm(norm, e):
-    """norm 2^e, undoing the scale ``frexp`` set, elementwise for an array of norms and
-    exponents; DomainError past the float range."""
-    if np.ndim(norm):
-        with np.errstate(over="ignore"):  # refused below
+    """norm 2^e, undoing the scale ``frexp`` set, elementwise for arrays of norms and exponents
+    (a float for a scalar norm); DomainError where a finite norm leaves the float range."""
+    try:
+        with np.errstate(over="raise"):  # an infinite norm stays inf, and raises nothing
             out = np.ldexp(norm, e)
-        if np.isfinite(out).all():
-            return out
-    else:
-        try:
-            return math.ldexp(norm, e)
-        except OverflowError:
-            pass
-    raise DomainError("the norm overflows the float range")
+    except FloatingPointError:
+        raise DomainError("the norm overflows the float range") from None
+    return out if np.ndim(out) else float(out)
 
 
 def cauchy_product(a: PowerSeries, b: PowerSeries, order: int) -> PowerSeries:

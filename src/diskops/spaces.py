@@ -217,15 +217,22 @@ def space_norm_sq(space: SpaceWeights, f: PowerSeries) -> float:
     return _scaled_sum_sq(space.weights(f.order), f)
 
 
-def space_norms(space: SpaceWeights, rows: np.ndarray) -> np.ndarray:
-    """sqrt(sum weight(n) |rows[i, n]|^2) for each row of a 2-d coefficient array, each row
-    summed at its own unit scale of ``series.frexp`` so that no square over- or underflows.
-    Each sum is one (1 x L)(L x 1) product of a stacked matmul, which rounds as the 1-d dot of
-    a single row does; a gemv rows @ w, or zeros padded past a row, rounds by position
-    instead.  DomainError past the float range."""
-    m, e = ps.frexp(rows)
-    sums = np.matmul((np.abs(m) ** 2)[:, None, :], space.weights(rows.shape[1] - 1)[:, None])
-    return ps.ldexp_norm(np.sqrt(sums[:, 0, 0]), e)
+def space_norms(space: SpaceWeights, rows: np.ndarray, lengths=None) -> np.ndarray:
+    """sqrt(sum weight(n) |rows[i, n]|^2) for each row of a 2-d coefficient array, over its
+    first ``lengths[i]`` entries (all of them if no lengths are given), each row summed at its
+    own unit scale of ``series.frexp`` so that no square over- or underflows.  Each sum is one
+    (1 x L)(L x 1) product of a stacked matmul, which rounds as the 1-d dot of a single row
+    does; a gemv rows @ w, or zeros padded past a row, rounds by position instead, so the rows
+    of each length are summed as one batch of that length.  DomainError past the float
+    range."""
+    w = space.weights(rows.shape[1] - 1)
+    groups = ({rows.shape[1]: slice(None)} if lengths is None
+              else {n: lengths == n for n in set(lengths.tolist())})
+    sums, e = np.empty(len(rows)), np.empty(len(rows), dtype=int)
+    for n, at in groups.items():
+        m, e[at] = ps.frexp(rows[at, :n])
+        sums[at] = np.matmul((np.abs(m) ** 2)[:, None, :], w[:n, None])[:, 0, 0]
+    return ps.ldexp_norm(np.sqrt(sums), e)
 
 
 def space_norm(space: SpaceWeights, f: PowerSeries) -> float:

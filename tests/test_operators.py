@@ -193,6 +193,16 @@ class TestWitnessSizes:
             assert report.status == rp.FAIL
             assert report.computed[-1] == rp.LabeledValue("witness_size", 100)
 
+    def test_a_doubling_witness_is_the_single_symbol_norm(self):
+        # no floor closes, so every symbol doubles 16, 32, 64, 100; past 32 rows the norms run
+        # on banded convolutions, and each equals the norm of the symbol cut to its degree
+        rows, lengths = checks._random_rows(np.random.default_rng(5), 20)
+        cfg = checks.Config(truncation=100)
+        norms, sizes = checks._witness_norms(cfg, rows, lengths, np.full(20, np.inf), np.greater)
+        assert sizes.tolist() == [100] * 20
+        assert norms.tolist() == [op.multiplication_norm(S12, ps.PowerSeries(row[:n]), 100)
+                                  for row, n in zip(rows, lengths)]
+
 
 def single_row_norm(f):
     """||f||_{S12} as one 1-d dot at f's unit scale, the norm of the retired sweeps."""

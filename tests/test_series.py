@@ -68,6 +68,24 @@ class TestConstruction:
         assert cli._read_series(json.loads("[[1, 2], [-0.5, 0], [0, 0.25]]")) == f
 
 
+class TestUnitScale:
+    def test_frexp_scales_each_row_of_a_batch(self):
+        rows = np.array([[3.0, -0.5], [0.0, 0.0], [1.5, 2.0**600]])
+        m, e = ps.frexp(rows)
+        assert e.tolist() == [2, 0, 601] and (np.ldexp(m, e[:, None]) == rows).all()
+        assert ps.frexp(rows[0])[1] == 2 and type(ps.frexp(rows[0])[1]) is int
+
+    def test_ldexp_norm_refuses_only_a_finite_norm_past_the_float_range(self):
+        assert ps.ldexp_norm(0.75, 3) == 6.0 and type(ps.ldexp_norm(0.75, 3)) is float
+        assert ps.ldexp_norm(math.inf, 3) == math.inf and math.isnan(ps.ldexp_norm(math.nan, 3))
+        norms = ps.ldexp_norm(np.array([0.5, math.inf]), np.array([2, 0]))
+        assert norms.tolist() == [2.0, math.inf]
+        assert ps.ldexp_norm(0.5, 1024) == 2.0**1023
+        for norm, e in ((0.5, 1025), (np.array([0.5, 0.5]), np.array([1, 1025]))):
+            with pytest.raises(DomainError, match="the norm overflows the float range"):
+                ps.ldexp_norm(norm, e)
+
+
 class TestCauchyProduct:
     def test_binomial_square(self):
         one_plus_z = ps.from_coefficients([1, 1])

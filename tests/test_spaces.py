@@ -138,6 +138,17 @@ class TestNorms:
         assert sp.space_norms(sp.s12(), rows).tolist() == single
         assert [sp.space_norm(sp.s12(), ps.PowerSeries(row)) for row in rows] == single
 
+    def test_rows_of_many_lengths_are_each_its_own_dot(self):
+        # zero-padded rows given their lengths: each norm is space_norm of the row cut to its
+        # length, whose sum of squares a padded dot can round otherwise
+        rng = np.random.default_rng(3)
+        lengths = rng.integers(1, 26, 400)
+        rows = np.zeros((400, 25), dtype=np.complex128)
+        for row, n in zip(rows, lengths):
+            row[:n] = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+        want = [sp.space_norm(sp.s12(), ps.PowerSeries(row[:n])) for row, n in zip(rows, lengths)]
+        assert sp.space_norms(sp.s12(), rows, lengths).tolist() == want
+
     def test_norm_past_the_float_range(self):
         with pytest.raises(DomainError, match="the norm overflows the float range"):
             sp.space_norm(sp.s12(), ps.from_coefficients([1e308, 1e308]))
