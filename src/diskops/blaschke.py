@@ -106,10 +106,10 @@ def _product_series(key: bytes, order: int) -> PowerSeries:
     unimodular, *zeros = (complex(a) for a in np.frombuffer(key, dtype=np.complex128))
     n = np.arange(order)
     factors = [np.concatenate([[a], -(1.0 - abs(a) ** 2) * np.conj(a) ** n]) for a in zeros]
-    out = PowerSeries(factors[0]) if factors else ps.one(order)
+    out = factors[0] if factors else ps.one(order).coeffs
     for c in factors[1:]:
-        out = ps.cauchy_product(out, PowerSeries(c), order)
-    return ps.scale(out, unimodular)
+        out = ps.convolve(out, c, order)
+    return PowerSeries(out * unimodular)
 
 
 def z_times_phi(alpha: complex) -> BlaschkeProduct:

@@ -78,17 +78,17 @@ def _composition_cut(space: sp.SpaceWeights, phi: PowerSeries, n: int, full: boo
 def _composition_columns(space: sp.SpaceWeights, phi: PowerSeries, n: int, full: bool = False):
     """The rows 0..k, columns 0..c of the transposed compression of f -> f(phi) at size n+1
     that ``_composition_cut`` sizes, as one ``series.orbit`` of phi's powers scaled in place
-    (every C_phi table), and its bound of the squared mass of the rest."""
-    k, c, mass = _composition_cut(space, phi, n, full)
+    (every C_phi table)."""
+    k, c, _ = _composition_cut(space, phi, n, full)
     sqw = np.sqrt(space.weights(n))
     table = ps.orbit(ps.one(), phi, k, c)
     table *= sqw[: c + 1] / sqw[: k + 1, None]
-    return table, mass
+    return table
 
 
 def composition_matrix(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> np.ndarray:
     """Dense compression of f -> f(phi); column j holds the expansion of phi^j."""
-    return _composition_columns(space, phi, n, full=True)[0].T
+    return _composition_columns(space, phi, n, full=True).T
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +106,10 @@ _TEST_EVERY = 4
 _BASIS_ROWS = 32
 
 
-def _dense_norm(a: np.ndarray) -> float:
-    """sigma_max of a dense matrix from one SVD; 0 for an empty one."""
-    return float(np.linalg.svd(a, compute_uv=False).max(initial=0.0))
+def _top_singular_values(blocks: np.ndarray) -> np.ndarray:
+    """sigma_max of each matrix of a stack from one stacked SVD, 0 for an empty one: the one
+    dense SVD.  A stacked SVD takes each matrix as a single one does, bit for bit."""
+    return np.linalg.svd(blocks, compute_uv=False).max(axis=-1, initial=0.0)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -249,11 +250,10 @@ _BATCH_BYTES = 1 << 16
 
 def multiplication_norms(space: sp.SpaceWeights, rows: np.ndarray, n: int) -> np.ndarray:
     """Compression norm of M_f at size n+1 for each row f of a 2-d coefficient array: up to
-    _BASIS_ROWS rows one SVD of its ``_multiplication_blocks`` block, stacked _BATCH_BYTES at a
-    time (a stacked SVD takes each block as a single one does, bit for bit), else from banded
-    convolutions; |c| for a constant c.  Each row runs scaled to unit size by
-    ``series.frexp``, so no inner product over- or underflows.  DomainError past the float
-    range."""
+    _BASIS_ROWS rows ``_top_singular_values`` of its ``_multiplication_blocks`` block, stacked
+    _BATCH_BYTES at a time, else from banded convolutions; |c| for a constant c.  Each row
+    runs scaled to unit size by ``series.frexp``, so no inner product over- or underflows.
+    DomainError past the float range."""
     m, e = ps.frexp(rows)
     values = np.empty(len(rows))
     constant = ~(rows[:, 1:] != 0).any(axis=1)
@@ -261,8 +261,7 @@ def multiplication_norms(space: sp.SpaceWeights, rows: np.ndarray, n: int) -> np
     if n + 1 <= _BASIS_ROWS:
         step = max(1, _BATCH_BYTES // (16 * (n + 1) ** 2))
         for at in np.split(varying, range(step, len(varying), step)):
-            blocks = _multiplication_blocks(space, m[at], n)
-            values[at] = np.linalg.svd(blocks, compute_uv=False).max(axis=-1, initial=0.0)
+            values[at] = _top_singular_values(_multiplication_blocks(space, m[at], n))
     else:
         for i in varying:
             products = _multiplication_products(space, PowerSeries(m[i]), n)
@@ -284,11 +283,13 @@ def composition_norm(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> float:
     values alone, so A has those of the compression with columns k+1..n set to zero (rows past
     c are zero in the others, or a few eps on the FFT path): a lower bound of ||C_phi||, within
     eps ||A||_F of the full compression's; for sup|phi| >= 1 only exactly zero columns are cut.
-    One SVD of A, or of A^H where that has fewer columns, when either side is at most
-    _BASIS_ROWS long; else ``norm_estimate`` with x -> A x and y -> A^H y, one gemv each."""
-    at, _ = _composition_columns(space, phi, n)  # at = A^T
+    ``_top_singular_values`` of A, or of A^H where that has fewer columns, when either side is
+    at most _BASIS_ROWS long; else ``norm_estimate`` with x -> A x and y -> A^H y, one gemv
+    each."""
+    at = _composition_columns(space, phi, n)  # at = A^T
     if min(at.shape) <= _BASIS_ROWS:
-        return _dense_norm(at.T if at.shape[0] <= at.shape[1] else np.conj(at))
+        a = at.T if at.shape[0] <= at.shape[1] else np.conj(at)
+        return float(_top_singular_values(a[None])[0])
     return norm_estimate(lambda x: at.T @ x, lambda y: np.conj(at @ np.conj(y)), *at.shape[::-1])
 
 

@@ -108,17 +108,15 @@ def reciprocal_sign_check(space: sp.SpaceWeights, n_max: int) -> rp.Verification
 
 
 def pick_matrix(problem: PickProblem) -> np.ndarray:
-    """Hermitian matrix [(1 - conj(w_i) w_j) K_{node_i}(node_j)] from one kernel call.
-
-    The assembled matrix is symmetrized by averaging with its conjugate
-    transpose.  DomainError if an entry overflows the float range.
+    """Matrix [(1 - conj(w_i) w_j) K_{node_i}(node_j)] from one kernel call, as assembled:
+    Hermitian up to the rounding of the kernel, which ``psd_check`` symmetrizes.  DomainError
+    if an entry overflows the float range.
     """
     nodes = np.array(problem.nodes, dtype=np.complex128)
     targets = np.array(problem.targets, dtype=np.complex128)
     kernel = sp.kernel(problem.space, nodes[:, None], nodes)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, once
         out = (1.0 - np.conj(targets)[:, None] * targets) * kernel
-        out = 0.5 * (out + out.conj().T)
     if not np.isfinite(out).all():
         raise DomainError("the Pick matrix overflows the float range")
     return out

@@ -154,21 +154,22 @@ def ldexp_norm(norm, e):
     return out if np.ndim(out) else float(out)
 
 
-def cauchy_product(a: PowerSeries, b: PowerSeries, order: int) -> PowerSeries:
-    """Product series truncated at ``order``.
+def convolve(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+    """Coefficients 0..order of the product of the coefficient arrays a and b, the one direct
+    product: coefficient k is sum_{j<=k} a_j b_{k-j}, and the result is not padded, so it has
+    min(order + 1, len(a) + len(b) - 1) entries.  Not an FFT: FFT rounding spreads about
+    eps ||a|| ||b|| over every coefficient, swamping the decaying tails that Blaschke
+    series and their certified tail bounds rely on."""
+    return np.convolve(a, b)[: order + 1]
 
-    Coefficient k of the result is sum_{j<=k} a_j b_{k-j}; degrees above
-    ``order`` are silently discarded.
-    """
+
+def cauchy_product(a: PowerSeries, b: PowerSeries, order: int) -> PowerSeries:
+    """Product series truncated at ``order``: ``convolve``, zero-padded to ``order``."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    # a direct convolution, not multiplier's FFT: FFT rounding spreads about eps ||a|| ||b||
-    # over every coefficient, which would swamp the decaying tails that Blaschke series and
-    # their certified tail bounds rely on
-    full = np.convolve(a.coeffs, b.coeffs)
+    product = convolve(a.coeffs, b.coeffs, order)
     c = np.zeros(order + 1, dtype=np.complex128)
-    m = min(order + 1, len(full))
-    c[:m] = full[:m]
+    c[: len(product)] = product
     return PowerSeries(c)
 
 
@@ -182,10 +183,11 @@ def derivative(f: PowerSeries) -> PowerSeries:
 
 def multiplier(phi: PowerSeries, order: int):
     """x -> first order+1 coefficients of x * b, len(x) = order+1, for b = phi cut after
-    its degree.  An FFT shorter than order + len(b) would wrap the top term onto index 0."""
+    its degree: ``convolve`` for short b, unpadded, else an FFT product.  An FFT shorter than
+    order + len(b) would wrap the top term onto index 0."""
     b = phi.coeffs[: min(max(phi.degree(), 0), order) + 1]
     if len(b) < _FFT_MIN_TAPS:
-        return lambda x: np.convolve(x, b)[: order + 1]
+        return lambda x: convolve(x, b, order)
     size = 1 << (order + len(b) - 1).bit_length()
     fb = np.fft.fft(b, size)
     return lambda x: np.fft.ifft(np.fft.fft(x, size) * fb)[: order + 1]

@@ -205,33 +205,33 @@ def norms_sq(weights: np.ndarray, rows) -> np.ndarray:
     return np.abs(rows) ** 2 @ weights
 
 
-def _scaled_sum_sq(weights: np.ndarray, f: PowerSeries) -> float:
-    """sum weights[n] |f_n|^2, summed at the unit scale of ``series.frexp`` so that no square
-    over- or underflows.  DomainError past the float range."""
-    m, e = ps.frexp(f.coeffs)
-    return ps.ldexp_norm(float(norms_sq(weights, m)), 2 * e)
-
-
-def space_norm_sq(space: SpaceWeights, f: PowerSeries) -> float:
-    """sum weight(n) |f_n|^2 over the stored coefficients, scaled as ``_scaled_sum_sq``."""
-    return _scaled_sum_sq(space.weights(f.order), f)
-
-
-def space_norms(space: SpaceWeights, rows: np.ndarray, lengths=None) -> np.ndarray:
-    """sqrt(sum weight(n) |rows[i, n]|^2) for each row of a 2-d coefficient array, over its
-    first ``lengths[i]`` entries (all of them if no lengths are given), each row summed at its
-    own unit scale of ``series.frexp`` so that no square over- or underflows.  Each sum is one
-    (1 x L)(L x 1) product of a stacked matmul, which rounds as the 1-d dot of a single row
-    does; a gemv rows @ w, or zeros padded past a row, rounds by position instead, so the rows
-    of each length are summed as one batch of that length.  DomainError past the float
-    range."""
-    w = space.weights(rows.shape[1] - 1)
+def _scaled_sums(weights: np.ndarray, rows: np.ndarray, lengths=None):
+    """(sums, e): sum_n weights[n] |m[i, n]|^2 for each row of a 2-d coefficient array at its
+    own unit scale m = rows 2^-e of ``series.frexp``, so that no square over- or underflows,
+    over its first ``lengths[i]`` entries (all of them if no lengths are given).  Each sum is
+    one (1 x L)(L x 1) product of a stacked matmul, which rounds as the 1-d dot of a single
+    row does; a gemv rows @ w, or zeros padded past a row, rounds by position instead, so the
+    rows of each length are summed as one batch."""
     groups = ({rows.shape[1]: slice(None)} if lengths is None
               else {n: lengths == n for n in set(lengths.tolist())})
     sums, e = np.empty(len(rows)), np.empty(len(rows), dtype=int)
     for n, at in groups.items():
         m, e[at] = ps.frexp(rows[at, :n])
-        sums[at] = np.matmul((np.abs(m) ** 2)[:, None, :], w[:n, None])[:, 0, 0]
+        sums[at] = np.matmul((np.abs(m) ** 2)[:, None, :], weights[:n, None])[:, 0, 0]
+    return sums, e
+
+
+def space_norm_sq(space: SpaceWeights, f: PowerSeries) -> float:
+    """sum weight(n) |f_n|^2 over the stored coefficients, from ``_scaled_sums``."""
+    sums, e = _scaled_sums(space.weights(f.order), f.coeffs[None])
+    return float(ps.ldexp_norm(sums, 2 * e)[0])
+
+
+def space_norms(space: SpaceWeights, rows: np.ndarray, lengths=None) -> np.ndarray:
+    """sqrt(sum weight(n) |rows[i, n]|^2) for each row of a 2-d coefficient array, over its
+    first ``lengths[i]`` entries (all of them if no lengths are given), from ``_scaled_sums``.
+    DomainError past the float range."""
+    sums, e = _scaled_sums(space.weights(rows.shape[1] - 1), rows, lengths)
     return ps.ldexp_norm(np.sqrt(sums), e)
 
 
@@ -255,8 +255,8 @@ def inner_product(space: SpaceWeights, f: PowerSeries, g: PowerSeries) -> comple
     so that no product over- or underflows.  DomainError past the float range."""
     n = min(f.order, g.order)
     (a, e), (b, k) = ps.frexp(f.coeffs[: n + 1]), ps.frexp(g.coeffs[: n + 1])
-    total = complex(np.sum(space.weights(n) * a * np.conj(b)))
-    return complex(ps.ldexp_norm(total.real, e + k), ps.ldexp_norm(total.imag, e + k))
+    total = np.sum(space.weights(n) * a * np.conj(b))
+    return complex(*ps.ldexp_norm(np.array([total.real, total.imag]), e + k))
 
 
 def norm_decomposition_s12(f: PowerSeries) -> tuple[float, float, float]:
@@ -269,13 +269,14 @@ def norm_decomposition_s12(f: PowerSeries) -> tuple[float, float, float]:
     m, e = ps.frexp(f.coeffs)
     mags = np.abs(m) ** 2
     n = np.arange(f.order + 1)
-    return tuple(ps.ldexp_norm(float(terms.sum()), 2 * e)
-                 for terms in (mags, n * mags, n * n * mags))
+    sums = [terms.sum() for terms in (mags, n * mags, n * n * mags)]
+    return tuple(ps.ldexp_norm(np.array(sums), 2 * e).tolist())
 
 
 def dirichlet_energy(f: PowerSeries) -> float:
-    """D(f) = ||f'||_{A2}^2 = sum_{n>=1} n |f_n|^2, scaled as ``_scaled_sum_sq``."""
-    return _scaled_sum_sq(np.arange(f.order + 1.0), f)
+    """D(f) = ||f'||_{A2}^2 = sum_{n>=1} n |f_n|^2, from ``_scaled_sums``."""
+    sums, e = _scaled_sums(np.arange(f.order + 1.0), f.coeffs[None])
+    return float(ps.ldexp_norm(sums, 2 * e)[0])
 
 
 def norm_identity_residuals(f: PowerSeries) -> tuple[float, float, float]:

@@ -77,6 +77,12 @@ class TestMobiusMap:
         assert values[107][0].value.real < 1e-15
 
 
+_FOLDED = [bl.z_times_phi(0.5), bl.phi_pair(0.7), bl.BlaschkeProduct(1.0, (0.0, 0.0, 0.0)),
+           bl.BlaschkeProduct(1.0, (0.3 + 0.4j, -0.6, 0.8j)),
+           bl.BlaschkeProduct(np.exp(0.7j), (0.9, -0.5j, 0.2 + 0.1j, 0.0))]
+_FOLDED_IDS = ["z_phi05", "phi_pair07", "z_cubed", "three_zeros", "four_zeros_rotated"]
+
+
 class TestBlaschkeProduct:
     def test_shift_product(self):
         psi = bl.BlaschkeProduct(-1.0, (0j,))
@@ -177,13 +183,7 @@ class TestBlaschkeProduct:
         parsed = cli._read_blaschke({"a": [-1.0, 0.0], "zeros": [[0, 0], [0.4, 0.2]]})
         assert parsed == psi
 
-    @pytest.mark.parametrize(
-        "psi",
-        [bl.z_times_phi(0.5), bl.phi_pair(0.7), bl.BlaschkeProduct(1.0, (0.0, 0.0, 0.0)),
-         bl.BlaschkeProduct(1.0, (0.3 + 0.4j, -0.6, 0.8j)),
-         bl.BlaschkeProduct(np.exp(0.7j), (0.9, -0.5j, 0.2 + 0.1j, 0.0))],
-        ids=["z_phi05", "phi_pair07", "z_cubed", "three_zeros", "four_zeros_rotated"],
-    )
+    @pytest.mark.parametrize("psi", _FOLDED, ids=_FOLDED_IDS)
     @pytest.mark.parametrize("order", [0, 1, 17, 256])
     def test_series_is_the_left_fold_from_one(self, psi, order):
         # the series folds the factors from the first one on; the product from the series 1
@@ -192,6 +192,20 @@ class TestBlaschkeProduct:
         for alpha in psi.zeros:
             fold = ps.cauchy_product(fold, _phi(alpha).series(order), order)
         assert np.array_equal(psi.series(order).coeffs, ps.scale(fold, psi.unimodular).coeffs)
+
+    @pytest.mark.parametrize("psi", _FOLDED + [bl.BlaschkeProduct(-1j, ())],
+                             ids=_FOLDED_IDS + ["constant"])
+    @pytest.mark.parametrize("order", [0, 1, 17, 256])
+    def test_series_is_the_retired_fold_of_power_series(self, psi, order):
+        # the factor arrays fold through series.convolve; the retired fold, one cauchy_product
+        # with a PowerSeries per factor, gives the same bytes, the signs of zero parts included
+        n = np.arange(order)
+        factors = [ps.PowerSeries(np.concatenate([[a], -(1.0 - abs(a) ** 2) * np.conj(a) ** n]))
+                   for a in psi.zeros]
+        fold = factors[0] if factors else ps.one(order)
+        for factor in factors[1:]:
+            fold = ps.cauchy_product(fold, factor, order)
+        assert psi.series(order).coeffs.tobytes() == ps.scale(fold, psi.unimodular).coeffs.tobytes()
 
     @pytest.mark.parametrize("unimodular, zero", [(1.0, 0j), (-1.0, 0j), (complex(1, -0.0), 0.5),
                                                   (complex(-1, -0.0), 0j), (1j, 0j)])

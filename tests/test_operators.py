@@ -3,6 +3,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, target
@@ -62,7 +63,7 @@ def composition_products(space, phi, n):
     """(matvec, rmatvec, m, n): x -> A x and y -> A^H y, as ``composition_norm`` forms them, for
     the m x n block A of the compression of C_phi at size n+1 whose transpose
     ``_composition_columns`` builds."""
-    at = op._composition_columns(space, phi, n)[0]
+    at = op._composition_columns(space, phi, n)
     return (lambda x: at.T @ x), (lambda y: np.conj(at @ np.conj(y))), *at.shape[::-1]
 
 
@@ -237,7 +238,7 @@ def retired_sweeps(cfg):
     worst = 0.0
     for _ in range(500):
         f, g = random_poly(rng), random_poly(rng)
-        prod = ps.cauchy_product(f, g, f.order + g.order)
+        prod = ps.PowerSeries(np.convolve(f.coeffs, g.coeffs))  # the whole product
         worst = max(worst, single_row_norm(prod) / (single_row_norm(f) * single_row_norm(g)))
     values["algebra_product_bound"] = [worst]
     rng = checks._rng(cfg, "mult_norm_sandwich")
@@ -484,7 +485,7 @@ class TestNormEstimate:
             m, e = ps.frexp(f.coeffs)
             for n in range(op._BASIS_ROWS):
                 columns = multiplication_columns(space, ps.PowerSeries(m), n)
-                dense = ps.ldexp_norm(op._dense_norm(columns), e)
+                dense = ps.ldexp_norm(float(op._top_singular_values(columns[None])[0]), e)
                 assert op.multiplication_norm(space, f, n) == dense
 
     @pytest.mark.parametrize("coeffs, n, shape", [
@@ -501,8 +502,28 @@ class TestNormEstimate:
         k, c, _ = op._composition_cut(S12, phi, n)
         assert (c + 1, k + 1) == shape
         block = op.composition_matrix(S12, phi, n)[: c + 1, : k + 1]
-        dense = op._dense_norm(block if k <= c else block.conj().T)
+        dense = float(op._top_singular_values((block if k <= c else block.conj().T)[None])[0])
         assert op.composition_norm(S12, phi, n) == dense
+
+    def test_top_singular_values_are_single_matrix_svds(self):
+        # the one dense SVD, stacked, is one SVD of each matrix alone, the retired _dense_norm,
+        # bit for bit: on tall, wide and square blocks, on the transposed and conjugated views
+        # that composition_norm passes, and on its dense blocks
+        def single(a):
+            return float(np.linalg.svd(a, compute_uv=False).max(initial=0.0))
+
+        rng = np.random.default_rng(5)
+        for shape in ((1, 1), (1, 58), (31, 16), (17, 17), (32, 32), (5, 40)):
+            stack = rng.standard_normal((6, *shape)) + 1j * rng.standard_normal((6, *shape))
+            for blocks in (stack, stack.transpose(0, 2, 1), np.conj(stack.transpose(0, 2, 1))):
+                want = [single(a) for a in blocks]
+                assert op._top_singular_values(blocks).tolist() == want
+                assert [float(op._top_singular_values(a[None])[0]) for a in blocks] == want
+        for coeffs, n in (([0.5], 64), ([0.02, 0, 0.05], 256), ([0.2, 0.4j, 0.1], 16)):
+            phi = ps.from_coefficients(coeffs)
+            k, c, _ = op._composition_cut(S12, phi, n)
+            block = op.composition_matrix(S12, phi, n)[: c + 1, : k + 1]
+            assert op.composition_norm(S12, phi, n) == single(block if k <= c else block.conj().T)
 
     def test_zero_operator(self):
         def zeros(x):
@@ -617,6 +638,13 @@ def symbol_of_sup(target, seed=7):
     return ps.scale(f, target / sp.sup_bracket(f)[0])
 
 
+def columns_and_mass(space, phi, n, full=False):
+    """The C_phi table that ``_composition_columns`` builds, and the bound of the squared mass
+    of the rows it leaves out, which ``_composition_cut`` gives."""
+    mass = op._composition_cut(space, phi, n, full)[2]
+    return op._composition_columns(space, phi, n, full), mass
+
+
 CUT_SYMBOLS = [symbol_of_sup(0.3), symbol_of_sup(0.8), symbol_of_sup(0.95),
                ps.from_coefficients([0.5]), ps.from_coefficients([0.3 - 0.9j]), ps.zero()]
 CUT_SPACES = [sp.hardy(), sp.bergman(), sp.dirichlet(), S12, sp.km(2), sp.dalpha(1.5)]
@@ -631,8 +659,8 @@ class TestCompositionRowCut:
     def test_cut_is_a_certified_prefix_of_the_full_table(self, space):
         n = 1024
         for phi in CUT_SYMBOLS:
-            full, none = op._composition_columns(space, phi, n, full=True)
-            cut, mass = op._composition_columns(space, phi, n)
+            full, none = columns_and_mass(space, phi, n, full=True)
+            cut, mass = columns_and_mass(space, phi, n)
             k, c = cut.shape[0] - 1, cut.shape[1] - 1
             assert none == 0.0 and full.shape == (n + 1, n + 1)
             assert c == min(n, k * max(phi.degree(), 0))
@@ -650,8 +678,8 @@ class TestCompositionRowCut:
         n = 512
         low = 1e-5 * symbol_of_sup(0.3).coeffs
         phi = ps.PowerSeries(np.concatenate([low, np.zeros(130), [1e-6]]))
-        cut, _ = op._composition_columns(S12, phi, n)
-        full, _ = op._composition_columns(S12, phi, n, full=True)
+        cut = op._composition_columns(S12, phi, n)
+        full = op._composition_columns(S12, phi, n, full=True)
         k, d = len(cut) - 1, phi.degree()
         assert d == 137 and cut.shape == (4, 3 * d + 1)
         scale = 4 * np.finfo(float).eps * np.abs(full[: k + 1]).max(axis=1, keepdims=True)
@@ -665,7 +693,7 @@ class TestCompositionRowCut:
         for phi, rows in ((ps.monomial(1), n + 1), (ps.monomial(3), n // 3 + 1),
                           (ps.from_coefficients([0.5, 0.5]), n + 1),
                           (ps.from_coefficients([0, 0, 0.5, 0.5]), n // 2 + 1)):
-            table, mass = op._composition_columns(S12, phi, n)
+            table, mass = columns_and_mass(S12, phi, n)
             full = op.composition_matrix(S12, phi, n).T
             assert len(table) == rows and mass == 0.0
             assert np.array_equal(table, full[:rows])
@@ -697,7 +725,7 @@ class TestCompositionRowCut:
         # at n = 1024 every table has 1025 columns, so a block holds 62 rows and each table
         # here spans several blocks: the one orbit gives the same bits
         n = 1024
-        table, mass = op._composition_columns(space, phi, n, full)
+        table, mass = columns_and_mass(space, phi, n, full)
         blocked, blocked_mass = self.blocked_columns(space, phi, n, full)
         assert table.shape[1] == n + 1 and len(table) > 2 * 62
         assert np.array_equal(table, blocked) and mass == blocked_mass
@@ -772,6 +800,31 @@ def test_dilation_norm_is_the_sampled_sup(space, k):
     sampled = math.sqrt(np.max(space.weight(k * n) / space.weight(n)))
     target(sampled / closed, label="sampled sup / closed form")
     assert closed * (1 - 2.1e-5) <= sampled <= closed * (1 + 32 * np.finfo(np.float64).eps)
+
+
+def cowen_norm(s, t):
+    """||C_phi|| on H2 for phi = s z + t with |s| + |t| <= 1, from the closed form
+    ||C_phi||^2 = 2 / (1 + |s|^2 - |t|^2 + sqrt((1 - |s|^2 + |t|^2)^2 - 4 |t|^2)) (Cowen,
+    Integral Equations Operator Theory 11, 1988), in 40 digits."""
+    with mpmath.workdps(40):
+        s2, t2 = abs(mpmath.mpc(s)) ** 2, abs(mpmath.mpc(t)) ** 2
+        return float(mpmath.sqrt(2 / (1 + s2 - t2 + mpmath.sqrt((1 - s2 + t2) ** 2 - 4 * t2))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0, 0.9), st.floats(0, 1), st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi))
+def test_affine_composition_norm_on_h2_is_cowens(size, split, arg_s, arg_t):
+    # phi = s z + t with |s| + |t| = size <= 0.9: the compression at n = 256 lies in
+    # [C (1 - 1e-13), C (1 + 1e-14)] for Cowen's C = ||C_phi|| >= 1.  The rule for n: phi^j
+    # has degree j and H2 norm at most 0.9^j, so the columns past n = 256 hold a squared mass
+    # below 0.81^257 / 0.19, about 2e-23, far under the 1e-13 allowed; a sup nearer 1 needs a
+    # larger n.  Near sup 0.9 the block is 257 wide, so Golub-Kahan runs, and a conj dropped
+    # from its products fails this
+    s, t = size * split * cmath.exp(1j * arg_s), size * (1 - split) * cmath.exp(1j * arg_t)
+    exact = cowen_norm(s, t)
+    got = op.composition_norm(sp.hardy(), ps.from_coefficients([t, s]), 256)
+    target(abs(got / exact - 1.0), label="relative gap to Cowen's norm")
+    assert exact * (1 - 1e-13) <= got <= exact * (1 + 1e-14)
 
 
 def hilbert_schmidt_symbols():

@@ -143,6 +143,24 @@ class TestPickMatrix:
         series = (1.0 - np.conj(targets)[:, None] * targets) * kernel
         assert np.max(np.abs(closed - series)) < 1e-11
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_verdict_is_that_of_the_retired_symmetrized_matrix(self, seed):
+        # pick_matrix returns the matrix as assembled and psd_check symmetrizes it; the retired
+        # pick_matrix symmetrized it first, exactly Hermitian, so psd_check gave it back: the
+        # verdict, least eigenvalue and scale are the same, bit for bit
+        def retired(problem):
+            m = pk.pick_matrix(problem)
+            return 0.5 * (m + m.conj().T)
+
+        rng = np.random.default_rng(seed)
+        for space in (sp.s12(), sp.hardy(), sp.dirichlet(), sp.s2(), sp.s22(), sp.km(2),
+                      sp.dalpha(1.5)):
+            count = int(rng.integers(1, 13))
+            nodes = rng.uniform(0.0, 0.95, count) * np.exp(2j * np.pi * rng.uniform(size=count))
+            targets = rng.uniform(-0.7, 0.7, count) + 1j * rng.uniform(-0.7, 0.7, count)
+            problem = pk.PickProblem(space, tuple(nodes), tuple(targets))
+            assert pk.psd_check(pk.pick_matrix(problem)) == pk.psd_check(retired(problem))
+
     def test_rejects_duplicate_nodes(self):
         with pytest.raises(ValueError):
             pk.PickProblem(sp.s12(), (0.3, 0.3), (0.0, 0.0))

@@ -109,6 +109,25 @@ class TestCauchyProduct:
         f = ps.from_coefficients([1, 1, 1])
         assert ps.cauchy_product(f, f, 1).order == 1
 
+    @pytest.mark.parametrize("order", [0, 5, 12, 24, 60])
+    def test_every_direct_product_is_the_full_convolution_cut(self, order):
+        # convolve is the full np.convolve product cut after order, bit for bit and unpadded;
+        # cauchy_product pads it with zeros to order, and multiplier's direct branch is it for
+        # b of at most order + 1 taps (it cuts a longer b there)
+        rng = np.random.default_rng(order)
+        for la, lb in ((1, 1), (1, 13), (13, 13), (7, 30), (30, 7), (61, 61)):
+            a, b = (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n) for n in (la, lb))
+            full = np.convolve(a, b)
+            got = ps.convolve(a, b, order)
+            assert len(got) == min(order + 1, la + lb - 1)
+            assert got.tobytes() == full[: order + 1].tobytes()
+            padded = np.zeros(order + 1, dtype=np.complex128)
+            padded[: len(got)] = got
+            product = ps.cauchy_product(ps.PowerSeries(a), ps.PowerSeries(b), order)
+            assert product.coeffs.tobytes() == padded.tobytes()
+            if lb <= order + 1:
+                assert ps.multiplier(ps.PowerSeries(b), order)(a).tobytes() == got.tobytes()
+
 
 class TestDerivative:
     def test_termwise(self):

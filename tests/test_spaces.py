@@ -138,6 +138,41 @@ class TestNorms:
         assert sp.space_norms(sp.s12(), rows).tolist() == single
         assert [sp.space_norm(sp.s12(), ps.PowerSeries(row)) for row in rows] == single
 
+    @pytest.mark.parametrize("length", [*range(1, 26), 257, 1025])
+    def test_squared_norms_are_the_retired_single_row_dot(self, length):
+        # space_norm_sq, dirichlet_energy and each row of a _scaled_sums batch equal the retired
+        # _scaled_sum_sq, one 1-d dot at the row's unit scale and one scalar ldexp_norm, bit
+        # for bit, and past the float range raise its DomainError; a gemv rows @ w rounds by
+        # position and misses this
+        def retired(weights, f):
+            m, e = ps.frexp(f.coeffs)
+            return ps.ldexp_norm(float(np.abs(m) ** 2 @ weights), 2 * e)
+
+        def outcome(squared, *args):
+            try:
+                return squared(*args)
+            except DomainError as exc:
+                return str(exc)
+
+        rng = np.random.default_rng(length)
+        count = 100 if length < 100 else 10
+        shape = (count, length)
+        rows = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+        refused = 0
+        for scale in (2.0**-600, 2.0**-300, 1.0, 2.0**300, 2.0**600):
+            for space in (sp.s12(), sp.hardy(), sp.km(2)):
+                w = space.weights(length - 1)
+                want = [outcome(retired, w, ps.PowerSeries(row)) for row in scale * rows]
+                got = [outcome(sp.space_norm_sq, space, ps.PowerSeries(row)) for row in scale * rows]
+                assert got == want
+                refused += want.count("the norm overflows the float range")
+                sums, e = sp._scaled_sums(w, scale * rows)
+                assert [outcome(ps.ldexp_norm, x, 2 * k) for x, k in zip(sums, e)] == want
+            w = np.arange(float(length))
+            want = [outcome(retired, w, ps.PowerSeries(row)) for row in scale * rows]
+            assert [outcome(sp.dirichlet_energy, ps.PowerSeries(row)) for row in scale * rows] == want
+        assert refused == 3 * count  # every row at 2^600, in each space
+
     def test_rows_of_many_lengths_are_each_its_own_dot(self):
         # zero-padded rows given their lengths: each norm is space_norm of the row cut to its
         # length, whose sum of squares a padded dot can round otherwise
