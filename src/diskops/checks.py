@@ -1,15 +1,19 @@
 """Named verification checks, grouped into runnable suites.
 
-This module is the one verdict layer.  The library modules compute and
+This module is the verdict layer.  The library modules compute and
 return numbers; each check reproduces one computable statement about these
 spaces from them and ends in exactly one ``report`` helper call
 (``make_report``, ``compare_report`` or ``vanishing_report``) that carries
-its whole verdict, so every rule that turns a number into a status lives
-here.  The suite runner stamps each report with the id its check is
-registered under.  A randomized check is registered as seeded: the registry
-passes it a PRNG seeded by the config's seed and the check's id, so its
-computed values depend on those two alone.  Suites never abort on a check
-failure: exceptions are captured as status="error" reports.
+its whole verdict.  Every rule that turns a number into a status lives
+here, but for the two that ``pick`` owns: the PSD floor
+(``DEFAULT_PSD_TOL``, applied by ``psd_check``) and the sign rule
+(``first_sign_violation``).  ``pick.reciprocal_sign_check`` also returns
+a report, since perfbench's pick-batch workload reads one.  The suite
+runner stamps each report with the id its check is registered under.  A
+randomized check is registered as seeded: the registry passes it a PRNG
+seeded by the config's seed and the check's id, so its computed values
+depend on those two alone.  Suites never abort on a check failure:
+exceptions are captured as status="error" reports.
 """
 
 from __future__ import annotations
@@ -846,27 +850,22 @@ for _suffix, _space, _c1, _c2 in (("s2", sp.s2(), -1.0, 0.75), ("s22", sp.s22(),
 
 @_check("pick", "scalar_pick_gap")
 def _scalar_pick_gap(cfg):
-    """The two halves of the scalar-Pick obstruction on the S2 scale.
+    """The two halves of the scalar-Pick obstruction on the S2 scale, from kernels at 0.5.
 
-    With node 0.5 and target modulus-squared 0.1 the necessary Pick
-    condition holds,
-
-        0.9 * (1 + sum_{n>=1} 0.25^n / n^2) ~ 1.1409 > 1,
-
-    while any candidate multiplier of norm at most one must satisfy
-    |target|^2 <= sum_{n>=1} 0.25^n / (n+1)^2 ~ 0.0706 < 0.1, so no
-    interpolant exists.  Replacing the weights with the Hardy ones makes
-    the attainability sum 1/3 and the obstruction dissolves.
+    With node 0.5 and target modulus-squared 0.1 the necessary Pick condition holds,
+    0.9 K_S2(0.5, 0.5) = 0.9 (1 + sum_{n>=1} 0.25^n / n^2) ~ 1.1409 > 1, while any
+    candidate multiplier of norm at most one must satisfy |target|^2 <=
+    K_Dalpha:2(0.5, 0.5) - 1 = sum_{n>=1} 0.25^n / (n+1)^2 ~ 0.0706 < 0.1, so no
+    interpolant exists.  With the Hardy weights the attainability sum is
+    K_H2(0.5, 0.5) - 1 = 1/3 and the obstruction dissolves.
     """
-    n = np.arange(1, 201, dtype=np.float64)
-    q = 0.25**n
-    condition_value = 0.9 * (1.0 + np.sum(q / n**2))
-    attainable_sq = float(np.sum(q / (n + 1) ** 2))
+    condition_value = 0.9 * sp.kernel(sp.s2(), 0.5, 0.5).real
+    attainable_sq = sp.kernel(sp.dalpha(2.0), 0.5, 0.5).real - 1.0
     return rp.make_report(
         computed=[
             ("pick_condition_value", condition_value),
             ("attainable_target_sq", attainable_sq),
-            ("hardy_attainable_sq", float(np.sum(q))),
+            ("hardy_attainable_sq", sp.kernel(sp.hardy(), 0.5, 0.5).real - 1.0),
         ],
         reference=[
             ("pick_condition_value", 1.1409, rp.PAPER),

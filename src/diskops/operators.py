@@ -151,7 +151,10 @@ def norm_estimate(matvec, rmatvec, m: int, n: int) -> float:
     comes after _TEST_EVERY steps, the second max(_TEST_EVERY, k // 8) after it; each
     later one where log(residual / (eps sigma)), fitted linearly in k through the last
     two failed tests, reaches 0, at least 1 and at most 2 max(_TEST_EVERY, k // 8)
-    steps ahead.  No convergence within _MAX_STEPS steps raises ConvergenceError.
+    steps ahead.  No convergence within _MAX_STEPS steps raises ConvergenceError: so
+    ``diskops opnorm H2 mult`` from truncation 1024 on, and ``opnorm S12 comp`` on z^2 at
+    2048, exit 2, where one dense SVD of the block takes 0.65 s and 0.9 s (2-vCPU VM, one
+    BLAS thread); ROADMAP item 3 owns the fix.
     """
     eps = np.finfo(np.float64).eps
     floor = max(m, n) * eps
@@ -310,11 +313,11 @@ def composition_monomial_norm(space: sp.SpaceWeights, k: int) -> float:
 def hilbert_schmidt_norm_sq(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> float:
     """Partial Hilbert-Schmidt sum sum_{j<=n} ||phi^j||^2 / weight(j), every power
     truncated at order n: the squared Frobenius norm of the compression.  The powers 0..k,
-    columns 0..c, that ``_composition_cut`` sizes for a rest of at most _SUM_MASS are built one
-    at a time by ``series.multiplier`` from [1], a direct product only as long as its degree
-    (j d, until c + 1), and kept as weighted square sums, so no table is held; the bound of the
-    rest is added (it moves no bit of a sum >= 1): up to rounding the value lies in
-    [full sum, full sum + eps/4]; for sup|phi| >= 1 every row that is not exactly zero is
+    columns 0..c, that ``_composition_cut`` sizes for a rest of at most _SUM_MASS are the rows
+    of ``series.orbit(one(), phi, k, c)`` bit for bit, walked one at a time and kept as
+    weighted square sums: the one pass that holds no table, so peak RSS does not grow with n.
+    The bound of the rest is added (it moves no bit of a sum >= 1): up to rounding the value
+    lies in [full sum, full sum + eps/4]; for sup|phi| >= 1 every row that is not exactly zero is
     summed.  A power that overflows raises the DomainError of ``series.orbit``."""
     k, c, mass = _composition_cut(space, phi, n, target=_SUM_MASS)
     w = space.weights(n)

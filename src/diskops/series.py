@@ -120,16 +120,6 @@ def monomial(k: int, order: int | None = None) -> PowerSeries:
     return PowerSeries(c)
 
 
-def truncate(f: PowerSeries, order: int) -> PowerSeries:
-    """Resize to the given order, padding with zeros or dropping the tail."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    c = np.zeros(order + 1, dtype=np.complex128)
-    m = min(order, f.order) + 1
-    c[:m] = f.coeffs[:m]
-    return PowerSeries(c)
-
-
 def scale(f: PowerSeries, factor: complex) -> PowerSeries:
     return PowerSeries(f.coeffs * factor)
 
@@ -182,7 +172,7 @@ def derivative(f: PowerSeries) -> PowerSeries:
 
 
 def multiplier(phi: PowerSeries, order: int):
-    """x -> first order+1 coefficients of x * b, len(x) = order+1, for b = phi cut after
+    """x -> first order+1 coefficients of x * b, len(x) <= order+1, for b = phi cut after
     its degree: ``convolve`` for short b, unpadded, else an FFT product.  An FFT shorter than
     order + len(b) would wrap the top term onto index 0."""
     b = phi.coeffs[: min(max(phi.degree(), 0), order) + 1]
@@ -196,7 +186,9 @@ def multiplier(phi: PowerSeries, order: int):
 def orbit(f: PowerSeries, phi: PowerSeries, count: int, order: int) -> np.ndarray:
     """(count+1) x (order+1) array whose row k holds f * phi^k truncated at ``order``.
 
-    Each row is the previous one times phi through ``multiplier``.  The loop
+    Row 0 is f cut at ``order``; each row is the previous one times phi through
+    ``multiplier`` at the length that returns (deg phi longer, or order + 1 from an FFT),
+    zero past it: the walk of ``operators.hilbert_schmidt_norm_sq``, bit for bit.  The loop
     stops at the first row that underflows to exactly zero: a product by phi
     maps zero to zero on the direct and on the FFT path, so every later row is
     zero too.  A row that is not finite stays so under a product by phi, so the
@@ -207,11 +199,13 @@ def orbit(f: PowerSeries, phi: PowerSeries, count: int, order: int) -> np.ndarra
         raise ValueError("order and count must be >= 0")
     times_phi = multiplier(phi, order)
     table = np.zeros((count + 1, order + 1), dtype=np.complex128)
-    table[0] = truncate(f, order).coeffs
+    row = f.coeffs[: order + 1]
+    table[0, : len(row)] = row
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, once
         for k in range(1, count + 1):
-            table[k] = times_phi(table[k - 1])
-            if not table[k].any():
+            row = times_phi(row)
+            table[k, : len(row)] = row
+            if not row.any():
                 break
     if not np.isfinite(table[-1]).all():
         k = int(np.argmin(np.isfinite(table).all(axis=1)))
@@ -220,36 +214,19 @@ def orbit(f: PowerSeries, phi: PowerSeries, count: int, order: int) -> np.ndarra
 
 
 def compose(f: PowerSeries, phi: PowerSeries, order: int) -> PowerSeries:
-    """Truncated Taylor expansion of f(phi(z)), every product truncated at ``order``.
-
-    Baby-step/giant-step (Paterson & Stockmeyer 1973; Brent & Kung 1978, Alg. 2.1):
-    for the m coefficients of f and b = ceil(sqrt(m)), ``orbit`` gives phi^0..phi^b,
-    one matrix product gives the block sums sum_i f_{qb+i} phi^i, and Horner in
-    phi^b runs over the ceil(m/b) blocks: about 2 sqrt(m) products where Horner in
-    phi takes m.  Rounding stays a few ulps of sum_k |f_k| times the largest
+    """Truncated Taylor expansion of f(phi(z)), every product truncated at ``order``:
+    f's coefficients times the power table ``orbit(one(), phi, f.order, order)``, one
+    matrix product.  Rounding stays a few ulps of sum_k |f_k| times the largest
     coefficient of the powers of phi.
 
     Requires |phi(0)| < 1 strictly: for a symbol that is not a disk self-map near
     the origin the composed series need not converge, so such symbols are rejected
-    rather than handled by limits; one whose powers overflow raises DomainError.
+    rather than handled by limits; one whose powers overflow raises the DomainError
+    of ``orbit``, and a product past the float range that of ``PowerSeries``.
     """
     require_open_disk(phi.coeffs[0], "composition symbol's constant term")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    m = len(f.coeffs)
-    b = math.isqrt(m - 1) + 1  # ceil(sqrt(m)), exactly
-    baby = orbit(one(), phi, b, order)
-    padded = np.zeros(-(-m // b) * b, dtype=np.complex128)
-    padded[:m] = f.coeffs
-    times_giant = multiplier(PowerSeries(baby[b]), order)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, once
-        blocks = padded.reshape(-1, b) @ baby[:b]
-        acc = blocks[-1]
-        for block in blocks[-2::-1]:
-            acc = times_giant(acc) + block
-    if not np.isfinite(acc).all():
-        raise DomainError(f"f(phi) overflows at order {order}: phi is no self-map")
-    return PowerSeries(acc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return PowerSeries(f.coeffs @ orbit(one(), phi, f.order, order))
 
 
 def reciprocal(f: PowerSeries, order: int) -> PowerSeries:
@@ -285,7 +262,7 @@ def evaluate(f: PowerSeries, z: complex) -> complex:
 def evaluate_many(f: PowerSeries, z) -> np.ndarray:
     """The truncated series at every point of z, in an array of z's shape.
 
-    Baby-step/giant-step Horner with the split of ``compose``: for the m
+    Baby-step/giant-step Horner (Paterson & Stockmeyer 1973): for the m
     coefficients and b = ceil(sqrt(m)), the powers z^0..z^(b-1) form one
     (b, points) array, a stacked matrix product gives the block sums
     sum_i f_{qb+i} z^i, and Horner in z^b runs over the ceil(m/b) blocks:

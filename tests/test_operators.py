@@ -220,7 +220,9 @@ def single_block_norm(f, n):
     e = math.frexp(np.abs(f.coeffs.view(np.float64)).max())[1]
     unit = ps.PowerSeries(np.ldexp(f.coeffs.view(np.float64), -e).view(np.complex128))
     sqw, k = np.sqrt(S12.weights(n)), np.arange(n + 1)
-    block = sqw[:, None] * (np.tril(ps.truncate(unit, n).coeffs[k[:, None] - k]) * (1.0 / sqw))
+    c = np.zeros(n + 1, dtype=np.complex128)
+    c[: min(n, unit.order) + 1] = unit.coeffs[: n + 1]
+    block = sqw[:, None] * (np.tril(c[k[:, None] - k]) * (1.0 / sqw))
     return math.ldexp(float(np.linalg.svd(block, compute_uv=False).max(initial=0.0)), e)
 
 
@@ -827,6 +829,37 @@ def test_affine_composition_norm_on_h2_is_cowens(size, split, arg_s, arg_t):
     assert exact * (1 - 1e-13) <= got <= exact * (1 + 1e-14)
 
 
+_ORACLE_SPACES = st.sampled_from([S12, sp.dirichlet(), sp.hardy(), sp.km(2)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ORACLE_SPACES, st.floats(0, 0.9), st.floats(0, 2 * math.pi))
+def test_constant_composition_norm_is_the_kernel_norm(space, r, arg):
+    # C_c f = f(c) 1 and weight(0) = 1, so ||C_c||^2 = K(c, c) = sum_j |c|^(2j) / weight(j).  The
+    # oracle is that sum in 40 digits through j = 256: the terms past it add at most
+    # 0.81^257 / 0.19 < 2e-23 relative.  spaces.kernel is not the oracle: its S12 closed form
+    # errs by up to 1e-10 just above |t| = 1e-3, and its series path (Km:2) stops at an
+    # absolute tail of 1e-12
+    c = r * cmath.exp(1j * arg)
+    got = op.composition_norm(space, ps.from_coefficients([c]), 256) ** 2
+    with mpmath.workdps(40):
+        t = abs(mpmath.mpc(c)) ** 2
+        exact = float(mpmath.fsum(t**j / mpmath.mpf(space.weight(j)) for j in range(257)))
+    target(abs(got / exact - 1.0), label="relative gap to K(c, c)")
+    assert abs(got - exact) <= 1e-13 * exact
+
+
+@settings(max_examples=64, deadline=None)
+@given(_ORACLE_SPACES, st.integers(1, 8), st.sampled_from([64, 256]))
+def test_monomial_composition_norm_is_the_largest_column_norm(space, k, n):
+    # C_{z^k} maps e_j to sqrt(weight(k j) / weight(j)) e_{k j}: orthogonal columns, so the
+    # compression's norm is the largest of these over j <= n / k
+    j = np.arange(n // k + 1)
+    exact = math.sqrt(np.max(space.weight(k * j) / space.weight(j)))
+    got = op.composition_norm(space, ps.monomial(k), n)
+    assert abs(got - exact) <= 4 * np.finfo(np.float64).eps * exact
+
+
 def hilbert_schmidt_symbols():
     """The ten seed-0 symbols of comp_hilbert_schmidt_bound, scaled to sup |phi| = 0.8."""
     rng = checks._rng(checks.Config(seed=0), "comp_hilbert_schmidt_bound")
@@ -863,6 +896,22 @@ class TestHilbertSchmidt:
             walked.clear()
             op.hilbert_schmidt_norm_sq(S12, phi, n)
             assert walked == [min(j * phi.degree(), c) + 1 for j in range(k + 1)]
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_power_table_rows_are_the_walks_rows(self, n):
+        # 40 symbols of degree 1..8 at sup 0.8: row j of the C_phi power table is the walk's
+        # phi^j from [1], bit for bit, and zero past its length
+        rng = np.random.default_rng(n)
+        for _ in range(40):
+            phi = random_poly(rng, max_degree=8, min_degree=1)
+            phi = ps.scale(phi, 0.8 / sp.sup_bracket(phi)[0])
+            k, c, _ = op._composition_cut(S12, phi, n)
+            table = ps.orbit(ps.one(), phi, k, c)
+            times_phi, row = ps.multiplier(phi, c), ps.one().coeffs
+            for j in range(k + 1):
+                assert np.array_equal(table[j, : len(row)], row), (j, phi.coeffs)
+                assert not table[j, len(row):].any(), (j, phi.coeffs)
+                row = times_phi(row)
 
     def test_blocks_hold_no_table(self):
         # the symbols of comp_hilbert_schmidt_bound at seed 0: the sum over the whole table at
@@ -1291,12 +1340,12 @@ class TestGrowthFormulas:
         psi = bl.z_times_phi(0.3)
         f = ps.one()
         series = psi.series(400)
-        u = ps.truncate(f, 400)
+        u = f
         for _ in range(4):
             u = ps.cauchy_product(u, series, 400)
         lhs = sp.space_norm_sq(sp.s2(), u)
-        two = ps.cauchy_product(ps.cauchy_product(ps.truncate(f, 400), series, 400), series, 400)
-        one_ = ps.cauchy_product(ps.truncate(f, 400), series, 400)
+        two = ps.cauchy_product(ps.cauchy_product(f, series, 400), series, 400)
+        one_ = ps.cauchy_product(f, series, 400)
         n = 4
         rhs = (
             n * (n - 1) / 2 * sp.space_norm_sq(sp.s2(), two)
