@@ -69,8 +69,10 @@ class Majorant:
     ``tail(order)`` bounds sum_{n>order} term(n): q(n) = term(n+1)/term(n) <= e^(p/n) rho, so
     from n1 = max(order+1, ceil(2p/ln(1/rho))) on q is below sqrt(rho) and falls, and the terms
     sum to at most term(n1)/(1 - q(n1)); those before n1 are summed (inf past 2^18 of them).
-    ``order_for(tol)`` bisects for the least order with tail <= tol; TruncationError past 2^18,
-    or for tol below the least normal float, where the terms it sums would underflow."""
+    ``order_for(tol)`` is the least order with tail <= tol: it solves term(n) / (1 - q(n)) = tol
+    for a start, gallops up from it to a bracket and bisects inside, about 3 tail calls where a
+    bisection over [-1, 2^18] takes 19; TruncationError past 2^18, or for tol below the least
+    normal float, where the terms it sums would underflow."""
 
     log_c: float
     p: float
@@ -89,7 +91,26 @@ class Majorant:
     def order_for(self, tol: float) -> int:
         if not (tol >= np.finfo(np.float64).tiny and self.tail(_MAJORANT_CAP) <= tol):
             raise TruncationError(f"no order up to {_MAJORANT_CAP} holds the tail within {tol:g}")
-        lo, hi = -1, _MAJORANT_CAP  # tail(hi) <= tol < tail(lo), with tail(-1) = inf
+        # From n1 on, tail(n - 1) = term(n) / (1 - q(n)), q(n) = (1 + 1/n)^p rho <= sqrt(rho).  A
+        # few fixed-point steps of that = tol, from the peak of n^p rho^n at p / ln(1/rho), near
+        # its root from below (an inf tol stays on that floor); from the order n - 1 a gallop up
+        # ends at a bracket tail(hi) <= tol < tail(lo)
+        decay = -math.log(self.rho)
+        least = max(self.p / decay, 1.0)
+        n = least
+        for _ in range(3):
+            q = min((1.0 + 1.0 / n) ** self.p * self.rho, math.sqrt(self.rho))
+            budget = math.log(tol) + math.log1p(-q)
+            n = min(max((self.log_c + self.p * math.log(n) - budget) / decay, least), _MAJORANT_CAP)
+        guess = math.ceil(n) - 1
+        if self.tail(guess) > tol:
+            lo, hi, step = guess, guess + 1, 1
+            while self.tail(hi) > tol:
+                lo, hi, step = hi, min(hi + 2 * step, _MAJORANT_CAP), 2 * step
+        elif n > least and (guess == 0 or self.tail(guess - 1) > tol):
+            return guess
+        else:  # a start on the floor, or one that rounding put past the order: tail(-1) = inf
+            lo, hi = -1, guess
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (lo, mid) if self.tail(mid) <= tol else (mid, hi)

@@ -573,6 +573,24 @@ def test_composition_suite_imports_no_numpy_ma():
     assert _run_python(["-c", code]).splitlines()[-1] == "False"
 
 
+def test_numpy_random_is_imported_before_the_first_check():
+    # numpy imports numpy.random lazily, about 15 ms that the first seeded check's
+    # elapsed_ms would hold; the first check records whether it is already loaded
+    code = (
+        "import sys\n"
+        "from diskops import checks\n"
+        "print('numpy.random' in sys.modules)\n"
+        "first = checks._REGISTRY['kernels'][0]\n"
+        "def probe(cfg):\n"
+        "    print('numpy.random' in sys.modules)\n"
+        "    return first(cfg)\n"
+        "probe.check_id = first.check_id\n"
+        "checks._REGISTRY['kernels'][0] = probe\n"
+        "checks.run_suite('kernels')\n"
+    )
+    assert _run_python(["-c", code]).splitlines() == ["False", "True"]
+
+
 def test_verify_imports_no_scipy():
     code = (
         "import sys\n"

@@ -277,10 +277,29 @@ class TestSampledSweeps:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(10, 2**32 - 1))
     def test_pruned_pointwise_sweep_is_the_full_one(self, seed):
-        # only symbols whose triangle bound sum |f_n| can beat the worst ratio are sampled
+        # pointwise_bound_sqrt2 samples only symbols whose triangle bound sum |f_n| can beat the
+        # worst ratio, mult_norm_sandwich only those whose bound on hi exceeds ||f||
         cfg = checks.Config(seed=seed)
-        got = swept_values(cfg, ("pointwise_bound_sqrt2",))["pointwise_bound_sqrt2"]
-        assert got == retired_sweeps(cfg)["pointwise_bound_sqrt2"]
+        check_ids = ("pointwise_bound_sqrt2", "mult_norm_sandwich")
+        want = retired_sweeps(cfg)
+        assert swept_values(cfg, check_ids) == {check_id: want[check_id] for check_id in check_ids}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.one_of(st.just(0.0), st.floats(2.0**-300, 1.0)), min_size=1, max_size=16),
+        st.one_of(st.floats(0.0, 2 * math.pi).map(lambda t: [t] * 16),  # a peak of sum |f_n|
+                  st.lists(st.floats(0.0, 2 * math.pi), min_size=16, max_size=16)),
+        st.integers(-600, 600),
+    )
+    def test_sup_bounds_hold_the_bracket(self, moduli, phases, k):
+        # degree 0 to 15, nonzero moduli in [2^-900, 2^600]: sup_bracket's sides never pass
+        # the triangle bounds the sweeps prune by; aligned phases put the sup at sum |f_n|,
+        # where only the 1 / (1 - pi d / 4096) factor covers hi
+        n = len(moduli)
+        row = np.ldexp(np.array(moduli), k) * np.exp(1j * np.array(phases[:n]))
+        lo, hi = sp.sup_bracket(ps.PowerSeries(row))
+        lo_bound, hi_bound = checks._sup_bounds(row[None, :], np.array([n]))
+        assert lo <= lo_bound[0] and hi <= hi_bound[0]
 
     def test_stacked_svd_is_the_single_one(self):
         # 4000 symbols drawn as the checks draw them, constants included: the batched first

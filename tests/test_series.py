@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diskops import cli
+from diskops import checks, cli
 from diskops import series as ps
 from diskops.blaschke import BlaschkeProduct
-from diskops.errors import DomainError
+from diskops.errors import DomainError, TruncationError
 
 
 def resized(f, order):
@@ -328,6 +328,78 @@ class TestProductSwitch:
             capture_output=True, text=True, timeout=120, check=True,
         )
         assert out.stdout.strip() == "[]"
+
+
+def bisected_order(majorant, tol):
+    """The retired ``Majorant.order_for``: the same refusals, then a bisection over
+    [-1, 2^18], about 19 ``tail`` calls: the reference the solved search must equal."""
+    if not (tol >= np.finfo(np.float64).tiny and majorant.tail(ps._MAJORANT_CAP) <= tol):
+        raise TruncationError(f"no order up to {ps._MAJORANT_CAP} holds the tail within {tol:g}")
+    lo, hi = -1, ps._MAJORANT_CAP
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if majorant.tail(mid) <= tol else (mid, hi)
+    return hi
+
+
+def order_or_refusal(search, majorant, tol):
+    try:
+        return search(majorant, tol)
+    except TruncationError as exc:
+        return str(exc)
+
+
+class TestMajorantSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.just(0.0), st.floats(-50.0, 3000.0)),
+        st.one_of(st.integers(0, 40).map(float), st.floats(0.0, 500.0)),
+        st.one_of(st.floats(np.finfo(np.float64).tiny, 1.0 - 2.0**-30),
+                  st.floats(-1022.0, -1e-6).map(lambda k: 2.0**k)),
+        st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, math.inf]),
+                  st.floats(-300.0, 308.0).map(lambda k: 10.0**k)),
+    )
+    def test_solved_search_is_the_bisection(self, log_c, p, rho, tol):
+        # rho from the least normal float up, tol from 0 and subnormals (refused) to inf:
+        # the same least order, or the same TruncationError
+        majorant = ps.Majorant(log_c, p, rho)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # a tail past the float range
+            want = order_or_refusal(bisected_order, majorant, tol)
+            assert order_or_refusal(ps.Majorant.order_for, majorant, tol) == want
+
+    @pytest.mark.parametrize("rho", [0.5, 0.25, 0.75, 0.9])
+    def test_a_start_past_the_order_bisects_down(self, rho):
+        # p = 0: tail(order) = rho^order, so tol = rho^k holds from order k on exactly; the
+        # solved n = k + 1 rounds up to k + 1 + 1e-14 for some k (k = 46 at rho = 1/2), and
+        # the start, order k + 1, holds too
+        majorant = ps.Majorant(0.0, 0.0, rho)
+        for k in range(1, int(-1000 / math.log2(rho))):
+            assert majorant.order_for(rho**k) == bisected_order(majorant, rho**k)
+
+    def test_verify_asks_at_most_8_tails_per_order(self, monkeypatch):
+        # every order a verify run fixes, at four truncations and two seeds: the bisection took
+        # 19 tail calls for each, the solved start takes about 3
+        tail, order_for = ps.Majorant.tail, ps.Majorant.order_for
+        calls, counts = [0], []
+
+        def counted_tail(self, order):
+            calls[0] += 1
+            return tail(self, order)
+
+        def counted_order_for(self, tol):
+            calls[0] = 0
+            try:
+                return order_for(self, tol)
+            finally:
+                counts.append(calls[0])
+
+        monkeypatch.setattr(ps.Majorant, "tail", counted_tail)
+        monkeypatch.setattr(ps.Majorant, "order_for", counted_order_for)
+        for truncation in (16, 256, 1024, 8192):
+            for seed in (0, 3):
+                checks.run_suite("all", checks.Config(truncation=truncation, seed=seed))
+        assert len(counts) > 400 and max(counts) <= 8
 
 
 class TestReciprocal:
