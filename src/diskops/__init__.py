@@ -19,7 +19,7 @@ from .operators import (
     composition_norm,
     contractive_composition_norm,
     growth_residuals,
-    hilbert_schmidt_norm_sq,
+    hilbert_schmidt_bracket,
     isometry_order,
     multiplication_norm,
     norm_estimate,

@@ -29,15 +29,12 @@ from .series import PowerSeries
 
 # The squared Frobenius mass the C_phi products may leave out: (eps ||A||_F)^2 at most
 _CUT_MASS = np.finfo(np.float64).eps ** 2
-# The mass a Hilbert-Schmidt sum may leave out: a quarter ulp at most of a sum >= 1 (row 0 is 1)
-_SUM_MASS = np.finfo(np.float64).eps / 4
 
 
-def _composition_cut(space: sp.SpaceWeights, phi: PowerSeries, n: int, full: bool = False,
-                     target: float = _CUT_MASS):
+def _composition_cut(space: sp.SpaceWeights, phi: PowerSeries, n: int, full: bool = False):
     """(k, c, mass): the rows 0..k and columns 0..c of the transposed compression of
     f -> f(phi) at size n+1 that are built (row j is phi^j * sqrt(weight / weight(j))), and a
-    bound of the squared Frobenius mass of rows k+1..n, at most ``target``.
+    bound of the squared Frobenius mass of rows k+1..n, at most _CUT_MASS.
 
     One ``spaces.sup_bracket(phi)`` = (lo, hi) decides both sides.  DomainError unless
     |phi(0)| < 1, and when lo > 1: then some |phi(zeta)| > 1 on the circle, so phi maps points
@@ -45,7 +42,7 @@ def _composition_cut(space: sp.SpaceWeights, phi: PowerSeries, n: int, full: boo
     the computed ||phi^j||_H2 <= s^j (4 eps cover the rounding of each product; a constant,
     whose bracket is exact, has no other slack) bounds the mass of row j by
     (max w / min w) s^(2j), w = weights(n): k is that Majorant's
-    order_for(target) (rho = s^2, or the least normal float if smaller) and the bound its tail
+    order_for(_CUT_MASS) (rho = s^2, or the least normal float if smaller) and the bound its tail
     at k.  When s >= 1 or that k is n or more, k = n and the bound is 0.  Then, whatever s,
     k is capped at n // v for phi of valuation v >= 1: phi^j starts at z^(v j), so the rows
     past it are exactly zero (a zero symbol keeps row 0 alone).  For phi of degree d, row j
@@ -64,8 +61,8 @@ def _composition_cut(space: sp.SpaceWeights, phi: PowerSeries, n: int, full: boo
         s = hi * (1 + 4 * np.finfo(np.float64).eps)
         if s < 1:
             rows = ps.Majorant(math.log(w.max() / w.min()), 0, max(s * s, np.finfo(np.float64).tiny))
-            if rows.tail(n - 1) <= target:
-                k = rows.order_for(target)
+            if rows.tail(n - 1) <= _CUT_MASS:
+                k = rows.order_for(_CUT_MASS)
                 mass = rows.tail(k)
         nonzero = np.flatnonzero(phi.coeffs[: n + 1])
         v = int(nonzero[0]) if len(nonzero) else n + 1
@@ -310,27 +307,117 @@ def composition_monomial_norm(space: sp.SpaceWeights, k: int) -> float:
     return k ** (0.5 * space.weight_exponent)
 
 
-def hilbert_schmidt_norm_sq(space: sp.SpaceWeights, phi: PowerSeries, n: int) -> float:
-    """Partial Hilbert-Schmidt sum sum_{j<=n} ||phi^j||^2 / weight(j), every power
-    truncated at order n: the squared Frobenius norm of the compression.  The powers 0..k,
-    columns 0..c, that ``_composition_cut`` sizes for a rest of at most _SUM_MASS are the rows
-    of ``series.orbit(one(), phi, k, c)`` bit for bit, walked one at a time and kept as
-    weighted square sums: the one pass that holds no table, so peak RSS does not grow with n.
-    The bound of the rest is added (it moves no bit of a sum >= 1): up to rounding the value
-    lies in [full sum, full sum + eps/4]; for sup|phi| >= 1 every row that is not exactly zero is
-    summed.  A power that overflows raises the DomainError of ``series.orbit``."""
-    k, c, mass = _composition_cut(space, phi, n, target=_SUM_MASS)
-    w = space.weights(n)
-    times_phi = ps.multiplier(phi, c)
-    row, terms = ps.one().coeffs, np.empty(k + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing power is refused below
-        for j in range(k + 1):
-            if j:
-                row = times_phi(row)
-            terms[j] = sp.norms_sq(w[: len(row)], row)  # not finite where the row is not
-            if not math.isfinite(terms[j]) and not np.isfinite(row).all():
-                raise DomainError(f"f * phi^{j} overflows at order {c}: phi is no self-map")
-    return mass + float(np.sum(terms / w[: k + 1]))
+def _series_values(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[r, i] x^i for each row r of a 2-d real array, at each point of x, as a
+    (rows, len(x)) array: baby-step/giant-step Horner as in ``series.evaluate_many``, with the
+    powers x^0..x^(b-1), b = isqrt(k) + 1 for k + 1 coefficients, held _BATCH_BYTES of them at a
+    time, one matrix product per block of b coefficients and Horner in x^b over the
+    B = ceil((k + 1) / b) <= b blocks.  A term takes at most 2b - 1 roundings to its block sum
+    (its coefficient's one, b - 2 in x^i, one product, b - 1 sums) and b + 1 per level of
+    Horner above it: fewer than (b + 1)(B + 1) <= 2k + 8 in all, so where the coefficients
+    and the points are >= 0 each value is within gamma_(2k+8) of itself, relatively (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1)."""
+    k = coeffs.shape[1] - 1
+    b = math.isqrt(k) + 1
+    blocks = np.zeros((len(coeffs), -(-(k + 1) // b) * b))
+    blocks[:, : k + 1] = coeffs
+    blocks = blocks.reshape(len(coeffs), -1, b)
+    out = np.empty((len(coeffs), len(x)))
+    step = max(1, (2 * _BATCH_BYTES - 1) // (8 * b))
+    for at in range(0, len(x), step):
+        t = x[at : at + step]
+        powers = np.empty((b, len(t)))
+        powers[0] = 1.0
+        for i in range(1, b):
+            np.multiply(powers[i - 1], t, out=powers[i])
+        giant = powers[-1] * t
+        acc = out[:, at : at + step]
+        np.matmul(blocks[:, -1], powers, out=acc)
+        for q in range(blocks.shape[1] - 2, -1, -1):
+            acc *= giant
+            acc += blocks[:, q] @ powers
+    return out
+
+
+def hilbert_schmidt_bracket(space: sp.SpaceWeights, phi: PowerSeries) -> tuple[float, float]:
+    """(lo, hi) with lo <= ||C_phi||_HS^2 = sum_j ||phi^j||^2 / weight(j) <= hi, for a space whose
+    weight is a polynomial a0 + a1 n + a2 n^2 (``weight_polynomial``: H2, D2, S12, S22, Km:1,
+    Dalpha:0, 1, 2), by exact quadrature on the unit circle; no truncation enters.
+    PreconditionError for every other space; DomainError unless |phi(0)| < 1, and where the lower
+    side of ``spaces.sup_bracket(phi)`` exceeds 1 (phi is then no self-map of the disk).
+
+    On the circle ||g||^2 = a0 int |g|^2 + a1 int Re(conj(g) zeta g') + a2 int |g'|^2 dm for a
+    polynomial g.  With g = phi^j, x = |phi|^2, r = Re(conj(phi) zeta phi') and p = |phi'|^2,
+    the terms j <= K sum to the mean over the circle of S0(x) + S1(x) r + S2(x) p, where
+    S0 = sum_{j<=K} a0 x^j / w(j), S1 = sum_{1<=j<=K} a1 j x^(j-1) / w(j) and
+    S2 = sum_{1<=j<=K} a2 j^2 x^(j-1) / w(j) have coefficients >= 0.  For phi of degree d that
+    integrand is a trigonometric polynomial of degree <= K d, so the trapezoid rule on
+    N = 2^L > K d nodes (and N > d) gives it exactly (Trefethen and Weideman, SIAM Review 56,
+    2014): the values of phi and zeta phi' at the nodes are one FFT of two rows, the S_i come
+    from ``_series_values``, and the mean sums the rows, then the column, of the R x C array of
+    the values (R C = N), divided by N exactly.
+
+    Tail.  With s = the hi of sup_bracket(phi) >= sup |phi|, |phi'| <= d s by Bernstein's
+    inequality, so term j is at most (a0 + a1 j d + a2 j^2 d^2) s^(2j) / w(j) <= d^e s^(2j),
+    e the degree of the weight polynomial (s^(2j) for a constant phi): K is the order_for(eps/4)
+    of that ``series.Majorant``, and hi adds its tail at K.  For s >= 1, or no K up to the
+    majorant's cap, the bracket is (1, inf): the term j = 0 is 1 exactly.
+
+    Rounding radius, u = eps / 2.  (i) Each computed node value of phi is within
+    delta = 4 eps (L + 2) sum |phi_n| of the true one (sup_bracket's 4 eps per FFT level, one
+    level more for the products n phi_n), each of zeta phi' within d delta; both lie within
+    rho = (1 + eta) s and d rho, eta = delta / s.  (ii) Term j is a sum of monomials of degree 2j
+    in phi, conj(phi), zeta phi' and its conjugate, whose coefficient moduli sum, at moduli
+    (s, d s), to G_j(s, d s) = h_j s^(2j), h_j = (a0 + a1 j d + a2 j^2 d^2) / w(j): the
+    integrand at a node where zeta phi' is d phi.  Moving every factor by a fraction eta of its
+    bound moves term j by at most ((1 + eta)^(2j) - 1) G_j(s, d s) <= 2 j eta G_j(rho, d rho):
+    in all 2 eta H, with G = sum_{j<=K} G_j(rho, d rho) and H = sum_{j<=K} j G_j(rho, d rho).
+    (iii) At a node, x and p take two roundings each and r 2 u |phi| |phi'|, so x^j moves by
+    gamma_2j (2 u H in all), ``_series_values`` adds gamma_(2K+8) and the products and the sum
+    of the three 5 roundings: gamma_(2K+13) G; the sums add gamma_(R+C-2) of the sum.
+    So |value - sum_{j<=K}| <= 2 (eta + u) H + gamma_(2K+11+R+C) G.  The radius doubles the
+    first-order part of that, with G and H as computed: the other half covers their rounding
+    and that of rho (relative, so of second order), the second-order parts of the gammas, the
+    two roundings of lo and hi (at most 2 u (value + tail) <= 3 u G, as value <= G and G >= 1),
+    and underflow (absolute, a few 2^-1074 G).  The sides are value - radius and
+    value + radius + tail.
+    """
+    weight = space.weight_polynomial
+    if weight is None:
+        raise PreconditionError(f"{space.label} weights are no polynomial of degree <= 2 in n")
+    ps.require_open_disk(phi.coeffs[0], "composition symbol's constant term")
+    lo, s = sp.sup_bracket(phi)
+    if lo > 1.0:
+        raise DomainError(f"composition symbol has sup |phi| >= {lo:.6g} > 1: "
+                          "phi is no self-map of the disk")
+    if s >= 1.0:
+        return 1.0, math.inf
+    eps = float(np.finfo(np.float64).eps)
+    d = max(phi.degree(), 0)
+    e = 2 if weight[2] else 1 if weight[1] else 0
+    terms = ps.Majorant(e * math.log(max(d, 1)), 0, max(s * s, np.finfo(np.float64).tiny))
+    try:
+        k = terms.order_for(eps / 4)
+    except TruncationError:
+        return 1.0, math.inf
+    j = np.arange(k + 1.0)
+    per_term = np.array(weight)[:, None] * j ** np.arange(3)[:, None] / space.weights(k)
+    coeffs = np.zeros((3, k + 1))  # S0, S1 and S2 in powers of x: a_i j^i / w(j) at x^(j-min(i,1))
+    coeffs[0], coeffs[1:, :k] = per_term[0], per_term[1:, 1:]
+    n = 1 << (max(k, 1) * d).bit_length()
+    c = phi.coeffs[: d + 1]
+    values, slopes = np.fft.fft([c, np.arange(d + 1) * c], n)
+    x = values.real**2 + values.imag**2
+    r = values.real * slopes.real + values.imag * slopes.imag
+    p = slopes.real**2 + slopes.imag**2
+    sums = _series_values(coeffs, x)
+    integrand = (sums[0] + sums[1] * r + sums[2] * p).reshape(-1, 1 << (n.bit_length() - 1) // 2)
+    value = float(integrand.sum(axis=1).sum()) / n
+    eta = 4 * eps * (n.bit_length() + 1) * float(np.abs(c).sum()) / s if s else 0.0
+    aligned = np.array([1.0, d, d * d]) @ per_term * ((1.0 + eta) * s) ** (2 * j)  # G_j(rho, d rho)
+    big, high = float(aligned.sum()), float(j @ aligned)
+    radius = 2 * (2 * eta + eps) * high + (2 * k + 11 + sum(integrand.shape)) * eps * big
+    return value - radius, value + radius + terms.tail(k)
 
 
 # ---------------------------------------------------------------------------

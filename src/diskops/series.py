@@ -84,9 +84,11 @@ class Majorant:
         if n1 - order > _MAJORANT_CAP:
             return math.inf
         n = np.arange(order + 1, n1 + 1, dtype=np.float64)
-        with np.errstate(over="ignore"):  # a term past the float range bounds by inf
+        # a term, their sum or the closing bound past the float range bounds the tail by inf
+        with np.errstate(over="ignore"):
             terms = np.exp(self.log_c + self.p * np.log(n) + n * log_rho)
-        return float(terms[:-1].sum() + terms[-1] / (1.0 - (1.0 + 1.0 / n1) ** self.p * self.rho))
+            closing = terms[-1] / (1.0 - (1.0 + 1.0 / n1) ** self.p * self.rho)
+            return float(terms[:-1].sum() + closing)
 
     def order_for(self, tol: float) -> int:
         if not (tol >= np.finfo(np.float64).tiny and self.tail(_MAJORANT_CAP) <= tol):
@@ -209,7 +211,7 @@ def orbit(f: PowerSeries, phi: PowerSeries, count: int, order: int) -> np.ndarra
 
     Row 0 is f cut at ``order``; each row is the previous one times phi through
     ``multiplier`` at the length that returns (deg phi longer, or order + 1 from an FFT),
-    zero past it: the walk of ``operators.hilbert_schmidt_norm_sq``, bit for bit.  The loop
+    zero past it, so a walk of one power at a time builds the same bits.  The loop
     stops at the first row that underflows to exactly zero: a product by phi
     maps zero to zero on the direct and on the FFT path, so every later row is
     zero too.  A row that is not finite stays so under a product by phi, so the

@@ -126,6 +126,17 @@ class SpaceWeights:
         """An s with weight(n) <= (n+1)^s for every n >= 0 (for Km each (n+i)/i is <= n+1)."""
         return {H2: 0.0, A2: 0.0, D2: 1.0, DALPHA: self.alpha, KM: self.m + 1.0}.get(self.kind, 2.0)
 
+    @property
+    def weight_polynomial(self) -> tuple[float, float, float] | None:
+        """(a0, a1, a2) with weight(n) = a0 + a1 n + a2 n^2 for every n >= 0, or None where the
+        weight is no such polynomial (A2, S2, Km from m = 2, Dalpha but for alpha 0, 1, 2)."""
+        if self.kind == DALPHA:
+            return {0.0: (1.0, 0.0, 0.0), 1.0: (1.0, 1.0, 0.0), 2.0: (1.0, 2.0, 1.0)}.get(self.alpha)
+        if self.kind == KM:
+            return (1.0, 1.5, 0.5) if self.m == 1 else None
+        return {H2: (1.0, 0.0, 0.0), D2: (1.0, 1.0, 0.0), S12: (1.0, 1.5, 0.5),
+                S22: (1.0, 0.0, 1.0)}.get(self.kind)
+
     @functools.lru_cache(maxsize=_WEIGHTS_CACHED)
     def weights(self, n_max: int) -> np.ndarray:
         """weight(n) for n = 0..n_max, read-only and cached per (space, n_max): the norms of

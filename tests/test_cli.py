@@ -93,9 +93,8 @@ class TestRunSuite:
 
     @pytest.mark.parametrize(
         "check_id,needs",
-        # seed 0: the tail majorant of its ten products reaches 1e-8 at order 118;
-        # the z/2 sum falls short of 4/3 by (4/3) 4^-(T+1)
-        [("blaschke_boundary_modulus", 118), ("comp_hs_reference_values", 20)],
+        # seed 0: the tail majorant of its ten products reaches 1e-8 at order 118
+        [("blaschke_boundary_modulus", 118)],
     )
     def test_starved_checks_report_error(self, monkeypatch, check_id, needs):
         (fn,) = [fn for fn in checks.suite_checks("all") if fn.check_id == check_id]
@@ -106,6 +105,16 @@ class TestRunSuite:
         assert report.computed[0].label.endswith(f"needs truncation >= {needs}")
         (report,) = checks.run_suite("only", checks.Config(truncation=needs))
         assert report.status == rp.PASS
+
+    def test_hilbert_schmidt_checks_need_no_truncation(self, monkeypatch):
+        # both read the circle quadrature's bracket, which takes no truncation: at T = 16 they
+        # pass with the values they give at T = 1024
+        fns = [fn for fn in checks.suite_checks("all") if fn.check_id in
+               ("comp_hilbert_schmidt_bound", "comp_hs_reference_values")]
+        monkeypatch.setattr(checks, "_REGISTRY", {"only": fns})
+        short, long = (checks.run_suite("only", checks.Config(truncation=t)) for t in (16, 1024))
+        assert len(short) == 2 and all(r.status == rp.PASS for r in short)
+        assert [r.computed for r in short] == [r.computed for r in long]
 
     def test_boundary_modulus_evaluates_at_the_order_it_names(self, monkeypatch):
         (fn,) = [fn for fn in checks.suite_checks("all")

@@ -1,7 +1,9 @@
 import cmath
 import math
+import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -666,6 +668,32 @@ def columns_and_mass(space, phi, n, full=False):
     return op._composition_columns(space, phi, n, full), mass
 
 
+def hilbert_schmidt_walk(space, phi, n):
+    """The oracle of ``hilbert_schmidt_bracket``: the partial sum sum_{j<=n} ||phi^j||^2 /
+    weight(j), every power truncated at order n, the squared Frobenius norm of the compression.
+    The powers 0..k, columns 0..c = min(n, k deg phi), are walked one at a time through
+    ``series.multiplier``, bit for bit the rows of ``series.orbit``.  Row j has squared norm at
+    most (max w / min w) s^(2j), w = weights(n), s = hi (1 + 4 eps) of ``sup_bracket(phi)``, so
+    for s < 1 k is the order_for(eps/4) of that Majorant, and its tail is added: up to rounding
+    the value lies in [full sum, full sum + eps/4].  For s >= 1 every row is walked."""
+    eps = np.finfo(np.float64).eps
+    w = space.weights(n)
+    s = sp.sup_bracket(phi)[1] * (1 + 4 * eps)
+    k, mass = n, 0.0
+    if s < 1:
+        rows = ps.Majorant(math.log(w.max() / w.min()), 0, max(s * s, np.finfo(np.float64).tiny))
+        if rows.tail(n - 1) <= eps / 4:
+            k = rows.order_for(eps / 4)
+            mass = rows.tail(k)
+    c = min(n, k * max(phi.degree(), 0))
+    times_phi, row, terms = ps.multiplier(phi, c), ps.one().coeffs, np.empty(k + 1)
+    for j in range(k + 1):
+        if j:
+            row = times_phi(row)
+        terms[j] = sp.norms_sq(w[: len(row)], row)
+    return mass + float(np.sum(terms / w[: k + 1]))
+
+
 CUT_SYMBOLS = [symbol_of_sup(0.3), symbol_of_sup(0.8), symbol_of_sup(0.95),
                ps.from_coefficients([0.5]), ps.from_coefficients([0.3 - 0.9j]), ps.zero()]
 CUT_SPACES = [sp.hardy(), sp.bergman(), sp.dirichlet(), S12, sp.km(2), sp.dalpha(1.5)]
@@ -756,7 +784,7 @@ class TestCompositionRowCut:
         n = 512
         for phi in CUT_SYMBOLS:
             full = float(np.sum(np.abs(op.composition_matrix(space, phi, n)) ** 2))
-            value = op.hilbert_schmidt_norm_sq(space, phi, n)
+            value = hilbert_schmidt_walk(space, phi, n)  # the oracle against the dense table
             assert value >= full - 4 * np.spacing(full)
             assert value <= full + 4 * np.spacing(full)
 
@@ -789,7 +817,8 @@ class TestCompositionMatrix:
         # |0.5 + 0.6z| = 1.1 at z = 1, so phi maps points of the disk outside it, though
         # |phi(0)| < 1 and its powers stay finite at order 1024
         phi = ps.from_coefficients([0.5, 0.6])
-        for build in (op.composition_norm, op.composition_matrix, op.hilbert_schmidt_norm_sq):
+        for build in (op.composition_norm, op.composition_matrix,
+                      lambda space, phi, n: op.hilbert_schmidt_bracket(space, phi)):
             with pytest.raises(DomainError, match=r"sup \|phi\| >= 1.1 > 1"):
                 build(space, phi, 1024)
         for phi in (ps.monomial(1), ps.from_coefficients([0.5, 0.5])):  # sup |phi| = 1 exactly
@@ -891,30 +920,31 @@ def hilbert_schmidt_symbols():
 
 class TestHilbertSchmidt:
     def test_zero_symbol(self):
-        assert op.hilbert_schmidt_norm_sq(S12, ps.from_coefficients([0.0]), 64) == 1.0
+        # the term j = 0 alone: the bracket holds 1 within its rounding radius, the walk is 1
+        zero = ps.from_coefficients([0.0])
+        lo, hi = op.hilbert_schmidt_bracket(S12, zero)
+        assert lo <= 1.0 <= hi and hi - lo < 1e-14
+        assert hilbert_schmidt_walk(S12, zero, 64) == 1.0
 
-    @pytest.mark.parametrize("n", [1024, 8192])
-    def test_walk_takes_only_the_powers_and_coefficients_that_reach_the_sum(self, monkeypatch, n):
-        # the sum stops where the rest is at most eps/4, before the eps^2 cut of the tables, and
-        # power j, of degree at most j d, is walked with min(j d, c) + 1 coefficients
-        multiplier, walked = ps.multiplier, []
+    def test_quadrature_takes_the_fewest_exact_nodes(self, monkeypatch):
+        # the ten symbols of comp_hilbert_schmidt_bound: the series are cut at the order K of the
+        # eps/4 tail majorant d^2 s^(2j) on S12, and the integrand, of degree at most K d, is
+        # taken at the least power of two of nodes above K d; no truncation enters
+        series_values, seen = op._series_values, []
 
-        def counted(phi, order):
-            times_phi = multiplier(phi, order)
+        def counted(coeffs, x):
+            seen.append((coeffs.shape, len(x)))
+            return series_values(coeffs, x)
 
-            def step(row):  # row is power j, and the product power j + 1
-                out = times_phi(row)
-                walked.extend([len(out)] if walked else [len(row), len(out)])
-                return out
-            return step
-
-        monkeypatch.setattr(ps, "multiplier", counted)
+        monkeypatch.setattr(op, "_series_values", counted)
         for phi in hilbert_schmidt_symbols():
-            k, c, _ = op._composition_cut(S12, phi, n, target=op._SUM_MASS)
-            assert k < op._composition_cut(S12, phi, n)[0] and k + 1 <= 130
-            walked.clear()
-            op.hilbert_schmidt_norm_sq(S12, phi, n)
-            assert walked == [min(j * phi.degree(), c) + 1 for j in range(k + 1)]
+            seen.clear()
+            op.hilbert_schmidt_bracket(S12, phi)
+            d, s = phi.degree(), sp.sup_bracket(phi)[1]
+            k = ps.Majorant(2 * math.log(d), 0, s * s).order_for(np.finfo(float).eps / 4)
+            (((rows, terms), nodes),) = seen
+            assert (rows, terms) == (3, k + 1) and k <= 100
+            assert k * d < nodes <= 2 * k * d and nodes & (nodes - 1) == 0
 
     @pytest.mark.parametrize("n", [64, 256, 1024])
     def test_power_table_rows_are_the_walks_rows(self, n):
@@ -933,33 +963,38 @@ class TestHilbertSchmidt:
                 row = times_phi(row)
 
     def test_blocks_hold_no_table(self):
-        # the symbols of comp_hilbert_schmidt_bound at seed 0: the sum over the whole table at
-        # size 8193 traced 8.2 MiB, blocks of 2^16 entries about 1.76, one power at a time 0.25
+        # the symbols of comp_hilbert_schmidt_bound at seed 0: the walk's sum over the whole
+        # table at size 8193 traced 8.2 MiB, one power at a time 0.25; the bracket, whose
+        # arrays are each under 128 KiB, traces 0.2 MiB
         symbols = hilbert_schmidt_symbols()
+        op.hilbert_schmidt_bracket(S12, symbols[0])
         tracemalloc.start()
         try:
             for f in symbols:
-                op.hilbert_schmidt_norm_sq(S12, f, 8192)
+                op.hilbert_schmidt_bracket(S12, f)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2**20
+        assert peak < 2**19
 
     def test_overflowing_power_is_refused_without_warning(self, monkeypatch):
-        # a sup bracket of (1, 1) keeps every row of 2z at n = 1100, and 2^1024 overflows: the
-        # sum refuses it with the one line of series.orbit, as composition_norm does through it
+        # a sup bracket of (1, 1) keeps every row of 2z at n = 1100, and 2^1024 overflows:
+        # composition_norm refuses it with the one line of series.orbit, and the bracket, which
+        # builds no power, is (1, inf)
         monkeypatch.setattr(sp, "sup_bracket", lambda f: (1.0, 1.0))
         phi = ps.from_coefficients([0, 2])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for build in (op.hilbert_schmidt_norm_sq, op.composition_norm):
-                with pytest.raises(DomainError, match=r"^f \* phi\^1024 overflows at order 1100: "
-                                                      r"phi is no self-map$"):
-                    build(S12, phi, 1100)
+            with pytest.raises(DomainError, match=r"^f \* phi\^1024 overflows at order 1100: "
+                                                  r"phi is no self-map$"):
+                op.composition_norm(S12, phi, 1100)
+            assert op.hilbert_schmidt_bracket(S12, phi) == (1.0, math.inf)
 
     def test_half_z_geometric(self):
         # ||(z/2)^n||^2 / ||z^n||^2 = 4^-n, so the sum telescopes to 4/3
-        value = op.hilbert_schmidt_norm_sq(S12, ps.from_coefficients([0, 0.5]), 200)
+        lo, hi = op.hilbert_schmidt_bracket(S12, ps.from_coefficients([0, 0.5]))
+        assert lo <= 4.0 / 3.0 <= hi and hi - lo < 1e-13
+        value = hilbert_schmidt_walk(S12, ps.from_coefficients([0, 0.5]), 200)
         oracle = sum(0.25**n for n in range(201))
         assert abs(value - oracle) < 1e-13
         assert abs(value - 4.0 / 3.0) < 1e-13
@@ -969,9 +1004,85 @@ class TestHilbertSchmidt:
         for _ in range(5):
             f = random_poly(rng, max_degree=8, min_degree=1)
             f = ps.scale(f, 0.8 / sp.sup_bracket(f)[0])
-            value = op.hilbert_schmidt_norm_sq(S12, f, 256)
+            hi = op.hilbert_schmidt_bracket(S12, f)[1]
             bound = 1.0 + 2.0 * sp.space_norm_sq(S12, f) / (1.0 - sp.sup_bracket(f)[0] ** 2)
-            assert value <= bound
+            assert hi <= bound
+
+    @pytest.mark.parametrize("space", [sp.bergman(), sp.s2(), sp.km(2), sp.dalpha(1.5)],
+                             ids=lambda s: s.label)
+    def test_refuses_weights_of_no_quadratic(self, space):
+        # A2's 1/(n+1), S2's 1, 1, 4, 9, ..., Km:2's cubic and Dalpha:1.5 are no polynomial of
+        # degree <= 2 in n, so the circle formula does not apply
+        with pytest.raises(PreconditionError, match=f"^{re.escape(space.label)} weights"):
+            op.hilbert_schmidt_bracket(space, ps.from_coefficients([0, 0.5]))
+
+    def test_a_sup_at_one_gives_no_upper_side(self):
+        # z and (1 + z) / 2 touch the circle, and the tail of 1 - 1e-7 needs more than 2^18
+        # terms: only the term j = 0, 1 exactly, is certified
+        for coeffs in ([0, 1], [0.5, 0.5], [1 - 1e-7]):
+            assert op.hilbert_schmidt_bracket(S12, ps.from_coefficients(coeffs)) == (1.0, math.inf)
+
+
+_BRACKET_SPACES = [sp.hardy(), sp.dirichlet(), S12, sp.s22(), sp.km(1)]
+
+
+@pytest.mark.parametrize("space", _BRACKET_SPACES, ids=lambda s: s.label)
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=1, max_size=9),
+       st.floats(0.0, 0.95))
+def test_hilbert_schmidt_bracket_holds_the_walk(space, parts, sup):
+    # the walk at T = 8192 holds every power that reaches the sum whole (k d < 8192 here) and
+    # lies in [full sum, full sum + eps/4] up to its rounding; constants and zero included
+    f = ps.from_coefficients([complex(x, y) for x, y in parts])
+    peak = sp.sup_bracket(f)[0]
+    assume(peak == 0 or peak >= 1e-3)
+    phi = ps.scale(f, sup / peak) if peak else f
+    lo, hi = op.hilbert_schmidt_bracket(space, phi)
+    walk = hilbert_schmidt_walk(space, phi, 8192)
+    target((hi - lo) / walk, label="relative bracket width")
+    assert lo <= walk and walk - np.finfo(float).eps / 4 <= hi
+
+
+def monomial_hilbert_schmidt(space, b, p):
+    """||C_phi||_HS^2 = sum_j |b|^(2j) weight(p j) / weight(j) for phi = b z^p, in 40 digits:
+    the terms fall by |b|^2 <= 0.9025 with a factor below (p j + 1)^2, and the sum stops where
+    one is below 1e-45 of it."""
+    with mpmath.workdps(40):
+        x, total, j = abs(mpmath.mpc(b)) ** 2, mpmath.mpf(0), 0
+        while True:
+            term = x**j * mpmath.mpf(space.weight(p * j)) / mpmath.mpf(space.weight(j))
+            total += term
+            if j > 8 and term < mpmath.mpf(10) ** -45 * total:
+                return total
+            j += 1
+
+
+@pytest.mark.parametrize("space", _BRACKET_SPACES, ids=lambda s: s.label)
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.0, 0.95), st.floats(0, 2 * math.pi), st.integers(1, 8))
+def test_hilbert_schmidt_bracket_holds_the_monomial_sum(space, r, arg, p):
+    b = r * cmath.exp(1j * arg)
+    lo, hi = op.hilbert_schmidt_bracket(space, ps.from_coefficients([0] * p + [b]))
+    exact = monomial_hilbert_schmidt(space, b, p)
+    target(float((hi - lo) / exact), label="relative bracket width")
+    assert lo <= exact <= hi
+
+
+@pytest.mark.parametrize("space", _BRACKET_SPACES, ids=lambda s: s.label)
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.3, 0.95), st.floats(0, 2 * math.pi), st.integers(1, 8), st.floats(0.1, 0.9))
+def test_hilbert_schmidt_bracket_holds_at_a_lower_cut(space, r, arg, p, cut):
+    # the series cut at a fraction of the eps/4 order: the partial sum, still exact on its
+    # nodes, falls short by far more than the rounding radius, and the tail majorant's bound
+    # makes up the rest on the upper side
+    b = r * cmath.exp(1j * arg)
+    order_for = ps.Majorant.order_for
+    with mock.patch.object(ps.Majorant, "order_for",
+                           lambda self, tol: int(cut * order_for(self, tol))):
+        lo, hi = op.hilbert_schmidt_bracket(space, ps.from_coefficients([0] * p + [b]))
+    exact = monomial_hilbert_schmidt(space, b, p)
+    target(float((hi - lo) / exact), label="relative bracket width")
+    assert lo <= exact <= hi
 
 
 @pytest.mark.parametrize("space", [S12, sp.dirichlet(), sp.hardy(), sp.bergman(), sp.km(2)],
@@ -980,14 +1091,14 @@ class TestHilbertSchmidt:
 @given(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=2, max_size=9),
        st.floats(0.05, 0.95), st.sampled_from([64, 256]))
 def test_hilbert_schmidt_lies_above_the_full_sum_by_at_most_its_cut(space, parts, sup, n):
-    # the sum stops where its rest is at most eps/4 and adds that bound: it lies in
+    # the oracle walk stops where its rest is at most eps/4 and adds that bound: it lies in
     # [full sum, full sum + eps/4] up to rounding.  The full table is summed exactly, as the
     # rounding of np.sum over its (n+1)^2 entries alone reaches 5 spacings on S12
     f = ps.from_coefficients([complex(x, y) for x, y in parts])
     assume(f.degree() >= 1 and sp.sup_bracket(f)[0] >= 1e-3)
     phi = ps.scale(f, sup / sp.sup_bracket(f)[0])
     full = math.fsum((np.abs(op.composition_matrix(space, phi, n)) ** 2).ravel())
-    value = op.hilbert_schmidt_norm_sq(space, phi, n)
+    value = hilbert_schmidt_walk(space, phi, n)
     spacing = np.spacing(full)
     target(abs(value - full) / spacing, label="|sum - full sum| in spacings")
     assert full - 4 * spacing <= value <= full + np.finfo(float).eps / 4 + 4 * spacing

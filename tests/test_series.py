@@ -377,6 +377,18 @@ class TestMajorantSearch:
         for k in range(1, int(-1000 / math.log2(rho))):
             assert majorant.order_for(rho**k) == bisected_order(majorant, rho**k)
 
+    def test_tails_near_the_float_maximum_raise_no_warning(self):
+        # 3,000 random majorants, log_c up to 3000 and rho near 1: terms, their sum and the
+        # closing division pass the float range and bound by inf, with no RuntimeWarning (24 of
+        # them warned while the overflow guard covered the exp alone)
+        rng = np.random.default_rng(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            tails = [ps.Majorant(rng.uniform(0, 3000), rng.uniform(0, 50),
+                                 1 - 10 ** rng.uniform(-6, -0.5)).tail(int(rng.integers(0, 2000)))
+                     for _ in range(3000)]
+        assert all(t >= 0 for t in tails) and math.inf in tails
+
     def test_verify_asks_at_most_8_tails_per_order(self, monkeypatch):
         # every order a verify run fixes, at four truncations and two seeds: the bisection took
         # 19 tail calls for each, the solved start takes about 3

@@ -58,6 +58,18 @@ class TestWeights:
     def test_km1_matches_s12(self):
         assert np.allclose(sp.km(1).weights(20), sp.s12().weights(20), rtol=1e-15)
 
+    @pytest.mark.parametrize("name", ["H2", "A2", "D2", "S2", "S12", "S22", "Dalpha:0",
+                                      "Dalpha:1", "Dalpha:1.5", "Dalpha:2", "Km:1", "Km:2"])
+    def test_weight_polynomial_is_the_weight(self, name):
+        # every weight that is a0 + a1 n + a2 n^2 names its coefficients, exactly at n < 10^6;
+        # A2, S2 (1 at n = 0 and 1), Dalpha:1.5 and Km:2 (cubic) name none
+        space = sp.parse_space(name)
+        poly = space.weight_polynomial
+        assert (poly is None) == (name in ("A2", "S2", "Dalpha:1.5", "Km:2"))
+        if poly:
+            n = np.arange(1_000_000.0)
+            assert np.array_equal(space.weight(n), poly[0] + poly[1] * n + poly[2] * n * n)
+
     def test_kernel_coeffs_reciprocal_to_one_ulp(self):
         for space in (sp.s12(), sp.km(3), sp.dalpha(1.7), sp.s2()):
             w = space.weights(200)
