@@ -21,8 +21,9 @@ has status fail or error; bad input, or an array past the memory, prints
 ``diskops: <message>`` and exits 2.
 ``isometry`` is guarded by --tol: a truncation too short to hold the defects
 within it prints one ``diskops:`` line naming the order that does, and exits 2.
-``main`` runs OpenBLAS with one thread unless OPENBLAS_NUM_THREADS or
-OMP_NUM_THREADS is set, so values do not depend on the core count.
+``main`` runs OpenBLAS with one thread and shuts its idle pool down unless
+OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set, so values do not depend on the
+core count and a run holds one core.
 """
 
 from __future__ import annotations
@@ -52,10 +53,13 @@ _OPENBLAS_SET_THREADS = (
 
 
 def _pin_blas_threads() -> None:
-    """Pin every loaded OpenBLAS to one thread unless the user chose a count.
+    """Pin every loaded OpenBLAS to one thread and shut its pool, unless the user chose a count.
 
     numpy loads its OpenBLAS on import, before ``main`` runs, as does scipy when
     the caller imported it, so the environment variable would come too late.
+    A worker of an earlier threaded call spins for 2^28 cycles, which one thread does not
+    stop: ``blas_thread_shutdown_`` joins it, and a later raised count rebuilds the pool.
+    So ``main`` is a process entry point: no other Python thread may be inside BLAS then.
     Without a map, library or symbol this does nothing.
     """
     if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
@@ -76,6 +80,10 @@ def _pin_blas_threads() -> None:
             if setter is not None:
                 setter.argtypes, setter.restype = [ctypes.c_int], None
                 setter(1)
+                shutdown = getattr(lib, "blas_thread_shutdown_", None)
+                if shutdown is not None:  # absent from OpenMP builds
+                    shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+                    shutdown()
                 break
 
 

@@ -560,15 +560,26 @@ def _run_python(args, **env):
 
 def test_values_do_not_depend_on_blas_threads():
     # OpenBLAS defaults to one thread per core, and on a multi-core machine
-    # threaded BLAS sums in another order than one thread does
-    argv = ["-m", "diskops.cli", "verify", "constants", "--output", "json"]
+    # threaded BLAS sums in another order than one thread does; the third run
+    # pins only after a threaded SVD has left the workers spinning
+    argv = ["verify", "constants", "--output", "json"]
+    after_svd = (
+        "import numpy\n"
+        "numpy.linalg.svd(numpy.random.default_rng(0).standard_normal((257, 257)))\n"
+        "from diskops import cli\n"
+        f"cli.main({argv!r})\n"
+    )
     runs = []
-    for env in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
-        reports = json.loads(_run_python(argv, **env))
+    for args, env in (
+        (["-m", "diskops.cli", *argv], {}),
+        (["-m", "diskops.cli", *argv], {"OPENBLAS_NUM_THREADS": "1"}),
+        (["-c", after_svd], {}),
+    ):
+        reports = json.loads(_run_python(args, **env))
         for report in reports:
             del report["elapsed_ms"]
         runs.append(json.dumps(reports))
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_composition_suite_imports_no_numpy_ma():
@@ -610,8 +621,10 @@ def test_verify_imports_no_scipy():
     assert _run_python(["-c", code]).splitlines()[-1] == "[]"
 
 
-# the thread count of every loaded OpenBLAS: before importing diskops, after
-# importing diskops.cli, and after one cli.main call
+# the thread count of every loaded OpenBLAS, next to the OS thread count of the process:
+# after a threaded SVD and before importing diskops, after importing diskops.cli, and
+# after one cli.main call; the SVD leaves OpenBLAS workers spinning, the way a caller's
+# own work or numpy's import does
 _THREAD_COUNTS = """
 import ctypes, json, os
 import numpy, scipy.sparse.linalg
@@ -629,8 +642,9 @@ def counts():
                 getter.argtypes, getter.restype = [], ctypes.c_int
                 out.append(getter())
                 break
-    return out
+    return [out, len(os.listdir("/proc/self/task"))]
 
+numpy.linalg.svd(numpy.random.default_rng(0).standard_normal((257, 257)))
 before = counts()
 from diskops import cli
 imported = counts()
@@ -645,7 +659,58 @@ print(json.dumps([before, imported, counts()]))
 def test_cli_pins_blas_threads_unless_the_user_chose(env):
     out = _run_python(["-c", _THREAD_COUNTS], **env)
     before, imported, after = json.loads(out.splitlines()[-1])
-    if not before:
+    if not before[0]:
         pytest.skip("no OpenBLAS with a thread-count symbol is loaded")
     assert imported == before  # importing changes nothing
-    assert after == (before if env else [1] * len(before))
+    if env:
+        assert after == before  # the user's count, and its pool, are left alone
+        return
+    assert after[0] == [1] * len(before[0])
+    if before[1] == 1:
+        pytest.skip("the OpenBLAS pool has no worker (one core)")
+    assert after[1] == 1  # the idle workers are joined, not left spinning
+
+
+# both OpenBLAS pools (numpy's, and scipy's second library) after a threaded call, after
+# cli.main, after a second cli.main, and after raising numpy's count back for a threaded
+# 600 x 600 product, which must equal the one taken before the pin bit for bit
+_SHUTDOWN_EDGES = """
+import ctypes, json, os
+import numpy, scipy.sparse.linalg
+
+def threads():
+    return len(os.listdir("/proc/self/task"))
+
+with open("/proc/self/maps", encoding="utf-8") as maps:
+    fields = [line.rstrip("\\n").split(maxsplit=5) for line in maps]
+libs = sorted({f[5] for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5])})
+numpy_libs = [path for path in libs if "openblas64_" in os.path.basename(path)]
+a = numpy.random.default_rng(1).standard_normal((600, 600))
+product = a @ a
+started = threads()
+if len(libs) < 2 or not numpy_libs or started == 1:
+    print("null")
+    raise SystemExit
+numpy_lib = ctypes.CDLL(numpy_libs[0])
+count = numpy_lib.scipy_openblas_get_num_threads64_()
+from diskops import cli
+cli.main(["kernel", "S12", "0.1", "0.2"])
+pinned = threads()
+cli.main(["kernel", "S12", "0.1", "0.2"])
+again = threads()
+numpy_lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+numpy_lib.scipy_openblas_set_num_threads64_(count)
+same = bool(numpy.array_equal(a @ a, product))
+print(json.dumps([started, pinned, again, threads(), same]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+def test_cli_shuts_every_pool_and_a_raised_count_rebuilds_it():
+    out = json.loads(_run_python(["-c", _SHUTDOWN_EDGES]).splitlines()[-1])
+    if out is None:
+        pytest.skip("needs numpy's and scipy's OpenBLAS with a worker each (two cores)")
+    started, pinned, again, raised, same = out
+    assert started >= 3  # a worker in each of the two pools
+    assert pinned == again == 1
+    assert raised > 1 and same
