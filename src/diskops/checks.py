@@ -8,12 +8,14 @@ its whole verdict.  Every rule that turns a number into a status lives
 here, but for the two that ``pick`` owns: the PSD floor
 (``DEFAULT_PSD_TOL``, applied by ``psd_check``) and the sign rule
 (``first_sign_violation``).  ``pick.reciprocal_sign_check`` also returns
-a report, since perfbench's pick-batch workload reads one.  The suite
-runner stamps each report with the id its check is registered under.  A
-randomized check is registered as seeded: the registry passes it a PRNG
-seeded by the config's seed and the check's id, so its computed values
-depend on those two alone.  Suites never abort on a check failure:
-exceptions are captured as status="error" reports.
+a report, since perfbench's pick-batch workload reads one.  A sampled
+sweep skips the symbols that ``spaces.sup_bounds`` shows cannot move its
+verdict.  The suite runner stamps each report with the id its check is
+registered under.  A randomized check is registered as seeded: the
+registry passes it a PRNG seeded by the config's seed and the check's
+id, so its computed values depend on those two alone.  Suites never
+abort on a check failure: exceptions are captured as status="error"
+reports.
 """
 
 from __future__ import annotations
@@ -213,27 +215,15 @@ def _kernel_small_switch(cfg):
 # ===========================================================================
 
 
-def _sup_bounds(rows: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
-    """Upper bounds of ``sp.sup_bracket``'s (lo, hi) for each row f of degree < 16, cut at its
-    length, whose largest part is a normal float: lo <= sum |f_n| (1 + 16 eps), and hi, at
-    most (peak + 52 eps sum |f_n|) / (1 - pi d / 4096) with the peak within 18.5 eps of that
-    sum, is at most this bound times (1 + 80 eps) / (1 - pi d / 4096), d = length - 1."""
-    lo = np.abs(rows).sum(axis=1) * (1.0 + 16 * np.finfo(np.float64).eps)
-    return lo, lo * (1.0 + 80 * np.finfo(np.float64).eps) / (1.0 - np.pi * (lengths - 1) / 4096)
-
-
 @_check("constants", "pointwise_bound_sqrt2", seeded=True)
 def _pointwise_bound(cfg, rng):
     rows, lengths = _random_rows(rng, 500)
     norms = sp.space_norms(sp.s12(), rows, lengths)
     # The check reads lo, the side that passes more easily than the certified hi (worst ratio
     # 1.17935 against 1.18207 at seed 0, with a claim of sqrt(2)); reading hi waits for a
-    # deliberate re-record of the benchmark references.  Only a symbol whose bound can beat the
-    # worst ratio so far is sampled: lo <= sup|f| <= sum |f_n|, as sup_bracket subtracts 52 eps
-    # sum |f_n| of rounding, above its samples' 18.5 eps, and a constant's lo is its modulus
-    # within an ulp; the computed sum of at most 13 moduli is within 14 u (u = eps / 2), which
-    # 1 + 16 eps covers with one more rounding, and dividing by the same norm keeps the order.
-    bounds = _sup_bounds(rows, lengths)[0] / norms
+    # deliberate re-record of the benchmark references.  Only a symbol whose bound on lo can
+    # beat the worst ratio so far is sampled; dividing by the same norm keeps the order.
+    bounds = sp.sup_bounds(rows)[0] / norms
     worst = 0.0
     for i in np.argsort(-bounds):
         if bounds[i] <= worst:
@@ -343,10 +333,9 @@ def _mult_one_plus_z(cfg):
 def _mult_norm_sandwich(cfg, rng):
     rows, lengths = _random_rows(rng, 200)
     norms = sp.space_norms(sp.s12(), rows, lengths)
-    # the floor max(hi, ||f||) is ||f|| wherever hi's triangle bound is, so only the rest
-    # are sampled
+    # the floor max(hi, ||f||) is ||f|| wherever hi's triangle bound is: only the rest are sampled
     floors = norms.copy()
-    for i in np.flatnonzero(_sup_bounds(rows, lengths)[1] > norms):
+    for i in np.flatnonzero(sp.sup_bounds(rows)[1] > norms):
         floors[i] = max(sp.sup_bracket(ps.PowerSeries(rows[i, : lengths[i]]))[1], norms[i])
     ests, sizes = _witness_norms(cfg, rows, lengths, floors,
                                  lambda est, floor: est - floor >= -1e-12)

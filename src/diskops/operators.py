@@ -31,30 +31,36 @@ from .series import PowerSeries
 _CUT_MASS = np.finfo(np.float64).eps ** 2
 
 
-def _composition_cut(space: sp.SpaceWeights, phi: PowerSeries, n: int, full: bool = False):
-    """(k, c, mass): the rows 0..k and columns 0..c of the transposed compression of
-    f -> f(phi) at size n+1 that are built (row j is phi^j * sqrt(weight / weight(j))), and a
-    bound of the squared Frobenius mass of rows k+1..n, at most _CUT_MASS.
-
-    One ``spaces.sup_bracket(phi)`` = (lo, hi) decides both sides.  DomainError unless
-    |phi(0)| < 1, and when lo > 1: then some |phi(zeta)| > 1 on the circle, so phi maps points
-    of the disk outside it.  k is fixed before any row is built.  For s = hi (1 + 4 eps) < 1,
-    the computed ||phi^j||_H2 <= s^j (4 eps cover the rounding of each product; a constant,
-    whose bracket is exact, has no other slack) bounds the mass of row j by
-    (max w / min w) s^(2j), w = weights(n): k is that Majorant's
-    order_for(_CUT_MASS) (rho = s^2, or the least normal float if smaller) and the bound its tail
-    at k.  When s >= 1 or that k is n or more, k = n and the bound is 0.  Then, whatever s,
-    k is capped at n // v for phi of valuation v >= 1: phi^j starts at z^(v j), so the rows
-    past it are exactly zero (a zero symbol keeps row 0 alone).  For phi of degree d, row j
-    has degree at most j d, so c = min(n, k d): past it the direct convolution leaves exact
-    zeros and the FFT product (long symbols) the rounding of exact zeros, a few eps of the
-    row.  ``full`` (the exact dense compression) keeps all n+1 rows and columns.
-    """
+def _self_map_sup(phi: PowerSeries) -> float:
+    """The hi of ``spaces.sup_bracket(phi)`` = (lo, hi), the one self-map gate of C_phi:
+    DomainError unless |phi(0)| < 1, and when lo > 1: then some |phi(zeta)| > 1 on the
+    circle, so phi maps points of the disk outside it."""
     ps.require_open_disk(phi.coeffs[0], "composition symbol's constant term")
     lo, hi = sp.sup_bracket(phi)
     if lo > 1.0:
         raise DomainError(f"composition symbol has sup |phi| >= {lo:.6g} > 1: "
                           "phi is no self-map of the disk")
+    return hi
+
+
+def _composition_cut(space: sp.SpaceWeights, phi: PowerSeries, n: int, full: bool = False):
+    """(k, c, mass): the rows 0..k and columns 0..c of the transposed compression of
+    f -> f(phi) at size n+1 that are built (row j is phi^j * sqrt(weight / weight(j))), and a
+    bound of the squared Frobenius mass of rows k+1..n, at most _CUT_MASS.
+
+    The hi of ``spaces.sup_bracket(phi)``, past the self-map gate ``_self_map_sup``, fixes k
+    before any row is built.  For s = hi (1 + 4 eps) < 1, the computed ||phi^j||_H2 <= s^j
+    (4 eps cover the rounding of each product; a constant, whose bracket is exact, has no other
+    slack) bounds the mass of row j by (max w / min w) s^(2j), w = weights(n): k is that
+    Majorant's order_for(_CUT_MASS) (rho = s^2, or the least normal float if smaller) and the
+    bound its tail at k.  When s >= 1 or that k is n or more, k = n and the bound is 0.  Then,
+    whatever s, k is capped at n // v for phi of valuation v >= 1: phi^j starts at z^(v j), so
+    the rows past it are exactly zero (a zero symbol keeps row 0 alone).  For phi of degree d,
+    row j has degree at most j d, so c = min(n, k d): past it the direct convolution leaves
+    exact zeros and the FFT product (long symbols) the rounding of exact zeros, a few eps of
+    the row.  ``full`` (the exact dense compression) keeps all n+1 rows and columns.
+    """
+    hi = _self_map_sup(phi)
     k, c, mass = n, n, 0.0
     if not full and n > 0:
         w = space.weights(n)
@@ -343,8 +349,8 @@ def hilbert_schmidt_bracket(space: sp.SpaceWeights, phi: PowerSeries) -> tuple[f
     """(lo, hi) with lo <= ||C_phi||_HS^2 = sum_j ||phi^j||^2 / weight(j) <= hi, for a space whose
     weight is a polynomial a0 + a1 n + a2 n^2 (``weight_polynomial``: H2, D2, S12, S22, Km:1,
     Dalpha:0, 1, 2), by exact quadrature on the unit circle; no truncation enters.
-    PreconditionError for every other space; DomainError unless |phi(0)| < 1, and where the lower
-    side of ``spaces.sup_bracket(phi)`` exceeds 1 (phi is then no self-map of the disk).
+    PreconditionError for every other space, and the DomainError of the self-map gate
+    ``_self_map_sup`` (|phi(0)| >= 1, or a lower side of sup |phi| above 1).
 
     On the circle ||g||^2 = a0 int |g|^2 + a1 int Re(conj(g) zeta g') + a2 int |g'|^2 dm for a
     polynomial g.  With g = phi^j, x = |phi|^2, r = Re(conj(phi) zeta phi') and p = |phi'|^2,
@@ -385,11 +391,7 @@ def hilbert_schmidt_bracket(space: sp.SpaceWeights, phi: PowerSeries) -> tuple[f
     weight = space.weight_polynomial
     if weight is None:
         raise PreconditionError(f"{space.label} weights are no polynomial of degree <= 2 in n")
-    ps.require_open_disk(phi.coeffs[0], "composition symbol's constant term")
-    lo, s = sp.sup_bracket(phi)
-    if lo > 1.0:
-        raise DomainError(f"composition symbol has sup |phi| >= {lo:.6g} > 1: "
-                          "phi is no self-map of the disk")
+    s = _self_map_sup(phi)
     if s >= 1.0:
         return 1.0, math.inf
     eps = float(np.finfo(np.float64).eps)

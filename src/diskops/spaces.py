@@ -64,7 +64,6 @@ _SERIES_MAX_TERMS = 200_000
 _BLOCK = 1 << 16  # terms per block of kernel_norm_sq
 _WEIGHTS_CACHED = 256  # weight vectors SpaceWeights.weights keeps, least recently used out
 _SAMPLES = 4096  # sup_bracket's sample count, doubled for degrees of 1024 and more
-_TABLE_TAPS = 16  # sup_bracket takes its samples from two tables up to this many coefficients
 
 
 @dataclass(frozen=True)
@@ -377,30 +376,10 @@ def kernel_coefficient_series(space: SpaceWeights, order: int) -> PowerSeries:
 # ---------------------------------------------------------------------------
 
 
-def _sample_tables() -> tuple[np.ndarray, np.ndarray]:
-    """(twiddles, dft) of ``sup_bracket``'s table path: w^(n r) for n < 16, r < 256, and
-    w^(256 n j) for n, j < 16, w = exp(-2 pi i / 4096), each from its exponent reduced so that
-    the angle lies in [-pi, pi]: about 70 KB."""
-    def roots(k, m):  # exp(-2 pi i k / m)
-        k = k % m
-        return np.exp(-2j * np.pi * np.where(k > m // 2, k - m, k) / m)
-
-    n = np.arange(_TABLE_TAPS)[:, None]
-    return roots(n * np.arange(_SAMPLES // _TABLE_TAPS), _SAMPLES), roots(n * n.T, _TABLE_TAPS)
-
-
-# Built once at import, below every later array on the heap: built on the first call, inside
-# pointwise_bound_sqrt2, they sat above its freed batch of symbols and held the heap top there.
-_SAMPLE_TABLES = _sample_tables()
-
-
-def _samples(c: np.ndarray, m: int) -> np.ndarray:
-    """sum_n c_n w^(n k) for k < m, w = exp(-2 pi i / m): from ``_SAMPLE_TABLES`` at [r, j] for
-    k = 256 j + r when c has at most 16 entries (m = 4096), else from one FFT at [k]."""
-    if len(c) <= _TABLE_TAPS:
-        twiddles, dft = _SAMPLE_TABLES
-        return (c[:, None] * twiddles[: len(c)]).T @ dft[: len(c)]
-    return np.fft.fft(c, n=m)
+def _sample_count(d):
+    """``sup_bracket``'s sample count M at degree d, elementwise over an array of degrees:
+    4096 doubled while M <= 4 d, that is the least power of two past 4 d, at least 4096."""
+    return np.maximum(_SAMPLES, np.ldexp(1.0, np.frexp(4.0 * np.asarray(d))[1]))
 
 
 def _ldexp_toward(x: float, e: int, toward: float) -> float:
@@ -428,29 +407,34 @@ def sup_bracket(f: PowerSeries) -> tuple[float, float]:
     within pi/M of a sample, so hi = (peak + rounding) / (1 - pi d / M), the sampling bound
     of Ehlich and Zeller (Math. Z. 86, 1964) in Bernstein's form.  A constant (d <= 0) in the
     normal range gives (|f_0|, |f_0|).
-
-    For d < 16 the M = 4096 samples come from a pruned FFT (Markel, IEEE Trans. Audio
-    Electroacoust. 19, 1971) in place of one FFT: sample 256 j + r is
-    sum_n (f_n w^(n r)) w^(256 n j), w = exp(-2 pi i / M), so one product of the coefficients
-    with the 16 x 256 table w^(n r) and one (256 x (d+1)) ((d+1) x 16) product with the
-    16-point DFT matrix give all of them.  Its error, with u = eps / 2: a table entry comes
-    from an angle within 2 pi u of the exact one (pi and the product by the integer exponent
-    each round once; 1/M is exact) and a complex exponential within sqrt(2) u, so within
-    8 u; the product by f_n adds sqrt(5) u |f_n| (Brent, Percival and Zimmermann, Math. Comp.
-    76, 2007), the DFT entry 8 u and its product sqrt(5) u more, and the sum of d + 1 terms
-    d u (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1), each times
-    sum |f_n|; the modulus adds u.  That is (21.5 + d) u <= 37 u = 18.5 eps of sum |f_n| to
-    first order, inside the 52 eps of the rounding at M = 4096.
     """
     d = max(f.degree(), 0)
     c, e = ps.frexp(f.coeffs[: d + 1])
     if d == 0:
         lo = hi = float(abs(c[0]))
     else:
-        m = _SAMPLES
-        while m <= 4 * d:
-            m *= 2
-        peak = float(np.abs(_samples(c, m)).max())
+        m = int(_sample_count(d))
+        peak = float(np.abs(np.fft.fft(c, n=m)).max())
         rounding = float(4 * m.bit_length() * np.finfo(np.float64).eps * np.abs(c).sum())
         lo, hi = peak - rounding, (peak + rounding) / (1.0 - math.pi * d / m)
     return _ldexp_toward(lo, e, -math.inf), _ldexp_toward(hi, e, math.inf)
+
+
+def sup_bounds(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Upper bounds of ``sup_bracket``'s (lo, hi) for each row f of a 2-d array of W
+    coefficients whose largest part is a normal float, with no sample taken:
+    lo <= sum |f_n| (1 + (W + 3) eps), and hi <= that times (1 + (8 L + 4) eps) / (1 - pi d / M)
+    at the degree d, sample count M and L = bit_length(M) that ``sup_bracket`` takes for f.
+
+    With u = eps / 2: the peak lies within the rounding 4 eps L sum |f_n| of a value of f, so
+    of sum |f_n|; lo subtracts that rounding and hi adds it.  With the roundings of the moduli
+    (2 u each), the sums and the sides, lo <= sum |f_n| (1 + 4 u) and
+    hi <= sum |f_n| (1 + 8 eps L + 6 u) / (1 - pi d / M) to first order.  The computed sum of
+    W moduli is at least sum |f_n| (1 - (W + 1) u), each factor rounds once more, and the
+    denominator is ``sup_bracket``'s, bit for bit, so dividing by it keeps the order.
+    """
+    d = np.where(rows != 0, np.arange(rows.shape[1]), 0).max(axis=1)
+    m = _sample_count(d)
+    eps = np.finfo(np.float64).eps
+    lo = np.abs(rows).sum(axis=1) * (1.0 + (rows.shape[1] + 3) * eps)
+    return lo, lo * (1.0 + (8 * np.frexp(m)[1] + 4) * eps) / (1.0 - np.pi * d / m)

@@ -286,23 +286,6 @@ class TestSampledSweeps:
         want = retired_sweeps(cfg)
         assert swept_values(cfg, check_ids) == {check_id: want[check_id] for check_id in check_ids}
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(st.one_of(st.just(0.0), st.floats(2.0**-300, 1.0)), min_size=1, max_size=16),
-        st.one_of(st.floats(0.0, 2 * math.pi).map(lambda t: [t] * 16),  # a peak of sum |f_n|
-                  st.lists(st.floats(0.0, 2 * math.pi), min_size=16, max_size=16)),
-        st.integers(-600, 600),
-    )
-    def test_sup_bounds_hold_the_bracket(self, moduli, phases, k):
-        # degree 0 to 15, nonzero moduli in [2^-900, 2^600]: sup_bracket's sides never pass
-        # the triangle bounds the sweeps prune by; aligned phases put the sup at sum |f_n|,
-        # where only the 1 / (1 - pi d / 4096) factor covers hi
-        n = len(moduli)
-        row = np.ldexp(np.array(moduli), k) * np.exp(1j * np.array(phases[:n]))
-        lo, hi = sp.sup_bracket(ps.PowerSeries(row))
-        lo_bound, hi_bound = checks._sup_bounds(row[None, :], np.array([n]))
-        assert lo <= lo_bound[0] and hi <= hi_bound[0]
-
     def test_stacked_svd_is_the_single_one(self):
         # 4000 symbols drawn as the checks draw them, constants included: the batched first
         # witness equals one SVD per symbol, and multiplication_norm, bit for bit
@@ -823,6 +806,20 @@ class TestCompositionMatrix:
                 build(space, phi, 1024)
         for phi in (ps.monomial(1), ps.from_coefficients([0.5, 0.5])):  # sup |phi| = 1 exactly
             assert op.composition_norm(space, phi, 64) >= 1.0
+
+    @pytest.mark.parametrize("build", [
+        op.composition_norm, op.composition_matrix,
+        lambda space, phi, n: op.hilbert_schmidt_bracket(space, phi),
+    ], ids=["composition_norm", "composition_matrix", "hilbert_schmidt_bracket"])
+    def test_one_gate_refuses_what_is_no_self_map(self, build):
+        # 1.1 z peaks at 1.1 on the circle, above 1 by more than its rounding; 1 + 0.5 z has
+        # phi(0) = 1, on the circle.  Each builder refuses both with the self-map gate's line
+        with pytest.raises(DomainError, match=r"^composition symbol has sup \|phi\| >= 1.1 > 1: "
+                                              r"phi is no self-map of the disk$"):
+            build(S12, ps.from_coefficients([0.0, 1.1]), 64)
+        with pytest.raises(DomainError, match="^composition symbol's constant term must lie in "
+                                              "the open disk$"):
+            build(S12, ps.from_coefficients([1.0, 0.5]), 64)
 
     def test_monomial_norm_limit(self):
         for k in range(1, 9):

@@ -462,25 +462,44 @@ def _roots_of_unity(m: int = 4096) -> list:
 
 
 @settings(max_examples=8, deadline=None)
-@given(st.integers(1, 15), st.integers(0, 2**32 - 1))
-def test_table_samples_lie_within_the_rounding(degree, seed):
-    # the pruned FFT's 4096 samples, at the unit scale sup_bracket takes them, against 30-digit
-    # values: the largest error over eps sum |f_n| stays within the rounding radius
-    # 4 bit_length(4096) = 52 (the derived first-order bound is 18.5); target() reports it
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_samples_lie_within_the_rounding(degree, seed):
+    # the FFT's 4096 samples, at the unit scale sup_bracket takes them, against 30-digit values:
+    # the largest error over eps sum |f_n| stays within the rounding radius 4 bit_length(4096)
+    # = 52; target() reports it.  The degrees reach three times past the 13 coefficients the
+    # checks sample
     rng = np.random.default_rng(seed)
     c = ps.frexp(rng.uniform(-1, 1, degree + 1) + 1j * rng.uniform(-1, 1, degree + 1))[0]
-    samples = sp._samples(c, 4096)
-    assert samples.shape == (256, 16)  # sample 256 j + r at [r, j]
+    assert sp._sample_count(degree) == 4096
+    samples = np.fft.fft(c, n=4096)
     roots = _roots_of_unity()
     with mpmath.workdps(30):
         coeffs = [mpmath.mpc(x.real, x.imag) for x in c]
         error = max(
-            abs(mpmath.mpc(samples[r, j].real, samples[r, j].imag)
-                - mpmath.fsum(a * roots[n * (256 * j + r) % 4096] for n, a in enumerate(coeffs)))
-            for r in range(256) for j in range(16))
+            abs(mpmath.mpc(sample.real, sample.imag)
+                - mpmath.fsum(a * roots[n * k % 4096] for n, a in enumerate(coeffs)))
+            for k, sample in enumerate(samples))
     ratio = float(error) / (np.finfo(float).eps * np.abs(c).sum())
     target(ratio)
     assert ratio <= 4 * (4096).bit_length()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(1, 41), st.integers(1025, 1501)), st.integers(0, 2**32 - 1),
+       st.booleans(), st.integers(-600, 600))
+def test_sup_bounds_hold_the_bracket(n, seed, aligned, k):
+    # n coefficients, degree 0 to 40 or 1024 to 1500 (8192 samples), a fifth of them zero, the
+    # rest of moduli in [2^-900, 2^600]: sup_bracket's sides never pass the triangle bounds the
+    # sweeps prune by.  A zero last coefficient lowers the degree, and with it the sample
+    # count; aligned phases put the sup at sum |f_n|, where only the 1 / (1 - pi d / M) factor
+    # covers hi
+    rng = np.random.default_rng(seed)
+    moduli = np.where(rng.random(n) < 0.2, 0.0, np.exp2(rng.uniform(-300, 0, n)))
+    phases = rng.uniform(0, 2 * math.pi, 1 if aligned else n)
+    row = np.ldexp(moduli, k) * np.exp(1j * phases)
+    lo, hi = sp.sup_bracket(ps.PowerSeries(row))
+    (lo_bound,), (hi_bound,) = sp.sup_bounds(row[None, :])
+    assert lo <= lo_bound and hi <= hi_bound
 
 
 class TestSupBracketAtTheEndsOfTheFloatRange:
