@@ -466,7 +466,8 @@ def _blaschke_orbit_norms(
     tol: float, weights: np.ndarray | None = None, coeff_sum: int = 0,
 ) -> np.ndarray:
     """sum_n weights[n] |(f psi^k)_n|^2 for k = 0..count (weights at most space.weights, the
-    default) on the orbit of f under psi's series cut at ``order``: TruncationError naming the
+    default) on the orbit of f under psi's series cut at ``order`` or at its rounding cut below
+    it (see the end): TruncationError naming the
     least order that holds every value built from them within tol (1 + ||f||^2) if ``order`` is
     below it, or giving the reason of ``BlaschkeProduct.order_for`` if that finds none.
     Coefficient n of a product reads only those <= n of its factors, so row k is exact up to
@@ -482,9 +483,14 @@ def _blaschke_orbit_norms(
     A budget of psi^m's squared tail, W t^2 over size^2, below the least normal float is refused,
     named as a power of two, before psi^m's m deg(psi) zeros are listed; psi = c z^d, with no
     tail past degree m d, still meets it exactly, and at an order of deg f + m d or more, the
-    most the guard names for it, skips it: no row loses a term.  DomainError for a norm past
-    the float range."""
+    most the guard names for it, skips it: no row loses a term.  The orbit is built at the
+    rounding cut, the order the same bound names for eps/4 in place of tol (at least the order
+    named, at most ``order``): there every value built is within eps/8 (1 + ||f||^2) of the one
+    at ``order``, so a longer orbit moves none beyond rounding.  Where the majorant names no
+    such order, and for psi = c z^d, it is built at ``order``.  DomainError for a norm past the
+    float range."""
     needed = 0  # no power taken, f = 0, or psi = c z^d at an order that holds psi^m f
+    cut = order
     degree = max(f.degree(), 0)
     if count and (any(psi.zeros) or order < degree + count * psi.degree):
         coeffs = np.abs(f.coeffs[: degree + 1])
@@ -493,22 +499,32 @@ def _blaschke_orbit_norms(
             coeff_sum = max(count << count, coeff_sum)
             shift = coeff_sum.bit_length()
             scale = 1.0 + sp.space_norm_sq(space, f)
-            budget = math.ldexp(0.5 * tol * scale / (coeff_sum / (1 << shift)), -shift)
             # log2 of budget / size^2, the bound of psi^m's squared tail, which may underflow
             exponent = math.log2(tol) - 1 + math.log2(scale) - math.log2(coeff_sum) - 2 * math.log2(size)
             if exponent < np.finfo(np.float64).minexp and any(psi.zeros):
                 raise TruncationError(f"psi^{count} within {tol:g}: the tail budget 2^{exponent:.1f} "
                                       "is below the float range")
             power = BlaschkeProduct(1.0, psi.zeros * count)
+
+            def holding(t):  # the least N with W t_k^2 <= t (1 + ||f||^2) / 2 for every k
+                budget = math.ldexp(0.5 * t * scale / (coeff_sum / (1 << shift)), -shift)
+                return degree + power.order_for(math.sqrt(budget) / size, space)
+
             try:
-                needed = degree + power.order_for(math.sqrt(budget) / size, space)
+                needed = holding(tol)
             except TruncationError as exc:
                 raise TruncationError(f"psi^{count} within {tol:g}: {exc}") from exc
+            if any(psi.zeros):
+                try:
+                    cut = max(needed, holding(np.finfo(np.float64).eps / 4))
+                except TruncationError:  # eps/4 is past the majorant's reach
+                    pass
     if needed > order:
         raise TruncationError(f"psi^{count} within {tol:g}", needed)
-    weights = space.weights(order) if weights is None else weights
+    cut = min(cut, order)
+    weights = (space.weights(order) if weights is None else weights)[: cut + 1]
     with np.errstate(over="ignore"):  # a norm past the float range is refused below
-        norms = sp.norms_sq(weights, ps.orbit(f, psi.series(order), count, order))
+        norms = sp.norms_sq(weights, ps.orbit(f, psi.series(cut), count, cut))
     if not np.isfinite(norms).all():
         raise DomainError("the norm overflows the float range")
     return norms
@@ -523,7 +539,8 @@ def blaschke_power_defect(
     tol: float,
 ) -> float:
     """Alternating sum sum_{k<=m} (-1)^{m-k} C(m,k) ||psi^k f||^2 over the orbit
-    of the probe under the product series of psi, every row truncated at ``order``;
+    of the probe under the product series of psi, every row truncated at ``order``, or at the
+    orbit's rounding cut below it, past which a longer orbit moves no value beyond rounding;
     TruncationError if that order cannot hold the value within tol."""
     if m < 1:
         raise ValueError("isometry order must be >= 1")
@@ -535,7 +552,8 @@ def growth_residuals(
     order: int = 512, weights: np.ndarray | None = None,
 ) -> tuple[dict[int, float], float]:
     """x_n - sum_{j<m} C(n,j) Delta^j x_0 for n = m-1..n_max, x the ``_blaschke_orbit_norms`` of
-    f under psi (TruncationError as there), and their scale 1 + ||f||^2, within tol times which
+    f under psi (TruncationError as there; built at ``order`` or at the rounding cut below it,
+    ``weights`` read that far), and their scale 1 + ||f||^2, within tol times which
     the orbit guard holds them.  The residual at n is x_n - sum_i L_i(n) x_i over the Lagrange
     basis of the nodes 0..m-1, so it weighs the norms by 1 + sum_i |L_i(n)|, which grows with
     n past m - 1 (2n for m = 2, 2 (n-1)^2 for m = 3); for n >= m,

@@ -29,7 +29,8 @@ continuous on the whole domain because |t| < 1 implies Re(1-t) > 0.
 The other kinds sum the series with ``series.evaluate_many``, a blocked
 Horner rule (block sums of b = ceil(sqrt(m)) terms from one matrix product,
 then Horner in t^b), through the fewest terms whose tail, by a_n <= n+1 and
-the closed-form ``series.Majorant``, is at most 1e-12 at the largest |t|;
+the closed-form ``series.Majorant``, is at most 1e-12 at the largest |t|
+(``series_terms``, which any caller can ask for another tail);
 ``terms=N`` gives the partial sum through degree N.  ``kernel_norm_sq`` sums the
 squared norm of sum a_n z^n in blocks of 2^16 terms, holding no array of all terms.
 """
@@ -346,19 +347,24 @@ def kernel(space: SpaceWeights, w, z, terms: int | None = None):
         out = _closed_form(space, t)
     else:
         if terms is None:
-            # a_n <= n+1, so the tail past degree N is at most sum_{n>N+1} n r^(n-1)
-            r = float(np.abs(t).max(initial=0.0))
-            try:
-                count = ps.Majorant(-math.log(r), 1, r).order_for(_SERIES_TAIL) if r else 1
-            except TruncationError:  # no order up to the majorant's cap, itself past the limit
-                count = math.inf
-            if count > _SERIES_MAX_TERMS:
-                needs = count if count < math.inf else f"more than {ps._MAJORANT_CAP}"
-                raise TruncationError(f"kernel series at |conj(w) z| = {r!r} needs {needs} "
-                                      f"terms; the limit is {_SERIES_MAX_TERMS}")
-            terms = count - 1
+            terms = series_terms(float(np.abs(t).max(initial=0.0)), _SERIES_TAIL) - 1
         out = ps.evaluate_many(kernel_coefficient_series(space, terms), t)
     return complex(out[0]) if wb.ndim == 0 else out.reshape(wb.shape)
+
+
+def series_terms(r: float, tol: float) -> int:
+    """The fewest terms sum_{n<count} a_n t^n of a kernel whose tail is within tol at every
+    |t| <= r: a_n <= n+1 on every kind, so the tail past degree N is at most
+    sum_{n>N+1} n r^(n-1), a ``series.Majorant``.  TruncationError past 200,000 terms."""
+    try:
+        count = ps.Majorant(-math.log(r), 1, r).order_for(tol) if r else 1
+    except TruncationError:  # no order up to the majorant's cap, itself past the limit
+        count = math.inf
+    if count > _SERIES_MAX_TERMS:
+        needs = count if count < math.inf else f"more than {ps._MAJORANT_CAP}"
+        raise TruncationError(f"kernel series at |conj(w) z| = {r!r} needs {needs} "
+                              f"terms; the limit is {_SERIES_MAX_TERMS}")
+    return count
 
 
 def kernel_coefficient_series(space: SpaceWeights, order: int) -> PowerSeries:

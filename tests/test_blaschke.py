@@ -286,18 +286,41 @@ class TestPoisson:
             with pytest.raises(ValueError, match="node count"):
                 bl.poisson_product_moment((0.3,), 1, nodes)
 
+    def test_moment_index_must_stay_below_the_node_count(self):
+        # the FFT has nodes bins: a slice past them would return fewer than k_max + 1 moments
+        assert len(bl.poisson_product_moment((0.3,), 255, 256)) == 256
+        for k_max in (256, 1000):
+            with pytest.raises(ValueError, match=f"got {k_max} for 256"):
+                bl.poisson_product_moment((0.3, -0.3), k_max, 256)
+
     @pytest.mark.parametrize("nodes", [256, 1024, 4096])
     def test_one_density_is_the_per_k_arithmetic(self, nodes):
-        # the moments from one density are bitwise the per-k quadratures they replaced
+        # The moments are one FFT of the density; the per-k quadratures it replaced stay as the
+        # oracle, no longer bitwise but within rounding.  zeta_j is within 8 eps of
+        # exp(2 pi i j / N): the angle rounds within 4 pi u (u = eps / 2) and exp within 2 u.
+        # So conj(zeta_j)^k, at most k products deep, is within (8 k + 4) eps of its root's
+        # power, and the mean, a pairwise sum, adds L u, L = bit_length(N): each per-k value
+        # lies within (8 k + 4 + L) eps mean|density| of the exact trapezoid sum of the computed
+        # density.  The FFT bin is within 4 eps L sum|density| of N times that sum (the
+        # per-sample bound of ``spaces.sup_bracket``), and / N is exact.  Against the closed
+        # forms, each kernel (1 - |a|^2) / |zeta - a|^2 adds 2 (8 eps) / (1 - |a|) + 4 eps of
+        # itself (zeta's error over |zeta - a| >= 1 - |a|, squared, and the three roundings),
+        # and the trapezoid rule aliases no more than |a|^(N - k), below 1e-37 here.
+        eps, L = np.finfo(np.float64).eps, nodes.bit_length()
         zeta = bl.circle_nodes(nodes)
         for alpha in _MOMENT_PARAMETERS:
-            single = bl.poisson_product_moment((alpha,), 8, nodes)
-            pair = bl.poisson_product_moment((alpha, -alpha), 8, nodes)
-            for k in range(9):
-                p_a = bl.poisson_kernel(alpha, zeta)
-                assert single[k] == bl.circle_mean(p_a * np.conj(zeta) ** k)
-                p_minus = bl.poisson_kernel(-alpha, zeta)
-                assert pair[k] == bl.circle_mean(p_a * p_minus * np.conj(zeta) ** k)
+            for alphas in ((alpha,), (alpha, -alpha)):
+                moments = bl.poisson_product_moment(alphas, 8, nodes)
+                density = np.prod([bl.poisson_kernel(a, zeta) for a in alphas], axis=0)
+                mean = np.mean(np.abs(density))
+                per_kernel = 16 / (1 - abs(alpha)) + 4
+                for k in range(9):
+                    per_k = bl.circle_mean(density * np.conj(zeta) ** k)
+                    assert abs(moments[k] - per_k) <= (8 * k + 4 + 5 * L) * eps * mean
+                    closed = (np.conj(alpha) ** k if len(alphas) == 1
+                              else bl.poisson_product_moment_closed(alpha, k))
+                    radius = (4 * L + len(alphas) * per_kernel + 1) * eps * mean
+                    assert abs(moments[k] - closed) <= radius
 
 
 class TestPhiPrimeMoments:
@@ -321,6 +344,20 @@ class TestPhiPrimeMoments:
         closed = bl.phi_prime_moment(alpha, 3)
         series = bl.phi_prime_moment_series(alpha, 3, 2000)[3]
         assert abs(closed - series) / abs(closed) < 1e-9
+
+    def test_the_default_order_is_the_retired_2000_within_rounding(self):
+        # The two sums share every term, bit for bit, through the shorter order; the longer
+        # adds terms the majorant holds to eps/4 of |closed|.  Every term of moment k has the
+        # phase of conj(a)^k, and their moduli add up to |closed| = |a|^k ((1+rho)/(1-rho) + k),
+        # so a pairwise sum of n of them rounds within (19 + ceil(log2(n / 128))) u of |closed|
+        # (8 accumulators over leaves of 128, then one rounding per level), u = eps / 2: 23 u
+        # at n = 2001, fewer at the cut.  The radius is eps/4 + 2 (23 u), under 24 eps.
+        eps = np.finfo(np.float64).eps
+        for alpha in _MOMENT_PARAMETERS + [0.0, 0.9j]:
+            cut = bl.phi_prime_moment_series(alpha, 8)
+            retired = bl.phi_prime_moment_series(alpha, 8, 2000)
+            closed = np.array([bl.phi_prime_moment(alpha, k) for k in range(9)])
+            assert np.all(np.abs(cut - retired) <= 24 * eps * np.abs(closed))
 
     def test_one_expansion_is_the_per_k_arithmetic(self):
         # the sums over one expansion are bitwise the per-k sums they replaced
@@ -378,6 +415,37 @@ class TestAdjointExpansions:
         oracle = bl.adjoint_symbol_series_oracle(bl.phi_pair(alpha), 16, order=400)
         scale = np.maximum(np.abs(oracle.coeffs), 1e-3)
         assert np.max(np.abs(closed.coeffs - oracle.coeffs) / scale) < 1e-8
+
+    @pytest.mark.parametrize("order", [3, 10, 400])
+    def test_one_array_is_the_per_k_inner_products(self, order):
+        # every <psi, z^k psi>_S2 from one scaled coefficient array is bitwise the
+        # PowerSeries and inner_product per k it replaced, for k past the order too
+        for psi in (bl.z_times_phi(0.3 + 0.1j), bl.phi_pair(0.4j),
+                    bl.BlaschkeProduct(1.0, (0.3, -0.2j, 0.5 + 0.1j))):
+            series = psi.series(order)
+            per_k = []
+            for k in range(17):
+                shifted = ps.PowerSeries(np.concatenate([np.zeros(k), series.coeffs]))
+                per_k.append(sp.inner_product(sp.s2(), series, shifted) / (k**2 if k else 1.0))
+            assert np.array_equal(bl.adjoint_symbol_series_oracle(psi, 16, order).coeffs, per_k)
+
+    @pytest.mark.parametrize("psi", [bl.z_times_phi(0.5), bl.z_times_phi(-0.45j), bl.phi_pair(0.5),
+                                     bl.phi_pair(0.2 + 0.3j), bl.BlaschkeProduct(1.0, (0.9, -0.3j))],
+                             ids=["z_phi05", "z_phi045j", "pair05", "pair_02_03", "two_zeros_09"])
+    def test_the_default_order_is_the_retired_400_within_rounding(self, psi):
+        # The default order holds psi's S2-weighted tail to eps/4, so by Cauchy-Schwarz the
+        # terms it drops move <psi, z^k psi> by at most eps/4 ||psi|| ||z^k psi|| (norms in S2);
+        # the terms both keep are the same bits, and each sum of n products rounds within
+        # (19 + ceil(log2(n / 128))) u of sum_n w(n) |psi_n| |psi_(n-k)| <= ||psi|| ||z^k psi||
+        # (Cauchy-Schwarz again), 21 u at n = 401.  The radius is eps/4 + 2 (21 u) of that scale.
+        eps = np.finfo(np.float64).eps
+        cut = bl.adjoint_symbol_series_oracle(psi, 16).coeffs
+        retired = bl.adjoint_symbol_series_oracle(psi, 16, 400).coeffs
+        series = psi.series(400)
+        k = np.arange(17)
+        scale = np.array([sp.space_norm(sp.s2(), series) * sp.space_norm(
+            sp.s2(), ps.PowerSeries(np.concatenate([np.zeros(j), series.coeffs]))) for j in k])
+        assert np.all(np.abs(cut - retired) <= 22 * eps * scale / np.maximum(k * k, 1))
 
     def test_phi_pair_odd_coefficients_vanish(self):
         closed = bl.adjoint_symbol_expansion(bl.VARIANT_PHI_PAIR, 0.5, 15)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
+from diskops import checks
 from diskops import series as ps
 from diskops import spaces as sp
 from diskops.errors import DomainError, TruncationError
@@ -356,6 +357,44 @@ class TestKernels:
 
         assert count > 200_000
         assert tail(count) <= 1e-12 < tail(count - 3)
+
+
+@pytest.mark.parametrize("space", [sp.s12(), sp.hardy(), sp.bergman(), sp.dirichlet()],
+                         ids=lambda s: s.label)
+def test_kernel_grid_at_its_cut_is_the_retired_10000_terms_within_rounding(space):
+    # The grid of kernel_closed_vs_series_*: the series through ``series_terms`` for eps/4 of
+    # the least |closed| against the 10,001 terms it replaced.  Their partial sums differ by
+    # the tail between the two counts, at most that eps/4.  ``evaluate_many`` builds t^n from
+    # about n complex products, 2.83 u each (u = eps / 2), and rounds each block sum and
+    # Horner step, about b + 4 q + 2 times (b = ceil(sqrt(m)), q = ceil(m / b), for m terms),
+    # so each value lies within u (3 sum n a_n r^n + (b + 4 q + 2) sum a_n r^n) of its partial
+    # sum, r the largest |t| (a_n r^n bounds every term); b + 4 q + 2 <= 5 sqrt(m) + 7.  The
+    # radius adds that eps/4 and both evaluations' roundings.
+    eps = np.finfo(np.float64).eps
+    ws = checks._disk_grid(20, 0.9, 0.0)[:, None]
+    zs = checks._disk_grid(20, 0.9, 0.17)
+    closed = sp.kernel(space, ws, zs)
+    r = float(np.abs(ws * zs).max())
+    count = sp.series_terms(r, eps / 4 * float(np.abs(closed).min()))
+    assert 200 < count < 250
+    cut = sp.kernel(space, ws, zs, terms=count - 1)
+    retired = sp.kernel(space, ws, zs, terms=10_000)
+    n = np.arange(10_001.0)
+    terms = space.kernel_coeffs(10_000) * r**n
+    blocks = 5 * (math.sqrt(count) + math.sqrt(10_001)) + 14
+    rounding = eps / 2 * (6 * (n @ terms) + blocks * terms.sum())
+    assert np.max(np.abs(cut - retired)) <= eps / 4 * np.abs(closed).min() + rounding
+
+
+def test_series_terms_is_the_least_count_within_tol():
+    # the count's majorant tail sum_{n > count} n r^(n-1) bounds the kernel tail past
+    # degree count - 1, and is within tol there but not one term earlier
+    for r, tol in ((0.81, 1e-16), (0.5, 1e-12), (0.9, 1e-3)):
+        count = sp.series_terms(r, tol)
+        n = np.arange(1, 20_000.0)
+        tail = np.cumsum((n * r ** (n - 1))[::-1])[::-1]  # tail[j] sums n >= j + 1
+        assert tail[count] <= tol < tail[count - 1]
+    assert sp.series_terms(0.0, 1e-12) == 1
 
 
 KERNEL_SPACES = (sp.hardy(), sp.bergman(), sp.dirichlet(), sp.s12(), sp.s2(), sp.s22(), sp.km(2),
