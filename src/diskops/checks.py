@@ -11,15 +11,15 @@ here, but for the two that ``pick`` owns: the PSD floor
 a report, since perfbench's pick-batch workload reads one.  A sampled
 sweep skips the symbols that ``spaces.sup_bounds`` shows cannot move its
 verdict.  The suite runner stamps each report with the id its check is
-registered under.  A randomized check is registered as seeded: the
-registry passes it a PRNG seeded by the config's seed and the check's
-id, so its computed values depend on those two alone.  Suites never
-abort on a check failure: exceptions are captured as status="error"
-reports.
+registered under.  No check reads the config: a randomized one is
+registered as seeded, and the registry passes it a PRNG seeded by the
+config's seed and the check's id alone.  Suites never abort on a check
+failure: exceptions are captured as status="error" reports.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import time
@@ -34,16 +34,18 @@ from . import pick as pk
 from . import report as rp
 from . import series as ps
 from . import spaces as sp
-from .errors import TruncationError
 
 SQRT2 = math.sqrt(2.0)
+_TOL = 1e-8  # the tolerance of a check that has no published or derived radius
+_WITNESS_CAP = 256  # the largest compression a multiplier witness doubles to
+_COMPRESSION_SIZE = 256  # the compression of C_phi in the two bound checks
 
 SUITE_NAMES = ("kernels", "constants", "isometries", "blaschke", "pick", "composition", "all")
 
 
 @dataclass
 class Config:
-    """Runtime knobs shared by every check and the CLI."""
+    """The CLI's knobs.  No command reads quad_nodes: it stays as perfbench's verify runs pass it."""
 
     truncation: int = 256
     tol: float = 1e-8
@@ -67,9 +69,9 @@ _REGISTRY: dict[str, list] = {name: [] for name in SUITE_NAMES if name != "all"}
 
 
 def _check(suite: str, check_id: str, seeded: bool = False):
-    """Register fn under check_id; a seeded one is called as fn(cfg, _rng(cfg, check_id))."""
+    """Register fn under check_id as entry(cfg): fn(_rng(cfg, check_id)) if seeded, else fn()."""
     def wrap(fn):
-        entry = (lambda cfg: fn(cfg, _rng(cfg, check_id))) if seeded else fn
+        entry = (lambda cfg: fn(_rng(cfg, check_id))) if seeded else (lambda cfg: fn())
         entry.check_id = check_id
         _REGISTRY[suite].append(entry)
         return fn
@@ -125,7 +127,7 @@ def _disk_grid(count: int, max_radius: float, phase_offset: float) -> np.ndarray
 # ===========================================================================
 
 
-def _kernel_grid_check(space: sp.SpaceWeights, cfg: Config):
+def _kernel_grid_check(space: sp.SpaceWeights):
     ws = _disk_grid(20, 0.9, 0.0)[:, None]
     zs = _disk_grid(20, 0.9, 0.17)
     closed = sp.kernel(space, ws, zs)
@@ -145,11 +147,9 @@ for _suffix, _space in (("s12", sp.s12()), ("h2", sp.hardy()), ("a2", sp.bergman
 
 
 @_check("kernels", "kernel_hermitian_symmetry", seeded=True)
-def _kernel_hermitian(cfg, rng):
+def _kernel_hermitian(rng):
     spaces = [sp.hardy(), sp.bergman(), sp.dirichlet(), sp.s12(), sp.s2(), sp.s22(), sp.km(2)]
-    pts = np.array(
-        [rng.uniform(0, 0.9) * np.exp(1j * rng.uniform(0, 2 * np.pi)) for _ in range(50)]
-    )
+    pts = np.array([rng.uniform(0, 0.9) * np.exp(1j * rng.uniform(0, 2 * np.pi)) for _ in range(50)])
     w, z = pts[0::2], pts[1::2]  # drawn as 25 (w, z) pairs, w first
     worst = 0.0
     for space in spaces:
@@ -159,7 +159,7 @@ def _kernel_hermitian(cfg, rng):
 
 
 @_check("kernels", "kernel_reproducing_property", seeded=True)
-def _kernel_reproducing(cfg, rng):
+def _kernel_reproducing(rng):
     spaces = [sp.hardy(), sp.bergman(), sp.dirichlet(), sp.s12(), sp.s2(), sp.s22(),
               sp.km(3), sp.dalpha(1.5)]
     worst = 0.0
@@ -175,7 +175,7 @@ def _kernel_reproducing(cfg, rng):
 
 
 @_check("kernels", "kernel_special_values")
-def _kernel_special_values(cfg):
+def _kernel_special_values():
     at_zero = sp.kernel(sp.s12(), 0.0, 0.7)
     d2_closed = sp.kernel(sp.dirichlet(), 0.5, 1.0)
     d2_series = sp.kernel(sp.dirichlet(), 0.5, 1.0, terms=300)
@@ -193,7 +193,7 @@ def _kernel_special_values(cfg):
 
 
 @_check("kernels", "kernel_small_argument_switch")
-def _kernel_small_switch(cfg):
+def _kernel_small_switch():
     # below the switch the short sum is exact to rounding; just above it
     # the log form is allowed its documented cancellation loss
     t = np.array([9e-4, 9e-4 * np.exp(0.4j), 1.1e-3, 1.1e-3 * np.exp(0.4j), 2e-3])
@@ -219,7 +219,7 @@ def _kernel_small_switch(cfg):
 
 
 @_check("constants", "pointwise_bound_sqrt2", seeded=True)
-def _pointwise_bound(cfg, rng):
+def _pointwise_bound(rng):
     rows, lengths = _random_rows(rng, 500)
     norms = sp.space_norms(sp.s12(), rows, lengths)
     # The check reads lo, the side that passes more easily than the certified hi (worst ratio
@@ -241,7 +241,7 @@ def _pointwise_bound(cfg, rng):
 
 
 @_check("constants", "extremal_sharpness")
-def _extremal_sharpness(cfg):
+def _extremal_sharpness():
     s12 = sp.s12()
     norm_wide = math.sqrt(sp.kernel_norm_sq(s12, 1_000_000))
     short = sp.kernel_coefficient_series(s12, 10_000)
@@ -264,7 +264,7 @@ def _extremal_sharpness(cfg):
 
 
 @_check("constants", "algebra_product_bound", seeded=True)
-def _algebra_bound(cfg, rng):
+def _algebra_bound(rng):
     s12, limit = sp.s12(), 2.0 * SQRT2
     worst = 0.0
     # 250 pairs at a time keep every array under glibc's 128 KiB mmap threshold, as
@@ -286,11 +286,10 @@ def _algebra_bound(cfg, rng):
     )
 
 
-def _witness_norms(cfg: Config, rows: np.ndarray, lengths, floors,
-                   closes) -> tuple[np.ndarray, np.ndarray]:
+def _witness_norms(rows: np.ndarray, lengths, floors, closes) -> tuple[np.ndarray, np.ndarray]:
     """The compression norm of M_f on S12 for each row f, of its first ``lengths[i]`` entries,
-    at the first n = 16, 32, 64, ..., capped at the truncation, where ``closes(norm, floor)``
-    holds for its floor (at the truncation if none), and that n.  Every row's n = 16 is one
+    at the first n = 16, 32, 64, ..., capped at _WITNESS_CAP, where ``closes(norm, floor)``
+    holds for its floor (at the cap if none), and that n.  Every row's n = 16 is one
     ``multiplication_norms`` batch; only a row that does not close there goes on alone, as the
     polynomial of its length.  The norm at n + 1 rows does not decrease in n, as P_n M_f P_n
     is a compression of P_m M_f P_m for m >= n, so a lower bound of ||M_f|| that closes at some
@@ -299,15 +298,15 @@ def _witness_norms(cfg: Config, rows: np.ndarray, lengths, floors,
     norms, sizes = op.multiplication_norms(s12, rows, 16), np.full(len(rows), 16)
     for i in np.flatnonzero(~closes(norms, floors)):
         n = 16
-        while not (closes(norms[i], floors[i]) or n == cfg.truncation):
-            n = min(2 * n, cfg.truncation)
+        while not (closes(norms[i], floors[i]) or n == _WITNESS_CAP):
+            n = min(2 * n, _WITNESS_CAP)
             norms[i] = op.multiplication_norm(s12, ps.PowerSeries(rows[i, : lengths[i]]), n)
         sizes[i] = n
     return norms, sizes
 
 
 @_check("constants", "mult_monomial_norms")
-def _mult_monomial_norms(cfg):
+def _mult_monomial_norms():
     s12 = sp.s12()
     rows = []
     for k in range(11):
@@ -319,10 +318,9 @@ def _mult_monomial_norms(cfg):
 
 
 @_check("constants", "mult_one_plus_z_norm")
-def _mult_one_plus_z(cfg):
+def _mult_one_plus_z():
     floor = math.sqrt(4.5)
-    norms, sizes = _witness_norms(cfg, np.array([[1, 1]], dtype=np.complex128), [2], [floor],
-                                  np.greater)
+    norms, sizes = _witness_norms(np.array([[1, 1]], dtype=np.complex128), [2], [floor], np.greater)
     est = float(norms[0])
     return rp.make_report(
         computed=[("norm_estimate", est), ("witness_size", int(sizes[0]))],
@@ -333,15 +331,14 @@ def _mult_one_plus_z(cfg):
 
 
 @_check("constants", "mult_norm_sandwich", seeded=True)
-def _mult_norm_sandwich(cfg, rng):
+def _mult_norm_sandwich(rng):
     rows, lengths = _random_rows(rng, 200)
     norms = sp.space_norms(sp.s12(), rows, lengths)
     # the floor max(hi, ||f||) is ||f|| wherever hi's triangle bound is: only the rest are sampled
     floors = norms.copy()
     for i in np.flatnonzero(sp.sup_bounds(rows)[1] > norms):
         floors[i] = max(sp.sup_bracket(ps.PowerSeries(rows[i, : lengths[i]]))[1], norms[i])
-    ests, sizes = _witness_norms(cfg, rows, lengths, floors,
-                                 lambda est, floor: est - floor >= -1e-12)
+    ests, sizes = _witness_norms(rows, lengths, floors, lambda est, floor: est - floor >= -1e-12)
     lower_slack = float(np.min(ests - floors))
     # The upper side compares a lower bound of ||M_f|| with 2 sqrt(2) ||f||, so it can
     # refute the algebra bound but not certify it.  It stays a pass, the status the
@@ -358,10 +355,10 @@ def _mult_norm_sandwich(cfg, rng):
 
 
 @_check("constants", "mult_strict_sup_gap", seeded=True)
-def _mult_strict_gap(cfg, rng):
+def _mult_strict_gap(rng):
     rows, lengths = _random_rows(rng, 20, min_degree=1)
     sups = np.array([sp.sup_bracket(ps.PowerSeries(row[:n]))[1] for row, n in zip(rows, lengths)])
-    ests, sizes = _witness_norms(cfg, rows, lengths, sups, np.greater)
+    ests, sizes = _witness_norms(rows, lengths, sups, np.greater)
     min_margin = float(np.min((ests - sups) / sups))
     return rp.make_report(
         computed=[("min_relative_margin", min_margin), ("witness_size", int(sizes.max()))],
@@ -372,7 +369,7 @@ def _mult_strict_gap(cfg, rng):
 
 
 @_check("constants", "extremal_product_coefficients")
-def _extremal_product(cfg):
+def _extremal_product():
     extremal = sp.kernel_coefficient_series(sp.s12(), 64)
     product = ps.cauchy_product(extremal, ps.from_coefficients([1, 1]), 64)
     n = np.arange(1, 65, dtype=np.float64)
@@ -382,7 +379,7 @@ def _extremal_product(cfg):
 
 
 @_check("constants", "s12_norm_decomposition", seeded=True)
-def _norm_decomposition(cfg, rng):
+def _norm_decomposition(rng):
     s12 = sp.s12()
     rows = []
     h, b, hd = sp.norm_decomposition_s12(ps.one())
@@ -398,7 +395,7 @@ def _norm_decomposition(cfg, rng):
 
 
 @_check("constants", "norm_relations", seeded=True)
-def _norm_relations(cfg, rng):
+def _norm_relations(rng):
     passes = []
     for f in (ps.one(), ps.monomial(1), _random_polynomial(rng)):
         residual_a, residual_b, scale = sp.norm_identity_residuals(f)
@@ -418,65 +415,65 @@ def _norm_relations(cfg, rng):
 _Z = bl.BlaschkeProduct(-1.0, (0j,))  # the symbol z
 
 
-def _shift_defect(space: sp.SpaceWeights, m: int, probes, tol: float) -> float:
+def _shift_defect(space: sp.SpaceWeights, m: int, probes) -> float:
     """The largest |Delta^m| of M_z over the probes, each on its whole orbit."""
-    return max(abs(op.blaschke_power_defect(space, _Z, m, f, f.order + m, tol)) for f in probes)
+    return max(abs(op.blaschke_power_defect(space, _Z, m, f, f.order + m, _TOL)) for f in probes)
 
 
 @_check("isometries", "shift_s12_defect3", seeded=True)
-def _shift_defect3(cfg, rng):
-    worst = _shift_defect(sp.s12(), 3, [_random_polynomial(rng) for _ in range(100)], cfg.tol)
+def _shift_defect3(rng):
+    worst = _shift_defect(sp.s12(), 3, [_random_polynomial(rng) for _ in range(100)])
     return rp.vanishing_report("max_defect", worst, 1e-12, rp.PAPER, "defect")
 
 
 @_check("isometries", "shift_s12_defect2_unit")
-def _shift_defect2(cfg):
-    value = op.blaschke_power_defect(sp.s12(), _Z, 2, ps.one(), 2, cfg.tol)
+def _shift_defect2():
+    value = op.blaschke_power_defect(sp.s12(), _Z, 2, ps.one(), 2, _TOL)
     return rp.compare_report([("defect", value, 1.0, rp.DERIVED)], tolerance=0.0)
 
 
 @_check("isometries", "shift_h2_defect1", seeded=True)
-def _shift_h2_defect(cfg, rng):
-    worst = _shift_defect(sp.hardy(), 1, [_random_polynomial(rng) for _ in range(20)], cfg.tol)
+def _shift_h2_defect(rng):
+    worst = _shift_defect(sp.hardy(), 1, [_random_polynomial(rng) for _ in range(20)])
     return rp.vanishing_report("max_defect", worst, 1e-13, rp.TRIVIAL, "defect")
 
 
-def _blaschke_identity(psi: bl.BlaschkeProduct, probes, tol: float):
+def _blaschke_identity(psi: bl.BlaschkeProduct, probes):
     """The alternating three-step identity for multiplication by a finite Blaschke product,
 
         ||psi^3 f||^2 - 3 ||psi^2 f||^2 + 3 ||psi f||^2 - ||f||^2 = 0   on S12,
 
     on each probe, the orbit truncated at order 1024 or at its rounding cut below it (orders 54
-    to 74 in the checks below); passes iff every |value| < tol (1 + ||f||^2)."""
+    to 74 in the checks below); passes iff every |value| < _TOL (1 + ||f||^2)."""
     s12 = sp.s12()
-    values = [op.blaschke_power_defect(s12, psi, 3, f, 1024, tol) for f in probes]
+    values = [op.blaschke_power_defect(s12, psi, 3, f, 1024, _TOL) for f in probes]
     worst = max(map(abs, values))
     return rp.make_report(
         computed=[(f"probe_{i}_defect", v) for i, v in enumerate(values)] + [("max_defect", worst)],
         reference=[("defect", 0.0, rp.PAPER)],
-        tolerance=tol,
-        ok=all(abs(v) < tol * (1.0 + sp.space_norm_sq(s12, f)) for v, f in zip(values, probes)),
+        tolerance=_TOL,
+        ok=all(abs(v) < _TOL * (1.0 + sp.space_norm_sq(s12, f)) for v, f in zip(values, probes)),
     )
 
 
 @_check("isometries", "blaschke_identity_z_phi04", seeded=True)
-def _blaschke_identity_zphi(cfg, rng):
+def _blaschke_identity_zphi(rng):
     probes = [ps.one(), ps.from_coefficients([1, 1]), _random_polynomial(rng, max_degree=8)]
-    return _blaschke_identity(bl.z_times_phi(0.4), probes, cfg.tol)
+    return _blaschke_identity(bl.z_times_phi(0.4), probes)
 
 
 @_check("isometries", "blaschke_identity_phi_pair05")
-def _blaschke_identity_pair(cfg):
+def _blaschke_identity_pair():
     probes = [ps.one(), ps.monomial(1), ps.from_coefficients([1, 1])]
-    return _blaschke_identity(bl.phi_pair(0.5), probes, cfg.tol)
+    return _blaschke_identity(bl.phi_pair(0.5), probes)
 
 
 @_check("isometries", "blaschke_identity_s2_correction")
-def _blaschke_s2_correction(cfg):
+def _blaschke_s2_correction():
     # On the S2 scale the three-step identity picks up exactly -|f(0)|^2
     # for symbols vanishing at the origin.
-    value = op.blaschke_power_defect(sp.s2(), bl.z_times_phi(0.4), 3, ps.one(), 1024, 1e-8)
-    return rp.compare_report([("three_step_residual", value, -1.0, rp.DERIVED)], tolerance=1e-8)
+    value = op.blaschke_power_defect(sp.s2(), bl.z_times_phi(0.4), 3, ps.one(), 1024, _TOL)
+    return rp.compare_report([("three_step_residual", value, -1.0, rp.DERIVED)], tolerance=_TOL)
 
 
 def _shift_order(space: sp.SpaceWeights, m_max: int, target: list):
@@ -493,7 +490,7 @@ def _shift_order(space: sp.SpaceWeights, m_max: int, target: list):
 
 
 @_check("isometries", "shift_order_s12")
-def _shift_order_s12(cfg):
+def _shift_order_s12():
     order, coeff_err, residual = _shift_order(sp.s12(), 6, [1.0, 2.0, 1.0])
     return rp.make_report(
         computed=[("order", order), ("coefficient_error", coeff_err), ("fit_residual", residual)],
@@ -504,7 +501,7 @@ def _shift_order_s12(cfg):
 
 
 @_check("isometries", "shift_order_h2")
-def _shift_order_h2(cfg):
+def _shift_order_h2():
     order, coeff_err, _ = _shift_order(sp.hardy(), 6, [1.0])
     return rp.make_report(
         computed=[("order", order)],
@@ -515,7 +512,7 @@ def _shift_order_h2(cfg):
 
 
 @_check("isometries", "shift_order_s2_none")
-def _shift_order_s2(cfg):
+def _shift_order_s2():
     order, _, residual = _shift_order(sp.s2(), 6, [])
     return rp.make_report(
         computed=[("order", order), ("best_residual", residual)],
@@ -526,7 +523,7 @@ def _shift_order_s2(cfg):
 
 
 @_check("isometries", "shift_order_km")
-def _shift_order_km(cfg):
+def _shift_order_km():
     # weight(n) = C(n+m+1, m+1) = sum_j C(n,j) C(m+1,j)
     results = [_shift_order(sp.km(m), m + 3, [math.comb(m + 1, j) for j in range(m + 2)])
                for m in (1, 2, 3)]
@@ -539,7 +536,7 @@ def _shift_order_km(cfg):
 
 
 @_check("isometries", "km_defect_orders", seeded=True)
-def _km_defect(cfg, rng):
+def _km_defect(rng):
     rows = []
     ok = True
     for m in (1, 2, 3):
@@ -548,8 +545,8 @@ def _km_defect(cfg, rng):
         # unit-norm probes keep the large Km weights from inflating
         # the rounding floor of the alternating sum
         probes = [ps.scale(f, 1.0 / sp.space_norm(space, f)) for f in probes]
-        worst = _shift_defect(space, m + 2, probes, cfg.tol)
-        strict = op.blaschke_power_defect(space, _Z, m + 1, ps.one(), m + 1, cfg.tol)
+        worst = _shift_defect(space, m + 2, probes)
+        strict = op.blaschke_power_defect(space, _Z, m + 1, ps.one(), m + 1, _TOL)
         rows.append((f"max_defect_m{m}", worst))
         rows.append((f"strict_witness_m{m}", strict))
         ok = ok and worst < 1e-12 and strict == 1.0
@@ -561,7 +558,7 @@ def _km_defect(cfg, rng):
     )
 
 
-def _residual_report(cases, tol, ok=True, each_power=False):
+def _residual_report(cases, tol=_TOL, ok=True, each_power=False):
     """Rows for (label, residuals, scale) cases, residuals mapping each power n to its
     residual: the largest |residual| of each case under its label, after a power_<n>_residual
     row for every power when ``each_power``.  Passes iff ok and each largest |residual| is
@@ -577,7 +574,7 @@ def _residual_report(cases, tol, ok=True, each_power=False):
 
 
 @_check("isometries", "growth_monomial_square")
-def _growth_monomial(cfg):
+def _growth_monomial():
     s2 = sp.s2()
     residuals, scale = op.growth_residuals(s2, _Z, ps.one(), 3, 6, 1e-12, 64, np.arange(65.0) ** 2)
     # the formula is only tested when the S2 monomial norms n^2 come out exact
@@ -586,20 +583,20 @@ def _growth_monomial(cfg):
 
 
 @_check("isometries", "growth_s2_formula")
-def _growth_s2(cfg):
+def _growth_s2():
     symbols = [("z", _Z), ("z_phi03", bl.z_times_phi(0.3))]
     probes = [("one", ps.one()), ("one_plus_z", ps.from_coefficients([1, 1]))]
     seminorm = np.arange(513.0) ** 2  # ||f||^2 - |f(0)|^2
     cases = [
         (f"{sname}_{pname}_residual",
-         *op.growth_residuals(sp.s2(), psi, f, 3, 6, cfg.tol, weights=seminorm))
+         *op.growth_residuals(sp.s2(), psi, f, 3, 6, _TOL, weights=seminorm))
         for sname, psi in symbols for pname, f in probes
     ]
-    return _residual_report(cases, cfg.tol)
+    return _residual_report(cases)
 
 
 @_check("isometries", "growth_s12_formula")
-def _growth_s12(cfg):
+def _growth_s12():
     cases = [
         ("z_one", _Z, ps.one()),
         ("z_phi03_one", bl.z_times_phi(0.3), ps.one()),
@@ -607,14 +604,13 @@ def _growth_s12(cfg):
         ("phi_pair05_z", bl.phi_pair(0.5), ps.monomial(1)),
     ]
     return _residual_report(
-        [(f"{name}_residual", *op.growth_residuals(sp.s12(), psi, f, 3, 6, cfg.tol))
-         for name, psi, f in cases],
-        cfg.tol,
+        [(f"{name}_residual", *op.growth_residuals(sp.s12(), psi, f, 3, 6, _TOL))
+         for name, psi, f in cases]
     )
 
 
 @_check("isometries", "dirichlet_linearity")
-def _dirichlet_linearity(cfg):
+def _dirichlet_linearity():
     cases = [
         ("phi06_one", bl.BlaschkeProduct(1.0, (0.6,)), ps.one(), 5),
         ("z_phi02_quadratic", bl.z_times_phi(0.2), ps.from_coefficients([1, 0, 1]), 4),
@@ -622,9 +618,8 @@ def _dirichlet_linearity(cfg):
     ]
     d2, energy = sp.dirichlet(), np.arange(513.0)  # energy: sum_n n |f_n|^2
     return _residual_report(
-        [(f"{name}_residual", *op.growth_residuals(d2, psi, f, 2, n, cfg.tol, weights=energy))
-         for name, psi, f, n in cases],
-        cfg.tol,
+        [(f"{name}_residual", *op.growth_residuals(d2, psi, f, 2, n, _TOL, weights=energy))
+         for name, psi, f, n in cases]
     )
 
 
@@ -634,52 +629,46 @@ def _dirichlet_linearity(cfg):
 
 
 @_check("blaschke", "mobius_involution")
-def _mobius_involution(cfg):
-    alphas, tol = (0.3, 0.5 + 0.2j, 0.7, -0.6j), 1e-8
+def _mobius_involution():
+    alphas = (0.3, 0.5 + 0.2j, 0.7, -0.6j)
     # every power of phi_a is bounded by 1 on the disk, so its coefficients are too (Cauchy):
     # cutting the outer series after z^N moves a kept coefficient of phi_a(phi_a) by at most
-    # the tail sum_{j>N} (1-|a|^2) |a|^(j-1) of phi_a's coefficients.  The guard needs the N
-    # for tol; the composition runs at the N for eps/4, at most half an ulp of the target's
-    # coefficient 1, past which a longer series moves no kept value beyond rounding
+    # the tail sum_{j>N} (1-|a|^2) |a|^(j-1) of phi_a's coefficients.  The composition runs at
+    # the N for eps/4 (107, for |a| = 0.7), at most half an ulp of the target's coefficient 1,
+    # past which a longer series moves no kept value beyond rounding
     tails = [ps.Majorant(math.log(1 / a - a), 0, a) for a in np.abs(alphas)]
-    needed = max(t.order_for(tol) for t in tails)
-    if cfg.truncation < needed:
-        raise TruncationError(f"phi_a(phi_a) = z to {tol:g}", needed)
-    order = min(cfg.truncation, max(t.order_for(np.finfo(np.float64).eps / 4) for t in tails))
+    order = max(t.order_for(np.finfo(np.float64).eps / 4) for t in tails)
     worst = 0.0
     target = ps.monomial(1, order=order)
     for alpha in alphas:
         phi = bl.BlaschkeProduct(1.0, (alpha,)).series(order)
         composed = ps.compose(phi, phi, order)
         worst = max(worst, float(np.max(np.abs(composed.coeffs - target.coeffs))))
-    return rp.vanishing_report("max_coefficient_error", worst, tol, rp.TRIVIAL)
+    return rp.vanishing_report("max_coefficient_error", worst, _TOL, rp.TRIVIAL)
 
 
 @_check("blaschke", "blaschke_boundary_modulus", seeded=True)
-def _blaschke_boundary(cfg, rng):
+def _blaschke_boundary(rng):
     products = [_random_blaschke(rng) for _ in range(10)]
-    tol = 1e-8
-    # every product series is cut at the one order whose tail bounds are all within tol
-    needed = max(psi.order_for(tol) for psi in products)
-    if needed > cfg.truncation:
-        raise TruncationError(f"|psi| = 1 on the circle to {tol:g}", needed)
+    # every product series is cut at the one order whose tail bounds are all within _TOL
+    order = max(psi.order_for(_TOL) for psi in products)
     zeta = bl.circle_nodes(256)
     worst_exact = 0.0
     worst_series = 0.0
     for psi in products:
         worst_exact = max(worst_exact, float(np.max(np.abs(np.abs(psi(zeta)) - 1.0))))
-        values = ps.evaluate_many(psi.series(needed), zeta)
+        values = ps.evaluate_many(psi.series(order), zeta)
         worst_series = max(worst_series, float(np.max(np.abs(np.abs(values) - 1.0))))
     return rp.make_report(
         computed=[("max_exact_deviation", worst_exact), ("max_series_deviation", worst_series)],
         reference=[("deviation", 0.0, rp.TRIVIAL)],
-        tolerance=tol,
-        ok=worst_exact < 1e-10 and worst_series < tol,
+        tolerance=_TOL,
+        ok=worst_exact < 1e-10 and worst_series < _TOL,
     )
 
 
 @_check("blaschke", "mobius_series_coefficients")
-def _mobius_series(cfg):
+def _mobius_series():
     geometric = ps.PowerSeries(0.5 ** np.arange(10).astype(np.complex128))
     oracle = ps.cauchy_product(ps.from_coefficients([0.5, -1.0]), geometric, 9)
     series = bl.BlaschkeProduct(1.0, (0.5,)).series(9)
@@ -688,7 +677,7 @@ def _mobius_series(cfg):
 
 
 @_check("blaschke", "mobius_derivative_series")
-def _mobius_derivative(cfg):
+def _mobius_derivative():
     alpha = 0.5
     derived = ps.derivative(bl.BlaschkeProduct(1.0, (alpha,)).series(9))
     n = np.arange(8.0)
@@ -698,14 +687,14 @@ def _mobius_derivative(cfg):
 
 
 @_check("blaschke", "poisson_mean_and_moments")
-def _poisson_moments(cfg):
-    zeta = bl.circle_nodes(cfg.quad_nodes)
+def _poisson_moments():
+    zeta = bl.circle_nodes(bl.DEFAULT_QUAD_NODES)
     rows = [
         ("kernel_at_origin", bl.poisson_kernel(0.0, 1.0), 1.0, rp.TRIVIAL),
         ("mean_value", bl.circle_mean(bl.poisson_kernel(0.3 + 0.2j, zeta)), 1.0, rp.TRIVIAL),
     ]
     alpha = 0.3 + 0.2j
-    for k, moment in enumerate(bl.poisson_product_moment((alpha,), 5, cfg.quad_nodes)):
+    for k, moment in enumerate(bl.poisson_product_moment((alpha,), 5)):
         rows.append((f"moment_k{k}", moment, np.conj(alpha) ** k, rp.DERIVED))
     return rp.compare_report(rows, tolerance=1e-10)
 
@@ -714,17 +703,17 @@ _MOMENT_ALPHAS = [r * np.exp(1j * p) for r in (0.1, 0.3, 0.5, 0.7) for p in (0.0
 
 
 @_check("blaschke", "poisson_product_moments")
-def _poisson_product_moments(cfg):
+def _poisson_product_moments():
     worst_even = 0.0
     worst_odd = 0.0
     for alpha in _MOMENT_ALPHAS:
-        for k, quad in enumerate(bl.poisson_product_moment((alpha, -alpha), 8, cfg.quad_nodes)):
+        for k, quad in enumerate(bl.poisson_product_moment((alpha, -alpha), 8)):
             closed = bl.poisson_product_moment_closed(alpha, k)
             if k % 2:
                 worst_odd = max(worst_odd, abs(quad))
             else:
                 worst_even = max(worst_even, abs(quad - closed))
-    (base,) = bl.poisson_product_moment((0.5, -0.5), 0, cfg.quad_nodes)
+    (base,) = bl.poisson_product_moment((0.5, -0.5), 0)
     return rp.make_report(
         computed=[
             ("max_even_error", worst_even),
@@ -738,7 +727,7 @@ def _poisson_product_moments(cfg):
 
 
 @_check("blaschke", "phi_prime_moments")
-def _phi_prime_moments(cfg):
+def _phi_prime_moments():
     worst = 0.0
     for alpha in _MOMENT_ALPHAS:
         for k, series in enumerate(bl.phi_prime_moment_series(alpha, 8)):
@@ -769,7 +758,7 @@ def _adjoint_expansion_check(variant, product, alphas, ok):
 
 
 @_check("blaschke", "adjoint_expansion_z_phi")
-def _adjoint_z_phi(cfg):
+def _adjoint_z_phi():
     # alpha = 0 collapses to the pure square shift with constant term 4
     const = bl.adjoint_symbol_expansion(bl.VARIANT_Z_PHI, 0.0, 4).coeffs
     square_shift = abs(const[0] - 4.0) <= 1e-14 and np.max(np.abs(const[1:])) == 0
@@ -777,7 +766,7 @@ def _adjoint_z_phi(cfg):
 
 
 @_check("blaschke", "adjoint_expansion_phi_pair")
-def _adjoint_phi_pair(cfg):
+def _adjoint_phi_pair():
     # the product phi_a phi_{-a} is even, so its odd coefficients vanish
     odd = bl.adjoint_symbol_expansion(bl.VARIANT_PHI_PAIR, 0.5, 15).coeffs[1::2]
     return _adjoint_expansion_check(bl.VARIANT_PHI_PAIR, bl.phi_pair, (0.5, 0.4j),
@@ -785,7 +774,7 @@ def _adjoint_phi_pair(cfg):
 
 
 @_check("blaschke", "adjoint_distinctness")
-def _adjoint_distinctness(cfg):
+def _adjoint_distinctness():
     big = bl.adjoint_distinctness_gap(0.5)
     tiny = bl.adjoint_distinctness_gap(1e-3)
     return rp.make_report(
@@ -814,28 +803,28 @@ def _kaluza_report(space: sp.SpaceWeights, n_max: int, strict: bool):
 
 
 @_check("pick", "kaluza_s12")
-def _kaluza_s12(cfg):
+def _kaluza_s12():
     # log-convexity must hold strictly on S12, not just with equality
     return _kaluza_report(sp.s12(), 10_000, strict=True)
 
 
 @_check("pick", "kaluza_h2")
-def _kaluza_h2(cfg):
+def _kaluza_h2():
     return _kaluza_report(sp.hardy(), 1000, strict=False)
 
 
 @_check("pick", "kaluza_s2_failure")
-def _kaluza_s2(cfg):
+def _kaluza_s2():
     first, _ = pk.log_convexity(sp.s2(), 100)
     return rp.compare_report([("first_failure_index", first, 1, rp.DERIVED)], tolerance=0.0)
 
 
 @_check("pick", "reciprocal_sign_s12")
-def _reciprocal_s12(cfg):
+def _reciprocal_s12():
     return pk.reciprocal_sign_check(sp.s12(), 2000)
 
 
-def _reciprocal_coeffs(space: sp.SpaceWeights, c1: float, c2: float, cfg: Config):
+def _reciprocal_coeffs(space: sp.SpaceWeights, c1: float, c2: float):
     c = pk.reciprocal_kernel_coefficients(space, 16)
     first = pk.first_sign_violation(c)
     rows = [
@@ -854,7 +843,7 @@ for _suffix, _space, _c1, _c2 in (("s2", sp.s2(), -1.0, 0.75), ("s22", sp.s22(),
 
 
 @_check("pick", "scalar_pick_gap")
-def _scalar_pick_gap(cfg):
+def _scalar_pick_gap():
     """The two halves of the scalar-Pick obstruction on the S2 scale, from kernels at 0.5.
 
     With node 0.5 and target modulus-squared 0.1 the necessary Pick condition holds,
@@ -888,7 +877,7 @@ def _scalar_pick_gap(cfg):
 
 
 @_check("pick", "scalar_pick_matrix_psd")
-def _scalar_pick_matrix(cfg):
+def _scalar_pick_matrix():
     problem = pk.PickProblem(sp.s2(), (0.0, 0.5), (0.0, math.sqrt(0.1)))
     matrix = pk.pick_matrix(problem)
     verdict = pk.psd_check(matrix)
@@ -906,7 +895,7 @@ def _scalar_pick_matrix(cfg):
 
 
 @_check("pick", "pick_gram_positivity", seeded=True)
-def _pick_gram(cfg, rng):
+def _pick_gram(rng):
     worst, ok = np.inf, True
     for space in (sp.s12(), sp.hardy(), sp.dirichlet(), sp.s2()):
         nodes = tuple(
@@ -925,7 +914,7 @@ def _pick_gram(cfg, rng):
 
 
 @_check("pick", "corona_constant_cases")
-def _corona_constants(cfg):
+def _corona_constants():
     psd = pk.corona_kernel_check(sp.s12(), [ps.one()], 1.0)
     negative = pk.corona_kernel_check(sp.s12(), [ps.one()], 1.1)
     return rp.make_report(
@@ -940,7 +929,7 @@ def _corona_constants(cfg):
 
 
 @_check("pick", "corona_two_symbols")
-def _corona_pair(cfg):
+def _corona_pair():
     symbols = [ps.monomial(1), ps.from_coefficients([1, -1])]
     grid8 = pk.default_corona_grid(radii=(0.3, 0.7), phases=4)
     grid16 = pk.default_corona_grid(radii=(0.2, 0.45, 0.7, 0.85), phases=4)
@@ -964,7 +953,7 @@ def _corona_pair(cfg):
 
 
 @_check("composition", "comp_monomial_norms")
-def _comp_monomial_norms(cfg):
+def _comp_monomial_norms():
     s12 = sp.s12()
     rows = []
     ok = True
@@ -974,9 +963,7 @@ def _comp_monomial_norms(cfg):
         ok = ok and abs(value - k) < 1e-8
     # the finite compression must agree with the banded column structure
     est = op.composition_norm(s12, ps.monomial(3), 128)
-    expected = max(
-        math.sqrt(s12.weight(3 * j) / s12.weight(j)) for j in range(0, 128 // 3 + 1)
-    )
+    expected = max(math.sqrt(s12.weight(3 * j) / s12.weight(j)) for j in range(0, 128 // 3 + 1))
     rows.append(("compression_k3", est))
     return rp.make_report(
         computed=rows,
@@ -994,7 +981,7 @@ def _composition_upper_bound(phi: ps.PowerSeries) -> float:
 
 
 @_check("composition", "comp_upper_bound_random", seeded=True)
-def _comp_upper_bound(cfg, rng):
+def _comp_upper_bound(rng):
     # compression norms are lower bounds of ||C_phi||, so not exceeding the upper bound is
     # "consistent" rather than "pass"; a violation is a hard failure
     s12 = sp.s12()
@@ -1004,38 +991,37 @@ def _comp_upper_bound(cfg, rng):
     for _ in range(10):
         f = _random_polynomial(rng, max_degree=8)
         f = ps.scale(f, target / sp.space_norm(s12, f))
-        est = op.contractive_composition_norm(s12, f, n=cfg.truncation)
+        est = op.contractive_composition_norm(s12, f, n=_COMPRESSION_SIZE)
         upper = _composition_upper_bound(f)
         min_slack = min(min_slack, upper - est**2)
-        ok = ok and est**2 <= upper + cfg.tol
+        ok = ok and est**2 <= upper + _TOL
     return rp.make_report(
         computed=[("min_upper_slack", min_slack)],
         reference=[("slack_floor", 0.0, rp.PAPER)],
-        tolerance=cfg.tol,
+        tolerance=_TOL,
         ok=ok,
         one_sided=True,
     )
 
 
 @_check("composition", "comp_d2_constant_bracket")
-def _comp_d2_bracket(cfg):
+def _comp_d2_bracket():
     # on D2 the kernel value at phi(0) = 1/2 is a lower bound of ||C_phi||^2 as well
     phi = ps.from_coefficients([0.5])
-    est = op.contractive_composition_norm(sp.dirichlet(), phi, n=cfg.truncation)
-    est_sq = est**2
+    est_sq = op.contractive_composition_norm(sp.dirichlet(), phi, n=_COMPRESSION_SIZE) ** 2
     lower = math.log(1.0 / 0.75) / 0.25
     upper = _composition_upper_bound(phi)
     return rp.make_report(
         computed=[("norm_sq_estimate", est_sq)],
         reference=[("lower_bound", lower, rp.PAPER), ("upper_bound", upper, rp.PAPER)],
-        tolerance=1e-8,
-        ok=lower - cfg.tol <= est_sq <= upper + cfg.tol and abs(est_sq - lower) < 1e-8,
+        tolerance=_TOL,
+        ok=lower - _TOL <= est_sq <= upper + _TOL and abs(est_sq - lower) < _TOL,
         one_sided=True,
     )
 
 
 @_check("composition", "comp_hilbert_schmidt_bound", seeded=True)
-def _comp_hs_bound(cfg, rng):
+def _comp_hs_bound(rng):
     # the upper side of the Hilbert-Schmidt bracket against the bound, which grows with the
     # sup, so a lower side of the sup is its sound one.  f scaled by t = 0.8 / lo, lo <= sup |f|,
     # has sup >= 0.8 (1 - u) - u (1 + 2 u) sum |f_n|, u = eps / 2, as t rounds once and each
@@ -1059,7 +1045,7 @@ def _comp_hs_bound(cfg, rng):
 
 
 @_check("composition", "comp_hs_reference_values")
-def _comp_hs_values(cfg):
+def _comp_hs_values():
     # ||(z/2)^n||^2 / ||z^n||^2 = 4^-n sums to 4/3; each value is the side of the bracket
     # farther from its reference, so both sides lie within the tolerance
     s12 = sp.s12()
@@ -1072,7 +1058,7 @@ def _comp_hs_values(cfg):
 
 
 @_check("composition", "comp_diagonal_identities", seeded=True)
-def _comp_diagonal(cfg, rng):
+def _comp_diagonal(rng):
     worst = 0.0
     for n, k in ((2, 3), (4, 2), (5, 5)):
         composed = ps.compose(ps.monomial(n), ps.monomial(k), n * k)
@@ -1099,6 +1085,13 @@ def suite_checks(suite: str) -> list:
     return list(_REGISTRY[suite])
 
 
+try:  # glibc's malloc_trim, which hands every free page of the heap back to the system
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):  # a C library without it
+    _MALLOC_TRIM = None
+
+
 def run_suite(suite: str, config: Config | None = None) -> list[rp.VerificationReport]:
     """Run every check in the suite; failures never abort the run.
 
@@ -1106,13 +1099,17 @@ def run_suite(suite: str, config: Config | None = None) -> list[rp.VerificationR
     regardless of execution order.  numpy imports numpy.random lazily, at
     the first ``np.random`` access, which costs about 15 ms; it is imported
     here, before the first check's clock starts, so that no seeded check's
-    ``elapsed_ms`` holds it.
+    ``elapsed_ms`` holds it.  Before each check the free heap goes back to the system,
+    so a run's peak memory is its largest check's, not the heap fragments (about 1 MB) that
+    compiling the sources and the earlier checks leave.
     """
     import numpy.random  # noqa: F401
 
     config = config or Config()
     reports = []
     for fn in suite_checks(suite):
+        if _MALLOC_TRIM is not None:
+            _MALLOC_TRIM(0)
         start = time.perf_counter()
         try:
             report = fn(config)

@@ -13,9 +13,11 @@ Input files are JSON, each complex number a [re, im] pair: a series is a list of
 pairs by degree, a Blaschke product {"a": pair, "zeros": [pair, ...]} and a Pick
 problem {"space": name, "nodes": [pair, ...], "targets": [pair, ...]}.
 
-Global flags: --truncation, --tol, --quad-nodes, --seed, --output.
-Each flag also reads an environment override DISKOPS_TRUNCATION,
-DISKOPS_TOL, DISKOPS_QUAD_NODES, DISKOPS_SEED, DISKOPS_OUTPUT (flags win).
+Global flags: --truncation (read by opnorm and isometry), --tol (isometry),
+--quad-nodes (no command), --seed and --output (verify), each also read from
+DISKOPS_TRUNCATION, DISKOPS_TOL, DISKOPS_QUAD_NODES, DISKOPS_SEED,
+DISKOPS_OUTPUT (flags win).  ``verify`` validates the numeric flags and ignores
+them: each check computes at its own order and tolerance.
 Numbers print with 15 significant digits.  ``verify`` exits 1 iff a report
 has status fail or error; bad input, or an array past the memory, prints
 ``diskops: <message>`` and exits 2.
@@ -89,10 +91,10 @@ def _pin_blas_threads() -> None:
 
 # help text of each Config knob: its flag is --<name> (_ as -), read as the type of its default
 _KNOBS = {
-    "truncation": "working series order",
-    "tol": "default check tolerance",
-    "quad_nodes": "circle quadrature node count",
-    "seed": "PRNG seed for randomized checks",
+    "truncation": "working series order of opnorm and isometry",
+    "tol": "defect tolerance of isometry",
+    "quad_nodes": "circle quadrature node count, validated and read by no command",
+    "seed": "PRNG seed for the randomized checks of verify",
     "output": f"report format for verify, one of {', '.join(rp.FORMATS)}",
 }
 

@@ -56,25 +56,26 @@ class TestMobiusMap:
         series_sum = bl.phi_prime_moment_series(alpha, 3, order=400)[3]
         assert abs(series_sum - bl.phi_prime_moment(alpha, 3)) < 1e-12
 
-    # the error is 7.5e-6 at truncation 32 (a fail before the order was derived)
-    # and 2.5e-9 at 54, under the bound 1.7 * 0.7^54 = 7.3e-9
-    @pytest.mark.parametrize("truncation,status", [(32, rp.ERROR), (53, rp.ERROR), (54, rp.PASS),
-                                                   (107, rp.PASS), (256, rp.PASS), (8192, rp.PASS)])
-    def test_involution_check_needs_truncation_54(self, monkeypatch, truncation, status):
+    @pytest.mark.parametrize("truncation", [16, 32, 53, 54, 107, 256, 8192])
+    def test_involution_check_passes_at_every_truncation(self, truncation):
+        # the check reads no truncation, so it passes with the default config's values at every
+        # one, those below 54, the order for its tolerance 1e-8, included
         (fn,) = [fn for fn in checks.suite_checks("blaschke") if fn.check_id == "mobius_involution"]
-        monkeypatch.setattr(checks, "_REGISTRY", {**checks._REGISTRY, "blaschke": [fn]})
-        (report,) = checks.run_suite("blaschke", checks.Config(truncation=truncation))
-        assert report.status == status
-        if status == rp.ERROR:
-            assert report.computed[0].label.endswith("needs truncation >= 54")
+        report = fn(checks.Config(truncation=truncation))
+        assert report.status == rp.PASS
+        assert report.computed == fn(checks.Config()).computed
 
-    def test_involution_composes_at_its_certified_order(self):
-        # the composition runs at min(T, 107), 107 the order whose tail for |a| = 0.7 is at most
-        # eps/4, so every truncation from 107 on gives the same value, bit for bit
+    def test_involution_composes_at_its_certified_order(self, monkeypatch):
+        # 107 is the order whose tail for |a| = 0.7 is at most eps/4: each of the four phi_a
+        # series and compositions runs there, and the error is rounding alone
+        orders = []
+        compose = ps.compose
+        monkeypatch.setattr(ps, "compose",
+                            lambda f, phi, order: orders.append(order) or compose(f, phi, order))
         (fn,) = [fn for fn in checks.suite_checks("blaschke") if fn.check_id == "mobius_involution"]
-        values = {t: fn(checks.Config(truncation=t)).computed for t in (107, 256, 8192)}
-        assert values[107] == values[256] == values[8192]
-        assert values[107][0].value.real < 1e-15
+        report = fn(checks.Config())
+        assert orders == [107] * 4
+        assert report.computed[0].value.real < 1e-15
 
 
 _FOLDED = [bl.z_times_phi(0.5), bl.phi_pair(0.7), bl.BlaschkeProduct(1.0, (0.0, 0.0, 0.0)),

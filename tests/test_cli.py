@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -66,6 +67,13 @@ class TestRunSuite:
     def test_all_suite_size(self):
         assert len(checks.suite_checks("all")) >= 40
 
+    def test_free_heap_is_returned_before_each_check(self, monkeypatch):
+        # a run's peak memory is then its largest check's, not the heap fragments left before it
+        calls = []
+        monkeypatch.setattr(checks, "_MALLOC_TRIM", calls.append)
+        reports = checks.run_suite("kernels")
+        assert calls == [0] * len(reports)
+
     def test_check_ids_unique(self):
         # a repeated id would share a seed stream and a benchmark metric name
         ids = [fn.check_id for fn in checks.suite_checks("all")]
@@ -91,43 +99,44 @@ class TestRunSuite:
         assert others and all(r.status != rp.ERROR for r in others)
         assert not rp.reports_ok(reports)
 
-    @pytest.mark.parametrize(
-        "check_id,needs",
-        # seed 0: the tail majorant of its ten products reaches 1e-8 at order 118
-        [("blaschke_boundary_modulus", 118)],
-    )
-    def test_starved_checks_report_error(self, monkeypatch, check_id, needs):
-        (fn,) = [fn for fn in checks.suite_checks("all") if fn.check_id == check_id]
-        monkeypatch.setattr(checks, "_REGISTRY", {"only": [fn]})
-        (report,) = checks.run_suite("only", checks.Config(truncation=16))
-        assert report.status == rp.ERROR
-        assert report.computed[0].label.startswith("TruncationError")
-        assert report.computed[0].label.endswith(f"needs truncation >= {needs}")
-        (report,) = checks.run_suite("only", checks.Config(truncation=needs))
-        assert report.status == rp.PASS
+    def test_no_check_takes_a_config(self):
+        # each registered entry calls its body as body(rng) if seeded and body() otherwise, so no
+        # body can read the truncation, the tolerance or the node count
+        for entry in checks.suite_checks("all"):
+            body = inspect.getclosurevars(entry).nonlocals["fn"]
+            assert list(inspect.signature(body).parameters) in ([], ["rng"]), entry.check_id
+        with open(checks.__file__, encoding="utf-8") as handle:
+            source = handle.read()
+        for knob in ("cfg.truncation", "cfg.tol", "cfg.quad_nodes"):
+            assert knob not in source
 
-    def test_hilbert_schmidt_checks_need_no_truncation(self, monkeypatch):
-        # both read the circle quadrature's bracket, which takes no truncation: at T = 16 they
-        # pass with the values they give at T = 1024
+    def test_boundary_modulus_passes_at_every_truncation(self):
+        # seed 0: the tail majorant of its ten products reaches 1e-8 at order 118, which the
+        # check takes whatever the truncation, below it too
+        (fn,) = [fn for fn in checks.suite_checks("all")
+                 if fn.check_id == "blaschke_boundary_modulus"]
+        reports = [fn(checks.Config(truncation=t)) for t in (16, 117, 256)]
+        assert all(r.status == rp.PASS for r in reports)
+        assert reports[0].computed == reports[1].computed == reports[2].computed
+
+    def test_hilbert_schmidt_checks_need_no_truncation(self):
+        # both read the circle quadrature's bracket, which takes its own node count: at T = 16
+        # they pass with the values they give at T = 1024
         fns = [fn for fn in checks.suite_checks("all") if fn.check_id in
                ("comp_hilbert_schmidt_bound", "comp_hs_reference_values")]
-        monkeypatch.setattr(checks, "_REGISTRY", {"only": fns})
-        short, long = (checks.run_suite("only", checks.Config(truncation=t)) for t in (16, 1024))
+        short, long = ([fn(checks.Config(truncation=t)) for fn in fns] for t in (16, 1024))
         assert len(short) == 2 and all(r.status == rp.PASS for r in short)
         assert [r.computed for r in short] == [r.computed for r in long]
 
     def test_boundary_modulus_evaluates_at_the_order_it_names(self, monkeypatch):
+        # at seed 0 every product series is cut at 118, the largest order_for(1e-8) of the ten
         (fn,) = [fn for fn in checks.suite_checks("all")
                  if fn.check_id == "blaschke_boundary_modulus"]
-        monkeypatch.setattr(checks, "_REGISTRY", {"only": [fn]})
-        (report,) = checks.run_suite("only", checks.Config(truncation=117))
-        assert report.status == rp.ERROR
-        assert report.computed[0].label.endswith("needs truncation >= 118")
         orders = []
         series = bl.BlaschkeProduct.series
         monkeypatch.setattr(bl.BlaschkeProduct, "series",
                             lambda psi, order: orders.append(order) or series(psi, order))
-        (report,) = checks.run_suite("only", checks.Config(truncation=118))
+        report = fn(checks.Config(truncation=16))
         assert report.status == rp.PASS
         assert orders == [118] * 10
 
@@ -283,6 +292,18 @@ class TestCommandLine:
         reports = json.loads(out)
         assert code == 0
         assert all(r["status"] in (rp.PASS, rp.CONSISTENT) for r in reports)
+
+    def test_verify_ignores_the_numeric_flags(self, capsys):
+        # --truncation, --tol and --quad-nodes are validated but reach no check: the reports
+        # equal the default run's, elapsed time aside
+        runs = []
+        for flags in ([], ["--truncation", "16", "--tol", "1e-14", "--quad-nodes", "256"]):
+            assert cli.main(["verify", "all", *flags, "--output", "json"]) == 0
+            reports = json.loads(capsys.readouterr().out)
+            for report in reports:
+                report.pop("elapsed_ms")
+            runs.append(reports)
+        assert runs[0] == runs[1]
 
     def test_env_override(self, monkeypatch, capsys):
         monkeypatch.setenv("DISKOPS_OUTPUT", "csv")

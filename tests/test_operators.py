@@ -177,6 +177,7 @@ def _witness_sizes(monkeypatch, cfg, scale=1.0):
 
 
 class TestWitnessSizes:
+    # the truncation reaches no check: each witness doubles from 16 up to checks._WITNESS_CAP
     @pytest.mark.parametrize("truncation, seed", [(16, 0), (256, 0), (256, 3)])
     def test_every_witness_closes_at_16(self, monkeypatch, truncation, seed):
         reports, sizes = _witness_sizes(monkeypatch, checks.Config(truncation=truncation,
@@ -187,21 +188,24 @@ class TestWitnessSizes:
             assert report.status == rp.PASS
             assert report.computed[-1] == rp.LabeledValue("witness_size", 16)
 
-    def test_a_witness_that_never_closes_stops_at_the_truncation(self, monkeypatch):
+    def test_a_witness_that_never_closes_stops_at_the_cap(self, monkeypatch):
         # every norm read as 0: no witness closes, so each symbol doubles 16, 32, 64 and
-        # stops at the truncation, 100, which its report names; no compression exceeds it
-        reports, sizes = _witness_sizes(monkeypatch, checks.Config(truncation=100), scale=0.0)
+        # stops at the cap, here 100, which its report names; no compression exceeds it, and
+        # the truncation, 16, moves nothing
+        monkeypatch.setattr(checks, "_WITNESS_CAP", 100)
+        reports, sizes = _witness_sizes(monkeypatch, checks.Config(truncation=16), scale=0.0)
         assert sizes == [[[16, 32, 64, 100]] * count for count in (1, 200, 20)]
         for report in reports:
             assert report.status == rp.FAIL
             assert report.computed[-1] == rp.LabeledValue("witness_size", 100)
 
-    def test_a_doubling_witness_is_the_single_symbol_norm(self):
-        # no floor closes, so every symbol doubles 16, 32, 64, 100; past 32 rows the norms run
-        # on banded convolutions, and each equals the norm of the symbol cut to its degree
+    def test_a_doubling_witness_is_the_single_symbol_norm(self, monkeypatch):
+        # no floor closes, so every symbol doubles 16, 32, 64, 100 under a cap of 100; past 32
+        # rows the norms run on banded convolutions, and each equals the norm of the symbol cut
+        # to its degree
+        monkeypatch.setattr(checks, "_WITNESS_CAP", 100)
         rows, lengths = checks._random_rows(np.random.default_rng(5), 20)
-        cfg = checks.Config(truncation=100)
-        norms, sizes = checks._witness_norms(cfg, rows, lengths, np.full(20, np.inf), np.greater)
+        norms, sizes = checks._witness_norms(rows, lengths, np.full(20, np.inf), np.greater)
         assert sizes.tolist() == [100] * 20
         assert norms.tolist() == [op.multiplication_norm(S12, ps.PowerSeries(row[:n]), 100)
                                   for row, n in zip(rows, lengths)]
@@ -252,8 +256,8 @@ def retired_sweeps(cfg):
         norm = single_row_norm(f)
         floor = max(sp.sup_bracket(f)[1], norm)
         est, n = single_block_norm(f, 16), 16
-        while not (est - floor >= -1e-12 or n == cfg.truncation):
-            n = min(2 * n, cfg.truncation)
+        while not (est - floor >= -1e-12 or n == checks._WITNESS_CAP):
+            n = min(2 * n, checks._WITNESS_CAP)
             est = op.multiplication_norm(S12, f, n)
         lower, upper = min(lower, est - floor), min(upper, 2.0 * SQRT2 * norm - est)
         size = max(size, n)
