@@ -45,7 +45,8 @@ SUITE_NAMES = ("kernels", "constants", "isometries", "blaschke", "pick", "compos
 
 @dataclass
 class Config:
-    """The CLI's knobs.  No command reads quad_nodes: it stays as perfbench's verify runs pass it."""
+    """The CLI's knobs.  Only opnorm reads truncation, and no command reads tol or quad_nodes:
+    they stay, validated, as perfbench's verify runs pass them."""
 
     truncation: int = 256
     tol: float = 1e-8
@@ -417,7 +418,7 @@ _Z = bl.BlaschkeProduct(-1.0, (0j,))  # the symbol z
 
 def _shift_defect(space: sp.SpaceWeights, m: int, probes) -> float:
     """The largest |Delta^m| of M_z over the probes, each on its whole orbit."""
-    return max(abs(op.blaschke_power_defect(space, _Z, m, f, f.order + m, _TOL)) for f in probes)
+    return max(abs(op.blaschke_power_defect(space, _Z, m, f)) for f in probes)
 
 
 @_check("isometries", "shift_s12_defect3", seeded=True)
@@ -428,7 +429,7 @@ def _shift_defect3(rng):
 
 @_check("isometries", "shift_s12_defect2_unit")
 def _shift_defect2():
-    value = op.blaschke_power_defect(sp.s12(), _Z, 2, ps.one(), 2, _TOL)
+    value = op.blaschke_power_defect(sp.s12(), _Z, 2, ps.one())
     return rp.compare_report([("defect", value, 1.0, rp.DERIVED)], tolerance=0.0)
 
 
@@ -443,10 +444,10 @@ def _blaschke_identity(psi: bl.BlaschkeProduct, probes):
 
         ||psi^3 f||^2 - 3 ||psi^2 f||^2 + 3 ||psi f||^2 - ||f||^2 = 0   on S12,
 
-    on each probe, the orbit truncated at order 1024 or at its rounding cut below it (orders 54
-    to 74 in the checks below); passes iff every |value| < _TOL (1 + ||f||^2)."""
+    on each probe, whose orbit is built at its rounding cut (orders 54 to 74 in the checks
+    below); passes iff every |value| < _TOL (1 + ||f||^2)."""
     s12 = sp.s12()
-    values = [op.blaschke_power_defect(s12, psi, 3, f, 1024, _TOL) for f in probes]
+    values = [op.blaschke_power_defect(s12, psi, 3, f) for f in probes]
     worst = max(map(abs, values))
     return rp.make_report(
         computed=[(f"probe_{i}_defect", v) for i, v in enumerate(values)] + [("max_defect", worst)],
@@ -472,7 +473,7 @@ def _blaschke_identity_pair():
 def _blaschke_s2_correction():
     # On the S2 scale the three-step identity picks up exactly -|f(0)|^2
     # for symbols vanishing at the origin.
-    value = op.blaschke_power_defect(sp.s2(), bl.z_times_phi(0.4), 3, ps.one(), 1024, _TOL)
+    value = op.blaschke_power_defect(sp.s2(), bl.z_times_phi(0.4), 3, ps.one())
     return rp.compare_report([("three_step_residual", value, -1.0, rp.DERIVED)], tolerance=_TOL)
 
 
@@ -546,7 +547,7 @@ def _km_defect(rng):
         # the rounding floor of the alternating sum
         probes = [ps.scale(f, 1.0 / sp.space_norm(space, f)) for f in probes]
         worst = _shift_defect(space, m + 2, probes)
-        strict = op.blaschke_power_defect(space, _Z, m + 1, ps.one(), m + 1, _TOL)
+        strict = op.blaschke_power_defect(space, _Z, m + 1, ps.one())
         rows.append((f"max_defect_m{m}", worst))
         rows.append((f"strict_witness_m{m}", strict))
         ok = ok and worst < 1e-12 and strict == 1.0
@@ -556,6 +557,16 @@ def _km_defect(rng):
         tolerance=1e-12,
         ok=ok,
     )
+
+
+def _seminorm(n):
+    """Weights n^2 of the index array n: the S2 seminorm ||f||^2 - |f(0)|^2."""
+    return n * n
+
+
+def _energy(n):
+    """Weights n of the index array n: the Dirichlet energy sum_n n |f_n|^2."""
+    return n
 
 
 def _residual_report(cases, tol=_TOL, ok=True, each_power=False):
@@ -576,7 +587,7 @@ def _residual_report(cases, tol=_TOL, ok=True, each_power=False):
 @_check("isometries", "growth_monomial_square")
 def _growth_monomial():
     s2 = sp.s2()
-    residuals, scale = op.growth_residuals(s2, _Z, ps.one(), 3, 6, 1e-12, 64, np.arange(65.0) ** 2)
+    residuals, scale = op.growth_residuals(s2, _Z, ps.one(), 3, 6, _seminorm)
     # the formula is only tested when the S2 monomial norms n^2 come out exact
     exact = all(sp.space_norm(s2, ps.monomial(n)) ** 2 == float(n * n) for n in range(1, 7))
     return _residual_report([("max_residual", residuals, scale)], 1e-12, exact, each_power=True)
@@ -586,10 +597,8 @@ def _growth_monomial():
 def _growth_s2():
     symbols = [("z", _Z), ("z_phi03", bl.z_times_phi(0.3))]
     probes = [("one", ps.one()), ("one_plus_z", ps.from_coefficients([1, 1]))]
-    seminorm = np.arange(513.0) ** 2  # ||f||^2 - |f(0)|^2
     cases = [
-        (f"{sname}_{pname}_residual",
-         *op.growth_residuals(sp.s2(), psi, f, 3, 6, _TOL, weights=seminorm))
+        (f"{sname}_{pname}_residual", *op.growth_residuals(sp.s2(), psi, f, 3, 6, _seminorm))
         for sname, psi in symbols for pname, f in probes
     ]
     return _residual_report(cases)
@@ -604,7 +613,7 @@ def _growth_s12():
         ("phi_pair05_z", bl.phi_pair(0.5), ps.monomial(1)),
     ]
     return _residual_report(
-        [(f"{name}_residual", *op.growth_residuals(sp.s12(), psi, f, 3, 6, _TOL))
+        [(f"{name}_residual", *op.growth_residuals(sp.s12(), psi, f, 3, 6))
          for name, psi, f in cases]
     )
 
@@ -616,9 +625,8 @@ def _dirichlet_linearity():
         ("z_phi02_quadratic", bl.z_times_phi(0.2), ps.from_coefficients([1, 0, 1]), 4),
         ("z_one", _Z, ps.one(), 5),
     ]
-    d2, energy = sp.dirichlet(), np.arange(513.0)  # energy: sum_n n |f_n|^2
     return _residual_report(
-        [(f"{name}_residual", *op.growth_residuals(d2, psi, f, 2, n, _TOL, weights=energy))
+        [(f"{name}_residual", *op.growth_residuals(sp.dirichlet(), psi, f, 2, n, _energy))
          for name, psi, f, n in cases]
     )
 

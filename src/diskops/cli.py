@@ -13,16 +13,14 @@ Input files are JSON, each complex number a [re, im] pair: a series is a list of
 pairs by degree, a Blaschke product {"a": pair, "zeros": [pair, ...]} and a Pick
 problem {"space": name, "nodes": [pair, ...], "targets": [pair, ...]}.
 
-Global flags: --truncation (read by opnorm and isometry), --tol (isometry),
---quad-nodes (no command), --seed and --output (verify), each also read from
-DISKOPS_TRUNCATION, DISKOPS_TOL, DISKOPS_QUAD_NODES, DISKOPS_SEED,
-DISKOPS_OUTPUT (flags win).  ``verify`` validates the numeric flags and ignores
-them: each check computes at its own order and tolerance.
+Global flags: --truncation (read by opnorm), --tol and --quad-nodes (no command),
+--seed and --output (verify), each also read from DISKOPS_TRUNCATION, DISKOPS_TOL,
+DISKOPS_QUAD_NODES, DISKOPS_SEED, DISKOPS_OUTPUT (flags win).  Every command
+validates them all; ``verify`` and ``isometry`` compute at their own orders and
+tolerances, so those two print the same bytes whatever --truncation and --tol are.
 Numbers print with 15 significant digits.  ``verify`` exits 1 iff a report
 has status fail or error; bad input, or an array past the memory, prints
 ``diskops: <message>`` and exits 2.
-``isometry`` is guarded by --tol: a truncation too short to hold the defects
-within it prints one ``diskops:`` line naming the order that does, and exits 2.
 ``main`` runs OpenBLAS with one thread and shuts its idle pool down unless
 OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set, so values do not depend on the
 core count and a run holds one core.
@@ -43,7 +41,7 @@ from . import pick as pk
 from . import report as rp
 from . import series as ps
 from . import spaces as sp
-from .errors import DiskOpsError, TruncationError
+from .errors import DiskOpsError
 
 ENV_PREFIX = "DISKOPS_"
 # numpy.libs, scipy.libs, then a system OpenBLAS
@@ -91,8 +89,8 @@ def _pin_blas_threads() -> None:
 
 # help text of each Config knob: its flag is --<name> (_ as -), read as the type of its default
 _KNOBS = {
-    "truncation": "working series order of opnorm and isometry",
-    "tol": "defect tolerance of isometry",
+    "truncation": "working series order of opnorm",
+    "tol": "tolerance, validated and read by no command",
     "quad_nodes": "circle quadrature node count, validated and read by no command",
     "seed": "PRNG seed for the randomized checks of verify",
     "output": f"report format for verify, one of {', '.join(rp.FORMATS)}",
@@ -237,14 +235,7 @@ def _cmd_isometry(args, cfg: checks.Config) -> int:
     space = sp.parse_space(args.space)
     psi = _read_blaschke(_load_json(args.blaschke_json))
     probes = [ps.one(), ps.monomial(1), ps.from_coefficients([1, 1])]
-    values, starved = [], []
-    for probe in probes:
-        try:
-            values.append(op.blaschke_power_defect(space, psi, args.m, probe, cfg.truncation, cfg.tol))
-        except TruncationError as exc:
-            starved.append(exc)
-    if starved:  # name the largest order any probe needs
-        raise max(starved, key=lambda exc: exc.needed or 0)
+    values = [op.blaschke_power_defect(space, psi, args.m, probe) for probe in probes]
     for probe, value in zip(probes, values):
         print(f"probe degree {probe.degree()}: defect {rp.format_quantity(value)}")
     print(f"max |defect| {rp.format_quantity(max(map(abs, values)))}")

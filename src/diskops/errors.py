@@ -12,16 +12,12 @@ class DomainError(DiskOpsError):
 
 
 class ConvergenceError(DiskOpsError):
-    """An iterative estimate failed to stabilize within the configured cap."""
+    """An iterative estimate failed to stabilize within its fixed step cap."""
 
 
 class TruncationError(DiskOpsError):
-    """The truncation budget cannot hold the requested computation without leaking
-    coefficients past the working order; ``needed``, when known, is the order that can."""
-
-    def __init__(self, message: str, needed: int | None = None):
-        super().__init__(message if needed is None else f"{message} needs truncation >= {needed}")
-        self.needed = needed
+    """No series order within a fixed cap holds the requested computation: the order a tail
+    bound names passes the cap, or none can, the tail budget being below the float range."""
 
 
 class PreconditionError(DiskOpsError):

@@ -17,6 +17,7 @@ alternating defect of M_psi, the shift psi = z included, is ``blaschke_power_def
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -462,102 +463,77 @@ def isometry_order(norms, m_max: int) -> tuple[int | None, float]:
 
 
 def _blaschke_orbit_norms(
-    space: sp.SpaceWeights, psi: BlaschkeProduct, f: PowerSeries, count: int, order: int,
-    tol: float, weights: np.ndarray | None = None, coeff_sum: int = 0,
+    space: sp.SpaceWeights, psi: BlaschkeProduct, f: PowerSeries, count: int,
+    weights: Callable[[np.ndarray], np.ndarray] | None = None, coeff_sum: int = 0,
 ) -> np.ndarray:
-    """sum_n weights[n] |(f psi^k)_n|^2 for k = 0..count (weights at most space.weights, the
-    default) on the orbit of f under psi's series cut at ``order`` or at its rounding cut below
-    it (see the end): TruncationError naming the
-    least order that holds every value built from them within tol (1 + ||f||^2) if ``order`` is
-    below it, or giving the reason of ``BlaschkeProduct.order_for`` if that finds none.
+    """sum_n w(n) |(f psi^k)_n|^2 for k = 0..count, w = weights(n) of the index array n
+    (``space.weight`` by default, and at most it), on the orbit of f under psi's series cut at
+    the orbit's rounding cut, past which a longer orbit moves no value beyond rounding.
+
     Coefficient n of a product reads only those <= n of its factors, so row k is exact up to
-    rounding and its norm low by t_k^2 alone, the squared norm of f psi^k past ``order``.  psi^m,
+    rounding and its norm low by t_k^2 alone, the squared norm of f psi^k past the cut.  psi^m,
     m = count (psi's zeros each repeated m times), has a tail majorant above that of every
     psi^k, k <= m, on the (n+1)^s-weighted tail, s = ``space.weight_exponent``; as
     weight(i+j) <= (i+1)^s (j+1)^s, Minkowski over the terms f_j z^j gives
-    t_k <= sum_j |f_j| (j+1)^(s/2) times tail_norm(psi^m, order - deg f).  A value built from
-    the norms weighs them by the sum |c_k| of its coefficients, ``coeff_sum``, which the guard
-    raises to at least m 2^m (2^m is that of Delta^m).  So the least N with
-    W t^2 <= tol (1 + ||f||^2) / 2, W = max(m 2^m, coeff_sum), is named, half of tol left to
-    rounding.  W is applied as a float in [1/2, 1) and an ldexp, so no power of two overflows.
-    A budget of psi^m's squared tail, W t^2 over size^2, below the least normal float is refused,
-    named as a power of two, before psi^m's m deg(psi) zeros are listed; psi = c z^d, with no
-    tail past degree m d, still meets it exactly, and at an order of deg f + m d or more, the
-    most the guard names for it, skips it: no row loses a term.  The orbit is built at the
-    rounding cut, the order the same bound names for eps/4 in place of tol (at least the order
-    named, at most ``order``): there every value built is within eps/8 (1 + ||f||^2) of the one
-    at ``order``, so a longer orbit moves none beyond rounding.  Where the majorant names no
-    such order, and for psi = c z^d, it is built at ``order``.  DomainError for a norm past the
-    float range."""
-    needed = 0  # no power taken, f = 0, or psi = c z^d at an order that holds psi^m f
-    cut = order
+    t_k <= sum_j |f_j| (j+1)^(s/2) times tail_norm(psi^m, cut - deg f).  A value built from
+    the norms weighs them by the sum |c_k| of its coefficients, ``coeff_sum``, raised here to at
+    least m 2^m (2^m is that of Delta^m).  The cut is the least order with
+    W t^2 <= eps/8 (1 + ||f||^2), W = max(m 2^m, coeff_sum): every value built there is within
+    eps/8 (1 + ||f||^2) of the one at any longer order.  W is applied as a float in [1/2, 1) and
+    an ldexp, so no power of two overflows.  psi = c z^d has no tail: its cut is deg f + m d,
+    where no row loses a term.  TruncationError for a budget of psi^m's squared tail,
+    W t^2 over size^2, below the least normal float, named as a power of two before psi^m's
+    m deg(psi) zeros are listed, or where the majorant names no order up to its cap;
+    DomainError for a norm past the float range."""
     degree = max(f.degree(), 0)
-    if count and (any(psi.zeros) or order < degree + count * psi.degree):
-        coeffs = np.abs(f.coeffs[: degree + 1])
-        size = float(coeffs @ np.arange(1.0, len(coeffs) + 1) ** (0.5 * space.weight_exponent))
-        if size:
-            coeff_sum = max(count << count, coeff_sum)
-            shift = coeff_sum.bit_length()
-            scale = 1.0 + sp.space_norm_sq(space, f)
-            # log2 of budget / size^2, the bound of psi^m's squared tail, which may underflow
-            exponent = math.log2(tol) - 1 + math.log2(scale) - math.log2(coeff_sum) - 2 * math.log2(size)
-            if exponent < np.finfo(np.float64).minexp and any(psi.zeros):
-                raise TruncationError(f"psi^{count} within {tol:g}: the tail budget 2^{exponent:.1f} "
-                                      "is below the float range")
-            power = BlaschkeProduct(1.0, psi.zeros * count)
-
-            def holding(t):  # the least N with W t_k^2 <= t (1 + ||f||^2) / 2 for every k
-                budget = math.ldexp(0.5 * t * scale / (coeff_sum / (1 << shift)), -shift)
-                return degree + power.order_for(math.sqrt(budget) / size, space)
-
-            try:
-                needed = holding(tol)
-            except TruncationError as exc:
-                raise TruncationError(f"psi^{count} within {tol:g}: {exc}") from exc
-            if any(psi.zeros):
-                try:
-                    cut = max(needed, holding(np.finfo(np.float64).eps / 4))
-                except TruncationError:  # eps/4 is past the majorant's reach
-                    pass
-    if needed > order:
-        raise TruncationError(f"psi^{count} within {tol:g}", needed)
-    cut = min(cut, order)
-    weights = (space.weights(order) if weights is None else weights)[: cut + 1]
+    cut = degree + count * psi.degree
+    coeffs = np.abs(f.coeffs[: degree + 1])
+    size = float(coeffs @ np.arange(1.0, len(coeffs) + 1) ** (0.5 * space.weight_exponent))
+    if count and any(psi.zeros) and size:
+        weight = max(count << count, coeff_sum)
+        shift = weight.bit_length()
+        eps = np.finfo(np.float64).eps
+        scale = 1.0 + sp.space_norm_sq(space, f)
+        # log2 of budget / size^2, the bound of psi^m's squared tail, which may underflow
+        exponent = math.log2(eps / 8) + math.log2(scale) - math.log2(weight) - 2 * math.log2(size)
+        if exponent < np.finfo(np.float64).minexp:
+            raise TruncationError(f"psi^{count}: the tail budget 2^{exponent:.1f} "
+                                  "is below the float range")
+        budget = math.ldexp(eps / 8 * scale / (weight / (1 << shift)), -shift)
+        power = BlaschkeProduct(1.0, psi.zeros * count)
+        try:
+            cut = degree + power.order_for(math.sqrt(budget) / size, space)
+        except TruncationError as exc:
+            raise TruncationError(f"psi^{count}: {exc}") from exc
     with np.errstate(over="ignore"):  # a norm past the float range is refused below
-        norms = sp.norms_sq(weights, ps.orbit(f, psi.series(cut), count, cut))
+        norms = sp.norms_sq((weights or space.weight)(np.arange(cut + 1.0)),
+                            ps.orbit(f, psi.series(cut), count, cut))
     if not np.isfinite(norms).all():
         raise DomainError("the norm overflows the float range")
     return norms
 
 
 def blaschke_power_defect(
-    space: sp.SpaceWeights,
-    psi: BlaschkeProduct,
-    m: int,
-    probe: PowerSeries,
-    order: int,
-    tol: float,
+    space: sp.SpaceWeights, psi: BlaschkeProduct, m: int, probe: PowerSeries
 ) -> float:
-    """Alternating sum sum_{k<=m} (-1)^{m-k} C(m,k) ||psi^k f||^2 over the orbit
-    of the probe under the product series of psi, every row truncated at ``order``, or at the
-    orbit's rounding cut below it, past which a longer orbit moves no value beyond rounding;
-    TruncationError if that order cannot hold the value within tol."""
+    """Alternating sum sum_{k<=m} (-1)^{m-k} C(m,k) ||psi^k f||^2 over the orbit of the probe
+    under the product series of psi, every row cut at the orbit's rounding cut
+    (``_blaschke_orbit_norms``, and its TruncationError)."""
     if m < 1:
         raise ValueError("isometry order must be >= 1")
-    return float(np.diff(_blaschke_orbit_norms(space, psi, probe, m, order, tol), m)[0])
+    return float(np.diff(_blaschke_orbit_norms(space, psi, probe, m), m)[0])
 
 
 def growth_residuals(
-    space: sp.SpaceWeights, psi: BlaschkeProduct, f: PowerSeries, m: int, n_max: int, tol: float,
-    order: int = 512, weights: np.ndarray | None = None,
+    space: sp.SpaceWeights, psi: BlaschkeProduct, f: PowerSeries, m: int, n_max: int,
+    weights: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[dict[int, float], float]:
     """x_n - sum_{j<m} C(n,j) Delta^j x_0 for n = m-1..n_max, x the ``_blaschke_orbit_norms`` of
-    f under psi (TruncationError as there; built at ``order`` or at the rounding cut below it,
-    ``weights`` read that far), and their scale 1 + ||f||^2, within tol times which
-    the orbit guard holds them.  The residual at n is x_n - sum_i L_i(n) x_i over the Lagrange
-    basis of the nodes 0..m-1, so it weighs the norms by 1 + sum_i |L_i(n)|, which grows with
-    n past m - 1 (2n for m = 2, 2 (n-1)^2 for m = 3); for n >= m,
-    |L_i(n)| = C(n, i) C(n-i-1, m-1-i).  The guard takes that weight at n_max; ValueError
+    f under psi (``weights`` and TruncationError as there), and their scale 1 + ||f||^2, within
+    eps/8 times which the orbit's cut holds them.  The residual at n is x_n - sum_i L_i(n) x_i
+    over the Lagrange basis of the nodes 0..m-1, so it weighs the norms by 1 + sum_i |L_i(n)|,
+    which grows with n past m - 1 (2n for m = 2, 2 (n-1)^2 for m = 3); for n >= m,
+    |L_i(n)| = C(n, i) C(n-i-1, m-1-i).  The cut takes that weight at n_max; ValueError
     unless n_max >= m.
 
     M_psi is an m-isometry on f iff n -> x_n = ||psi^n f||^2 is a polynomial of degree below m,
@@ -571,7 +547,7 @@ def growth_residuals(
     if n_max < m:  # the residual at n = m - 1 is 0 by construction, and tests nothing
         raise ValueError(f"growth_residuals needs n_max >= m, got n_max {n_max} for m {m}")
     lagrange = sum(math.comb(n_max, i) * math.comb(n_max - i - 1, m - 1 - i) for i in range(m))
-    x = _blaschke_orbit_norms(space, psi, f, n_max, order, tol, weights, 1 + lagrange)
+    x = _blaschke_orbit_norms(space, psi, f, n_max, weights, 1 + lagrange)
     newton = [np.diff(x, j)[0] for j in range(m)]
     residuals = {n: x[n] - sum(math.comb(n, j) * d for j, d in enumerate(newton))
                  for n in range(m - 1, n_max + 1)}

@@ -128,6 +128,8 @@ def zero(order: int = 0) -> PowerSeries:
 
 
 def one(order: int = 0) -> PowerSeries:
+    if order < 0:
+        raise ValueError("order must be >= 0")
     c = np.zeros(order + 1, dtype=np.complex128)
     c[0] = 1.0
     return PowerSeries(c)
@@ -135,6 +137,8 @@ def one(order: int = 0) -> PowerSeries:
 
 def monomial(k: int, order: int | None = None) -> PowerSeries:
     """The series z**k, stored at the given order (default k)."""
+    if k < 0:
+        raise ValueError(f"monomial exponent must be >= 0, got {k}")
     order = k if order is None else order
     if order < k:
         raise ValueError("order too small to hold the monomial")

@@ -155,7 +155,7 @@ class TestBlaschkeProduct:
                                        sp.km(2)], ids=lambda s: s.label)
     @pytest.mark.parametrize("r", [0.0, 0.5])
     def test_tail_norm_grows_with_the_number_of_zeros(self, space, r):
-        # the Blaschke orbit guard bounds the tail of every psi^k, k <= m, by that of psi^m;
+        # the Blaschke orbit's cut bounds the tail of every psi^k, k <= m, by that of psi^m;
         # on A2 the z^d case once gave sqrt(weight(d)), which falls with d
         for order in (0, 3, 40):
             norms = [bl.BlaschkeProduct(1.0, (r,) * d).tail_norm(space, order) for d in range(1, 8)]

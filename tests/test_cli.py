@@ -22,6 +22,9 @@ from diskops.errors import DomainError
 
 NAN = float("nan")
 _Z_JSON = '{"a": [-1, 0], "zeros": [[0, 0]]}'  # the symbol z as a Blaschke product
+# isometry's stdout where every defect is exactly 0
+_ZERO_DEFECTS = ("probe degree 0: defect 0\nprobe degree 1: defect 0\nprobe degree 1: defect 0\n"
+                 "max |defect| 0\n")
 
 
 @pytest.fixture(scope="module")
@@ -259,18 +262,57 @@ class TestCommandLine:
     def test_isometry(self, tmp_path, capsys):
         path = tmp_path / "blaschke.json"
         path.write_text(json.dumps({"a": [-1, 0], "zeros": [[0, 0], [0.4, 0]]}))
-        assert cli.main(["--truncation", "600", "isometry", "S12", str(path), "3"]) == 0
+        assert cli.main(["isometry", "S12", str(path), "3"]) == 0
         out = capsys.readouterr().out
         assert "max |defect|" in out
 
     def test_isometry_at_a_certified_truncation(self, tmp_path, capsys):
-        # zeros (0.9, -0.5) starve the default order 256 (see the exit-2 rows); 512 holds them
+        # --truncation is no knob of isometry: at 512, as at any truncation, each orbit is cut
+        # where its tails allow
         path = tmp_path / "blaschke.json"
         path.write_text(json.dumps({"a": [1, 0], "zeros": [[0.9, 0], [-0.5, 0]]}))
         assert cli.main(["--truncation", "512", "isometry", "S12", str(path), "3"]) == 0
         lines = capsys.readouterr().out.splitlines()
         defects = [float(line.split()[-1]) for line in lines]
         assert len(defects) == 4 and max(abs(d) for d in defects) < 1e-12
+
+    def test_isometry_ignores_the_numeric_flags(self, tmp_path, capsys):
+        # --truncation and --tol are validated but reach no orbit: every run prints the same
+        # bytes, at truncation 16 too
+        path = tmp_path / "blaschke.json"
+        path.write_text('{"a": [1, 0], "zeros": [[0.9, 0], [-0.5, 0]]}')
+        outs = set()
+        for truncation in ("16", "256", "8192"):
+            for tol in ("1e-14", "1e-8", "1"):
+                argv = ["--truncation", truncation, "--tol", tol, "isometry", "S12", str(path), "3"]
+                assert cli.main(argv) == 0
+                outs.add(capsys.readouterr().out)
+        assert len(outs) == 1
+
+    @pytest.mark.parametrize(
+        "payload,m,out",
+        [('{"a": [1, 0], "zeros": [[0.9, 0], [-0.5, 0]]}', "3",
+          "probe degree 0: defect -1.24344978758018e-14\n"
+          "probe degree 1: defect 3.19744231092045e-14\n"
+          "probe degree 1: defect 9.9475983006414e-14\n"
+          "max |defect| 9.9475983006414e-14\n"),
+         ('{"a": [1, 0], "zeros": [[0.99, 0], [-0.5, 0]]}', "3",
+          "probe degree 0: defect 2.8421709430404e-14\n"
+          "probe degree 1: defect 5.40012479177676e-13\n"
+          "probe degree 1: defect 1.93267624126747e-12\n"
+          "max |defect| 1.93267624126747e-12\n"),
+         (_Z_JSON, "256", _ZERO_DEFECTS),
+         (_Z_JSON, "1100", _ZERO_DEFECTS)],
+        ids=["isometry_starved_09", "isometry_starved_099", "isometry_z_starved",
+             "isometry_z_starved_1100"],
+    )
+    def test_isometry_at_its_own_cut(self, tmp_path, capsys, payload, m, out):
+        # the bytes --truncation 8192 printed while shorter truncations refused these inputs
+        # (at the default one, "needs truncation >= 474, 6594, 257 and 1101")
+        path = tmp_path / "blaschke.json"
+        path.write_text(payload)
+        assert cli.main(["isometry", "S12", str(path), m]) == 0
+        assert capsys.readouterr().out == out
 
     def test_pick(self, tmp_path, capsys):
         path = tmp_path / "problem.json"
@@ -346,32 +388,22 @@ class TestCommandLine:
             # refused before any power of phi is built, whose orbit used to overflow at 1024
             (["--truncation", "1024", "opnorm", "S12", "comp", "{path}"], "[[0.5, 0], [2, 0]]",
              "sup |phi| >= 2.5 > 1: phi is no self-map", {}),
-            (["isometry", "S12", "{path}", "3"], '{"a": [1, 0], "zeros": [[0.9, 0], [-0.5, 0]]}',
-             "psi^3 within 1e-08 needs truncation >= 474", {}),
-            (["isometry", "S12", "{path}", "3"], '{"a": [1, 0], "zeros": [[0.99, 0], [-0.5, 0]]}',
-             "psi^3 within 1e-08 needs truncation >= 6594", {}),
             (["norm", "Dalpha:inf", "{path}"], "[[1, 0]]", "Dalpha requires a finite alpha >= 0", {}),
             (["kernel", "Dalpha:inf", "0.5", "0.5"], "", "Dalpha requires a finite alpha >= 0", {}),
             (["kernel", "Dalpha:1e308", "0.5", "0.5"], "",
              "Dalpha:1e+308 weights overflow the float range", {}),
             (["kernel", "Km:1000000", "0.5", "0.5"], "",
              "Km:1000000 weights overflow the float range", {}),
-            (["isometry", "S12", "{path}", "256"], _Z_JSON,
-             "psi^256 within 1e-08 needs truncation >= 257", {}),
             # m 2^m = 1000 2^1000 takes the tail budget below the least normal float, which is
-            # named as a power of two; at m = 100000 it used to print as "within 0"
+            # named as a power of two; at m = 100000 it used to print as "within 0".  --tol is
+            # read by no command: D2 with it prints the S12 line, as 1 + ||1||^2 = 2 on both
             (["isometry", "S12", "{path}", "1000"], '{"a": [1, 0], "zeros": [[0.5, 0], [0, 0.3]]}',
-             "diskops: psi^1000 within 1e-08: the tail budget 2^-1036.5 is below the float range",
-             {}),
+             "diskops: psi^1000: the tail budget 2^-1064.0 is below the float range", {}),
             (["--tol", "1e-6", "isometry", "D2", "{path}", "1000"],
              '{"a": [1, 0], "zeros": [[0.5, 0], [0, 0.3]]}',
-             "diskops: psi^1000 within 1e-06: the tail budget 2^-1029.9 is below the float range",
-             {}),
+             "diskops: psi^1000: the tail budget 2^-1064.0 is below the float range", {}),
             (["isometry", "S12", "{path}", "100000"], '{"a": [1, 0], "zeros": [[0.5, 0], [0, 0.3]]}',
-             "diskops: psi^100000 within 1e-08: the tail budget 2^-100043.2 is below the float range",
-             {}),
-            (["isometry", "S12", "{path}", "1100"], _Z_JSON,
-             "psi^1100 within 1e-08 needs truncation >= 1101", {}),
+             "diskops: psi^100000: the tail budget 2^-100070.6 is below the float range", {}),
             (["verify", "constants", "--seed", "-10000000000"], "", "seed must be >= 0", {}),
             (["verify", "constants"], "", "seed must be >= 0", {"DISKOPS_SEED": "-1"}),
             (["verify", "pick", "--output", "xml"], "", "output must be one of text, json, csv",
@@ -403,12 +435,10 @@ class TestCommandLine:
              "kernel_z_inf", "bad_config",
              "blaschke_missing_key", "blaschke_short_pair",
              "pick_short_node", "tol_nan", "tol_negative", "tol_inf", "tol_env_nan",
-             "m_zero", "m_negative", "comp_not_self_map", "isometry_starved_09",
-             "isometry_starved_099", "norm_dalpha_inf", "kernel_dalpha_inf",
-             "kernel_dalpha_overflow", "kernel_km_overflow", "isometry_z_starved",
+             "m_zero", "m_negative", "comp_not_self_map", "norm_dalpha_inf", "kernel_dalpha_inf",
+             "kernel_dalpha_overflow", "kernel_km_overflow",
              "isometry_growth_underflow", "isometry_growth_underflow_d2_tol",
-             "isometry_growth_underflow_100000",
-             "isometry_z_starved_1100", "seed_negative",
+             "isometry_growth_underflow_100000", "seed_negative",
              "seed_env_negative", "output_xml", "output_env_xml", "pick_target_overflow",
              "pick_kernel_overflow", "norm_past_float_max", "opnorm_past_float_max",
              "opnorm_comp_not_self_map", "opnorm_comp_sup_past_float_max"],

@@ -48,6 +48,21 @@ class TestConstruction:
         with pytest.raises(DomainError):
             ps.from_coefficients([1.0, float("nan")])
 
+    @pytest.mark.parametrize(
+        "build,message",
+        [(lambda: ps.one(-1), "^order must be >= 0$"),
+         (lambda: ps.monomial(-1), "^monomial exponent must be >= 0, got -1$"),
+         (lambda: ps.monomial(-3), "^monomial exponent must be >= 0, got -3$"),
+         (lambda: ps.monomial(-1, 4), "^monomial exponent must be >= 0, got -1$"),
+         (lambda: ps.monomial(2, 1), "^order too small to hold the monomial$"),
+         (lambda: ps.cauchy_product(ps.one(), ps.one(), -1), "^order must be >= 0$")],
+        ids=["one_order_-1", "monomial_-1", "monomial_-3", "monomial_-1_at_order_4",
+             "monomial_past_its_order", "cauchy_product_order_-1"],
+    )
+    def test_rejects_a_negative_exponent_or_order(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_immutable(self):
         f = ps.from_coefficients([1, 2])
         with pytest.raises(ValueError):
