@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diskops import blaschke as bl
-from diskops import checks, cli
-from diskops import report as rp
+from diskops import cli
 from diskops import series as ps
 from diskops import spaces as sp
 from diskops.errors import DomainError, TruncationError
@@ -56,26 +55,19 @@ class TestMobiusMap:
         series_sum = bl.phi_prime_moment_series(alpha, 3, order=400)[3]
         assert abs(series_sum - bl.phi_prime_moment(alpha, 3)) < 1e-12
 
-    @pytest.mark.parametrize("truncation", [16, 32, 53, 54, 107, 256, 8192])
-    def test_involution_check_passes_at_every_truncation(self, truncation):
-        # the check reads no truncation, so it passes with the default config's values at every
-        # one, those below 54, the order for its tolerance 1e-8, included
-        (fn,) = [fn for fn in checks.suite_checks("blaschke") if fn.check_id == "mobius_involution"]
-        report = fn(checks.Config(truncation=truncation))
-        assert report.status == rp.PASS
-        assert report.computed == fn(checks.Config()).computed
-
-    def test_involution_composes_at_its_certified_order(self, monkeypatch):
-        # 107 is the order whose tail for |a| = 0.7 is at most eps/4: each of the four phi_a
-        # series and compositions runs there, and the error is rounding alone
-        orders = []
-        compose = ps.compose
-        monkeypatch.setattr(ps, "compose",
-                            lambda f, phi, order: orders.append(order) or compose(f, phi, order))
-        (fn,) = [fn for fn in checks.suite_checks("blaschke") if fn.check_id == "mobius_involution"]
-        report = fn(checks.Config())
-        assert orders == [107] * 4
-        assert report.computed[0].value.real < 1e-15
+    def test_involution_composes_at_its_certified_order(self):
+        # every power of phi_a is bounded by 1 on the disk, so its coefficients are too (Cauchy):
+        # cutting the outer series after z^N moves a kept coefficient of phi_a(phi_a) by at most
+        # the tail sum_{j>N} (1-|a|^2) |a|^(j-1) of phi_a's coefficients.  At the N for eps/4,
+        # 107 for |a| = 0.7, each of the four compositions is z to rounding alone
+        alphas = (0.3, 0.5 + 0.2j, 0.7, -0.6j)
+        tails = [ps.Majorant(math.log(1 / a - a), 0, a) for a in np.abs(alphas)]
+        order = max(t.order_for(np.finfo(np.float64).eps / 4) for t in tails)
+        assert order == 107
+        target = ps.monomial(1, order=order).coeffs
+        for alpha in alphas:
+            phi = _phi(alpha).series(order)
+            assert np.max(np.abs(ps.compose(phi, phi, order).coeffs - target)) < 1e-15
 
 
 _FOLDED = [bl.z_times_phi(0.5), bl.phi_pair(0.7), bl.BlaschkeProduct(1.0, (0.0, 0.0, 0.0)),
@@ -90,6 +82,8 @@ class TestBlaschkeProduct:
         assert psi.series(3) == ps.monomial(1, order=3)
 
     def test_boundary_modulus(self):
+        # |psi| = 1 on the circle, and so the series cut at order_for(1e-8) is within 1e-8 of
+        # modulus 1 there: its dropped coefficients sum to at most tail_bound(order) <= 1e-8
         rng = np.random.default_rng(0)
         zeta = bl.circle_nodes(256)
         for _ in range(10):
@@ -97,6 +91,8 @@ class TestBlaschkeProduct:
             zeros = rng.uniform(0, 0.8, k) * np.exp(1j * rng.uniform(0, 2 * np.pi, k))
             psi = bl.BlaschkeProduct(np.exp(1j * rng.uniform(0, 2 * np.pi)), tuple(zeros))
             assert np.max(np.abs(np.abs(psi(zeta)) - 1.0)) < 1e-10
+            series = ps.evaluate_many(psi.series(psi.order_for(1e-8)), zeta)
+            assert np.max(np.abs(np.abs(series) - 1.0)) < 1e-8
 
     def test_series_tail_bound(self):
         psi = bl.z_times_phi(0.5)
@@ -237,7 +233,7 @@ class TestBlaschkeProduct:
             assert np.max(np.abs(composed.coeffs - target.coeffs)) < 1e-8
 
 
-# the sweep of the moment checks, and the parameter of poisson_mean_and_moments
+# the sweep of the moment checks, and the 0.3 + 0.2j of the mean-value and moment tests
 _MOMENT_PARAMETERS = [r * np.exp(1j * t) for r in (0.1, 0.3, 0.5, 0.7)
                       for t in (0.0, np.pi / 4, np.pi / 2)] + [0.3 + 0.2j]
 
@@ -245,7 +241,8 @@ _MOMENT_PARAMETERS = [r * np.exp(1j * t) for r in (0.1, 0.3, 0.5, 0.7)
 class TestPoisson:
     def test_at_origin(self):
         zeta = bl.circle_nodes(256)
-        assert np.allclose(bl.poisson_kernel(0.0, zeta), 1.0, rtol=1e-15)
+        assert np.max(np.abs(bl.poisson_kernel(0.0, zeta) - 1.0)) < 1e-15
+        assert bl.poisson_kernel(0.0, 1.0) == 1.0
 
     def test_mean_value(self):
         zeta = bl.circle_nodes(4096)

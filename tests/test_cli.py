@@ -82,6 +82,18 @@ class TestRunSuite:
         ids = [fn.check_id for fn in checks.suite_checks("all")]
         assert len(set(ids)) == len(ids)
 
+    def test_checks_without_a_paper_reference_are_the_readme_support_checks(self):
+        # verify checks the paper and the tests check the library: a check that cites no PAPER
+        # reference supports a statement of the abstract, and the README's table names it
+        readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as handle:
+            section = handle.read().split("## What `verify` reproduces")[1].split("\n## ")[0]
+        rows = section.split("| support check |")[1].split("\n\n")[0].splitlines()[2:]
+        named = {row.split("`")[1] for row in rows}
+        support = {r.check_id for r in checks.run_suite("all")
+                   if all(ref.provenance != rp.PAPER for ref in r.reference)}
+        assert len(named) == 11 and support == named
+
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             checks.run_suite("nope", checks.Config())
@@ -113,35 +125,13 @@ class TestRunSuite:
         for knob in ("cfg.truncation", "cfg.tol", "cfg.quad_nodes"):
             assert knob not in source
 
-    def test_boundary_modulus_passes_at_every_truncation(self):
-        # seed 0: the tail majorant of its ten products reaches 1e-8 at order 118, which the
-        # check takes whatever the truncation, below it too
-        (fn,) = [fn for fn in checks.suite_checks("all")
-                 if fn.check_id == "blaschke_boundary_modulus"]
-        reports = [fn(checks.Config(truncation=t)) for t in (16, 117, 256)]
-        assert all(r.status == rp.PASS for r in reports)
-        assert reports[0].computed == reports[1].computed == reports[2].computed
-
     def test_hilbert_schmidt_checks_need_no_truncation(self):
-        # both read the circle quadrature's bracket, which takes its own node count: at T = 16
-        # they pass with the values they give at T = 1024
-        fns = [fn for fn in checks.suite_checks("all") if fn.check_id in
-               ("comp_hilbert_schmidt_bound", "comp_hs_reference_values")]
-        short, long = ([fn(checks.Config(truncation=t)) for fn in fns] for t in (16, 1024))
-        assert len(short) == 2 and all(r.status == rp.PASS for r in short)
-        assert [r.computed for r in short] == [r.computed for r in long]
-
-    def test_boundary_modulus_evaluates_at_the_order_it_names(self, monkeypatch):
-        # at seed 0 every product series is cut at 118, the largest order_for(1e-8) of the ten
+        # comp_hilbert_schmidt_bound reads the circle quadrature's bracket, which takes its own
+        # node count: at T = 16 it passes with the values it gives at T = 1024
         (fn,) = [fn for fn in checks.suite_checks("all")
-                 if fn.check_id == "blaschke_boundary_modulus"]
-        orders = []
-        series = bl.BlaschkeProduct.series
-        monkeypatch.setattr(bl.BlaschkeProduct, "series",
-                            lambda psi, order: orders.append(order) or series(psi, order))
-        report = fn(checks.Config(truncation=16))
-        assert report.status == rp.PASS
-        assert orders == [118] * 10
+                 if fn.check_id == "comp_hilbert_schmidt_bound"]
+        short, long = (fn(checks.Config(truncation=t)) for t in (16, 1024))
+        assert short.status == rp.PASS and short.computed == long.computed
 
     def test_extremal_sharpness_holds_no_million_term_array(self):
         # the million-term S12 norm is summed in blocks; the whole series took about 40 MB

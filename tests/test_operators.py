@@ -778,8 +778,7 @@ class TestCompositionRowCut:
 
 class TestCompositionMatrix:
     def test_identity_symbol(self):
-        a = op.composition_matrix(S12, ps.monomial(1), 24)
-        assert np.allclose(a, np.eye(25), atol=1e-15)
+        assert np.array_equal(op.composition_matrix(S12, ps.monomial(1), 32), np.eye(33))
 
     def test_half_z_is_diagonal(self):
         a = op.composition_matrix(S12, ps.from_coefficients([0, 0.5]), 16)

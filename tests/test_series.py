@@ -174,9 +174,14 @@ class TestCompose:
     def test_identity_symbol(self):
         f = ps.from_coefficients([3, 1j, -2])
         assert ps.compose(f, ps.monomial(1), 2) == f
+        rng = np.random.default_rng(0)
+        for degree in range(13):
+            f = _random_series(rng, degree + 1)
+            assert ps.compose(f, ps.monomial(1), degree) == f
 
     def test_monomial_powers(self):
-        assert ps.compose(ps.monomial(4), ps.monomial(3), 12) == ps.monomial(12)
+        for n, k in ((2, 3), (4, 2), (4, 3), (5, 5)):
+            assert ps.compose(ps.monomial(n), ps.monomial(k), n * k) == ps.monomial(n * k)
 
     def test_geometric_composed_with_half_z(self):
         # 1/(1-z/2) at z/2 equals 1/(1-z/4): coefficients 4^-n

@@ -9,7 +9,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, target
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
 from diskops import checks
@@ -311,7 +311,8 @@ class TestKernels:
 
     def test_hermitian_symmetry(self):
         rng = np.random.default_rng(6)
-        for space in (sp.s12(), sp.s2(), sp.km(2)):
+        for space in (sp.hardy(), sp.bergman(), sp.dirichlet(), sp.s12(), sp.s2(), sp.s22(),
+                      sp.km(2)):
             for _ in range(25):
                 w = rng.uniform(0, 0.9) * np.exp(1j * rng.uniform(0, 2 * np.pi))
                 z = rng.uniform(0, 0.9) * np.exp(1j * rng.uniform(0, 2 * np.pi))
@@ -406,6 +407,11 @@ DISK_POINTS = st.builds(cmath.rect, st.floats(0.0, 0.95), st.floats(0.0, 2 * mat
 @given(st.sampled_from(KERNEL_SPACES), st.lists(DISK_POINTS, min_size=1, max_size=8),
        st.lists(DISK_POINTS, min_size=1, max_size=8), st.sampled_from([None, 40]),
        st.floats(2e-4, 5e-3), st.floats(0.0, 2 * math.pi))
+# just below and just above the short-sum switch at |t| = 1e-3, on both log forms
+@example(sp.s12(), [0.5], [0.5], None, 9e-4, 0.4)
+@example(sp.s12(), [0.5], [0.5], None, 1.1e-3, 0.4)
+@example(sp.dirichlet(), [0.5], [0.5], None, 9e-4, 0.0)
+@example(sp.dirichlet(), [0.5], [0.5], None, 1.1e-3, 0.0)
 def test_kernel_array_calls(space, ws, zs, terms, small_r, small_phase):
     ws, zs = np.array(ws), np.array(zs)
     matrix = sp.kernel(space, ws[:, None], zs, terms=terms)
