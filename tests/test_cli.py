@@ -125,6 +125,40 @@ class TestRunSuite:
         for knob in ("cfg.truncation", "cfg.tol", "cfg.quad_nodes"):
             assert knob not in source
 
+    # the ten products that blaschke_boundary_modulus drew before it left verify, now drawn at
+    # seed 0 as in test_blaschke's boundary test: |psi| = 1 on the circle, so a series cut at T
+    # is within tail_bound(T) of modulus 1 there, and evaluating it rounds a few ulps of its
+    # coefficient sum (below 1.8^4 for four zeros of modulus below 0.8)
+    @staticmethod
+    def _boundary_products():
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            k = int(rng.integers(1, 5))
+            zeros = rng.uniform(0, 0.8, k) * np.exp(1j * rng.uniform(0, 2 * np.pi, k))
+            yield bl.BlaschkeProduct(np.exp(1j * rng.uniform(0, 2 * np.pi)), tuple(zeros))
+
+    def test_boundary_modulus_passes_at_every_truncation(self):
+        zeta = bl.circle_nodes(256)
+        for psi in self._boundary_products():
+            for truncation in (16, 117, 256):
+                values = ps.evaluate_many(psi.series(truncation), zeta)
+                deviation = np.max(np.abs(np.abs(values) - 1.0))
+                assert deviation <= psi.tail_bound(truncation) + 1e-13
+                assert truncation < psi.order_for(1e-8) or deviation < 1e-8
+
+    def test_boundary_modulus_evaluates_at_the_order_it_names(self):
+        # order_for(1e-8) names the least order whose tail bound is within 1e-8, 80 at most for
+        # these ten, and the series cut there is within 1e-8 of modulus 1 on the circle
+        zeta = bl.circle_nodes(256)
+        orders = []
+        for psi in self._boundary_products():
+            order = psi.order_for(1e-8)
+            assert psi.tail_bound(order) <= 1e-8 < psi.tail_bound(order - 1)
+            values = ps.evaluate_many(psi.series(order), zeta)
+            assert np.max(np.abs(np.abs(values) - 1.0)) < 1e-8
+            orders.append(order)
+        assert max(orders) == 80
+
     def test_hilbert_schmidt_checks_need_no_truncation(self):
         # comp_hilbert_schmidt_bound reads the circle quadrature's bracket, which takes its own
         # node count: at T = 16 it passes with the values it gives at T = 1024
