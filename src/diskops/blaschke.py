@@ -140,11 +140,6 @@ def circle_nodes(nodes: int) -> np.ndarray:
     return np.exp(1j * theta)
 
 
-def circle_mean(values: np.ndarray) -> complex:
-    """Trapezoidal value of (1/2 pi) integral over the circle."""
-    return complex(np.mean(values))
-
-
 def poisson_kernel(alpha: complex, zeta) -> float | np.ndarray:
     """P_alpha(zeta) = (1 - |alpha|^2) / |zeta - alpha|^2 on |zeta| = 1."""
     alpha = complex(alpha)

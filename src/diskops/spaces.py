@@ -96,29 +96,24 @@ class SpaceWeights:
     def weight(self, n):
         """||z^n||^2, vectorized over integer arrays; DomainError if one overflows."""
         n = np.asarray(n, dtype=np.float64)
+        poly = self.weight_polynomial
         with np.errstate(over="ignore"):  # an overflow is raised below, once
-            if self.kind == H2:
-                w = np.ones_like(n)
+            if poly is not None:  # H2, D2, S12, S22, Km:1, Dalpha:0/1/2
+                a0, a1, a2 = poly
+                w = a0 + n * (a1 + a2 * n)
             elif self.kind == A2:
                 w = 1.0 / (n + 1)
-            elif self.kind == D2:
-                w = n + 1
             elif self.kind == S2:
                 w = np.where(n == 0, 1.0, n * n)
-            elif self.kind == S12:
-                w = (n + 1) * (n + 2) / 2.0
-            elif self.kind == S22:
-                w = 1.0 + n * n
             elif self.kind == DALPHA:
                 w = (1.0 + n) ** self.alpha
-            else:  # KM: (n+1)...(n+m+1), at least (m+1)!, so a finite product divides below
+            else:  # KM: (n+1)...(n+m+1) / (m+1)!; an inf product stays inf through the division
                 w = np.ones_like(n)
                 for i in range(1, self.m + 2):
                     w = w * (n + i)
+                w /= math.factorial(self.m + 1)
         if not np.isfinite(w).all():
             raise DomainError(f"{self.label} weights overflow the float range")
-        if self.kind == KM:
-            w /= math.factorial(self.m + 1)
         return w if w.ndim else float(w)
 
     @property
@@ -190,12 +185,15 @@ def parse_space(name: str) -> SpaceWeights:
 
     S32 is accepted as an alias for Dalpha:2.
     """
-    base, _, arg = name.partition(":")
+    base, sep, arg = name.partition(":")
+    if base in (DALPHA, KM) and not arg:
+        parameter, example = ("alpha", "Dalpha:1.5") if base == DALPHA else ("m", "Km:3")
+        raise ValueError(f"space {base} needs its parameter {parameter}, as in {example}")
     if base == DALPHA:
         return dalpha(float(arg))
     if base == KM:
         return km(int(arg))
-    if arg:
+    if sep:
         raise ValueError(f"space {base!r} takes no parameter")
     if base == "S32":
         return dalpha(2.0)

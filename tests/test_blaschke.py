@@ -252,7 +252,7 @@ class TestPoisson:
 
     def test_mean_value(self):
         zeta = bl.circle_nodes(4096)
-        assert abs(bl.circle_mean(bl.poisson_kernel(0.3 + 0.2j, zeta)) - 1.0) < 1e-12
+        assert abs(np.mean(bl.poisson_kernel(0.3 + 0.2j, zeta)) - 1.0) < 1e-12
 
     def test_moments_match_power(self):
         alpha = 0.3 + 0.2j
@@ -319,7 +319,7 @@ class TestPoisson:
                 mean = np.mean(np.abs(density))
                 per_kernel = 16 / (1 - abs(alpha)) + 4
                 for k in range(9):
-                    per_k = bl.circle_mean(density * np.conj(zeta) ** k)
+                    per_k = np.mean(density * np.conj(zeta) ** k)
                     assert abs(moments[k] - per_k) <= (8 * k + 4 + 5 * L) * eps * mean
                     closed = (np.conj(alpha) ** k if len(alphas) == 1
                               else bl.poisson_product_moment_closed(alpha, k))

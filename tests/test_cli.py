@@ -686,6 +686,17 @@ def test_numpy_random_is_imported_before_the_first_check():
     assert _run_python(["-c", code]).splitlines() == ["False", "True"]
 
 
+def test_package_import_loads_no_module():
+    # the package re-exports nothing: its names are read from its modules, so importing it
+    # alone loads neither numpy nor any diskops module
+    code = (
+        "import sys\n"
+        "import diskops\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('diskops.')))\n"
+    )
+    assert _run_python(["-c", code]).splitlines() == ["[]"]
+
+
 def test_verify_imports_no_scipy():
     code = (
         "import sys\n"

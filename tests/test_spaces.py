@@ -20,6 +20,19 @@ from diskops.errors import DomainError, TruncationError
 SQRT2 = math.sqrt(2.0)
 
 
+# ||z^n||^2 of every kind with a weight_polynomial, written out as products
+_PRODUCT_FORMS = {
+    "H2": lambda n: np.ones_like(n),
+    "D2": lambda n: n + 1,
+    "S12": lambda n: (n + 1) * (n + 2) / 2.0,
+    "S22": lambda n: 1.0 + n * n,
+    "Km:1": lambda n: (n + 1) * (n + 2) / 2.0,
+    "Dalpha:0": lambda n: (1.0 + n) ** 0.0,
+    "Dalpha:1": lambda n: (1.0 + n) ** 1.0,
+    "Dalpha:2": lambda n: (1.0 + n) ** 2.0,
+}
+
+
 def random_poly(rng, max_degree=12):
     deg = int(rng.integers(0, max_degree + 1))
     return ps.PowerSeries(rng.uniform(-1, 1, deg + 1) + 1j * rng.uniform(-1, 1, deg + 1))
@@ -62,13 +75,16 @@ class TestWeights:
     @pytest.mark.parametrize("name", ["H2", "A2", "D2", "S2", "S12", "S22", "Dalpha:0",
                                       "Dalpha:1", "Dalpha:1.5", "Dalpha:2", "Km:1", "Km:2"])
     def test_weight_polynomial_is_the_weight(self, name):
-        # every weight that is a0 + a1 n + a2 n^2 names its coefficients, exactly at n < 10^6;
-        # A2, S2 (1 at n = 0 and 1), Dalpha:1.5 and Km:2 (cubic) name none
+        # every weight that is a0 + a1 n + a2 n^2 names its coefficients, and weight reads it as
+        # a0 + n (a1 + a2 n): below 2^20 every product and sum is an integer or a half under
+        # 2^53, so it is the product form below bit for bit; A2, S2 (1 at n = 0 and 1),
+        # Dalpha:1.5 and Km:2 (cubic) name none
         space = sp.parse_space(name)
         poly = space.weight_polynomial
-        assert (poly is None) == (name in ("A2", "S2", "Dalpha:1.5", "Km:2"))
+        assert (poly is None) == (name not in _PRODUCT_FORMS)
         if poly:
-            n = np.arange(1_000_000.0)
+            n = np.arange(2.0**20)
+            assert np.array_equal(space.weight(n), _PRODUCT_FORMS[name](n))
             assert np.array_equal(space.weight(n), poly[0] + poly[1] * n + poly[2] * n * n)
 
     def test_kernel_coeffs_reciprocal_to_one_ulp(self):
@@ -102,8 +118,15 @@ class TestWeights:
         assert sp.parse_space("S12").kind == sp.S12
         assert sp.parse_space("Dalpha:2.0").alpha == 2.0
         assert sp.parse_space("Km:3").m == 3
-        with pytest.raises(ValueError):
-            sp.parse_space("H2:1")
+        # a colon takes a parameter, and Dalpha and Km need one, named in one line
+        for name, message in [("H2:1", "takes no parameter"), ("H2:", "takes no parameter"),
+                              ("S12:", "takes no parameter"), ("S32:", "takes no parameter"),
+                              ("Dalpha", "needs its parameter alpha, as in Dalpha:1.5"),
+                              ("Dalpha:", "needs its parameter alpha, as in Dalpha:1.5"),
+                              ("Km", "needs its parameter m, as in Km:3"),
+                              ("Km:", "needs its parameter m, as in Km:3")]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                sp.parse_space(name)
 
 
 class TestNorms:
